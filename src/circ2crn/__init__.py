@@ -13,10 +13,7 @@ from .dae import (
     DaeSystem,
     InputModel,
     Trajectory,
-    backward_euler_map,
     check_regularity,
-    compose_direct,
-    compose_input,
     consistent_project,
     fourier_input,
     reference_solve,
@@ -34,8 +31,8 @@ from .errors import (
     ValidationError,
     WindowTooShort,
 )
-from .numerics import invert, residual_norm, solve_linear
-from .pipeline import RunConfig, compile_circuit, compiled_crn_text, frequency_response
+from .numerics import invert
+from .pipeline import RunConfig, compile_circuit, convergence_study, frequency_response
 from .positivation import (
     HungarizedSystem,
     PositiveQuadruple,
@@ -44,6 +41,6 @@ from .positivation import (
     rail_field,
     split_initial,
 )
-from .sim import FitResult, convergence_study, fit_sinusoid, integrate, recover_difference, sup_error
+from .sim import FitResult, fit_sinusoid, integrate, recover_difference, sup_error
 
 __version__ = "0.1.0"

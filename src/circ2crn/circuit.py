@@ -5,7 +5,7 @@ The netlist grammar is line oriented with '#' comments:
     R|L|C <name> <node1> <node2> <value>
     V|I   <name> <node+> <node-> DC <level>
     V|I   <name> <node+> <node-> FOURIER <alpha> (<beta> <omega> <gamma>)*
-    OUT   <node+> [<node->]
+    OUT   <node>
 
 Ground is the literal node "0".  Compilation produces the pencil
 E dx/dt = A x + B u over x = (non-ground node voltages) ++ (branch currents
@@ -56,7 +56,7 @@ class Component:
 @dataclass(frozen=True)
 class Netlist:
     components: tuple[Component, ...]
-    output_spec: tuple[str, str]  # (node+, node-), node- defaults to ground
+    output_spec: str  # the ground-referenced output node
     source_waveforms: dict[str, Waveform] = field(default_factory=dict)
 
     def nodes(self) -> list[str]:
@@ -73,16 +73,19 @@ class Netlist:
 
 def _float(tok: str, line_no: int, what: str) -> float:
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         raise ParseError(line_no, f"bad {what} value {tok!r}") from None
+    if not np.isfinite(value):
+        raise ParseError(line_no, f"{what} value {tok!r} is not finite")
+    return value
 
 
 def parse_netlist(text: str) -> Netlist:
     """Parse and validate a netlist; raises ParseError / ValidationError."""
     components: list[Component] = []
     waveforms: dict[str, Waveform] = {}
-    output: tuple[str, str] | None = None
+    output: str | None = None
     names: set[str] = set()
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -95,12 +98,9 @@ def parse_netlist(text: str) -> Netlist:
         if kind == "OUT":
             if output is not None:
                 raise ParseError(line_no, "duplicate OUT directive")
-            if len(toks) == 2:
-                output = (toks[1], GROUND)
-            elif len(toks) == 3:
-                output = (toks[1], toks[2])
-            else:
-                raise ParseError(line_no, "OUT takes one or two nodes")
+            if len(toks) != 2:
+                raise ParseError(line_no, "OUT takes one node")
+            output = toks[1]
             continue
 
         if kind in ("R", "L", "C"):
@@ -176,9 +176,8 @@ def _validate_graph(net: Netlist) -> None:
     stray = [nd for nd in nodes if find(nd) != root]
     if stray:
         raise ValidationError(f"nodes disconnected from ground: {', '.join(stray)}")
-    for nd in net.output_spec:
-        if nd != GROUND and nd not in nodes:
-            raise ValidationError(f"OUT references unknown node {nd!r}")
+    if net.output_spec != GROUND and net.output_spec not in nodes:
+        raise ValidationError(f"OUT references unknown node {net.output_spec!r}")
 
 
 def serialize_netlist(net: Netlist) -> str:
@@ -196,8 +195,7 @@ def serialize_netlist(net: Netlist) -> str:
                 for beta, omega, gamma in wf.terms:
                     parts.append(f"{beta:.17g} {omega:.17g} {gamma:.17g}")
                 lines.append(" ".join(parts))
-    plus, minus = net.output_spec
-    lines.append(f"OUT {plus}" if minus == GROUND else f"OUT {plus} {minus}")
+    lines.append(f"OUT {net.output_spec}")
     return "\n".join(lines) + "\n"
 
 
@@ -217,10 +215,8 @@ def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
     """Compile the netlist into E dx/dt = A x + B u plus its input model."""
     sources = net.sources()
     src_index = {c.name: i for i, c in enumerate(sources)}
-    out_plus, out_minus = net.output_spec
-    if out_minus != GROUND:
-        raise ValidationError("only ground-referenced OUT is supported")
-    if out_plus == GROUND:
+    out_node = net.output_spec
+    if out_node == GROUND:
         raise ValidationError("output node must not be ground")
 
     cap_nodes = {
@@ -242,7 +238,7 @@ def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
             node, sign = c.n2, -1.0
         else:
             continue
-        if node == out_plus or node in cap_nodes or node in pinned:
+        if node == out_node or node in cap_nodes or node in pinned:
             continue
         pinned[node] = (src_index[c.name], sign)
         eliminated.add(c.name)
@@ -333,9 +329,9 @@ def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
             f"stamping produced identically-zero pencil rows {zero_rows}"
         )
 
-    if out_plus not in node_idx:
-        raise ValidationError(f"output node {out_plus!r} is not a circuit state")
-    output_index = node_idx[out_plus]
+    if out_node not in node_idx:
+        raise ValidationError(f"output node {out_node!r} is not a circuit state")
+    output_index = node_idx[out_node]
 
     inp = combine_inputs([model for _, model in source_models(net)])
     all_names = list(state_names) + list(inp.names)

@@ -6,9 +6,9 @@
     circ2crn freq     <netlist> --omega W1,W2,... [-h H] [-o out.csv]
 
 Exit codes: 0 success, 1 parse/validation error, 2 singular pencil,
-3 non-finite simulation state.  The CIRC2CRN_SEED environment variable
-overrides the regularity-probe seed.  Note: -h is the Euler step size;
-use --help for usage.
+3 non-finite simulation state, 4 verify FAIL (error above --tol).
+The CIRC2CRN_SEED environment variable overrides the regularity-probe
+seed.  Note: -h is the Euler step size; use --help for usage.
 """
 
 from __future__ import annotations
@@ -17,22 +17,21 @@ import argparse
 import sys as _sys
 import warnings
 
-import numpy as np
-
-from .circuit import build_dae, parse_netlist
-from .crn import parse_crn
+from .circuit import parse_netlist
+from .crn import parse_crn, serialize_crn
 from .errors import Circ2CrnError, NonFiniteState, ParseError, SingularMatrix, ValidationError
 from .pipeline import (
     RunConfig,
     compile_circuit,
-    compiled_crn_text,
+    convergence_study,
     freq_to_csv,
     frequency_response,
     simulate_crn,
+    study_to_csv,
     verify_circuit,
 )
 from .plot import render_svg
-from .sim import convergence_study, study_to_csv
+from .sim import check_dt
 
 
 def _add_step_option(p: argparse.ArgumentParser) -> None:
@@ -99,7 +98,7 @@ def _cmd_compile(args) -> int:
     gamma = args.gamma if args.gamma == "auto" else float(args.gamma)
     cfg = RunConfig(h=args.h, gamma=gamma)
     compiled = compile_circuit(net, cfg)
-    _write(compiled_crn_text(compiled), args.output)
+    _write(serialize_crn(compiled.crn), args.output)
     return 0
 
 
@@ -114,6 +113,8 @@ def _cmd_simulate(args) -> int:
         dt = float(net.meta["h"]) / 20.0
     else:
         dt = float(args.dt)
+        if "h" in net.meta:
+            check_dt(dt, float(net.meta["h"]))
     traj = simulate_crn(net, args.T, dt)
     _write(traj.to_csv(), args.output)
     if args.plot is not None:
@@ -128,14 +129,12 @@ def _cmd_verify(args) -> int:
     cfg = RunConfig(h=args.h, T=args.T, transient_discard=0.0)
     if args.study:
         hs = [float(tok) for tok in args.study.split(",") if tok]
-        sys_, inp = build_dae(net)
-        rows = convergence_study(sys_, inp, np.zeros(sys_.n), hs, args.T)
-        _sys.stdout.write(study_to_csv(rows))
+        _sys.stdout.write(study_to_csv(convergence_study(net, cfg, hs)))
         return 0
-    err = verify_circuit(net, cfg, args.T)
-    verdict = "PASS" if err <= args.tol else "FAIL"
-    print(f"sup_error={err:.6g} tol={args.tol:g} {verdict}")
-    return 0
+    err = verify_circuit(net, cfg)
+    passed = err <= args.tol
+    print(f"sup_error={err:.6g} tol={args.tol:g} {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 4
 
 
 def _cmd_freq(args) -> int:

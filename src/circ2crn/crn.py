@@ -13,8 +13,10 @@ The `.crn` text format is line oriented with '#' comments:
     <reactants> ->{<rate>} <products>      (sides are `0` or `a [+ b]`)
 
 Structured comments `# meta <key> <value>` and `# diff <out> <plus> <minus>`
-carry compile metadata and rail-pair annotations; they survive round trips
-and are plain comments to any other reader.
+carry compile metadata and rail-pair annotations, and the block markers
+`# circuit reactions` / `# input reactions <source>` label the reactions
+that follow them.  All of them survive round trips and are plain comments
+to any other reader.
 """
 
 from __future__ import annotations
@@ -32,6 +34,18 @@ from .errors import (
 )
 from .numerics import as_vector
 from .positivation import HungarizedSystem
+
+CIRCUIT_BLOCK = "circuit reactions"
+INPUT_BLOCK = "input reactions"
+
+
+def _block_label(toks: list[str]) -> str | None:
+    """The block label spelled by a marker comment's tokens, else None."""
+    if toks == CIRCUIT_BLOCK.split() or (
+        toks[:2] == INPUT_BLOCK.split() and len(toks) == 3
+    ):
+        return " ".join(toks)
+    return None
 
 
 @dataclass(frozen=True)
@@ -54,11 +68,20 @@ class Crn:
     init: dict[str, float] = field(default_factory=dict)
     meta: dict[str, str] = field(default_factory=dict)
     diffs: tuple[tuple[str, str, str], ...] = ()  # (out, plus, minus)
+    # (label, reaction count) of the marked blocks, which cover the last
+    # reactions in order; any reactions before them are unmarked
+    blocks: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "species", tuple(self.species))
         object.__setattr__(self, "reactions", tuple(self.reactions))
         object.__setattr__(self, "diffs", tuple(self.diffs))
+        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        for label, count in self.blocks:
+            if _block_label(label.split()) != label or count < 0:
+                raise ValueError(f"bad reaction block ({label!r}, {count})")
+        if self.marked > len(self.reactions):
+            raise ValueError("reaction blocks cover more reactions than exist")
         if len(set(self.species)) != len(self.species):
             raise ValueError("duplicate species names")
         known = set(self.species)
@@ -75,8 +98,10 @@ class Crn:
     def initial_state(self) -> np.ndarray:
         return np.array([self.init.get(sp, 0.0) for sp in self.species])
 
-
-EMPTY = Crn((), ())
+    @property
+    def marked(self) -> int:
+        """Number of reactions inside marked blocks."""
+        return sum(count for _, count in self.blocks)
 
 
 def emit_crn(hs: HungarizedSystem, init_plus, init_minus) -> Crn:
@@ -177,8 +202,11 @@ def union(a: Crn, b: Crn) -> Crn:
     """Compose two networks; shared species names identify shared species.
 
     Initial values are partial maps: a conflict is raised only when both
-    networks assign a shared species different values.
+    networks assign a shared species different values.  Reaction blocks
+    concatenate, so unmarked reactions of b may not follow a marked block.
     """
+    if a.blocks and b.marked < len(b.reactions):
+        raise ValueError("unmarked reactions cannot follow a marked block")
     shared = set(a.species) & set(b.species)
     for sp in sorted(shared):
         if sp in a.init and sp in b.init and a.init[sp] != b.init[sp]:
@@ -194,7 +222,9 @@ def union(a: Crn, b: Crn) -> Crn:
     for key, val in b.meta.items():
         meta.setdefault(key, val)
     diffs = a.diffs + tuple(d for d in b.diffs if d not in set(a.diffs))
-    return Crn(species, a.reactions + b.reactions, init, meta, diffs)
+    return Crn(
+        species, a.reactions + b.reactions, init, meta, diffs, a.blocks + b.blocks
+    )
 
 
 def _side_str(names: tuple[str, ...]) -> str:
@@ -215,8 +245,12 @@ def serialize_crn(net: Crn) -> str:
     for sp in net.species:
         if sp in net.init:
             lines.append(f"init {sp} {net.init[sp]:.17g}")
-    for rx in net.reactions:
-        lines.append(format_reaction(rx))
+    start = len(net.reactions) - net.marked
+    lines.extend(format_reaction(rx) for rx in net.reactions[:start])
+    for label, count in net.blocks:
+        lines.append(f"# {label}")
+        lines.extend(format_reaction(rx) for rx in net.reactions[start : start + count])
+        start += count
     for out, plus, minus in net.diffs:
         lines.append(f"# diff {out} {plus} {minus}")
     return "\n".join(lines) + "\n"
@@ -238,6 +272,7 @@ def parse_crn(text: str) -> Crn:
     reactions: list[Reaction] = []
     meta: dict[str, str] = {}
     diffs: list[tuple[str, str, str]] = []
+    blocks: list[tuple[str, int]] = []
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -249,26 +284,8 @@ def parse_crn(text: str) -> Crn:
                 meta[toks[1]] = " ".join(toks[2:])
             elif toks[:1] == ["diff"] and len(toks) == 4:
                 diffs.append((toks[1], toks[2], toks[3]))
-            continue
-        if line.startswith("species"):
-            for nm in line.split()[1:]:
-                if nm in species:
-                    raise ParseError(line_no, f"duplicate species {nm!r}")
-                species.append(nm)
-            continue
-        if line.startswith("init"):
-            toks = line.split()
-            if len(toks) != 3:
-                raise ParseError(line_no, "init takes: name value")
-            if toks[1] not in species:
-                raise ParseError(line_no, f"init of undeclared species {toks[1]!r}")
-            try:
-                val = float(toks[2])
-            except ValueError:
-                raise ParseError(line_no, f"bad init value {toks[2]!r}") from None
-            if val < 0.0:
-                raise ParseError(line_no, f"negative init for {toks[1]!r}")
-            init[toks[1]] = val
+            elif (label := _block_label(toks)) is not None:
+                blocks.append((label, 0))
             continue
         if "->{" in line:
             left, rest = line.split("->{", 1)
@@ -287,7 +304,29 @@ def parse_crn(text: str) -> Crn:
                 if sp not in species:
                     raise ParseError(line_no, f"undeclared species {sp!r}")
             reactions.append(Reaction(reactants, products, rate))
+            if blocks:
+                blocks[-1] = (blocks[-1][0], blocks[-1][1] + 1)
+            continue
+        toks = line.split()
+        if toks[0] == "species":
+            for nm in toks[1:]:
+                if nm in species:
+                    raise ParseError(line_no, f"duplicate species {nm!r}")
+                species.append(nm)
+            continue
+        if toks[0] == "init":
+            if len(toks) != 3:
+                raise ParseError(line_no, "init takes: name value")
+            if toks[1] not in species:
+                raise ParseError(line_no, f"init of undeclared species {toks[1]!r}")
+            try:
+                val = float(toks[2])
+            except ValueError:
+                raise ParseError(line_no, f"bad init value {toks[2]!r}") from None
+            if val < 0.0:
+                raise ParseError(line_no, f"negative init for {toks[1]!r}")
+            init[toks[1]] = val
             continue
         raise ParseError(line_no, f"unrecognized line {line!r}")
 
-    return Crn(tuple(species), tuple(reactions), init, meta, tuple(diffs))
+    return Crn(tuple(species), tuple(reactions), init, meta, tuple(diffs), tuple(blocks))

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState, UnknownColumn
-from .numerics import as_matrix, as_vector, det_and_scale, invert
+from .numerics import as_matrix, as_vector, failed_pivot, invert
 
 DEFAULT_SEED = 1729
-DET_PROBE_TOL = 1e-10
 PROBE_COUNT = 8
 PROBE_RANGE = (1e-4, 0.5)
 
@@ -194,18 +193,17 @@ def default_h_probes(seed: int | None = None) -> list[float]:
 
 
 def check_regularity(sys: DaeSystem, h_probe: list[float]) -> bool:
-    """True when det(E - hA) is numerically nonzero at some probe h.
+    """True when E - hA passes the relative pivot rule at some probe h.
 
     For a regular pencil det(E - hA) is a polynomial in h that is not
-    identically zero, so vanishing at every probe flags a singular pencil.
+    identically zero, so failing at every probe flags a singular pencil.
     """
     if not h_probe:
         raise ValueError("h_probe must be nonempty")
     for h in h_probe:
         if not 0.0 < h < 1.0:
             raise ValueError(f"probe h={h} outside (0, 1)")
-        det, scale = det_and_scale(sys.E - h * sys.A)
-        if abs(det) > DET_PROBE_TOL * scale:
+        if failed_pivot(sys.E - h * sys.A) is None:
             return True
     return False
 
@@ -233,15 +231,6 @@ def consistent_project(
 # ODE approximations
 
 
-def backward_euler_map(sys: DaeSystem, b, h: float) -> AffineOde:
-    """Affine ODE dx/dt = (E - hA)^-1 (A x + b) for constant forcing b."""
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    bv = as_vector(b, "b")
-    inv = invert(sys.E - h * sys.A)
-    return AffineOde(inv @ sys.A, inv @ bv, sys.state_names, sys.output_index)
-
-
 def coupled_euler_map(sys: DaeSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Matrices ((E - hA)^-1 A, (E - hA)^-1 B) of the shifted system."""
     if h <= 0.0:
@@ -257,11 +246,7 @@ def direct_map(sys: DaeSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def e_invertible(sys: DaeSystem) -> bool:
-    try:
-        invert(sys.E)
-        return True
-    except Exception:
-        return False
+    return failed_pivot(sys.E) is None
 
 
 def fourier_input(alpha: float, terms, name: str = "u") -> InputModel:
@@ -325,68 +310,6 @@ def combine_inputs(models: list[InputModel]) -> InputModel:
         mu += mod.m
         kz += mod.k
     return InputModel(D, d, u0, z0, tuple(input_names), tuple(aux_names))
-
-
-def compose_input(
-    sys: DaeSystem, inp: InputModel, h: float
-) -> tuple[AffineOde, np.ndarray]:
-    """Extended ODE over (x, u0-rail, u1-rail) approximating the driven DAE.
-
-    The x block evolves by (E - hA)^-1 (A x + B u<0> + h B u<1>); both input
-    rails evolve by (I - hD)^-1 D, the zeroth with the (I - hD)^-1 d offset.
-    Returns the ODE together with the mandated initial values of the two
-    input rails (length 2(m+k)).
-    """
-    if h <= 0.0:
-        raise ValueError("h must be positive")
-    n, m, mk = sys.n, inp.m, inp.m + inp.k
-    if sys.m != m:
-        raise ValueError("DAE input count does not match the input model")
-    inv_x = invert(sys.E - h * sys.A)
-    inv_d = invert(np.eye(mk) - h * inp.D)
-    Dh = inv_d @ inp.D
-    dh = inv_d @ inp.d
-
-    size = n + 2 * mk
-    Ahat = np.zeros((size, size))
-    bhat = np.zeros(size)
-    Ahat[:n, :n] = inv_x @ sys.A
-    Ahat[:n, n : n + m] = inv_x @ sys.B
-    Ahat[:n, n + mk : n + mk + m] = h * (inv_x @ sys.B)
-    Ahat[n : n + mk, n : n + mk] = Dh
-    Ahat[n + mk :, n + mk :] = Dh
-    bhat[n : n + mk] = dh
-
-    rail0 = inp.init
-    rail1 = Dh @ inp.init
-    names = (
-        sys.state_names
-        + inp.names
-        + tuple(f"{nm}'" for nm in inp.names)
-    )
-    ode = AffineOde(Ahat, bhat, names, sys.output_index)
-    return ode, np.concatenate([rail0, rail1])
-
-
-def compose_direct(sys: DaeSystem, inp: InputModel) -> tuple[AffineOde, np.ndarray]:
-    """Exact composition for invertible E: no h shift is needed.
-
-    dx/dt = E^-1 A x + E^-1 B u with the input generator appended verbatim.
-    Returns the ODE and the input-block initial values (length m+k).
-    """
-    n, m, mk = sys.n, inp.m, inp.m + inp.k
-    if sys.m != m:
-        raise ValueError("DAE input count does not match the input model")
-    Ax, Bx = direct_map(sys)
-    size = n + mk
-    Ahat = np.zeros((size, size))
-    bhat = np.zeros(size)
-    Ahat[:n, :n] = Ax
-    Ahat[:n, n : n + m] = Bx
-    Ahat[n:, n:] = inp.D
-    bhat[n:] = inp.d
-    ode = AffineOde(Ahat, bhat, sys.state_names + inp.names, sys.output_index)
-    return ode, inp.init.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Dense real linear algebra for small, well-scaled systems.
 
-Matrices are plain 2-D float64 numpy arrays, vectors 1-D arrays.  Solves go
-through LU factorization with partial pivoting; a pivot whose magnitude is
-at most ``REL_PIVOT_TOL`` times the largest magnitude found in its original
-column raises :class:`SingularMatrix`.  That relative threshold is what lets
-callers distinguish a genuinely singular pencil from round-off.
+Matrices are plain 2-D float64 numpy arrays, vectors 1-D arrays.  A square
+matrix counts as nonsingular when every pivot |U_kk| of its LU factorization
+with partial pivoting exceeds ``REL_PIVOT_TOL`` times the largest magnitude
+found in its original column k.  That relative threshold is what lets
+callers distinguish a genuinely singular pencil from round-off; the inverse
+itself comes from LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -36,103 +37,38 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _lu(m: np.ndarray, rel_tol: float):
-    """LU with partial pivoting.  Returns (packed LU, row permutation, sign).
-
-    Raises SingularMatrix when a pivot falls below rel_tol times the largest
-    initial magnitude of its column.
-    """
-    a = m.astype(float, copy=True)
-    n = a.shape[0]
-    col_scale = np.max(np.abs(m), axis=0) if n else np.zeros(0)
-    perm = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if abs(a[p, k]) <= rel_tol * col_scale[k]:
-            raise SingularMatrix(
-                f"pivot {abs(a[p, k]):.3e} below threshold in column {k}"
-            )
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
-    return a, perm, sign
-
-
-def _lu_solve(lu: np.ndarray, perm: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = lu.shape[0]
-    y = rhs[perm].astype(float, copy=True)
-    for k in range(1, n):  # forward: L y = P rhs, unit diagonal
-        y[k] -= lu[k, :k] @ y[:k]
-    for k in range(n - 1, -1, -1):  # backward: U x = y
-        y[k] = (y[k] - lu[k, k + 1 :] @ y[k + 1 :]) / lu[k, k]
-    return y
-
-
-def solve_linear(m, rhs, rel_tol: float = REL_PIVOT_TOL) -> np.ndarray:
-    """Solve M y = rhs for square M.  Raises SingularMatrix on rank loss."""
-    mm = as_matrix(m, "M")
-    b = as_vector(rhs, "rhs")
+def _square(m, name: str = "M") -> np.ndarray:
+    mm = as_matrix(m, name)
     if mm.shape[0] != mm.shape[1]:
-        raise ValueError(f"M must be square, got {mm.shape}")
-    if b.shape[0] != mm.shape[0]:
-        raise ValueError(f"rhs length {b.shape[0]} != M rows {mm.shape[0]}")
-    lu, perm, _ = _lu(mm, rel_tol)
-    return _lu_solve(lu, perm, b)
+        raise ValueError(f"{name} must be square, got {mm.shape}")
+    return mm
+
+
+def failed_pivot(m, rel_tol: float = REL_PIVOT_TOL) -> tuple[int, float] | None:
+    """First column whose pivot fails the relative rule, as (column, |U_kk|).
+
+    Runs LU elimination with partial pivoting and stops at the first pivot
+    |U_kk| <= rel_tol * (largest initial magnitude in column k).  None means
+    every pivot passes, i.e. the matrix is numerically nonsingular.  Scaling
+    any column leaves the verdict unchanged.
+    """
+    a = _square(m)
+    col_scale = np.max(np.abs(a), axis=0, initial=0.0)
+    for k in range(a.shape[0]):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = abs(a[p, k])
+        if pivot <= rel_tol * col_scale[k]:
+            return k, float(pivot)
+        a[[k, p]] = a[[p, k]]
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
+    return None
 
 
 def invert(m, rel_tol: float = REL_PIVOT_TOL) -> np.ndarray:
-    """Inverse of a square matrix via one LU factorization."""
-    mm = as_matrix(m, "M")
-    if mm.shape[0] != mm.shape[1]:
-        raise ValueError(f"M must be square, got {mm.shape}")
-    n = mm.shape[0]
-    lu, perm, _ = _lu(mm, rel_tol)
-    out = np.empty((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        out[:, j] = _lu_solve(lu, perm, eye[:, j])
-    return out
-
-
-def residual_norm(m, x, rhs) -> float:
-    """Infinity norm of M x - rhs."""
-    mm = as_matrix(m, "M")
-    xx = as_vector(x, "x")
-    b = as_vector(rhs, "rhs")
-    if mm.shape[1] != xx.shape[0] or mm.shape[0] != b.shape[0]:
-        raise ValueError(
-            f"incompatible shapes M{mm.shape}, x({xx.shape[0]},), rhs({b.shape[0]},)"
-        )
-    r = mm @ xx - b
-    return float(np.max(np.abs(r))) if r.size else 0.0
-
-
-def det_and_scale(m) -> tuple[float, float]:
-    """Determinant plus a Hadamard-style magnitude scale.
-
-    The scale is the product of each column's largest initial magnitude, so
-    ``|det| > tol * scale`` is invariant under rescaling any column.  Never
-    raises: an exactly rank-deficient matrix reports det 0.
-    """
-    mm = as_matrix(m, "M")
-    if mm.shape[0] != mm.shape[1]:
-        raise ValueError(f"M must be square, got {mm.shape}")
-    n = mm.shape[0]
-    col_scale = np.max(np.abs(mm), axis=0) if n else np.zeros(0)
-    scale = float(np.prod(col_scale)) if n else 1.0
-    a = mm.copy()
-    det = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            return 0.0, scale
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            det = -det
-        det *= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
-    return float(det), scale
+    """Inverse of a square matrix; SingularMatrix when a pivot fails the rule."""
+    mm = _square(m)
+    failed = failed_pivot(mm, rel_tol)
+    if failed is not None:
+        col, pivot = failed
+        raise SingularMatrix(f"pivot {pivot:.3e} below threshold in column {col}")
+    return np.linalg.inv(mm)

@@ -5,6 +5,11 @@ source.  The circuit block holds the reactions of the shifted (or, when E
 is invertible, the exact) circuit ODE with the source rails acting as
 catalysts; it depends only on the circuit and h, never on the waveforms.
 Each input block holds the reactions of that source's own generator ODE.
+The blocks are recorded on the union, so `serialize_crn` marks them.
+
+`verify_circuit` and `convergence_study` certify exactly that union: they
+simulate it under mass-action kinetics and compare the recovered circuit
+variables with a backward-Euler run on the exact pencil.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import Fourier, Netlist, build_dae, source_models
-from .crn import Crn, emit_crn, format_reaction, mass_action_field, union
+from .crn import CIRCUIT_BLOCK, INPUT_BLOCK, Crn, emit_crn, mass_action_field, union
 from .dae import (
     AffineOde,
     DaeSystem,
@@ -32,9 +37,6 @@ from .dae import (
 from .errors import SingularMatrix, ValidationError
 from .positivation import hungarize, positivate, split_initial
 from .sim import fit_sinusoid, integrate, recover_difference, sup_error
-
-CIRCUIT_MARKER = "# circuit reactions"
-INPUT_MARKER = "# input reactions"
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,7 @@ class CompiledCircuit:
     direct: bool
     h: float
     gamma: float
-    circuit_crn: Crn
-    input_crns: tuple[tuple[str, Crn], ...]
-    crn: Crn  # the union, with meta and diff annotations
+    crn: Crn  # the union, with meta, diff and block annotations
 
 
 def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
@@ -115,17 +115,15 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     circuit_hs = hungarize(
         positivate(circuit_ode, coupling=(bx, inp.input_names)), gamma
     )
-    circuit_crn = emit_crn(circuit_hs, *split_initial(x0))
-
-    input_crns = []
+    blocks = [(CIRCUIT_BLOCK, emit_crn(circuit_hs, *split_initial(x0)))]
     for name, model in source_models(net):
         ode = AffineOde(model.D, model.d, model.names, 0)
         net_in = emit_crn(hungarize(positivate(ode), gamma), *split_initial(model.init))
-        input_crns.append((name, net_in))
+        blocks.append((f"{INPUT_BLOCK} {name}", net_in))
 
-    merged = circuit_crn
-    for _, net_in in input_crns:
-        merged = union(merged, net_in)
+    merged = Crn((), ())
+    for label, block in blocks:
+        merged = union(merged, replace(block, blocks=((label, len(block.reactions)),)))
     meta = {
         "h": f"{cfg.h:.17g}",
         "gamma": f"{gamma:.17g}",
@@ -134,49 +132,8 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     diffs = tuple(
         (nm, f"{nm}_p", f"{nm}_m") for nm in sys.state_names + inp.names
     )
-    merged = Crn(merged.species, merged.reactions, merged.init, meta, diffs)
-    return CompiledCircuit(
-        net, sys, inp, x0, flagged, direct, cfg.h, gamma,
-        circuit_crn, tuple(input_crns), merged,
-    )
-
-
-def compiled_crn_text(compiled: CompiledCircuit) -> str:
-    """Serialized union CRN with marked circuit/input reaction blocks."""
-    net = compiled.crn
-    lines = ["# circ2crn compiled network"]
-    for key in sorted(net.meta):
-        lines.append(f"# meta {key} {net.meta[key]}")
-    if net.species:
-        lines.append("species " + " ".join(net.species))
-    for sp in net.species:
-        if sp in net.init:
-            lines.append(f"init {sp} {net.init[sp]:.17g}")
-    lines.append(CIRCUIT_MARKER)
-    for rx in compiled.circuit_crn.reactions:
-        lines.append(format_reaction(rx))
-    for name, net_in in compiled.input_crns:
-        lines.append(f"{INPUT_MARKER} {name}")
-        for rx in net_in.reactions:
-            lines.append(format_reaction(rx))
-    for out, plus, minus in net.diffs:
-        lines.append(f"# diff {out} {plus} {minus}")
-    return "\n".join(lines) + "\n"
-
-
-def circuit_block(text: str) -> str:
-    """The circuit-reaction block of a compiled file, byte for byte."""
-    lines = text.splitlines()
-    try:
-        start = lines.index(CIRCUIT_MARKER) + 1
-    except ValueError:
-        raise ValidationError("no circuit-reaction block marker found") from None
-    block = []
-    for line in lines[start:]:
-        if line.startswith("#"):
-            break
-        block.append(line)
-    return "\n".join(block) + "\n"
+    merged = replace(merged, meta=meta, diffs=diffs)
+    return CompiledCircuit(net, sys, inp, x0, flagged, direct, cfg.h, gamma, merged)
 
 
 def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
@@ -196,24 +153,63 @@ def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
     return traj
 
 
-def verify_circuit(
-    net: Netlist, cfg: RunConfig, T: float, h_ref: float | None = None
-) -> float:
-    """Sup error of the compiled union CRN against the backward-Euler oracle.
+def _reference(compiled: CompiledCircuit, T: float, h_ref: float) -> Trajectory:
+    """Backward-Euler oracle on the exact stacked pencil; h-independent."""
+    return reference_solve(
+        compiled.sys, compiled.inp, compiled.x0, T, h_ref, max_points=400_000
+    )
+
+
+def _crn_error(compiled: CompiledCircuit, cfg: RunConfig, reference: Trajectory) -> float:
+    traj = simulate_crn(compiled.crn, cfg.T, cfg.resolve_dt())
+    return sup_error(traj, reference, compiled.sys.state_names)
+
+
+def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> float:
+    """Sup error on [0, cfg.T] of the compiled union CRN against the oracle.
 
     This certifies the artifact that `compile` emits: the CRN is simulated
     under mass-action kinetics, the circuit variables are recovered as rail
     differences, and the result is compared with reference_solve on the
-    exact stacked pencil.
+    exact stacked pencil.  The oracle step defaults to h/100.
     """
     compiled = compile_circuit(net, cfg)
-    traj = simulate_crn(compiled.crn, T, cfg.resolve_dt())
+    reference = _reference(compiled, cfg.T, cfg.h / 100.0 if h_ref is None else h_ref)
+    return _crn_error(compiled, cfg, reference)
+
+
+def convergence_study(
+    net: Netlist, cfg: RunConfig, hs, h_ref: float | None = None
+) -> list[tuple[float, float]]:
+    """verify_circuit at each h against one shared oracle run.
+
+    h values must be strictly decreasing; the oracle step defaults to
+    min(hs)/100.  The oracle depends only on the circuit, its inputs and
+    the projected initial state, none of which depend on h.
+    """
+    hs = list(hs)
+    if not hs:
+        raise ValueError("hs must be nonempty")
+    if any(b >= a for a, b in zip(hs, hs[1:])):
+        raise ValueError("hs must be strictly decreasing")
     if h_ref is None:
-        h_ref = cfg.h / 100.0
-    reference = reference_solve(
-        compiled.sys, compiled.inp, compiled.x0, T, h_ref, max_points=400_000
-    )
-    return sup_error(traj, reference, compiled.sys.state_names)
+        h_ref = min(hs) / 100.0
+    rows = []
+    reference = None
+    for h in hs:
+        cfg_h = replace(cfg, h=h)
+        compiled = compile_circuit(net, cfg_h)
+        if reference is None:
+            reference = _reference(compiled, cfg.T, h_ref)
+        rows.append((h, _crn_error(compiled, cfg_h, reference)))
+    return rows
+
+
+def study_to_csv(rows) -> str:
+    lines = ["h,sup_error"]
+    for h, err in rows:
+        lines.append(f"{h:.17g},{err:.17g}")
+    return "\n".join(lines) + "\n"
 
 
 def frequency_response(
@@ -258,15 +254,13 @@ def freq_to_csv(rows) -> str:
 
 
 __all__ = [
-    "CIRCUIT_MARKER",
-    "INPUT_MARKER",
     "CompiledCircuit",
     "RunConfig",
-    "circuit_block",
     "compile_circuit",
-    "compiled_crn_text",
+    "convergence_study",
     "freq_to_csv",
     "frequency_response",
     "simulate_crn",
+    "study_to_csv",
     "verify_circuit",
 ]

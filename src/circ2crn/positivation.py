@@ -141,18 +141,6 @@ def split_initial(x0) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(x, 0.0), np.maximum(-x, 0.0)
 
 
-def interleave_rails(plus, minus) -> np.ndarray:
-    """Pack (plus, minus) vectors into the rail layout [p1, m1, p2, m2, ...]."""
-    p = as_vector(plus, "plus")
-    m = as_vector(minus, "minus")
-    if p.shape != m.shape:
-        raise ValueError("plus/minus lengths differ")
-    out = np.empty(2 * p.shape[0])
-    out[0::2] = p
-    out[1::2] = m
-    return out
-
-
 def hungarize(quad: PositiveQuadruple, gamma: float) -> HungarizedSystem:
     """Attach the annihilation rate; gamma = 0 reproduces the bare split.
 

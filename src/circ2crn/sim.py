@@ -14,18 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crn import emit_crn, mass_action_field
-from .dae import (
-    Trajectory,
-    compose_direct,
-    compose_input,
-    consistent_project,
-    e_invertible,
-    reference_solve,
-)
+from .dae import Trajectory
 from .errors import NonFiniteState, WindowTooShort
 from .numerics import as_vector
-from .positivation import hungarize, interleave_rails, positivate, split_initial
 
 BLOWUP_LIMIT = 1e12
 DT_RULE_FACTOR = 20.0
@@ -138,87 +129,3 @@ def fit_sinusoid(
         phase=float(np.arctan2(b, a)),
         residual=float(np.sqrt(np.mean(resid**2))),
     )
-
-
-# ---------------------------------------------------------------------------
-# end-to-end convergence study
-
-
-def pipeline_crn_error(
-    sys,
-    inp,
-    x0,
-    h: float,
-    T: float,
-    gamma: float | str = "auto",
-    dt: float | None = None,
-    h_ref: float | None = None,
-    reference: Trajectory | None = None,
-) -> float:
-    """Sup error of the full CRN pipeline against the backward-Euler oracle.
-
-    Pipeline: compose the driven ODE (direct when E is invertible, the
-    h-shifted extension otherwise), positivate, hungarize, emit the CRN,
-    integrate its mass-action field with RK4, recover rail differences, and
-    compare the circuit columns with reference_solve.
-    """
-    g = 1.0 / h if gamma == "auto" else float(gamma)
-    step = h / DT_RULE_FACTOR if dt is None else dt
-    check_dt(step, h)
-    if e_invertible(sys):
-        ode, rails0 = compose_direct(sys, inp)
-    else:
-        ode, rails0 = compose_input(sys, inp, h)
-    x0c, _ = consistent_project(sys, sys.B @ inp.u0, as_vector(x0, "x0"))
-    full0 = np.concatenate([x0c, rails0])
-    net = emit_crn(hungarize(positivate(ode), g), *split_initial(full0))
-    traj = integrate(
-        mass_action_field(net),
-        interleave_rails(*split_initial(full0)),
-        T,
-        step,
-        names=net.species,
-    )
-    diffs = recover_difference(
-        traj, [(f"{nm}_p", f"{nm}_m", nm) for nm in sys.state_names]
-    )
-    if reference is None:
-        if h_ref is None:
-            h_ref = h / 100.0
-        reference = reference_solve(sys, inp, x0, T, h_ref, max_points=400_000)
-    return sup_error(diffs, reference, sys.state_names)
-
-
-def convergence_study(
-    sys,
-    inp,
-    x0,
-    hs,
-    T: float,
-    gamma: float | str = "auto",
-    h_ref: float | None = None,
-) -> list[tuple[float, float]]:
-    """Run the full pipeline at each h and report sup errors vs the oracle.
-
-    h values must be decreasing; the oracle step defaults to min(hs)/100.
-    """
-    hs = list(hs)
-    if not hs:
-        raise ValueError("hs must be nonempty")
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("hs must be strictly decreasing")
-    if h_ref is None:
-        h_ref = min(hs) / 100.0
-    reference = reference_solve(sys, inp, x0, T, h_ref, max_points=400_000)
-    rows = []
-    for h in hs:
-        err = pipeline_crn_error(sys, inp, x0, h, T, gamma=gamma, reference=reference)
-        rows.append((h, err))
-    return rows
-
-
-def study_to_csv(rows) -> str:
-    lines = ["h,sup_error"]
-    for h, err in rows:
-        lines.append(f"{h:.17g},{err:.17g}")
-    return "\n".join(lines) + "\n"

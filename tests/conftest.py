@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from circ2crn.circuit import build_dae, parse_netlist
-from circ2crn.dae import DaeSystem, InputModel
+from circ2crn.dae import AffineOde, DaeSystem, InputModel, coupled_euler_map, direct_map
 
 # High-pass RL filter (R = L = 1), DC and unit-sine drive variants.
 RL_DC = "V vin 1 0 DC 1\nR r1 1 2 1\nL l1 2 0 1\nOUT 2\n"
@@ -67,3 +67,47 @@ def rc_lowpass():
     net = parse_netlist(RC_LOWPASS)
     sys, inp = build_dae(net)
     return net, sys, inp
+
+
+def signed_ode(sys: DaeSystem, inp: InputModel, h: float | None = None) -> AffineOde:
+    """The signed ODE a compiled union implements, over (x, u, z).
+
+    [[Ax, Bx S], [0, D]] (x, u, z) + [0; d], where S selects u from (u, z)
+    and (Ax, Bx) is the direct map, or the h-shifted map when h is given.
+    """
+    ax, bx = direct_map(sys) if h is None else coupled_euler_map(sys, h)
+    n, m = sys.n, inp.m
+    size = n + m + inp.k
+    a = np.zeros((size, size))
+    a[:n, :n] = ax
+    a[:n, n : n + m] = bx
+    a[n:, n:] = inp.D
+    b = np.concatenate([np.zeros(n), inp.d])
+    return AffineOde(a, b, sys.state_names + inp.names, sys.output_index)
+
+
+def interleave(plus, minus) -> np.ndarray:
+    """Pack (plus, minus) vectors into the rail layout [p1, m1, p2, m2, ...]."""
+    return np.column_stack([plus, minus]).ravel()
+
+
+def block_reactions(net, label: str):
+    """The reactions of the marked block `label` of a network."""
+    start = len(net.reactions) - net.marked
+    for name, count in net.blocks:
+        if name == label:
+            return net.reactions[start : start + count]
+        start += count
+    raise KeyError(label)
+
+
+def circuit_block(text: str) -> str:
+    """The circuit-reaction block of a compiled file, byte for byte."""
+    lines = text.splitlines()
+    start = lines.index("# circuit reactions") + 1
+    block = []
+    for line in lines[start:]:
+        if line.startswith("#"):
+            break
+        block.append(line)
+    return "\n".join(block) + "\n"

@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from circ2crn.circuit import build_dae, parse_netlist
-from circ2crn.crn import emit_crn, mass_action_field
+from circ2crn.crn import CIRCUIT_BLOCK, emit_crn, mass_action_field, serialize_crn
 from circ2crn.dae import (
     AffineOde,
-    compose_direct,
-    compose_input,
-    consistent_project,
     coupled_euler_map,
     direct_map,
     e_invertible,
@@ -25,28 +22,24 @@ from circ2crn.dae import (
 from circ2crn.errors import NonFiniteState
 from circ2crn.pipeline import (
     RunConfig,
-    circuit_block,
     compile_circuit,
-    compiled_crn_text,
+    convergence_study,
     frequency_response,
     simulate_crn,
+    verify_circuit,
 )
-from circ2crn.positivation import (
-    hungarize,
-    interleave_rails,
-    positivate,
-    rail_field,
-    split_initial,
-)
-from circ2crn.sim import (
-    convergence_study,
-    integrate,
-    pipeline_crn_error,
-    recover_difference,
-    sup_error,
-)
+from circ2crn.positivation import hungarize, positivate, rail_field
+from circ2crn.sim import integrate, sup_error
 
-from conftest import RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS
+from conftest import (
+    RL_DC,
+    RL_SINE,
+    TWO_CAP,
+    RC_LOWPASS,
+    block_reactions,
+    circuit_block,
+    signed_ode,
+)
 
 SQUARE_W0 = 0.4
 SQUARE_TERMS = " ".join(
@@ -111,7 +104,7 @@ def test_c02_golden_crn():
     compiled = compile_circuit(parse_netlist(RL_DC), RunConfig(h=h))
     got = {
         (rx.reactants, rx.products, rx.rate)
-        for rx in compiled.circuit_crn.reactions
+        for rx in block_reactions(compiled.crn, CIRCUIT_BLOCK)
     }
     canon = lambda triples: sorted(
         (tuple(sorted(a)), tuple(sorted(b)), rate) for a, b, rate in triples
@@ -121,9 +114,9 @@ def test_c02_golden_crn():
 
 
 def test_c03_convergence_order():
-    """Pipeline error vs the h_ref=1e-5 oracle decreases with ratio >= 1.5."""
-    sys, inp = build_dae(parse_netlist(RL_DC))
-    rows = convergence_study(sys, inp, np.zeros(2), [0.04, 0.02, 0.01], 10.0, h_ref=1e-5)
+    """Compiled-CRN error vs the h_ref=1e-5 oracle decreases with ratio >= 1.5."""
+    cfg = RunConfig(T=10.0, transient_discard=0.0)
+    rows = convergence_study(parse_netlist(RL_DC), cfg, [0.04, 0.02, 0.01], h_ref=1e-5)
     errs = [err for _, err in rows]
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     ok = (
@@ -135,28 +128,16 @@ def test_c03_convergence_order():
 
 
 def test_c04_positivation_exactness():
-    """Rail differences reproduce the driven ODE within 1e-9 on [0, 10]."""
+    """Rail differences of the compiled CRN reproduce its signed ODE within 1e-9 on [0, 10]."""
     worst = {}
     for name, text in ALL_FIXTURES.items():
-        sys, inp = build_dae(parse_netlist(text))
-        h = 0.01
-        if e_invertible(sys):
-            ode, rails0 = compose_direct(sys, inp)
-        else:
-            ode, rails0 = compose_input(sys, inp, h)
-        x0, _ = consistent_project(sys, sys.B @ inp.u0, np.zeros(sys.n))
-        full0 = np.concatenate([x0, rails0])
-        dt = h / 20
+        compiled = compile_circuit(parse_netlist(text), RunConfig(h=0.01))
+        ode = signed_ode(compiled.sys, compiled.inp, None if compiled.direct else compiled.h)
+        full0 = np.concatenate([compiled.x0, compiled.inp.init])
+        dt = compiled.h / 20
         direct = integrate(ode.field(), full0, 10.0, dt, names=ode.state_names)
-        hs = hungarize(positivate(ode), 1.0 / h)
-        rails = integrate(
-            rail_field(hs), interleave_rails(*split_initial(full0)), 10.0, dt,
-            names=hs.rail_names,
-        )
-        diff = recover_difference(
-            rails, [(f"{nm}_p", f"{nm}_m", nm) for nm in ode.state_names]
-        )
-        worst[name] = sup_error(diff, direct, ode.state_names)
+        rails = simulate_crn(compiled.crn, 10.0, dt)
+        worst[name] = sup_error(rails, direct, ode.state_names)
     ok = all(err <= 1e-9 for err in worst.values())
     report(4, ok, "sup diffs " + ", ".join(f"{k}={v:.2e}" for k, v in worst.items()))
 
@@ -194,22 +175,27 @@ def test_c06_mass_action_field_identity():
     cases = {}
     for name, text in ALL_FIXTURES.items():
         sys, inp = build_dae(parse_netlist(text))
-        cases[name] = circuit_hungarization(sys, inp, 0.01, 100.0)
-    sine_sys, sine_inp = build_dae(parse_netlist(RL_SINE))
+        hs = circuit_hungarization(sys, inp, 0.01, 100.0)
+        cases[name] = (emit_crn(hs, np.zeros(hs.n), np.zeros(hs.n)), hs)
+    sine_inp = build_dae(parse_netlist(RL_SINE))[1]
     input_ode = AffineOde(sine_inp.D, sine_inp.d, sine_inp.names, 0)
-    cases["sine-input"] = hungarize(positivate(input_ode), 100.0)
-    composed, _ = compose_input(sine_sys, sine_inp, 0.01)
-    cases["composed"] = hungarize(positivate(composed), 100.0)
+    hs = hungarize(positivate(input_ode), 100.0)
+    cases["sine-input"] = (emit_crn(hs, np.zeros(hs.n), np.zeros(hs.n)), hs)
+    # the compiled union network against the signed ODE it implements
+    compiled = compile_circuit(parse_netlist(RL_SINE), RunConfig(h=0.01))
+    ode = signed_ode(compiled.sys, compiled.inp, compiled.h)
+    cases["compiled"] = (compiled.crn, hungarize(positivate(ode), compiled.gamma))
 
     worst = {}
-    for name, hs in cases.items():
-        net = emit_crn(hs, np.zeros(hs.n), np.zeros(hs.n))
+    for name, (net, hs) in cases.items():
         f_crn = mass_action_field(net)
         f_rail = rail_field(hs)
+        # rail_field's vector order, as positions in the network's species
+        order = [net.species.index(sp) for sp in hs.rail_names + hs.input_rail_names]
         err = 0.0
         for _ in range(100):
             state = rng.uniform(0.0, 2.0, len(net.species))
-            err = max(err, float(np.max(np.abs(f_crn(state) - f_rail(state)))))
+            err = max(err, float(np.max(np.abs(f_crn(state)[order] - f_rail(state[order])))))
         worst[name] = err
     ok = all(err <= 1e-12 for err in worst.values())
     report(6, ok, "max |crn - rail| " + ", ".join(f"{k}={v:.1e}" for k, v in worst.items()))
@@ -219,10 +205,10 @@ def test_c07_input_decoupling():
     """Circuit-reaction block is byte-identical for DC and sine sources."""
     cfg = RunConfig()
     block_dc = circuit_block(
-        compiled_crn_text(compile_circuit(parse_netlist(RL_DC), cfg))
+        serialize_crn(compile_circuit(parse_netlist(RL_DC), cfg).crn)
     )
     block_sine = circuit_block(
-        compiled_crn_text(compile_circuit(parse_netlist(RL_SINE), cfg))
+        serialize_crn(compile_circuit(parse_netlist(RL_SINE), cfg).crn)
     )
     ok = block_dc == block_sine and len(block_dc.strip().splitlines()) == 12
     report(7, ok, f"{len(block_dc.strip().splitlines())} reaction lines, byte-identical={block_dc == block_sine}")
@@ -233,7 +219,7 @@ def test_c08_two_capacitor_circuit():
     net = parse_netlist(TWO_CAP)
     compiled = compile_circuit(net, RunConfig())  # raises if pencil singular
     sys, inp = compiled.sys, compiled.inp
-    err = pipeline_crn_error(sys, inp, np.zeros(2), 0.01, 10.0, h_ref=1e-4)
+    err = verify_circuit(net, RunConfig(T=10.0, transient_discard=0.0), h_ref=1e-4)
 
     ref = reference_solve(sys, inp, np.zeros(2), 10.0, 1e-4)
     h = ref.times[1] - ref.times[0]
@@ -244,7 +230,7 @@ def test_c08_two_capacitor_circuit():
         float(np.max(np.abs(dv1 - dv2 - v2[1:]))),
     )
     ok = err <= 0.05 and resid <= 1e-8
-    report(8, ok, f"pipeline sup_error={err:.2e} (<=0.05), row residual={resid:.1e} (<=1e-8)")
+    report(8, ok, f"compiled CRN sup_error={err:.2e} (<=0.05), row residual={resid:.1e} (<=1e-8)")
 
 
 def test_c09_perfect_adaptation():

@@ -19,7 +19,7 @@ class TestParse:
     def test_rl_highpass(self):
         net = parse_netlist(RL_DC)
         assert len(net.components) == 3
-        assert net.output_spec == ("2", "0")
+        assert net.output_spec == "2"
         assert net.source_waveforms["vin"] == Dc(1.0)
         kinds = [c.kind for c in net.components]
         assert kinds == ["V", "R", "L"]
@@ -31,7 +31,7 @@ class TestParse:
     def test_two_cap_topology(self):
         net = parse_netlist(TWO_CAP)
         assert [c.kind for c in net.components] == ["I", "C", "C", "R"]
-        assert net.output_spec == ("2", "0")
+        assert net.output_spec == "2"
 
     def test_fourier_source(self):
         net = parse_netlist("V s 1 0 FOURIER 0.5 1 2 0.25\nR r 1 0 1\nOUT 1\n")
@@ -55,12 +55,21 @@ class TestParse:
             "V s 1 0 FOURIER 0 1 -2 0\nR r 1 0 1\nOUT 1\n",  # omega <= 0
             "R a 1 0 1\nOUT 1\nOUT 1\n",  # duplicate OUT
             "R a 1 0 1\nOUT\n",
+            "R a 1 0 inf\nOUT 1\n",  # non-finite numbers
+            "V s 1 0 DC nan\nR r 1 0 1\nOUT 1\n",
+            "V s 1 0 FOURIER 0 1 -inf 0\nR r 1 0 1\nOUT 1\n",
         ],
     )
     def test_parse_errors(self, text):
         with pytest.raises(ParseError) as exc_info:
             parse_netlist(text)
         assert exc_info.value.line_no >= 0
+
+    def test_non_finite_value_names_its_line(self):
+        with pytest.raises(ParseError) as exc_info:
+            parse_netlist("V s 1 0 DC 1\nR r1 1 2 inf\nR r2 2 0 1\nOUT 2\n")
+        assert exc_info.value.line_no == 2
+        assert "not finite" in str(exc_info.value)
 
     def test_missing_out_is_validation_error(self):
         with pytest.raises(ValidationError):
@@ -158,9 +167,10 @@ class TestBuildDae:
             build_dae(parse_netlist(text))
 
     def test_two_node_out_unsupported(self):
-        net = parse_netlist("V vin 1 0 DC 1\nR a 1 2 1\nR b 2 3 1\nR c 3 0 1\nOUT 2 3\n")
-        with pytest.raises(ValidationError):
-            build_dae(net)
+        # rejected by the grammar now, before any DAE is built
+        with pytest.raises(ParseError) as exc_info:
+            parse_netlist("V vin 1 0 DC 1\nR a 1 2 1\nR b 2 3 1\nR c 3 0 1\nOUT 2 3\n")
+        assert exc_info.value.line_no == 5
 
     def test_name_collision_rejected(self):
         net = parse_netlist("V v2 1 0 DC 1\nR r1 1 2 1\nL l1 2 0 1\nOUT 2\n")

@@ -1,15 +1,29 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import circ2crn
 from circ2crn.cli import main
-from circ2crn.pipeline import CIRCUIT_MARKER, RunConfig, circuit_block, frequency_response
+from circ2crn.crn import parse_crn, serialize_crn
+from circ2crn.pipeline import RunConfig, frequency_response, verify_circuit
 from circ2crn.circuit import parse_netlist
 
-from conftest import RL_DC, RL_SINE
+from conftest import RL_DC, RL_SINE, circuit_block
 
 SINGULAR = "V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n"
+
+
+def rc_ladder(k: int) -> str:
+    """k sections of 1 MOhm series / 1 nF shunt: well conditioned, tiny det."""
+    sections = "".join(
+        f"R r{i} {i} {i + 1} 1e6\nC c{i} {i + 1} 0 1e-9\n" for i in range(1, k + 1)
+    )
+    return f"V vin 1 0 DC 1\n{sections}OUT {k + 1}\n"
 
 
 @pytest.fixture(autouse=True)
@@ -33,7 +47,7 @@ class TestCompile:
         assert main(["compile", netlist, "-o", out2]) == 0
         text = open(out1).read()
         assert text == open(out2).read()
-        assert CIRCUIT_MARKER in text
+        assert "# circuit reactions" in text
         assert len(circuit_block(text).strip().splitlines()) == 12
         assert "# meta h 0.01" in text
 
@@ -54,6 +68,21 @@ class TestCompile:
         netlist = _write(tmp_path, "sing.cir", SINGULAR)
         assert main(["compile", netlist]) == 2
         assert "singular" in capsys.readouterr().err.lower()
+
+    def test_output_round_trips_through_parse_crn(self, tmp_path):
+        netlist = _write(tmp_path, "rls.cir", RL_SINE)
+        out = str(tmp_path / "s.crn")
+        assert main(["compile", netlist, "-o", out]) == 0
+        text = open(out).read()
+        assert text.splitlines()[0] == "# crn"
+        assert serialize_crn(parse_crn(text)) == text
+
+    @pytest.mark.parametrize("k", [40, 60])
+    def test_large_rc_ladder_is_not_a_singular_pencil(self, tmp_path, k):
+        netlist = _write(tmp_path, "ladder.cir", rc_ladder(k))
+        assert main(["compile", netlist, "-o", str(tmp_path / "l.crn")]) == 0
+        # the genuinely singular pencil still exits 2
+        assert main(["compile", _write(tmp_path, "sing.cir", SINGULAR)]) == 2
 
     def test_gamma_flag(self, tmp_path):
         netlist = _write(tmp_path, "rl.cir", RL_DC)
@@ -100,6 +129,26 @@ class TestSimulate:
         blowup_t = float(err.split("t=")[1].split()[0])
         assert blowup_t < 30.0
 
+    @pytest.mark.parametrize("source", ["init", "inity", "speciesA"])
+    def test_keyword_prefixed_source_names(self, tmp_path, source):
+        crn = self._compiled(tmp_path, RL_SINE.replace("vin", source))
+        assert main(["simulate", crn, "-T", "0.1", "-o", str(tmp_path / "k.csv")]) == 0
+
+    def test_dt_above_rule_warns_on_stderr(self, tmp_path):
+        # a fresh interpreter, so the warning is not captured by the test run
+        crn = self._compiled(tmp_path)
+        env = dict(os.environ, PYTHONPATH=str(Path(circ2crn.__file__).parents[1]))
+
+        def stderr_of(dt):
+            cmd = [sys.executable, "-m", "circ2crn.cli", "simulate", crn, "-T", "0.05",
+                   "--dt", dt, "-o", str(tmp_path / "w.csv")]
+            done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+            assert done.returncode == 0
+            return done.stderr
+
+        assert "exceeds" not in stderr_of("0.0005")
+        assert "dt=0.01 exceeds h/20" in stderr_of("0.01")
+
     def test_dt_auto_requires_meta(self, tmp_path):
         crn = _write(tmp_path, "plain.crn",
                      "species X\ninit X 1\nX ->{1} X + X\n")
@@ -126,7 +175,7 @@ class TestVerify:
 
     def test_impossible_tolerance_reports_fail(self, tmp_path, capsys):
         netlist = _write(tmp_path, "rl.cir", RL_DC)
-        assert main(["verify", netlist, "-T", "10", "--tol", "1e-9"]) == 0
+        assert main(["verify", netlist, "-T", "10", "--tol", "1e-9"]) == 4
         out = capsys.readouterr().out
         assert "FAIL" in out and "sup_error=" in out
 
@@ -138,6 +187,17 @@ class TestVerify:
         assert lines[0] == "h,sup_error"
         errs = [float(line.split(",")[1]) for line in lines[1:]]
         assert errs[0] > errs[1]
+
+    def test_study_rows_equal_verify_against_the_same_oracle(self, tmp_path, capsys):
+        netlist = _write(tmp_path, "rls.cir", RL_SINE)
+        assert main(["verify", netlist, "-T", "2", "--tol", "1",
+                     "--study", "0.04,0.02"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        net = parse_netlist(RL_SINE)
+        for h_tok, err_tok in rows:
+            h = float(h_tok)
+            cfg = RunConfig(h=h, T=2.0, transient_discard=0.0)
+            assert float(err_tok) == verify_circuit(net, cfg, h_ref=0.02 / 100.0)
 
     def test_singular_exits_2(self, tmp_path):
         netlist = _write(tmp_path, "sing.cir", SINGULAR)

@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from circ2crn.circuit import parse_netlist
 from circ2crn.crn import (
+    CIRCUIT_BLOCK,
     Crn,
     Reaction,
     emit_crn,
@@ -17,7 +23,8 @@ from circ2crn.errors import (
     ParseError,
     UnknownSpecies,
 )
-from circ2crn.positivation import hungarize, interleave_rails, positivate, rail_field
+from circ2crn.pipeline import RunConfig, compile_circuit
+from circ2crn.positivation import hungarize, positivate, rail_field
 
 
 def rl_circuit_hungarization(sys, inp, h, gamma):
@@ -186,6 +193,15 @@ class TestUnion:
         with pytest.raises(InitConflict):
             union(a, b)
 
+    def test_blocks_concatenate(self):
+        a = Crn(("X",), (Reaction(("X",), (), 1.0),), blocks=((CIRCUIT_BLOCK, 1),))
+        b = Crn(("Y",), (Reaction(("Y",), (), 2.0),), blocks=(("input reactions y", 1),))
+        assert union(a, b).blocks == ((CIRCUIT_BLOCK, 1), ("input reactions y", 1))
+        # unmarked reactions may lead, but not follow a marked block
+        assert union(Crn(("Y",), b.reactions), a).blocks == a.blocks
+        with pytest.raises(ValueError):
+            union(a, Crn(("Y",), b.reactions))
+
     def test_partial_init_is_not_a_conflict(self):
         a = Crn(("X",), ())  # no init statement for X
         b = Crn(("X",), (), {"X": 2.0})
@@ -228,6 +244,42 @@ class TestSerialization:
         assert again == net
         assert serialize_crn(again) == serialize_crn(net)
 
+    def test_blocks_round_trip_after_unmarked_reactions(self):
+        rx = Reaction(("X",), ("X", "X"), 0.5)
+        net = Crn(("X",), (rx, rx, rx), blocks=((CIRCUIT_BLOCK, 1), ("input reactions s", 1)))
+        text = serialize_crn(net)
+        assert text.splitlines()[2:] == [
+            "X ->{0.5} X + X",
+            "# circuit reactions",
+            "X ->{0.5} X + X",
+            "# input reactions s",
+            "X ->{0.5} X + X",
+        ]
+        assert parse_crn(text) == net
+        assert serialize_crn(parse_crn(text)) == text
+
+    def test_empty_marked_block_survives(self):
+        net = Crn(("X",), (), blocks=(("input reactions s", 0),))
+        assert parse_crn(serialize_crn(net)) == net
+
+    def test_bad_block_label_rejected(self):
+        with pytest.raises(ValueError):
+            Crn(("X",), (), blocks=(("not a marker", 0),))
+        with pytest.raises(ValueError):
+            Crn(("X",), (), blocks=((CIRCUIT_BLOCK, 1),))  # covers no reaction
+
+    def test_keywords_only_matter_as_first_token(self):
+        text = (
+            "species init init_p species_m\n"
+            "init init_p 1\n"
+            "init_p ->{2} init_p + species_m\n"
+            "init + species_m ->{1} 0\n"
+        )
+        net = parse_crn(text)
+        assert net.species == ("init", "init_p", "species_m")
+        assert net.init == {"init_p": 1.0}
+        assert [rx.reactants for rx in net.reactions] == [("init_p",), ("init", "species_m")]
+
     @pytest.mark.parametrize(
         "text,fragment",
         [
@@ -245,3 +297,51 @@ class TestSerialization:
             parse_crn(text)
         assert fragment in str(exc_info.value)
         assert exc_info.value.line_no == 2
+
+
+SOURCE_NAMES = st.sampled_from(["init", "inity", "initial", "species", "speciesA", "s"]) | (
+    st.from_regex(r"[a-hj-uw-z][a-z0-9]{0,4}", fullmatch=True)
+)
+
+
+@st.composite
+def rlc_netlists(draw) -> str:
+    """Small connected RLC netlists with one or two sources.
+
+    Every node has a resistor to ground, so the pencil is regular; the other
+    branches form a random tree.  Source names are lowercase and component
+    names uppercase, so they never collide with each other or with states.
+    """
+    n_nodes = draw(st.integers(1, 4))
+    values = st.floats(0.5, 2.0)
+    lines = []
+    for node in range(1, n_nodes + 1):
+        lines.append(f"R G{node} {node} 0 {draw(values)!r}")
+        if node > 1:
+            kind = draw(st.sampled_from("RLC"))
+            other = draw(st.integers(1, node - 1))
+            lines.append(f"{kind} {kind}{node} {other} {node} {draw(values)!r}")
+    names = draw(st.lists(SOURCE_NAMES, min_size=1, max_size=2, unique=True))
+    for j, name in enumerate(names):
+        kind = draw(st.sampled_from("VI")) if j == 0 else "I"
+        node = 1 if j == 0 else draw(st.integers(1, n_nodes))
+        terms = draw(st.lists(st.tuples(values, values, values), max_size=2))
+        wave = "FOURIER 0.1 " + " ".join(f"{b!r} {w!r} {g!r}" for b, w, g in terms)
+        wave = wave if terms else f"DC {draw(values)!r}"
+        lines.append(f"{kind} {name} {node} 0 {wave}")
+    lines.append(f"OUT {draw(st.integers(1, n_nodes))}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(rlc_netlists())
+def test_compiled_network_round_trips_byte_for_byte(text):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        compiled = compile_circuit(parse_netlist(text), RunConfig())
+    written = serialize_crn(compiled.crn)
+    again = parse_crn(written)
+    assert serialize_crn(again) == written
+    assert again.blocks == compiled.crn.blocks
+    assert again.reactions == compiled.crn.reactions
+    assert again == compiled.crn

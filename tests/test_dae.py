@@ -6,11 +6,9 @@ from circ2crn.dae import (
     DaeSystem,
     InputModel,
     Trajectory,
-    backward_euler_map,
     check_regularity,
-    compose_direct,
-    compose_input,
     consistent_project,
+    coupled_euler_map,
     default_h_probes,
     fourier_input,
     reference_solve,
@@ -18,7 +16,7 @@ from circ2crn.dae import (
 from circ2crn.errors import NonFiniteState, SingularMatrix, UnknownColumn
 from circ2crn.sim import integrate
 
-from conftest import hand_rl_pencil, hand_rl_input_dc, sine_input_2state
+from conftest import hand_rl_pencil
 
 PROBES = default_h_probes(0)
 
@@ -86,13 +84,15 @@ class TestConsistentProject:
 
 
 class TestBackwardEulerMap:
+    """F_h(x) = (E - hA)^-1 (A x + B u) through coupled_euler_map."""
+
     def test_rl_map_matches_symbolic_form(self):
         # F_h(i, vout) = ((vin-i)/(1+h), (vin-i-(1+h) vout)/(h(1+h)))
         h, vin = 0.037, 1.0
-        ode = backward_euler_map(hand_rl_pencil(), [0.0, -vin], h)
+        ax, bx = coupled_euler_map(hand_rl_pencil(), h)
         for point in ([0.0, 0.0], [0.3, -0.2], [1.0, 1.0]):
             i, vout = point
-            got = ode.Ahat @ point + ode.bhat
+            got = ax @ point + bx @ [vin]
             want = [
                 (vin - i) / (1 + h),
                 (vin - i - (1 + h) * vout) / (h * (1 + h)),
@@ -100,75 +100,23 @@ class TestBackwardEulerMap:
             assert np.max(np.abs(got - np.array(want))) < 1e-9
 
     def test_evaluation_at_origin_h001(self):
-        ode = backward_euler_map(hand_rl_pencil(), [0.0, -1.0], 0.01)
-        got = ode.Ahat @ [0.0, 0.0] + ode.bhat
+        ax, bx = coupled_euler_map(hand_rl_pencil(), 0.01)
+        got = ax @ [0.0, 0.0] + bx @ [1.0]
         assert got[0] == pytest.approx(0.99009900990099009, abs=1e-15)
         assert got[1] == pytest.approx(99.009900990099013, abs=1e-12)
 
     def test_trivial_zero_map(self):
         sys = DaeSystem(np.eye(2), np.zeros((2, 2)), np.zeros((2, 0)), ("a", "b"), 0)
         for h in (0.5, 0.01):
-            ode = backward_euler_map(sys, [0.0, 0.0], h)
-            assert np.all(ode.Ahat == 0.0) and np.all(ode.bhat == 0.0)
+            ax, bx = coupled_euler_map(sys, h)
+            assert np.all(ax == 0.0) and bx.shape == (2, 0)
 
     def test_singular_shift_raises(self):
         sys = DaeSystem(
             np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 0)), ("a", "b"), 0
         )
         with pytest.raises(SingularMatrix):
-            backward_euler_map(sys, [0.0, 0.0], 0.1)
-
-
-class TestComposeInput:
-    def test_constant_input_reduces_to_euler_map(self):
-        sys = hand_rl_pencil()
-        inp = hand_rl_input_dc(1.0)
-        ode, rails0 = compose_input(sys, inp, 0.01)
-        assert ode.n == 2 + 2 * 1
-        bem = backward_euler_map(sys, sys.B @ inp.u0, 0.01)
-        assert np.max(np.abs(ode.Ahat[:2, :2] - bem.Ahat)) <= 1e-12
-        # u<1> starts at zero and the u<0> coupling reproduces bhat
-        assert rails0[1] == 0.0
-        eff_b = ode.Ahat[:2, 2] * inp.u0[0]
-        assert np.max(np.abs(eff_b - bem.bhat)) <= 1e-12
-
-    def test_sine_rail_converges_to_sin(self):
-        sys = hand_rl_pencil()
-        inp = sine_input_2state()
-        errors = {}
-        for h in (1e-2, 1e-3):
-            ode, rails0 = compose_input(sys, inp, h)
-            x0 = np.concatenate([[0.0, 0.0], rails0])
-            traj = integrate(ode.field(), x0, 10.0, 1e-3, names=ode.state_names)
-            errors[h] = float(np.max(np.abs(traj.column("u") - np.sin(traj.times))))
-        assert errors[1e-3] <= 0.02
-        assert errors[1e-3] < errors[1e-2]
-
-    def test_rl_sine_composition_is_six_states(self, rl_sine):
-        # with the minimal 2-state rotation input: n + 2(m+k) = 2 + 4
-        ode, rails0 = compose_input(hand_rl_pencil(), sine_input_2state(), 0.01)
-        assert ode.n == 6
-        assert rails0.shape == (4,)
-        # the netlist FOURIER path uses the (u, z, zbar) oscillator: 2 + 2*3
-        _, sys, inp = rl_sine
-        ode2, _ = compose_input(sys, inp, 0.01)
-        assert ode2.n == 8
-
-    def test_initial_rail_values_match_mandate(self):
-        sys = hand_rl_pencil()
-        inp = sine_input_2state()
-        h = 0.02
-        _, rails0 = compose_input(sys, inp, h)
-        inv = np.linalg.inv(np.eye(2) - h * inp.D)
-        assert np.allclose(rails0[:2], inp.init, atol=1e-15)
-        assert np.allclose(rails0[2:], inv @ inp.D @ inp.init, atol=1e-14)
-
-    def test_compose_direct_exact_blocks(self, rc_lowpass):
-        _, sys, inp = rc_lowpass
-        ode, rails0 = compose_direct(sys, inp)
-        assert ode.n == sys.n + inp.m + inp.k
-        assert np.allclose(ode.Ahat[: sys.n, : sys.n], np.linalg.inv(sys.E) @ sys.A)
-        assert np.array_equal(rails0, inp.init)
+            coupled_euler_map(sys, 0.1)
 
 
 class TestFourierInput:
@@ -256,7 +204,8 @@ class TestReferenceSolve:
         ref = reference_solve(sys, inp, x0, 10.0, 1e-5, max_points=200_000)
         errs = []
         for h in (0.04, 0.02, 0.01):
-            ode = backward_euler_map(sys, sys.B @ inp.u0, h)
+            ax, bx = coupled_euler_map(sys, h)
+            ode = AffineOde(ax, bx @ inp.u0, sys.state_names, sys.output_index)
             traj = integrate(ode.field(), x0, 10.0, h / 20, names=sys.state_names)
             errs.append(
                 max(
@@ -272,7 +221,7 @@ class TestReferenceSolve:
 
     def test_shifted_matrix_approaches_direct_form(self, two_cap):
         # invertible E: (E - hA)^-1 A -> E^-1 A as h shrinks
-        from circ2crn.dae import coupled_euler_map, direct_map
+        from circ2crn.dae import direct_map
 
         _, sys, _ = two_cap
         exact = direct_map(sys)[0]

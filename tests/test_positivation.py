@@ -4,16 +4,14 @@ import pytest
 from circ2crn.dae import AffineOde, coupled_euler_map
 from circ2crn.errors import DimensionMismatch
 from circ2crn.positivation import (
-    HungarizedSystem,
     PositiveQuadruple,
     hungarize,
-    interleave_rails,
     positivate,
     rail_field,
     split_initial,
 )
 
-from conftest import hand_rl_pencil
+from conftest import interleave
 
 
 def _ode(a, b, names):
@@ -95,7 +93,7 @@ class TestHungarize:
         ode = _ode([[-1.0, 0.5], [2.0, -3.0]], [1.0, -1.0], ("a", "b"))
         quad = positivate(ode)
         f0 = rail_field(hungarize(quad, 0.0))
-        v = interleave_rails([1.0, 2.0], [0.5, 0.25])
+        v = interleave([1.0, 2.0], [0.5, 0.25])
         # gamma = 0: field is exactly A+ x+ + A- x- + b+ (and mirror)
         xp, xm = np.array([1.0, 2.0]), np.array([0.5, 0.25])
         want_p = quad.aplus @ xp + quad.aminus @ xm + quad.bplus

@@ -3,18 +3,16 @@ import pytest
 
 from circ2crn.dae import AffineOde, Trajectory
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
+from circ2crn.pipeline import RunConfig, convergence_study, study_to_csv
 from circ2crn.sim import (
-    FitResult,
     check_dt,
-    convergence_study,
     fit_sinusoid,
     integrate,
     recover_difference,
-    study_to_csv,
     sup_error,
 )
 
-from conftest import sine_input_2state
+from conftest import interleave, signed_ode, sine_input_2state
 
 
 class TestIntegrate:
@@ -138,24 +136,17 @@ def test_rail_difference_gamma_invariant_at_trajectory_level(rc_lowpass):
     Uses the low-pass fixture, whose gentle rates keep the gamma = 0 rails
     finite over the whole window.
     """
-    from circ2crn.dae import compose_direct
-    from circ2crn.positivation import (
-        hungarize,
-        interleave_rails,
-        positivate,
-        rail_field,
-        split_initial,
-    )
+    from circ2crn.positivation import hungarize, positivate, rail_field, split_initial
 
     _, sys, inp = rc_lowpass
-    ode, rails0 = compose_direct(sys, inp)
-    full0 = np.concatenate([np.zeros(sys.n), rails0])
+    ode = signed_ode(sys, inp)
+    full0 = np.concatenate([np.zeros(sys.n), inp.init])
     dt = 0.01 / 20
     direct = integrate(ode.field(), full0, 10.0, dt, names=ode.state_names)
     for gamma in (0.0, 100.0):
         hs = hungarize(positivate(ode), gamma)
         rails = integrate(
-            rail_field(hs), interleave_rails(*split_initial(full0)), 10.0, dt,
+            rail_field(hs), interleave(*split_initial(full0)), 10.0, dt,
             names=hs.rail_names,
         )
         diff = recover_difference(
@@ -166,15 +157,17 @@ def test_rail_difference_gamma_invariant_at_trajectory_level(rc_lowpass):
 
 class TestConvergenceStudy:
     def test_single_h_single_row(self, rc_lowpass):
-        _, sys, inp = rc_lowpass
-        rows = convergence_study(sys, inp, np.zeros(1), [0.02], 2.0)
+        net, _, _ = rc_lowpass
+        cfg = RunConfig(T=2.0, transient_discard=0.0)
+        rows = convergence_study(net, cfg, [0.02])
         assert len(rows) == 1
         assert rows[0][0] == 0.02
 
     def test_requires_decreasing_hs(self, rc_lowpass):
-        _, sys, inp = rc_lowpass
+        net, _, _ = rc_lowpass
+        cfg = RunConfig(T=1.0, transient_discard=0.0)
         with pytest.raises(ValueError):
-            convergence_study(sys, inp, np.zeros(1), [0.01, 0.02], 1.0)
+            convergence_study(net, cfg, [0.01, 0.02])
 
     def test_csv_shape(self):
         text = study_to_csv([(0.04, 0.5), (0.02, 0.25)])
@@ -186,7 +179,8 @@ class TestConvergenceStudy:
     def test_rc_direct_path_error_is_h_independent(self, rc_lowpass):
         # E invertible: no h approximation, so the error never grows with h;
         # with a fine oracle the residual error stays below 1e-6
-        _, sys, inp = rc_lowpass
-        rows = convergence_study(sys, inp, np.zeros(1), [0.04, 0.01], 10.0, h_ref=2e-6)
+        net, _, _ = rc_lowpass
+        cfg = RunConfig(T=10.0, transient_discard=0.0)
+        rows = convergence_study(net, cfg, [0.04, 0.01], h_ref=2e-6)
         errs = [err for _, err in rows]
         assert all(err <= 1e-6 for err in errs), errs
