@@ -31,7 +31,7 @@ from .pipeline import (
     verify_circuit,
 )
 from .plot import render_svg
-from .sim import check_dt
+from .sim import DT_RULE_FACTOR, check_dt
 
 
 def _add_step_option(p: argparse.ArgumentParser) -> None:
@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
             raise ValidationError(
                 "--dt auto needs '# meta h ...' in the .crn file; pass --dt"
             )
-        dt = float(net.meta["h"]) / 20.0
+        dt = float(net.meta["h"]) / DT_RULE_FACTOR
     else:
         dt = float(args.dt)
         if "h" in net.meta:

@@ -33,7 +33,7 @@ from .errors import (
     UnknownSpecies,
 )
 from .numerics import as_vector
-from .positivation import HungarizedSystem
+from .positivation import RailSystem
 
 CIRCUIT_BLOCK = "circuit reactions"
 INPUT_BLOCK = "input reactions"
@@ -104,63 +104,48 @@ class Crn:
         return sum(count for _, count in self.blocks)
 
 
-def emit_crn(hs: HungarizedSystem, init_plus, init_minus) -> Crn:
-    """Reactions of a Hungarized system, zero-rate entries omitted.
+def emit_crn(rs: RailSystem, init_plus, init_minus) -> Crn:
+    """Reactions of a rail system, zero-rate entries omitted.
 
     Order is deterministic: catalytic reactions row-major over the state and
-    coupling matrices, then productions, then annihilations.  Initial
+    input columns, then productions, then annihilations.  Initial
     concentrations cover the state rails only; exogenous input rails are
     expected to get theirs from the network that owns them.
     """
     plus = as_vector(init_plus, "init_plus")
     minus = as_vector(init_minus, "init_minus")
-    quad = hs.quad
-    n = quad.n
+    n = rs.n
     if plus.shape != (n,) or minus.shape != (n,):
         raise ValueError("initial rails must match the state count")
     if np.any(plus < 0.0) or np.any(minus < 0.0):
         raise NegativeInit("initial rail concentrations must be nonnegative")
 
-    rails = hs.rail_names
-    in_rails = hs.input_rail_names
-    species = rails + in_rails
-
-    def rail(idx: int, sign: int, exo: bool = False) -> str:
-        base = in_rails if exo else rails
-        return base[2 * idx + (0 if sign > 0 else 1)]
-
+    species = rs.rail_names
+    pos, neg = species[0::2], species[1::2]
     reactions: list[Reaction] = []
-    cpl = quad.coupling
-    q = cpl.q if cpl is not None else 0
+    for i, j in zip(*np.nonzero((rs.aplus > 0.0) | (rs.aminus > 0.0))):
+        up, um = rs.aplus[i, j], rs.aminus[i, j]
+        if up > 0.0:
+            reactions.append(Reaction((pos[j],), (pos[j], pos[i]), up))
+            reactions.append(Reaction((neg[j],), (neg[j], neg[i]), up))
+        if um > 0.0:
+            reactions.append(Reaction((neg[j],), (neg[j], pos[i]), um))
+            reactions.append(Reaction((pos[j],), (pos[j], neg[i]), um))
     for i in range(n):
-        for j in range(n + q):
-            if j < n:
-                up, um = quad.aplus[i, j], quad.aminus[i, j]
-                cat_p, cat_m = rail(j, +1), rail(j, -1)
-            else:
-                up, um = cpl.cplus[i, j - n], cpl.cminus[i, j - n]
-                cat_p, cat_m = rail(j - n, +1, True), rail(j - n, -1, True)
-            if up > 0.0:
-                reactions.append(Reaction((cat_p,), (cat_p, rail(i, +1)), up))
-                reactions.append(Reaction((cat_m,), (cat_m, rail(i, -1)), up))
-            if um > 0.0:
-                reactions.append(Reaction((cat_m,), (cat_m, rail(i, +1)), um))
-                reactions.append(Reaction((cat_p,), (cat_p, rail(i, -1)), um))
-    for i in range(n):
-        if quad.bplus[i] > 0.0:
-            reactions.append(Reaction((), (rail(i, +1),), quad.bplus[i]))
-        if quad.bminus[i] > 0.0:
-            reactions.append(Reaction((), (rail(i, -1),), quad.bminus[i]))
-    if hs.gamma > 0.0:
+        if rs.bplus[i] > 0.0:
+            reactions.append(Reaction((), (pos[i],), rs.bplus[i]))
+        if rs.bminus[i] > 0.0:
+            reactions.append(Reaction((), (neg[i],), rs.bminus[i]))
+    if rs.gamma > 0.0:
         for i in range(n):
-            reactions.append(Reaction((rail(i, +1), rail(i, -1)), (), hs.gamma))
+            reactions.append(Reaction((pos[i], neg[i]), (), rs.gamma))
 
     init = {}
     for i in range(n):
         if plus[i] != 0.0:
-            init[rail(i, +1)] = float(plus[i])
+            init[pos[i]] = float(plus[i])
         if minus[i] != 0.0:
-            init[rail(i, -1)] = float(minus[i])
+            init[neg[i]] = float(minus[i])
     return Crn(species, tuple(reactions), init)
 
 
@@ -268,6 +253,7 @@ def _parse_side(text: str, line_no: int) -> tuple[str, ...]:
 
 def parse_crn(text: str) -> Crn:
     species: list[str] = []
+    declared: set[str] = set()
     init: dict[str, float] = {}
     reactions: list[Reaction] = []
     meta: dict[str, str] = {}
@@ -301,7 +287,7 @@ def parse_crn(text: str) -> Crn:
             reactants = _parse_side(left, line_no)
             products = _parse_side(right, line_no)
             for sp in reactants + products:
-                if sp not in species:
+                if sp not in declared:
                     raise ParseError(line_no, f"undeclared species {sp!r}")
             reactions.append(Reaction(reactants, products, rate))
             if blocks:
@@ -310,14 +296,15 @@ def parse_crn(text: str) -> Crn:
         toks = line.split()
         if toks[0] == "species":
             for nm in toks[1:]:
-                if nm in species:
+                if nm in declared:
                     raise ParseError(line_no, f"duplicate species {nm!r}")
                 species.append(nm)
+                declared.add(nm)
             continue
         if toks[0] == "init":
             if len(toks) != 3:
                 raise ParseError(line_no, "init takes: name value")
-            if toks[1] not in species:
+            if toks[1] not in declared:
                 raise ParseError(line_no, f"init of undeclared species {toks[1]!r}")
             try:
                 val = float(toks[2])

@@ -35,8 +35,8 @@ from .dae import (
     reference_solve,
 )
 from .errors import SingularMatrix, ValidationError
-from .positivation import hungarize, positivate, split_initial
-from .sim import fit_sinusoid, integrate, recover_difference, sup_error
+from .positivation import hungarize, positivate, rails, split_initial
+from .sim import DT_RULE_FACTOR, fit_sinusoid, integrate, recover_difference, sup_error
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class RunConfig:
 
     h: float = 0.01
     gamma: float | str = "auto"  # auto -> 1/h
-    dt: float | str = "auto"  # auto -> h/20
     T: float = 50.0
     transient_discard: float = 20.0
     seed: int | None = None
@@ -57,14 +56,13 @@ class RunConfig:
             raise ValueError("need T > transient_discard >= 0")
         if self.gamma != "auto" and float(self.gamma) < 0.0:
             raise ValueError("gamma must be nonnegative or 'auto'")
-        if self.dt != "auto" and float(self.dt) <= 0.0:
-            raise ValueError("dt must be positive or 'auto'")
 
     def resolve_gamma(self) -> float:
         return 1.0 / self.h if self.gamma == "auto" else float(self.gamma)
 
     def resolve_dt(self) -> float:
-        return self.h / 20.0 if self.dt == "auto" else float(self.dt)
+        """The RK4 step of every simulation: h / DT_RULE_FACTOR."""
+        return self.h / DT_RULE_FACTOR
 
 
 @dataclass(frozen=True)
@@ -112,10 +110,10 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
         )
 
     circuit_ode = AffineOde(ax, np.zeros(sys.n), sys.state_names, sys.output_index)
-    circuit_hs = hungarize(
+    circuit_rs = hungarize(
         positivate(circuit_ode, coupling=(bx, inp.input_names)), gamma
     )
-    blocks = [(CIRCUIT_BLOCK, emit_crn(circuit_hs, *split_initial(x0)))]
+    blocks = [(CIRCUIT_BLOCK, emit_crn(circuit_rs, *split_initial(x0)))]
     for name, model in source_models(net):
         ode = AffineOde(model.D, model.d, model.names, 0)
         net_in = emit_crn(hungarize(positivate(ode), gamma), *split_initial(model.init))
@@ -129,9 +127,9 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
         "gamma": f"{gamma:.17g}",
         "mode": "direct" if direct else "euler",
     }
-    diffs = tuple(
-        (nm, f"{nm}_p", f"{nm}_m") for nm in sys.state_names + inp.names
-    )
+    names = sys.state_names + inp.names
+    pairs = rails(names)
+    diffs = tuple(zip(names, pairs[0::2], pairs[1::2]))
     merged = replace(merged, meta=meta, diffs=diffs)
     return CompiledCircuit(net, sys, inp, x0, flagged, direct, cfg.h, gamma, merged)
 

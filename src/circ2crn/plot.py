@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 from .dae import Trajectory
@@ -56,7 +58,7 @@ def render_svg(traj: Trajectory, columns=None, title: str = "") -> str:
     if title:
         out.append(
             f'<text x="{ml}" y="20" font-family="sans-serif" font-size="14">'
-            f"{title}</text>"
+            f"{escape(title)}</text>"
         )
     # grid and tick labels
     for xv in _ticks(t_lo, t_hi):
@@ -101,7 +103,7 @@ def render_svg(traj: Trajectory, columns=None, title: str = "") -> str:
         )
         out.append(
             f'<text x="{ml + pw + 33}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{nm}</text>'
+            f'font-size="11">{escape(nm)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

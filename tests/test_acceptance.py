@@ -191,7 +191,7 @@ def test_c06_mass_action_field_identity():
         f_crn = mass_action_field(net)
         f_rail = rail_field(hs)
         # rail_field's vector order, as positions in the network's species
-        order = [net.species.index(sp) for sp in hs.rail_names + hs.input_rail_names]
+        order = [net.species.index(sp) for sp in hs.rail_names]
         err = 0.0
         for _ in range(100):
             state = rng.uniform(0.0, 2.0, len(net.species))

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,17 @@ class TestSimulate:
         svg = open(svg_path).read()
         assert svg.startswith("<svg")
         assert svg.count("<polyline") >= 2  # one per plotted column
+
+    def test_plot_svg_escapes_title_and_legend(self, tmp_path):
+        # the title is the .crn path and the legend the species names, both raw text
+        crn = _write(tmp_path, "a&b<1>.crn", "# meta h 0.01\nspecies x&y<2>\ninit x&y<2> 1\n")
+        svg_path = str(tmp_path / "p.svg")
+        assert main(["simulate", crn, "-T", "0.01", "-o", str(tmp_path / "p.csv"),
+                     "--plot", svg_path]) == 0
+        texts = [el.text for el in ET.parse(svg_path).getroot()
+                 if el.tag.endswith("text")]
+        assert crn in texts
+        assert "x&y<2>" in texts
 
 
 class TestVerify:

@@ -26,14 +26,16 @@ from circ2crn.errors import (
 from circ2crn.pipeline import RunConfig, compile_circuit
 from circ2crn.positivation import hungarize, positivate, rail_field
 
+from conftest import signed_ode
+
 
 def rl_circuit_hungarization(sys, inp, h, gamma):
     ax, bx = coupled_euler_map(sys, h)
-    quad = positivate(
+    rs = positivate(
         AffineOde(ax, np.zeros(sys.n), sys.state_names, sys.output_index),
         coupling=(bx, inp.input_names),
     )
-    return hungarize(quad, gamma)
+    return hungarize(rs, gamma)
 
 
 def expected_rl_triples(h):
@@ -88,11 +90,11 @@ class TestEmit:
         # q = r = 1/RC arcs between vin and vout rails only
         _, sys, inp = rc_lowpass
         ax, bx = np.linalg.inv(sys.E) @ sys.A, np.linalg.inv(sys.E) @ sys.B
-        quad = positivate(
+        rs = positivate(
             AffineOde(ax, np.zeros(1), sys.state_names, 0),
             coupling=(bx, inp.input_names),
         )
-        net = emit_crn(hungarize(quad, 100.0), np.zeros(1), np.zeros(1))
+        net = emit_crn(hungarize(rs, 100.0), np.zeros(1), np.zeros(1))
         got = canonical(net.reactions)
         assert got == canonical(
             [
@@ -107,15 +109,10 @@ class TestEmit:
     def test_reaction_count_formula(self, rl_dc):
         _, sys, inp = rl_dc
         hs = rl_circuit_hungarization(sys, inp, 0.01, 100.0)
-        quad = hs.quad
-        nnz = (
-            np.count_nonzero(quad.aplus)
-            + np.count_nonzero(quad.aminus)
-            + np.count_nonzero(quad.coupling.cplus)
-            + np.count_nonzero(quad.coupling.cminus)
-        )
-        want = 2 * nnz + np.count_nonzero(quad.bplus) + np.count_nonzero(quad.bminus)
-        want += quad.n  # gamma > 0: one annihilation per state
+        # A+ and A- hold the state columns and the input column alike
+        nnz = np.count_nonzero(hs.aplus) + np.count_nonzero(hs.aminus)
+        want = 2 * nnz + np.count_nonzero(hs.bplus) + np.count_nonzero(hs.bminus)
+        want += hs.n  # gamma > 0: one annihilation per state
         net = emit_crn(hs, np.zeros(2), np.zeros(2))
         assert len(net.reactions) == want == 12
 
@@ -345,3 +342,24 @@ def test_compiled_network_round_trips_byte_for_byte(text):
     assert again.blocks == compiled.crn.blocks
     assert again.reactions == compiled.crn.reactions
     assert again == compiled.crn
+
+
+@settings(max_examples=60, deadline=None)
+@given(rlc_netlists(), st.integers(0, 2**32 - 1))
+def test_compiled_field_equals_rail_field(text, seed):
+    """The emitted union's mass-action field is the rail field of its signed ODE."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        compiled = compile_circuit(parse_netlist(text), RunConfig())
+    ode = signed_ode(compiled.sys, compiled.inp, None if compiled.direct else compiled.h)
+    rs = hungarize(positivate(ode), compiled.gamma)
+    net = compiled.crn
+    assert sorted(rs.rail_names) == sorted(net.species)
+    order = [net.species.index(sp) for sp in rs.rail_names]
+    f_crn, f_rail = mass_action_field(net), rail_field(rs)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        state = rng.uniform(0.0, 2.0, len(net.species))
+        want = f_rail(state[order])
+        err = np.max(np.abs(f_crn(state)[order] - want))
+        assert err <= 1e-12 * max(1.0, np.max(np.abs(want)))
