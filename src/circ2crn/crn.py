@@ -21,6 +21,7 @@ to any other reader.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,35 +151,42 @@ def emit_crn(rs: RailSystem, init_plus, init_minus) -> Crn:
 
 
 def mass_action_field(net: Crn):
-    """Evaluable concentration derivative under the law of mass action."""
+    """Evaluable concentration derivative under the law of mass action.
+
+    The network is compiled once into its polynomial form dc/dt = M m(c):
+    m(c) holds one monomial per distinct reactant multiset (1, c_a or
+    c_a c_b), and column k of M sums rate * (products - reactants) over the
+    reactions on monomial k.  M therefore has at most one column per
+    reaction, and far fewer for emitted networks, whose reactions share
+    the few monomials of their rails.
+    """
     n_sp = len(net.species)
     idx = {sp: i for i, sp in enumerate(net.species)}
-    n_rx = len(net.reactions)
-    # reactant index pairs; the sentinel slot n_sp reads a constant 1.0
-    r1 = np.full(n_rx, n_sp, dtype=int)
-    r2 = np.full(n_rx, n_sp, dtype=int)
-    rates = np.empty(n_rx)
-    stoich = np.zeros((n_sp, n_rx))
-    for j, rx in enumerate(net.reactions):
+    # monomial -> column; a monomial is a sorted index pair in which the
+    # slot n_sp reads a constant 1.0, so A + B and B + A share a column
+    cols: dict[tuple[int, int], int] = {}
+    rx_cols = []
+    for rx in net.reactions:
         if len(rx.reactants) > 2:
             raise ValueError("mass action supported up to binary reactions")
-        rates[j] = rx.rate
-        if len(rx.reactants) >= 1:
-            r1[j] = idx[rx.reactants[0]]
-        if len(rx.reactants) == 2:
-            r2[j] = idx[rx.reactants[1]]
+        pair = sorted(idx[sp] for sp in rx.reactants) + [n_sp, n_sp]
+        rx_cols.append(cols.setdefault((pair[0], pair[1]), len(cols)))
+    ma = np.array([a for a, _ in cols], dtype=np.intp)
+    mb = np.array([b for _, b in cols], dtype=np.intp)
+    M = np.zeros((n_sp, len(cols)))
+    for rx, k in zip(net.reactions, rx_cols):
         for sp in rx.reactants:
-            stoich[idx[sp], j] -= 1.0
+            M[idx[sp], k] -= rx.rate
         for sp in rx.products:
-            stoich[idx[sp], j] += 1.0
+            M[idx[sp], k] += rx.rate
+    one = np.ones(1)
 
     def rhs(c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         if c.shape != (n_sp,):
             raise DimensionMismatch(f"expected {n_sp} concentrations")
-        c_ext = np.append(c, 1.0)
-        flux = rates * c_ext[r1] * c_ext[r2]
-        return stoich @ flux
+        c_ext = np.concatenate((c, one))
+        return M @ (c_ext[ma] * c_ext[mb])
 
     return rhs
 
@@ -282,6 +290,8 @@ def parse_crn(text: str) -> Crn:
                 rate = float(rate_str)
             except ValueError:
                 raise ParseError(line_no, f"bad rate {rate_str!r}") from None
+            if not math.isfinite(rate):
+                raise ParseError(line_no, f"non-finite rate {rate_str!r}")
             if rate <= 0.0:
                 raise ParseError(line_no, "rate must be positive")
             reactants = _parse_side(left, line_no)
@@ -310,6 +320,8 @@ def parse_crn(text: str) -> Crn:
                 val = float(toks[2])
             except ValueError:
                 raise ParseError(line_no, f"bad init value {toks[2]!r}") from None
+            if not math.isfinite(val):
+                raise ParseError(line_no, f"non-finite init value {toks[2]!r}")
             if val < 0.0:
                 raise ParseError(line_no, f"negative init for {toks[1]!r}")
             init[toks[1]] = val

@@ -157,6 +157,12 @@ class TestSimulate:
         assert main(["simulate", crn, "-T", "1", "--dt", "0.01",
                      "-o", str(tmp_path / "ok.csv")]) == 0
 
+    @pytest.mark.parametrize("line", ["X ->{inf} 0", "X ->{nan} 0", "init X nan"])
+    def test_non_finite_numbers_exit_1(self, tmp_path, capsys, line):
+        crn = _write(tmp_path, "bad.crn", f"species X\n{line}\n")
+        assert main(["simulate", crn, "-T", "1", "--dt", "0.01"]) == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_plot_svg(self, tmp_path):
         crn = self._compiled(tmp_path)
         svg_path = str(tmp_path / "p.svg")

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from circ2crn.crn import (
 )
 from circ2crn.dae import AffineOde, coupled_euler_map
 from circ2crn.errors import (
+    DimensionMismatch,
     InitConflict,
     NegativeInit,
     ParseError,
@@ -146,6 +148,35 @@ class TestMassActionField:
         out = mass_action_field(net)(np.array([2.0, 7.0]))
         assert np.array_equal(out, [0.0, 5.0])
 
+    def test_homodimer_is_a_square(self):
+        net = Crn(("A", "B"), (Reaction(("A", "A"), ("B",), 1.5),))
+        out = mass_action_field(net)(np.array([3.0, 1.0]))
+        assert np.array_equal(out, [-2 * 1.5 * 9.0, 1.5 * 9.0])
+
+    def test_swapped_binary_orders_add(self):
+        net = Crn(
+            ("A", "B", "C"),
+            (Reaction(("A", "B"), ("C",), 2.0), Reaction(("B", "A"), (), 3.0)),
+        )
+        out = mass_action_field(net)(np.array([2.0, 5.0, 0.0]))
+        assert np.array_equal(out, [-50.0, -50.0, 20.0])
+
+    def test_products_repeating_a_reactant(self):
+        # A + B -> A + A: A gains one, B loses one, both at rate * a * b
+        net = Crn(("A", "B"), (Reaction(("A", "B"), ("A", "A"), 0.5),))
+        out = mass_action_field(net)(np.array([2.0, 3.0]))
+        assert np.array_equal(out, [3.0, -3.0])
+
+    def test_ternary_reaction_rejected(self):
+        net = Crn(("A",), (Reaction(("A", "A", "A"), (), 1.0),))
+        with pytest.raises(ValueError, match="up to binary"):
+            mass_action_field(net)
+
+    def test_wrong_state_length_rejected(self):
+        field = mass_action_field(Crn(("A", "B"), (Reaction(("A",), (), 1.0),)))
+        with pytest.raises(DimensionMismatch):
+            field(np.ones(3))
+
     def test_field_equals_rail_field(self, rl_dc):
         _, sys, inp = rl_dc
         hs = rl_circuit_hungarization(sys, inp, 0.01, 100.0)
@@ -203,6 +234,9 @@ class TestUnion:
         a = Crn(("X",), ())  # no init statement for X
         b = Crn(("X",), (), {"X": 2.0})
         assert union(a, b).init == {"X": 2.0}
+
+
+NON_FINITE = ("nan", "inf", "-inf")
 
 
 class TestSerialization:
@@ -287,6 +321,8 @@ class TestSerialization:
             ("species X\nY ->{1} X\n", "undeclared"),
             ("species X\nnonsense here\n", "unrecognized"),
             ("species X\ninit X -1\n", "negative"),
+            *[(f"species X\nX ->{{{v}}} 0\n", "non-finite") for v in NON_FINITE],
+            *[(f"species X\ninit X {v}\n", "non-finite") for v in NON_FINITE],
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, fragment):
@@ -363,3 +399,62 @@ def test_compiled_field_equals_rail_field(text, seed):
         want = f_rail(state[order])
         err = np.max(np.abs(f_crn(state)[order] - want))
         assert err <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@st.composite
+def small_networks(draw):
+    """Random networks of up to binary reactions, with homodimers, swapped
+    binary orders and products that repeat reactants, plus a state."""
+    n = draw(st.integers(1, 6))
+    names = tuple(f"x{i}" for i in range(n))
+
+    def side(most):
+        return st.lists(st.sampled_from(names), max_size=most)
+
+    rate = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+    reactions = draw(st.lists(st.builds(Reaction, side(2), side(3), rate), max_size=25))
+    state = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    return Crn(names, tuple(reactions)), np.array(state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_networks())
+def test_field_equals_reaction_by_reaction_sum(case):
+    net, c = case
+    idx = {sp: i for i, sp in enumerate(net.species)}
+    want = np.zeros(len(c))
+    scale = np.zeros(len(c))  # sum of |terms| per species, the rounding scale
+    for rx in net.reactions:
+        flux = rx.rate * np.prod([c[idx[sp]] for sp in rx.reactants])
+        for sp in rx.reactants:
+            want[idx[sp]] -= flux
+            scale[idx[sp]] += flux
+        for sp in rx.products:
+            want[idx[sp]] += flux
+            scale[idx[sp]] += flux
+    got = mass_action_field(net)(c)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def rl_ladder(k: int) -> str:
+    """k sections of series R and shunt L behind a unit-sine source."""
+    sections = "".join(
+        f"R r{i} {i} {i + 1} 1\nL l{i} {i + 1} 0 1\n" for i in range(1, k + 1)
+    )
+    return f"V vin 1 0 FOURIER 0 1 1 0\n{sections}OUT {k + 1}\n"
+
+
+def test_field_build_memory_is_bounded_on_a_large_ladder():
+    # a dense species x reactions operand would take 246 x 29k x 8 B = 58 MB
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        net = compile_circuit(parse_netlist(rl_ladder(60)), RunConfig()).crn
+    assert len(net.species) == 246 and len(net.reactions) > 20_000
+    tracemalloc.start()
+    try:
+        field = mass_action_field(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert field(net.initial_state()).shape == (246,)

@@ -48,6 +48,13 @@ class TestIntegrate:
         assert isinstance(exc.partial, Trajectory)
         assert np.all(np.isfinite(exc.partial.values))
 
+    def test_nan_field_aborts_at_first_step(self):
+        with pytest.raises(NonFiniteState) as exc_info:
+            integrate(lambda x: np.full_like(x, np.nan), [1.0, 2.0], 1.0, 0.1)
+        exc = exc_info.value
+        assert exc.time == 0.1
+        assert np.array_equal(exc.partial.values, [[1.0, 2.0]])
+
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, [1.0], 1.0, 0.0)
