@@ -3,7 +3,7 @@ import pytest
 
 from circ2crn.dae import AffineOde, Trajectory
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
-from circ2crn.pipeline import RunConfig, convergence_study, study_to_csv
+from circ2crn.pipeline import RunConfig, convergence_study, freq_to_csv, study_to_csv
 from circ2crn.sim import (
     check_dt,
     fit_sinusoid,
@@ -191,3 +191,40 @@ class TestConvergenceStudy:
         rows = convergence_study(net, cfg, [0.04, 0.01], h_ref=2e-6)
         errs = [err for _, err in rows]
         assert all(err <= 1e-6 for err in errs), errs
+
+
+class TestCsvText:
+    """The exact bytes of every table the commands write: a header line,
+    then one line per row with each cell as %.17g."""
+
+    def test_trajectory_with_difference_columns(self):
+        rails = Trajectory(np.array([0.0, 0.1, 0.2]), ("x_p", "x_m"),
+                           np.array([[0.0, -0.0], [1e300, 1e-300], [5e-324, 1.0 / 3.0]]))
+        diff = recover_difference(rails, [("x_p", "x_m", "x")])
+        table = Trajectory(rails.times, rails.names + diff.names,
+                           np.column_stack([rails.values, diff.values]))
+        assert table.to_csv() == (
+            "t,x_p,x_m,x\n"
+            "0,0,-0,0\n"
+            "0.10000000000000001,1.0000000000000001e+300,1e-300,1.0000000000000001e+300\n"
+            "0.20000000000000001,4.9406564584124654e-324,0.33333333333333331,"
+            "-0.33333333333333331\n"
+        )
+
+    def test_trajectory_without_columns(self):
+        table = Trajectory(np.array([0.0, 0.1]), (), np.zeros((2, 0)))
+        assert table.to_csv() == "t\n0\n0.10000000000000001\n"
+
+    def test_study_rows(self):
+        assert study_to_csv([(0.04, 1.0 / 3.0), (0.02, 5e-324)]) == (
+            "h,sup_error\n0.040000000000000001,0.33333333333333331\n"
+            "0.02,4.9406564584124654e-324\n"
+        )
+        assert study_to_csv([]) == "h,sup_error\n"
+
+    def test_freq_rows(self):
+        assert freq_to_csv([(1.0, 0.70354, 44.142), (2.0, 1e-300, -0.0)]) == (
+            "omega,gain,phase_deg\n1,0.70354000000000005,44.142000000000003\n"
+            "2,1e-300,-0\n"
+        )
+        assert freq_to_csv([]) == "omega,gain,phase_deg\n"
