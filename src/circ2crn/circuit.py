@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .crn import check_name
 from .dae import DaeSystem, InputModel, combine_inputs, fourier_input
 from .errors import ParseError, ValidationError
 
@@ -100,6 +101,7 @@ def parse_netlist(text: str) -> Netlist:
                 raise ParseError(line_no, "duplicate OUT directive")
             if len(toks) != 2:
                 raise ParseError(line_no, "OUT takes one node")
+            check_name(toks[1], line_no, "node")
             output = toks[1]
             continue
 
@@ -142,6 +144,8 @@ def parse_netlist(text: str) -> Netlist:
         else:
             raise ParseError(line_no, f"unknown directive {toks[0]!r}")
 
+        for what, nm in (("component", comp.name), ("node", comp.n1), ("node", comp.n2)):
+            check_name(nm, line_no, what)
         if comp.name in names:
             raise ParseError(line_no, f"duplicate component name {comp.name!r}")
         names.add(comp.name)

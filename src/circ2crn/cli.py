@@ -19,7 +19,7 @@ import warnings
 
 from .circuit import parse_netlist
 from .crn import parse_crn, serialize_crn
-from .errors import Circ2CrnError, NonFiniteState, ParseError, SingularMatrix, ValidationError
+from .errors import Circ2CrnError, NonFiniteState, SingularMatrix, ValidationError
 from .pipeline import (
     RunConfig,
     compile_circuit,
@@ -160,19 +160,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (ParseError, ValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
     except SingularMatrix as exc:
         print(f"error: singular pencil: {exc}", file=_sys.stderr)
         return 2
     except NonFiniteState as exc:
         print(f"error: state blew up at t={exc.time:g}", file=_sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return 1
-    except Circ2CrnError as exc:
+    except (Circ2CrnError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -38,6 +38,16 @@ from .positivation import RailSystem
 
 CIRCUIT_BLOCK = "circuit reactions"
 INPUT_BLOCK = "input reactions"
+# Substrings no name may hold: `+` separates the species of a reaction side,
+# `->{` opens a rate, and `,` separates the cells of a simulation CSV.
+NAME_FORBIDDEN = ("+", ",", "->{")
+
+
+def check_name(name: str, line_no: int, what: str) -> None:
+    """ParseError unless the .crn and CSV formats can carry the name."""
+    for bad in NAME_FORBIDDEN:
+        if bad in name:
+            raise ParseError(line_no, f"{what} name {name!r} contains {bad!r}")
 
 
 def _block_label(toks: list[str]) -> str | None:
@@ -306,6 +316,7 @@ def parse_crn(text: str) -> Crn:
         toks = line.split()
         if toks[0] == "species":
             for nm in toks[1:]:
+                check_name(nm, line_no, "species")
                 if nm in declared:
                     raise ParseError(line_no, f"duplicate species {nm!r}")
                 species.append(nm)

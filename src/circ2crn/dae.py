@@ -164,15 +164,14 @@ class Trajectory:
         return self.values[:, j]
 
     def to_csv(self) -> str:
-        lines = [",".join(("t",) + self.names)]
-        for i, t in enumerate(self.times):
-            cells = [f"{t:.17g}"] + [f"{v:.17g}" for v in self.values[i]]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        rows = ((t, *row.tolist()) for t, row in zip(self.times.tolist(), self.values))
+        return csv_table(("t",) + self.names, rows)
 
-    def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
+
+def csv_table(header, rows) -> str:
+    """Comma-separated text: the header line, then each row's cells as %.17g."""
+    fmt = ",".join(["%.17g"] * len(header))
+    return "\n".join([",".join(header), *(fmt % tuple(row) for row in rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +349,8 @@ def reference_solve(
     given, only every stride-th iterate is stored; the stored values are still
     exact scheme iterates because the per-stride map is precomposed.
     """
-    if h <= 0.0 or T < h:
-        raise ValueError("need 0 < h <= T")
+    if not 0.0 < h <= T < np.inf:  # NaN fails too
+        raise ValueError("need 0 < h <= T, both finite")
     stacked, b = stacked_pencil(sys, inp)
     x_full = np.concatenate([as_vector(x0, "x0"), inp.init])
     x_full, flagged = consistent_project(stacked, b, x_full, min(1e-6, h / 10))
@@ -372,15 +371,11 @@ def reference_solve(
     stride = 1
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
-    if stride > 1:
-        m_s = np.linalg.matrix_power(step_m, stride)
-        c_s = step_c.copy()
-        for _ in range(stride - 1):
-            c_s = step_m @ c_s + step_c
-        step_m, step_c = m_s, c_s
-        n_stored = n_steps // stride
-    else:
-        n_stored = n_steps
+    c_s = step_c
+    for _ in range(stride - 1):
+        c_s = step_m @ c_s + step_c
+    step_m, step_c = np.linalg.matrix_power(step_m, stride), c_s
+    n_stored = n_steps // stride
 
     out = np.empty((n_stored + 1, x_full.shape[0]))
     out[0] = x_full

@@ -44,11 +44,11 @@ def _square(m, name: str = "M") -> np.ndarray:
     return mm
 
 
-def failed_pivot(m, rel_tol: float = REL_PIVOT_TOL) -> tuple[int, float] | None:
+def failed_pivot(m) -> tuple[int, float] | None:
     """First column whose pivot fails the relative rule, as (column, |U_kk|).
 
     Runs LU elimination with partial pivoting and stops at the first pivot
-    |U_kk| <= rel_tol * (largest initial magnitude in column k).  None means
+    |U_kk| <= REL_PIVOT_TOL * (largest initial magnitude in column k).  None means
     every pivot passes, i.e. the matrix is numerically nonsingular.  Scaling
     any column leaves the verdict unchanged.
     """
@@ -57,17 +57,17 @@ def failed_pivot(m, rel_tol: float = REL_PIVOT_TOL) -> tuple[int, float] | None:
     for k in range(a.shape[0]):
         p = k + int(np.argmax(np.abs(a[k:, k])))
         pivot = abs(a[p, k])
-        if pivot <= rel_tol * col_scale[k]:
+        if pivot <= REL_PIVOT_TOL * col_scale[k]:
             return k, float(pivot)
         a[[k, p]] = a[[p, k]]
         a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
     return None
 
 
-def invert(m, rel_tol: float = REL_PIVOT_TOL) -> np.ndarray:
+def invert(m) -> np.ndarray:
     """Inverse of a square matrix; SingularMatrix when a pivot fails the rule."""
     mm = _square(m)
-    failed = failed_pivot(mm, rel_tol)
+    failed = failed_pivot(mm)
     if failed is not None:
         col, pivot = failed
         raise SingularMatrix(f"pivot {pivot:.3e} below threshold in column {col}")

@@ -29,6 +29,7 @@ from .dae import (
     check_regularity,
     consistent_project,
     coupled_euler_map,
+    csv_table,
     default_h_probes,
     direct_map,
     e_invertible,
@@ -50,12 +51,13 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.h <= 0.0:
-            raise ValueError("h must be positive")
-        if not (self.T > self.transient_discard >= 0.0):
-            raise ValueError("need T > transient_discard >= 0")
-        if self.gamma != "auto" and float(self.gamma) < 0.0:
-            raise ValueError("gamma must be nonnegative or 'auto'")
+        # each test is written so that NaN fails it
+        if not 0.0 < self.h < np.inf:
+            raise ValueError("h must be positive and finite")
+        if not np.inf > self.T > self.transient_discard >= 0.0:
+            raise ValueError("need finite T > transient_discard >= 0")
+        if self.gamma != "auto" and not 0.0 <= float(self.gamma) < np.inf:
+            raise ValueError("gamma must be finite and nonnegative, or 'auto'")
 
     def resolve_gamma(self) -> float:
         return 1.0 / self.h if self.gamma == "auto" else float(self.gamma)
@@ -67,7 +69,6 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
-    net: Netlist
     sys: DaeSystem
     inp: InputModel
     x0: np.ndarray
@@ -113,15 +114,7 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     circuit_rs = hungarize(
         positivate(circuit_ode, coupling=(bx, inp.input_names)), gamma
     )
-    blocks = [(CIRCUIT_BLOCK, emit_crn(circuit_rs, *split_initial(x0)))]
-    for name, model in source_models(net):
-        ode = AffineOde(model.D, model.d, model.names, 0)
-        net_in = emit_crn(hungarize(positivate(ode), gamma), *split_initial(model.init))
-        blocks.append((f"{INPUT_BLOCK} {name}", net_in))
-
-    merged = Crn((), ())
-    for label, block in blocks:
-        merged = union(merged, replace(block, blocks=((label, len(block.reactions)),)))
+    circuit = emit_crn(circuit_rs, *split_initial(x0))
     meta = {
         "h": f"{cfg.h:.17g}",
         "gamma": f"{gamma:.17g}",
@@ -130,8 +123,14 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     names = sys.state_names + inp.names
     pairs = rails(names)
     diffs = tuple(zip(names, pairs[0::2], pairs[1::2]))
-    merged = replace(merged, meta=meta, diffs=diffs)
-    return CompiledCircuit(net, sys, inp, x0, flagged, direct, cfg.h, gamma, merged)
+    blocks = ((CIRCUIT_BLOCK, len(circuit.reactions)),)
+    merged = replace(circuit, meta=meta, diffs=diffs, blocks=blocks)
+    for name, model in source_models(net):
+        ode = AffineOde(model.D, model.d, model.names, 0)
+        block = emit_crn(hungarize(positivate(ode), gamma), *split_initial(model.init))
+        label = f"{INPUT_BLOCK} {name}"
+        merged = union(merged, replace(block, blocks=((label, len(block.reactions)),)))
+    return CompiledCircuit(sys, inp, x0, flagged, direct, cfg.h, gamma, merged)
 
 
 def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
@@ -140,9 +139,6 @@ def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
     Returns the species trajectory with any annotated rail differences
     appended as extra columns.
     """
-    if not net.species:
-        steps = int(np.ceil(T / dt - 1e-12))
-        return Trajectory(np.arange(steps + 1) * dt, (), np.zeros((steps + 1, 0)))
     traj = integrate(mass_action_field(net), net.initial_state(), T, dt, net.species)
     if net.diffs:
         extra = recover_difference(traj, [(p, m, out) for out, p, m in net.diffs])
@@ -204,10 +200,7 @@ def convergence_study(
 
 
 def study_to_csv(rows) -> str:
-    lines = ["h,sup_error"]
-    for h, err in rows:
-        lines.append(f"{h:.17g},{err:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_table(("h", "sup_error"), rows)
 
 
 def frequency_response(
@@ -245,10 +238,7 @@ def frequency_response(
 
 
 def freq_to_csv(rows) -> str:
-    lines = ["omega,gain,phase_deg"]
-    for omega, gain, phase in rows:
-        lines.append(f"{omega:.17g},{gain:.17g},{phase:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_table(("omega", "gain", "phase_deg"), rows)
 
 
 __all__ = [

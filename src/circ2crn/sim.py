@@ -47,8 +47,8 @@ def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
     NonFiniteState (carrying the blow-up time and the partial trajectory)
     if any state magnitude exceeds 1e12 or turns non-finite.
     """
-    if dt <= 0.0 or T < dt:
-        raise ValueError("need 0 < dt <= T")
+    if not 0.0 < dt <= T < np.inf:  # NaN fails too
+        raise ValueError("need 0 < dt <= T, both finite")
     x = as_vector(x0, "x0")
     n = x.shape[0]
     if names is None:

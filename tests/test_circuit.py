@@ -12,7 +12,7 @@ from circ2crn.circuit import (
 from circ2crn.dae import reference_solve
 from circ2crn.errors import ParseError, ValidationError
 
-from conftest import RL_DC, TWO_CAP, RC_LOWPASS, hand_rl_pencil
+from conftest import RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, hand_rl_pencil
 
 
 class TestParse:
@@ -58,6 +58,7 @@ class TestParse:
             "R a 1 0 inf\nOUT 1\n",  # non-finite numbers
             "V s 1 0 DC nan\nR r 1 0 1\nOUT 1\n",
             "V s 1 0 FOURIER 0 1 -inf 0\nR r 1 0 1\nOUT 1\n",
+            "R a 1 0 1\nOUT 1+2\n",  # a node name the formats cannot carry
         ],
     )
     def test_parse_errors(self, text):
@@ -70,6 +71,20 @@ class TestParse:
             parse_netlist("V s 1 0 DC 1\nR r1 1 2 inf\nR r2 2 0 1\nOUT 2\n")
         assert exc_info.value.line_no == 2
         assert "not finite" in str(exc_info.value)
+
+    @pytest.mark.parametrize("bad", ["+", ",", "->{"])
+    def test_component_name_the_formats_cannot_carry(self, bad):
+        text = RL_SINE.replace("L l1", f"L l{bad}1")
+        with pytest.raises(ParseError, match="component name") as exc_info:
+            parse_netlist(text)
+        assert exc_info.value.line_no == 3
+
+    @pytest.mark.parametrize("bad", ["+", ",", "->{"])
+    def test_node_name_the_formats_cannot_carry(self, bad):
+        text = RL_SINE.replace(" 2", f" a{bad}b")
+        with pytest.raises(ParseError, match="node name") as exc_info:
+            parse_netlist(text)
+        assert exc_info.value.line_no == 2
 
     def test_missing_out_is_validation_error(self):
         with pytest.raises(ValidationError):

@@ -14,7 +14,7 @@ from circ2crn.crn import parse_crn, serialize_crn
 from circ2crn.pipeline import RunConfig, frequency_response, verify_circuit
 from circ2crn.circuit import parse_netlist
 
-from conftest import RL_DC, RL_SINE, circuit_block
+from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block
 
 SINGULAR = "V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n"
 
@@ -32,6 +32,11 @@ def _quiet_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         yield
+
+
+def _error_lines(capsys) -> list[str]:
+    """The `error:` lines on stderr; an uncaught exception fails the test instead."""
+    return [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
 
 
 def _write(tmp_path, name, text):
@@ -85,6 +90,27 @@ class TestCompile:
         # the genuinely singular pencil still exits 2
         assert main(["compile", _write(tmp_path, "sing.cir", SINGULAR)]) == 2
 
+    def test_names_with_other_punctuation_round_trip(self, tmp_path):
+        netlist = _write(tmp_path, "p.cir", RL_SINE.replace(" 2", " {a}-b.$"))
+        out, csv_path = str(tmp_path / "p.crn"), str(tmp_path / "p.csv")
+        assert main(["compile", netlist, "-o", out]) == 0
+        text = open(out).read()
+        assert serialize_crn(parse_crn(text)) == text
+        assert main(["simulate", out, "-T", "0.01", "-o", csv_path]) == 0
+        header, *rows = open(csv_path).read().splitlines()
+        assert "v{a}-b.$" in header.split(",")
+        assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+
+    @pytest.mark.parametrize("flags,message", [
+        (["-h", "nan"], "h must be positive and finite"),
+        (["-h", "inf"], "h must be positive and finite"),
+        (["--gamma", "nan"], "gamma must be finite and nonnegative, or 'auto'"),
+    ])
+    def test_non_finite_parameters_exit_1(self, tmp_path, capsys, flags, message):
+        netlist = _write(tmp_path, "rc.cir", RC_LOWPASS)
+        assert main(["compile", netlist, *flags]) == 1
+        assert _error_lines(capsys) == [f"error: {message}"]
+
     def test_gamma_flag(self, tmp_path):
         netlist = _write(tmp_path, "rl.cir", RL_DC)
         out = str(tmp_path / "g0.crn")
@@ -121,6 +147,18 @@ class TestSimulate:
         lines = open(csv_path).read().splitlines()
         assert lines[0] == "t"
         assert len(lines) == 12
+
+    def test_empty_crn_with_horizon_below_dt_exits_1(self, tmp_path, capsys):
+        crn = _write(tmp_path, "empty.crn", "# crn\n")
+        assert main(["simulate", crn, "-T", "0.05", "--dt", "0.1"]) == 1
+        assert _error_lines(capsys) == ["error: need 0 < dt <= T, both finite"]
+
+    @pytest.mark.parametrize("flags", [["-T", "inf", "--dt", "0.001"],
+                                       ["-T", "1", "--dt", "nan"]])
+    def test_non_finite_run_parameters_exit_1(self, tmp_path, capsys, flags):
+        crn = self._compiled(tmp_path, RL_SINE)
+        assert main(["simulate", crn, *flags, "-o", str(tmp_path / "x.csv")]) == 1
+        assert _error_lines(capsys) == ["error: need 0 < dt <= T, both finite"]
 
     def test_gamma_zero_blows_up_exit_3(self, tmp_path, capsys):
         crn = self._compiled(tmp_path, extra=("--gamma", "0"))
@@ -220,6 +258,11 @@ class TestVerify:
     def test_singular_exits_2(self, tmp_path):
         netlist = _write(tmp_path, "sing.cir", SINGULAR)
         assert main(["verify", netlist, "-T", "5", "--tol", "0.1"]) == 2
+
+    def test_infinite_horizon_exits_1(self, tmp_path, capsys):
+        netlist = _write(tmp_path, "hp.cir", RL_SINE)
+        assert main(["verify", netlist, "-T", "inf", "--tol", "0.05"]) == 1
+        assert _error_lines(capsys) == ["error: need finite T > transient_discard >= 0"]
 
 
 class TestFreq:

@@ -323,6 +323,9 @@ class TestSerialization:
             ("species X\ninit X -1\n", "negative"),
             *[(f"species X\nX ->{{{v}}} 0\n", "non-finite") for v in NON_FINITE],
             *[(f"species X\ninit X {v}\n", "non-finite") for v in NON_FINITE],
+            ("species X\nspecies a+b\n", "species name 'a+b' contains '+'"),
+            ("species X\nspecies a,b\n", "species name 'a,b' contains ','"),
+            ("species X\nspecies a->{b\n", "brace"),  # `->{` makes it a reaction line
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, fragment):
@@ -333,7 +336,7 @@ class TestSerialization:
 
 
 SOURCE_NAMES = st.sampled_from(["init", "inity", "initial", "species", "speciesA", "s"]) | (
-    st.from_regex(r"[a-hj-uw-z][a-z0-9]{0,4}", fullmatch=True)
+    st.from_regex(r"[a-hj-uw-z][a-z0-9{}.$-]{0,4}", fullmatch=True)
 )
 
 
@@ -342,8 +345,9 @@ def rlc_netlists(draw) -> str:
     """Small connected RLC netlists with one or two sources.
 
     Every node has a resistor to ground, so the pencil is regular; the other
-    branches form a random tree.  Source names are lowercase and component
-    names uppercase, so they never collide with each other or with states.
+    branches form a random tree.  Source names are lowercase, some with the
+    punctuation a name may carry, and component names uppercase, so they
+    never collide with each other or with states.
     """
     n_nodes = draw(st.integers(1, 4))
     values = st.floats(0.5, 2.0)
