@@ -7,8 +7,7 @@
 
 Exit codes: 0 success, 1 parse/validation error, 2 singular pencil,
 3 non-finite simulation state, 4 verify FAIL (error above --tol).
-The CIRC2CRN_SEED environment variable overrides the regularity-probe
-seed.  Note: -h is the Euler step size; use --help for usage.
+Note: -h is the Euler step size; use --help for usage.
 """
 
 from __future__ import annotations
@@ -124,6 +123,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < float("inf"):  # NaN fails too
+        raise ValueError("--tol must be finite and nonnegative")
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
     cfg = RunConfig(h=args.h, T=args.T, transient_discard=0.0)

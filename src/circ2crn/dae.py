@@ -10,7 +10,6 @@ pencil serves as the numerical oracle for every downstream comparison.
 
 from __future__ import annotations
 
-import os
 import random
 import warnings
 from dataclasses import dataclass
@@ -179,14 +178,8 @@ def csv_table(header, rows) -> str:
 
 
 def default_h_probes(seed: int | None = None) -> list[float]:
-    """Reproducible pseudo-random step probes for the regularity check.
-
-    The seed comes from the CIRC2CRN_SEED environment variable when not
-    given explicitly.
-    """
-    if seed is None:
-        seed = int(os.environ.get("CIRC2CRN_SEED", DEFAULT_SEED))
-    rng = random.Random(seed)
+    """Reproducible pseudo-random step probes for the regularity check."""
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     lo, hi = PROBE_RANGE
     return [rng.uniform(lo, hi) for _ in range(PROBE_COUNT)]
 
@@ -231,11 +224,20 @@ def consistent_project(
 
 
 def coupled_euler_map(sys: DaeSystem, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices ((E - hA)^-1 A, (E - hA)^-1 B) of the shifted system."""
+    """Matrices ((E - hA)^-1 A, (E - hA)^-1 B) of the shifted system.
+
+    Since (E - hA)^-1 A = ((E - hA)^-1 E - I) / h, the column of an
+    algebraic state (a zero column of E) is exactly -e_j / h; it is set
+    rather than computed, so rounding leaves no residue there.
+    """
     if h <= 0.0:
         raise ValueError("h must be positive")
     inv = invert(sys.E - h * sys.A)
-    return inv @ sys.A, inv @ sys.B
+    fa = inv @ sys.A
+    alg = np.flatnonzero(~sys.E.any(axis=0))
+    fa[:, alg] = 0.0
+    fa[alg, alg] = -1.0 / h
+    return fa, inv @ sys.B
 
 
 def direct_map(sys: DaeSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -297,11 +299,9 @@ def combine_inputs(models: list[InputModel]) -> InputModel:
     mu, kz = 0, 0
     for mod in models:
         # local index -> global index (u block first, then z block)
-        gidx = [mu + i for i in range(mod.m)] + [m_total + kz + i for i in range(mod.k)]
-        for li, gi in enumerate(gidx):
-            d[gi] = mod.d[li]
-            for lj, gj in enumerate(gidx):
-                D[gi, gj] = mod.D[li, lj]
+        gidx = np.r_[mu : mu + mod.m, m_total + kz : m_total + kz + mod.k]
+        D[np.ix_(gidx, gidx)] = mod.D
+        d[gidx] = mod.d
         u0[mu : mu + mod.m] = mod.u0
         z0[kz : kz + mod.k] = mod.z0
         input_names += list(mod.input_names)

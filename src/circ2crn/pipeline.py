@@ -147,18 +147,6 @@ def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
     return traj
 
 
-def _reference(compiled: CompiledCircuit, T: float, h_ref: float) -> Trajectory:
-    """Backward-Euler oracle on the exact stacked pencil; h-independent."""
-    return reference_solve(
-        compiled.sys, compiled.inp, compiled.x0, T, h_ref, max_points=400_000
-    )
-
-
-def _crn_error(compiled: CompiledCircuit, cfg: RunConfig, reference: Trajectory) -> float:
-    traj = simulate_crn(compiled.crn, cfg.T, cfg.resolve_dt())
-    return sup_error(traj, reference, compiled.sys.state_names)
-
-
 def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> float:
     """Sup error on [0, cfg.T] of the compiled union CRN against the oracle.
 
@@ -167,15 +155,13 @@ def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> 
     differences, and the result is compared with reference_solve on the
     exact stacked pencil.  The oracle step defaults to h/100.
     """
-    compiled = compile_circuit(net, cfg)
-    reference = _reference(compiled, cfg.T, cfg.h / 100.0 if h_ref is None else h_ref)
-    return _crn_error(compiled, cfg, reference)
+    return convergence_study(net, cfg, [cfg.h], h_ref)[0][1]
 
 
 def convergence_study(
     net: Netlist, cfg: RunConfig, hs, h_ref: float | None = None
 ) -> list[tuple[float, float]]:
-    """verify_circuit at each h against one shared oracle run.
+    """Sup error of the compiled union CRN at each h against one oracle run.
 
     h values must be strictly decreasing; the oracle step defaults to
     min(hs)/100.  The oracle depends only on the circuit, its inputs and
@@ -194,8 +180,11 @@ def convergence_study(
         cfg_h = replace(cfg, h=h)
         compiled = compile_circuit(net, cfg_h)
         if reference is None:
-            reference = _reference(compiled, cfg.T, h_ref)
-        rows.append((h, _crn_error(compiled, cfg_h, reference)))
+            reference = reference_solve(
+                compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref, max_points=400_000
+            )
+        traj = simulate_crn(compiled.crn, cfg.T, cfg_h.resolve_dt())
+        rows.append((h, sup_error(traj, reference, compiled.sys.state_names)))
     return rows
 
 
@@ -218,8 +207,8 @@ def frequency_response(
     src = sources[0].name
     rows = []
     for omega in omegas:
-        if omega <= 0.0:
-            raise ValueError("omega must be positive")
+        if not 0.0 < omega < np.inf:  # NaN fails too
+            raise ValueError("omega must be positive and finite")
         drive = Fourier(0.0, ((1.0, float(omega), 0.0),))
         net_w = replace(net, source_waveforms={src: drive})
         compiled = compile_circuit(net_w, cfg)

@@ -264,6 +264,13 @@ class TestVerify:
         assert main(["verify", netlist, "-T", "inf", "--tol", "0.05"]) == 1
         assert _error_lines(capsys) == ["error: need finite T > transient_discard >= 0"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tolerance_exits_1_before_compiling(self, tmp_path, capsys, tol):
+        # a singular pencil would exit 2 if the circuit were compiled first
+        netlist = _write(tmp_path, "sing.cir", SINGULAR)
+        assert main(["verify", netlist, "-T", "5", "--tol", tol]) == 1
+        assert _error_lines(capsys) == ["error: --tol must be finite and nonnegative"]
+
 
 class TestFreq:
     def test_cutoff_row(self, tmp_path):
@@ -280,6 +287,12 @@ class TestFreq:
         text = "V a 1 0 DC 1\nI b 0 2 DC 1\nR r1 1 2 1\nR r2 2 0 1\nOUT 2\n"
         netlist = _write(tmp_path, "two.cir", text)
         assert main(["freq", netlist, "--omega", "1"]) == 1
+
+    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    def test_non_finite_omega_exits_1(self, tmp_path, capsys, omega):
+        netlist = _write(tmp_path, "rl.cir", RL_SINE)
+        assert main(["freq", netlist, "--omega", omega]) == 1
+        assert _error_lines(capsys) == ["error: omega must be positive and finite"]
 
 
 class TestFrequencyResponseExamples:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circ2crn.circuit import parse_netlist
+from circ2crn.circuit import build_dae, parse_netlist
 from circ2crn.crn import (
     CIRCUIT_BLOCK,
     Crn,
@@ -405,6 +405,17 @@ def test_compiled_field_equals_rail_field(text, seed):
         assert err <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+@settings(max_examples=200, deadline=None)
+@given(rlc_netlists())
+def test_shifted_map_equals_inverse_times_a(text):
+    """Setting the algebraic columns of F_h changes it by rounding only."""
+    sys, _ = build_dae(parse_netlist(text))
+    for h in (0.001, 0.01, 0.3):
+        got = coupled_euler_map(sys, h)[0]
+        want = np.linalg.inv(sys.E - h * sys.A) @ sys.A
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @st.composite
 def small_networks(draw):
     """Random networks of up to binary reactions, with homodimers, swapped
@@ -448,12 +459,40 @@ def rl_ladder(k: int) -> str:
     return f"V vin 1 0 FOURIER 0 1 1 0\n{sections}OUT {k + 1}\n"
 
 
-def test_field_build_memory_is_bounded_on_a_large_ladder():
-    # a dense species x reactions operand would take 246 x 29k x 8 B = 58 MB
+# a floating voltage source: node 2 and the current of vf are algebraic
+FLOATING_V = "V vin 1 0 FOURIER 0 1 1 0\nV vf 2 1 DC 0.5\nR r1 2 3 1\nL l1 3 0 1\nOUT 3\n"
+
+
+@pytest.mark.parametrize("text", [rl_ladder(20), FLOATING_V], ids=["ladder", "floating_v"])
+def test_algebraic_states_relax_exactly_to_their_constraint(text):
+    net = parse_netlist(text)
+    sys, _ = build_dae(net)
+    h = 0.01
+    alg = np.flatnonzero(~sys.E.any(axis=0))
+    assert alg.size >= 2
+    ax = coupled_euler_map(sys, h)[0]
+    for j in alg:
+        assert np.flatnonzero(ax[:, j]).tolist() == [j]
+        assert ax[j, j] == -1.0 / h
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        net = compile_circuit(parse_netlist(rl_ladder(60)), RunConfig()).crn
-    assert len(net.species) == 246 and len(net.reactions) > 20_000
+        crn = compile_circuit(net, RunConfig(h=h)).crn
+    for j in alg:
+        p, m = f"{sys.state_names[j]}_p", f"{sys.state_names[j]}_m"
+        consumers = {rx for rx in crn.reactions if {p, m} & set(rx.reactants)}
+        assert consumers == {
+            Reaction((m,), (m, p), 1.0 / h),
+            Reaction((p,), (p, m), 1.0 / h),
+            Reaction((p, m), (), 1.0 / h),
+        }
+
+
+def test_field_build_memory_is_bounded_on_a_large_ladder():
+    # a dense species x reactions operand would take 346 x 29k x 8 B = 82 MB
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        net = compile_circuit(parse_netlist(rl_ladder(85)), RunConfig()).crn
+    assert len(net.species) == 346 and len(net.reactions) > 20_000
     tracemalloc.start()
     try:
         field = mass_action_field(net)
@@ -461,4 +500,4 @@ def test_field_build_memory_is_bounded_on_a_large_ladder():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
-    assert field(net.initial_state()).shape == (246,)
+    assert field(net.initial_state()).shape == (346,)

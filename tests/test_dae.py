@@ -43,12 +43,10 @@ class TestRegularity:
         with pytest.raises(ValueError):
             check_regularity(sys, [1.5])
 
-    def test_default_probes_deterministic(self, monkeypatch):
+    def test_default_probes_deterministic(self):
         assert default_h_probes(7) == default_h_probes(7)
         assert len(PROBES) == 8
         assert all(1e-4 < h < 0.5 for h in PROBES)
-        monkeypatch.setenv("CIRC2CRN_SEED", "99")
-        assert default_h_probes() == default_h_probes(99)
 
 
 class TestConsistentProject:
