@@ -109,8 +109,8 @@ def fit_sinusoid(
     reads amplitude * sin(wt + phase) + c.
     """
     t0, t1 = window
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < np.inf:  # NaN fails too
+        raise ValueError("omega must be positive and finite")
     if t0 < traj.times[0] - 1e-12 or t1 > traj.times[-1] + 1e-12:
         raise ValueError("window extends beyond the trajectory")
     if (t1 - t0) < 2.0 * (2.0 * np.pi / omega):

@@ -28,7 +28,7 @@ from circ2crn.errors import (
 from circ2crn.pipeline import RunConfig, compile_circuit
 from circ2crn.positivation import hungarize, positivate, rail_field
 
-from conftest import signed_ode
+from conftest import rl_ladder, rlc_netlists, signed_ode
 
 
 def rl_circuit_hungarization(sys, inp, h, gamma):
@@ -335,41 +335,6 @@ class TestSerialization:
         assert exc_info.value.line_no == 2
 
 
-SOURCE_NAMES = st.sampled_from(["init", "inity", "initial", "species", "speciesA", "s"]) | (
-    st.from_regex(r"[a-hj-uw-z][a-z0-9{}.$-]{0,4}", fullmatch=True)
-)
-
-
-@st.composite
-def rlc_netlists(draw) -> str:
-    """Small connected RLC netlists with one or two sources.
-
-    Every node has a resistor to ground, so the pencil is regular; the other
-    branches form a random tree.  Source names are lowercase, some with the
-    punctuation a name may carry, and component names uppercase, so they
-    never collide with each other or with states.
-    """
-    n_nodes = draw(st.integers(1, 4))
-    values = st.floats(0.5, 2.0)
-    lines = []
-    for node in range(1, n_nodes + 1):
-        lines.append(f"R G{node} {node} 0 {draw(values)!r}")
-        if node > 1:
-            kind = draw(st.sampled_from("RLC"))
-            other = draw(st.integers(1, node - 1))
-            lines.append(f"{kind} {kind}{node} {other} {node} {draw(values)!r}")
-    names = draw(st.lists(SOURCE_NAMES, min_size=1, max_size=2, unique=True))
-    for j, name in enumerate(names):
-        kind = draw(st.sampled_from("VI")) if j == 0 else "I"
-        node = 1 if j == 0 else draw(st.integers(1, n_nodes))
-        terms = draw(st.lists(st.tuples(values, values, values), max_size=2))
-        wave = "FOURIER 0.1 " + " ".join(f"{b!r} {w!r} {g!r}" for b, w, g in terms)
-        wave = wave if terms else f"DC {draw(values)!r}"
-        lines.append(f"{kind} {name} {node} 0 {wave}")
-    lines.append(f"OUT {draw(st.integers(1, n_nodes))}")
-    return "\n".join(lines) + "\n"
-
-
 @settings(max_examples=60, deadline=None)
 @given(rlc_netlists())
 def test_compiled_network_round_trips_byte_for_byte(text):
@@ -449,14 +414,6 @@ def test_field_equals_reaction_by_reaction_sum(case):
             scale[idx[sp]] += flux
     got = mass_action_field(net)(c)
     assert np.all(np.abs(got - want) <= 1e-12 * scale)
-
-
-def rl_ladder(k: int) -> str:
-    """k sections of series R and shunt L behind a unit-sine source."""
-    sections = "".join(
-        f"R r{i} {i} {i + 1} 1\nL l{i} {i + 1} 0 1\n" for i in range(1, k + 1)
-    )
-    return f"V vin 1 0 FOURIER 0 1 1 0\n{sections}OUT {k + 1}\n"
 
 
 # a floating voltage source: node 2 and the current of vf are algebraic

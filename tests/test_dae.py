@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from circ2crn import dae
+from circ2crn.circuit import build_dae, parse_netlist
 from circ2crn.dae import (
     AffineOde,
     DaeSystem,
@@ -12,11 +17,12 @@ from circ2crn.dae import (
     default_h_probes,
     fourier_input,
     reference_solve,
+    stacked_pencil,
 )
 from circ2crn.errors import NonFiniteState, SingularMatrix, UnknownColumn
 from circ2crn.sim import integrate
 
-from conftest import hand_rl_pencil
+from conftest import hand_rl_pencil, rl_ladder, rlc_netlists
 
 PROBES = default_h_probes(0)
 
@@ -157,6 +163,42 @@ class TestFourierInput:
         with pytest.raises(ValueError):
             fourier_input(0.0, [(1.0, -1.0, 0.0)])
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_non_finite_omega_is_rejected(self, omega, capfd):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fourier_input(0.0, [(1.0, omega, 0.0)])
+        assert capfd.readouterr().err == ""
+
+
+def stepwise(sys, inp, x0, n_steps, h, stride=1):
+    """Every stride-th iterate of the backward-Euler recursion, one step at a
+    time: the loop that reference_solve's blocked powers replace."""
+    stacked, b = stacked_pencil(sys, inp)
+    inv = np.linalg.inv(stacked.E - h * stacked.A)
+    step_m, step_c = inv @ stacked.E, h * (inv @ b)
+    x, out = x0, [x0]
+    for i in range(1, n_steps + 1):
+        x = step_m @ x + step_c
+        if i % stride == 0:
+            out.append(x)
+    return np.array(out)
+
+
+def assert_matches_stepwise(sys, inp, T, h, max_points=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # projected x0
+        traj = reference_solve(sys, inp, np.zeros(sys.n), T, h, max_points)
+    n_stored = len(traj.times) - 1
+    stride = int(round(traj.times[1] / h)) if n_stored else 1
+    want = stepwise(sys, inp, traj.values[0], n_stored * stride, h, stride)
+    assert traj.values.shape == want.shape
+    assert np.max(np.abs(traj.values - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+def table_block(sys, inp) -> int:
+    """Iterates per block of reference_solve's table of powers."""
+    return dae._TABLE_ENTRIES // (sys.n + inp.m + inp.k + 1) ** 2
+
 
 class TestReferenceSolve:
     def test_rl_dc_matches_closed_form(self, rl_dc):
@@ -244,6 +286,66 @@ class TestReferenceSolve:
         inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
         with pytest.raises(NonFiniteState):
             reference_solve(sys, inp, np.array([1.0]), 10.0, 1e-4)
+
+    def test_blowup_time_matches_stepping_without_warnings(self):
+        sys = DaeSystem(
+            np.eye(1), np.array([[1000.0]]), np.zeros((1, 0)), ("x",), 0
+        )
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            # the fast growth makes the projection flag x0; numpy must stay quiet
+            warnings.filterwarnings("ignore", "initial state was inconsistent")
+            with pytest.raises(NonFiniteState) as exc_info:
+                reference_solve(sys, inp, np.array([1.0]), 1000.0, 1e-4)
+        # (1 - 0.1)^-n first exceeds the float range at n = 6737
+        assert exc_info.value.time == pytest.approx(0.6737)
+
+    def test_unstable_mode_at_zero_stays_zero(self):
+        # the powers of the unstable mode overflow inside the first block,
+        # but stepping keeps a zero component exactly zero
+        sys = DaeSystem(
+            np.eye(2), np.diag([1000.0, -1.0]), np.zeros((2, 0)), ("x", "y"), 0
+        )
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        traj = reference_solve(sys, inp, np.array([0.0, 1.0]), 2.0, 1e-4)
+        assert np.all(traj.column("x") == 0.0)
+        y = traj.column("y")
+        assert np.allclose(y, y[0] * (1 + 1e-4) ** -np.arange(len(y)), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "blocks, extra", [(0, 1), (0.5, 0), (1, 0), (2, 0), (2, 1)],
+        ids=["one_step", "half_block", "one_block", "two_blocks", "two_blocks_plus_one"],
+    )
+    def test_block_boundaries_match_stepwise(self, rl_sine, blocks, extra):
+        _, sys, inp = rl_sine
+        n_steps = int(blocks * table_block(sys, inp)) + extra
+        assert_matches_stepwise(sys, inp, n_steps * 1e-3, 1e-3)
+
+    def test_strided_output_matches_stepwise(self, rl_sine):
+        _, sys, inp = rl_sine
+        assert_matches_stepwise(sys, inp, 10.0, 1e-3, max_points=300)
+
+    @pytest.mark.parametrize(
+        "fixture, k", [("rc_lowpass", 0), ("rl_dc", 0), ("two_cap", 0), ("rl_sine", 0),
+                       (None, 20), (None, 60)]
+    )
+    def test_stacked_sizes_match_stepwise(self, request, fixture, k):
+        if fixture is None:
+            sys, inp = build_dae(parse_netlist(rl_ladder(k)))
+        else:
+            _, sys, inp = request.getfixturevalue(fixture)
+        block = table_block(sys, inp)
+        if k == 60:
+            assert block == 4
+        assert_matches_stepwise(sys, inp, (2 * block + 1) * 1e-3, 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rlc_netlists())
+def test_reference_solve_matches_stepwise_on_random_netlists(text):
+    sys, inp = build_dae(parse_netlist(text))
+    assert_matches_stepwise(sys, inp, 1.0, 1e-3)
 
 
 class TestTrajectory:

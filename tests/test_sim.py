@@ -136,6 +136,12 @@ class TestFitSinusoid:
         with pytest.raises(ValueError):
             fit_sinusoid(self._traj(np.sin), "y", 1.0, (0.0, 100.0))
 
+    @pytest.mark.parametrize("omega", [np.nan, np.inf])
+    def test_non_finite_omega_is_rejected(self, omega, capfd):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_sinusoid(self._traj(np.sin), "y", omega, (0.0, 4 * np.pi))
+        assert capfd.readouterr().err == ""
+
 
 def test_rail_difference_gamma_invariant_at_trajectory_level(rc_lowpass):
     """Integrated rail differences match the source ODE for gamma in {0, 1/h}.
