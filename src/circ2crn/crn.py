@@ -160,45 +160,71 @@ def emit_crn(rs: RailSystem, init_plus, init_minus) -> Crn:
     return Crn(species, tuple(reactions), init)
 
 
-def mass_action_field(net: Crn):
+def mass_action_field(*nets: Crn):
     """Evaluable concentration derivative under the law of mass action.
 
-    The network is compiled once into its polynomial form dc/dt = M m(c):
+    The networks are compiled once into their polynomial form dc/dt = M m(c):
     m(c) holds one monomial per distinct reactant multiset (1, c_a or
     c_a c_b), and column k of M sums rate * (products - reactants) over the
     reactions on monomial k.  M therefore has at most one column per
     reaction, and far fewer for emitted networks, whose reactions share
     the few monomials of their rails.
+
+    Several networks of one structure (the same species and the same
+    reactions in the same order; rates may differ) give one field over
+    their stacked states: with B networks of n species it takes and returns
+    B*n values, network b's in [b*n, (b+1)*n).  They share the monomials
+    and keep one M each, evaluated as one stacked product, so each
+    network's slice equals its own field bit for bit.  One network is the
+    case B = 1.  ValueError when the structures differ.  The field gathers
+    through one buffer it reuses, so it must not run in two threads at once.
     """
-    n_sp = len(net.species)
-    idx = {sp: i for i, sp in enumerate(net.species)}
+    if not nets:
+        raise ValueError("mass_action_field needs at least one network")
+    first = nets[0]
+    if any(_structure(other) != _structure(first) for other in nets[1:]):
+        raise ValueError("stacked networks must share species and reactions")
+    n_sp = len(first.species)
+    idx = {sp: i for i, sp in enumerate(first.species)}
     # monomial -> column; a monomial is a sorted index pair in which the
     # slot n_sp reads a constant 1.0, so A + B and B + A share a column
     cols: dict[tuple[int, int], int] = {}
     rx_cols = []
-    for rx in net.reactions:
+    for rx in first.reactions:
         if len(rx.reactants) > 2:
             raise ValueError("mass action supported up to binary reactions")
         pair = sorted(idx[sp] for sp in rx.reactants) + [n_sp, n_sp]
         rx_cols.append(cols.setdefault((pair[0], pair[1]), len(cols)))
-    ma = np.array([a for a, _ in cols], dtype=np.intp)
-    mb = np.array([b for _, b in cols], dtype=np.intp)
-    M = np.zeros((n_sp, len(cols)))
-    for rx, k in zip(net.reactions, rx_cols):
-        for sp in rx.reactants:
-            M[idx[sp], k] -= rx.rate
-        for sp in rx.products:
-            M[idx[sp], k] += rx.rate
-    one = np.ones(1)
+    n_net, n_mono, size = len(nets), len(cols), len(nets) * n_sp
+    M = np.zeros((n_net, n_sp, n_mono))
+    for net, M_net in zip(nets, M):
+        for rx, k in zip(net.reactions, rx_cols):
+            for sp in rx.reactants:
+                M_net[idx[sp], k] -= rx.rate
+            for sp in rx.products:
+                M_net[idx[sp], k] += rx.rate
+    # the stacked concentrations fill ext[:size] and ext[size] holds the
+    # constant 1.0; network b's monomials gather from its own slice, shaped
+    # (network, monomial, 1) for the stacked product
+    ext = np.ones(size + 1)
+    pairs = np.array(list(cols), dtype=np.intp).reshape(-1, 2)
+    gather = n_sp * np.arange(n_net, dtype=np.intp)[:, None, None] + pairs
+    gather[:, pairs == n_sp] = size
+    ma, mb = gather[:, :, :1].copy(), gather[:, :, 1:].copy()
 
     def rhs(c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        if c.shape != (n_sp,):
-            raise DimensionMismatch(f"expected {n_sp} concentrations")
-        c_ext = np.concatenate((c, one))
-        return M @ (c_ext[ma] * c_ext[mb])
+        if c.shape != (size,):
+            raise DimensionMismatch(f"expected {size} concentrations")
+        ext[:size] = c
+        return np.matmul(M, ext[ma] * ext[mb]).reshape(size)
 
     return rhs
+
+
+def _structure(net: Crn):
+    """What networks stacked in one field must share: all but the rates."""
+    return net.species, [(rx.reactants, rx.products) for rx in net.reactions]
 
 
 def union(a: Crn, b: Crn) -> Crn:

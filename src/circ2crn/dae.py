@@ -208,12 +208,16 @@ def consistent_project(
     """One tiny implicit step, which lands on the consistent set.
 
     Returns the projected state and a flag that is set when the move was
-    large relative to h_tiny, i.e. when x0 was not consistent.
+    large relative to h_tiny, i.e. when x0 was not consistent.  With E
+    invertible there is no algebraic row, every state is consistent, and
+    x0 is returned unchanged and unflagged.
     """
     if not 0.0 < h_tiny <= 1e-4:
         raise ValueError("h_tiny must lie in (0, 1e-4]")
     bv = as_vector(b, "b")
     x = as_vector(x0, "x0")
+    if e_invertible(sys):
+        return x, False
     fh = invert(sys.E - h_tiny * sys.A) @ (sys.A @ x + bv)
     projected = x + h_tiny * fh
     moved = float(np.max(np.abs(projected - x))) if x.size else 0.0

@@ -10,6 +10,11 @@ The blocks are recorded on the union, so `serialize_crn` marks them.
 `verify_circuit` and `convergence_study` certify exactly that union: they
 simulate it under mass-action kinetics and compare the recovered circuit
 variables with a backward-Euler run on the exact pencil.
+
+`frequency_response` validates every drive frequency before it compiles
+any, then simulates the unions of all frequencies together as one stacked
+state, in batches bounded by _SWEEP_ENTRIES; a batch that blows up raises
+NonFiniteState at the earliest blow-up time among its frequencies.
 """
 
 from __future__ import annotations
@@ -37,7 +42,17 @@ from .dae import (
 )
 from .errors import SingularMatrix, ValidationError
 from .positivation import hungarize, positivate, rails, split_initial
-from .sim import DT_RULE_FACTOR, fit_sinusoid, integrate, recover_difference, sup_error
+from .sim import (
+    DT_RULE_FACTOR,
+    fit_sinusoid,
+    integrate,
+    recover_difference,
+    step_count,
+    sup_error,
+)
+
+# float64 values one batch of a frequency sweep may store (32 MB)
+_SWEEP_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -199,26 +214,60 @@ def frequency_response(
 
     The single source is replaced by a unit sine of the requested frequency,
     the union CRN is simulated, and both the recovered input and output are
-    fitted over the post-transient window.
+    fitted over the post-transient window.  Every omega is validated before
+    any is compiled.  The networks of all frequencies share one structure,
+    so they are integrated together as one stacked state, in batches whose
+    stored trajectory stays under _SWEEP_ENTRIES values; each frequency is
+    fitted on the leading rows it needs, which equal its own run bit for
+    bit.  A batch that blows up raises NonFiniteState at the earliest
+    blow-up time of its networks.
     """
     sources = net.sources()
     if len(sources) != 1:
         raise ValidationError("frequency sweep needs exactly one source")
     src = sources[0].name
-    rows = []
+    omegas = list(omegas)
     for omega in omegas:
         if not 0.0 < omega < np.inf:  # NaN fails too
             raise ValueError("omega must be positive and finite")
+    dt = cfg.resolve_dt()
+    rows: list[tuple[float, float, float]] = []
+    batch: list[tuple[float, float, CompiledCircuit]] = []
+    for omega in omegas:
         drive = Fourier(0.0, ((1.0, float(omega), 0.0),))
-        net_w = replace(net, source_waveforms={src: drive})
-        compiled = compile_circuit(net_w, cfg)
-        period = 2.0 * np.pi / omega
-        T = max(cfg.T, cfg.transient_discard + 2.2 * period)
-        traj = simulate_crn(compiled.crn, T, cfg.resolve_dt())
+        compiled = compile_circuit(replace(net, source_waveforms={src: drive}), cfg)
+        T = max(cfg.T, cfg.transient_discard + 2.2 * (2.0 * np.pi / omega))
+        T_max = max([T] + [t for _, t, _ in batch])
+        entries = (step_count(T_max, dt) + 1) * len(compiled.crn.species) * (len(batch) + 1)
+        if batch and entries > _SWEEP_ENTRIES:
+            rows += _sweep_batch(batch, src, cfg)
+            batch = []
+        batch.append((omega, T, compiled))
+    if batch:
+        rows += _sweep_batch(batch, src, cfg)
+    return rows
+
+
+def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, float]]:
+    """Rows of `frequency_response` for one batch of (omega, T, compiled)."""
+    nets = [compiled.crn for _, _, compiled in batch]
+    dt = cfg.resolve_dt()
+    x0 = np.concatenate([crn.initial_state() for crn in nets])
+    traj = integrate(mass_action_field(*nets), x0, max(T for _, T, _ in batch), dt)
+    first = batch[0][2]
+    species = first.crn.species
+    rails = {out: (species.index(p), species.index(m)) for out, p, m in first.crn.diffs}
+    out_name = first.sys.state_names[first.sys.output_index]
+    n = len(species)
+    rows = []
+    for b, (omega, T, _) in enumerate(batch):
+        stop = step_count(T, dt) + 1
+        vals = traj.values[:stop, b * n : (b + 1) * n]
+        signals = [vals[:, rails[name][0]] - vals[:, rails[name][1]] for name in (out_name, src)]
+        signal = Trajectory(traj.times[:stop], ("out", "in"), np.column_stack(signals))
         window = (cfg.transient_discard, T)
-        out_name = compiled.sys.state_names[compiled.sys.output_index]
-        fit_out = fit_sinusoid(traj, out_name, omega, window)
-        fit_in = fit_sinusoid(traj, src, omega, window)
+        fit_out = fit_sinusoid(signal, "out", omega, window)
+        fit_in = fit_sinusoid(signal, "in", omega, window)
         gain = fit_out.amplitude / fit_in.amplitude
         phase = np.degrees(fit_out.phase - fit_in.phase)
         phase = (phase + 180.0) % 360.0 - 180.0

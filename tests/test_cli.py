@@ -288,7 +288,7 @@ class TestFreq:
         netlist = _write(tmp_path, "two.cir", text)
         assert main(["freq", netlist, "--omega", "1"]) == 1
 
-    @pytest.mark.parametrize("omega", ["nan", "inf"])
+    @pytest.mark.parametrize("omega", ["nan", "inf", "1,nan"])
     def test_non_finite_omega_exits_1(self, tmp_path, capsys, omega):
         netlist = _write(tmp_path, "rl.cir", RL_SINE)
         assert main(["freq", netlist, "--omega", omega]) == 1

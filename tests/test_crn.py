@@ -1,12 +1,13 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circ2crn.circuit import build_dae, parse_netlist
+from circ2crn.circuit import Fourier, build_dae, parse_netlist
 from circ2crn.crn import (
     CIRCUIT_BLOCK,
     Crn,
@@ -176,6 +177,39 @@ class TestMassActionField:
         field = mass_action_field(Crn(("A", "B"), (Reaction(("A",), (), 1.0),)))
         with pytest.raises(DimensionMismatch):
             field(np.ones(3))
+
+    def test_stacked_state_of_wrong_shape_rejected(self):
+        net = Crn(("A", "B"), (Reaction(("A",), (), 1.0),))
+        field = mass_action_field(net, net)
+        for state in (np.ones(2), np.ones(5), np.ones((2, 2))):
+            with pytest.raises(DimensionMismatch):
+                field(state)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            Crn(("A", "C"), (Reaction(("A",), ("C",), 1.0),)),
+            Crn(("B", "A"), (Reaction(("A",), ("B",), 1.0),)),
+            Crn(("A", "B"), (Reaction(("B",), ("A",), 1.0),)),
+            Crn(("A", "B"), (Reaction(("A",), ("B",), 1.0), Reaction((), ("A",), 1.0))),
+            Crn(("A", "B"), ()),
+        ],
+        ids=["species", "species_order", "reaction", "extra_reaction", "no_reactions"],
+    )
+    def test_stacking_different_structures_rejected(self, other):
+        net = Crn(("A", "B"), (Reaction(("A",), ("B",), 2.0),))
+        with pytest.raises(ValueError, match="share species and reactions"):
+            mass_action_field(net, other)
+
+    def test_stacked_compiled_ladders_equal_their_own_fields_bitwise(self):
+        # one structure at three drive frequencies, as in a frequency sweep
+        net = parse_netlist(rl_ladder(20))
+        nets = []
+        for omega in (0.7, 1.3, 2.9):
+            drive = Fourier(0.0, ((1.0, omega, 0.0),))
+            driven = replace(net, source_waveforms={"vin": drive})
+            nets.append(compile_circuit(driven, RunConfig(h=0.01)).crn)
+        assert_stacked_equals_own_fields(nets, np.random.default_rng(3))
 
     def test_field_equals_rail_field(self, rl_dc):
         _, sys, inp = rl_dc
@@ -397,6 +431,9 @@ def small_networks(draw):
     return Crn(names, tuple(reactions)), np.array(state)
 
 
+# one rounding of a subnormal flux, doubled against two roundings: 5e-324
+@example((Crn(("x0", "x1"), (Reaction(("x1",), ("x0", "x0"), 1e-6),)),
+          np.array([4.45e-313, 2.2e-313])))
 @settings(max_examples=200, deadline=None)
 @given(small_networks())
 def test_field_equals_reaction_by_reaction_sum(case):
@@ -413,7 +450,36 @@ def test_field_equals_reaction_by_reaction_sum(case):
             want[idx[sp]] += flux
             scale[idx[sp]] += flux
     got = mass_action_field(net)(c)
-    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+    # below the normal range one rounding is worth more than 1e-12 * scale
+    assert np.all(np.abs(got - want) <= np.maximum(1e-12 * scale, np.finfo(float).tiny))
+
+
+def assert_stacked_equals_own_fields(nets, rng) -> None:
+    """Each network's slice of the stacked field is its own field, bitwise."""
+    stacked = mass_action_field(*nets)
+    singles = [mass_action_field(net) for net in nets]
+    n = len(nets[0].species)
+    for _ in range(3):
+        state = rng.uniform(0.0, 2.0, len(nets) * n)
+        got = stacked(state)
+        assert got.shape == state.shape
+        for b, field in enumerate(singles):
+            assert np.array_equal(got[b * n : (b + 1) * n], field(state[b * n : (b + 1) * n]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_networks(), st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_stacked_field_equals_each_network_field_bitwise(case, exponents, seed):
+    """Networks of one structure with rescaled rates stack bit for bit."""
+    net, _ = case
+    nets = [
+        Crn(net.species, tuple(
+            Reaction(rx.reactants, rx.products, rx.rate * 10.0**e) for rx in net.reactions
+        ))
+        for e in exponents
+    ]
+    assert_stacked_equals_own_fields(nets, np.random.default_rng(seed))
 
 
 # a floating voltage source: node 2 and the current of vf are algebraic

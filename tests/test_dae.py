@@ -70,6 +70,7 @@ class TestConsistentProject:
         assert abs(x0[0] + x0[1] - 1.0) < 1e-12
 
     def test_invertible_e_never_flagged(self):
+        # no algebraic row: every state is consistent and stays where it is
         e = np.array([[2.0, 0.0], [0.0, 1.0]])
         a = np.array([[-1.0, 0.5], [0.0, -2.0]])
         sys = DaeSystem(e, a, np.zeros((2, 0)), ("a", "b"), 0)
@@ -77,10 +78,14 @@ class TestConsistentProject:
         for x in ([0.0, 0.0], [3.0, -4.0], [100.0, 2.0]):
             x0, flagged = consistent_project(sys, b, x, 1e-5)
             assert not flagged
-            expected = np.asarray(x) + 1e-5 * np.linalg.solve(
-                e - 1e-5 * a, a @ np.asarray(x) + b
-            )
-            assert np.max(np.abs(x0 - expected)) < 1e-12
+            assert np.array_equal(x0, x)
+
+    def test_fast_pure_ode_neither_moved_nor_flagged(self):
+        # x' = 1000x moves 10 * h_tiny * (1 + |x|) in one tiny step
+        sys = DaeSystem(np.eye(1), np.array([[1000.0]]), np.zeros((1, 0)), ("x",), 0)
+        x0, flagged = consistent_project(sys, [0.0], [1.0], 1e-6)
+        assert not flagged
+        assert x0.tolist() == [1.0]
 
     def test_h_tiny_validation(self):
         with pytest.raises(ValueError):
@@ -294,12 +299,18 @@ class TestReferenceSolve:
         inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            # the fast growth makes the projection flag x0; numpy must stay quiet
-            warnings.filterwarnings("ignore", "initial state was inconsistent")
             with pytest.raises(NonFiniteState) as exc_info:
                 reference_solve(sys, inp, np.array([1.0]), 1000.0, 1e-4)
         # (1 - 0.1)^-n first exceeds the float range at n = 6737
         assert exc_info.value.time == pytest.approx(0.6737)
+
+    def test_pure_ode_starts_at_its_initial_state_without_warning(self):
+        sys = DaeSystem(np.eye(1), -np.eye(1), np.zeros((1, 0)), ("y",), 0)
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = reference_solve(sys, inp, np.array([1.0]), 1.0, 1e-3)
+        assert traj.column("y")[0] == 1.0
 
     def test_unstable_mode_at_zero_stays_zero(self):
         # the powers of the unstable mode overflow inside the first block,

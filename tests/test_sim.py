@@ -1,14 +1,27 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from circ2crn import pipeline, sim
+from circ2crn.crn import Crn, Reaction, mass_action_field
 from circ2crn.dae import AffineOde, Trajectory
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
-from circ2crn.pipeline import RunConfig, convergence_study, freq_to_csv, study_to_csv
+from circ2crn.pipeline import (
+    RunConfig,
+    compile_circuit,
+    convergence_study,
+    freq_to_csv,
+    frequency_response,
+    study_to_csv,
+)
 from circ2crn.sim import (
+    BLOWUP_LIMIT,
     check_dt,
     fit_sinusoid,
     integrate,
     recover_difference,
+    step_count,
     sup_error,
 )
 
@@ -59,10 +72,103 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda x: x, [1.0], 1.0, 0.0)
 
+    def test_trajectory_equals_stepwise_loop_bitwise(self):
+        inp = sine_input_2state()
+        field = AffineOde(inp.D, inp.d, inp.names, 0).field()
+        steps = 2 * sim._CHECK_ROWS + 7
+        traj = integrate(field, [0.3, 1.0], steps * 0.01, 0.01)
+        time, rows = rk4_stepwise(field, [0.3, 1.0], steps * 0.01, 0.01)
+        assert time is None
+        assert np.array_equal(traj.values, rows)
+
+    @pytest.mark.parametrize(
+        "kind", ["grow", "nan"], ids=["exceeds_limit", "turns_nan"]
+    )
+    @pytest.mark.parametrize(
+        "step",
+        ["first", "mid_block", "block_end", "block_start", "last"],
+    )
+    def test_blowup_matches_stepwise_loop_without_warnings(self, kind, step):
+        rows = sim._CHECK_ROWS
+        steps = 2 * rows + 5
+        s = {"first": 1, "mid_block": rows // 2, "block_end": rows,
+             "block_start": rows + 1, "last": steps}[step]
+        if kind == "grow":
+            # x0 rises by exactly 1 per step and first exceeds 1e12 at step s;
+            # x1 decays alongside so the partial rows differ from each other
+            x0 = [BLOWUP_LIMIT - s + 0.5, 1.0]
+
+            def field(x):
+                return np.array([1.0, -x[1]])
+        else:
+            # both rise by 1 per step; the first midpoint stage past the
+            # threshold is x0's at step s
+            x0 = [0.0, -1.0]
+
+            def field(x):
+                return np.where(x > s - 0.75, np.nan, 1.0)
+        time, want = rk4_stepwise(field, x0, steps * 1.0, 1.0)
+        assert time == s
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteState) as exc_info:
+                integrate(field, x0, steps * 1.0, 1.0, ("a", "b"))
+        exc = exc_info.value
+        assert exc.time == time
+        assert exc.partial.names == ("a", "b")
+        assert np.array_equal(exc.partial.times, np.arange(s) * 1.0)
+        assert np.array_equal(exc.partial.values, want)
+
+    def test_overflow_past_the_blowup_raises_no_warning(self):
+        # 50x passes 1e12 within a few steps and overflows to inf well
+        # before the end of the first checked block
+        field = lambda x: 50.0 * x  # noqa: E731
+        time, want = rk4_stepwise(field, [1.0], 100.0, 0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteState) as exc_info:
+                integrate(field, [1.0], 100.0, 0.1)
+        assert exc_info.value.time == time
+        assert np.array_equal(exc_info.value.partial.values, want)
+
+    def test_stacked_networks_stop_at_the_earliest_blowup(self):
+        # X -> 2X grows as exp(rate t): the faster network sets the time
+        def growth(rate):
+            return Crn(("X",), (Reaction(("X",), ("X", "X"), rate),), {"X": 1.0})
+
+        slow, fast = growth(1.0), growth(3.0)
+        times = []
+        for nets in ((fast,), (slow, fast)):
+            x0 = np.concatenate([net.initial_state() for net in nets])
+            with pytest.raises(NonFiniteState) as exc_info:
+                integrate(mass_action_field(*nets), x0, 50.0, 1e-3)
+            times.append(exc_info.value.time)
+        assert times[0] == times[1] == pytest.approx(np.log(1e12) / 3.0, abs=2e-3)
+
     def test_dt_rule_warning(self):
         with pytest.warns(RuntimeWarning):
             check_dt(0.01, 0.01)
         check_dt(0.0005, 0.01)  # compliant: no warning
+
+
+def rk4_stepwise(field, x0, T, dt):
+    """RK4 testing |x| <= 1e12 after every step, the loop `integrate` replaces.
+
+    Returns the blow-up time (None without one) and the rows before it.
+    """
+    x = np.array(x0, dtype=float)
+    rows = [x]
+    half, sixth = 0.5 * dt, dt / 6.0
+    for i in range(1, step_count(T, dt) + 1):
+        k1 = field(x)
+        k2 = field(x + half * k1)
+        k3 = field(x + half * k2)
+        k4 = field(x + dt * k3)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.max(np.abs(x)) <= BLOWUP_LIMIT:
+            return i * dt, np.array(rows)
+        rows.append(x)
+    return None, np.array(rows)
 
 
 class TestRecoverDifference:
@@ -234,3 +340,49 @@ class TestCsvText:
             "2,1e-300,-0\n"
         )
         assert freq_to_csv([]) == "omega,gain,phase_deg\n"
+
+
+class TestFrequencyResponse:
+    """A sweep integrates its frequencies together; each row must equal a
+    sweep of that frequency alone, byte for byte."""
+
+    # at T = 50 the drive at omega = 0.2 needs T = 20 + 2.2 * 2pi / 0.2 ≈ 89
+    CFG = RunConfig(h=0.05)
+
+    def _one_at_a_time(self, net, omegas):
+        rows = [row for w in omegas for row in frequency_response(net, [w], self.CFG)]
+        return freq_to_csv(rows)
+
+    def test_sweep_equals_one_frequency_runs(self, rl_sine):
+        net = rl_sine[0]
+        omegas = [0.2, 3.0, 1.1]
+        got = freq_to_csv(frequency_response(net, omegas, self.CFG))
+        assert got == self._one_at_a_time(net, omegas)
+
+    def test_batches_split_by_the_entry_cap(self, rl_sine, monkeypatch):
+        net = rl_sine[0]
+        omegas = [3.0, 0.2, 1.1, 2.0]
+        want = self._one_at_a_time(net, omegas)
+        n = len(compile_circuit(net, self.CFG).crn.species)
+        rows_50 = step_count(50.0, self.CFG.resolve_dt()) + 1
+        # two networks fit over T = 50, but not over omega = 0.2's horizon
+        monkeypatch.setattr(pipeline, "_SWEEP_ENTRIES", 2 * n * rows_50)
+        sizes = []
+
+        def counted(field, x0, T, dt, names=None):
+            sizes.append(len(x0))
+            return integrate(field, x0, T, dt, names)
+
+        monkeypatch.setattr(pipeline, "integrate", counted)
+        got = freq_to_csv(frequency_response(net, omegas, self.CFG))
+        assert sizes == [n, n, 2 * n]
+        assert got == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_every_omega_is_validated_before_any_compile(self, rl_sine, monkeypatch, bad):
+        def no_compile(*args):
+            raise AssertionError("compiled before validating every omega")
+
+        monkeypatch.setattr(pipeline, "compile_circuit", no_compile)
+        with pytest.raises(ValueError, match="positive and finite"):
+            frequency_response(rl_sine[0], [1.0, bad], self.CFG)
