@@ -256,14 +256,16 @@ def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, fl
     traj = integrate(mass_action_field(*nets), x0, max(T for _, T, _ in batch), dt)
     first = batch[0][2]
     species = first.crn.species
-    rails = {out: (species.index(p), species.index(m)) for out, p, m in first.crn.diffs}
+    pairs = {out: (plus, minus) for out, plus, minus in first.crn.diffs}
     out_name = first.sys.state_names[first.sys.output_index]
+    # (plus, minus) species columns of the output and the input
+    cols = [[species.index(sp) for sp in pairs[name]] for name in (out_name, src)]
     n = len(species)
     rows = []
     for b, (omega, T, _) in enumerate(batch):
         stop = step_count(T, dt) + 1
         vals = traj.values[:stop, b * n : (b + 1) * n]
-        signals = [vals[:, rails[name][0]] - vals[:, rails[name][1]] for name in (out_name, src)]
+        signals = [vals[:, plus] - vals[:, minus] for plus, minus in cols]
         signal = Trajectory(traj.times[:stop], ("out", "in"), np.column_stack(signals))
         window = (cfg.transient_discard, T)
         fit_out = fit_sinusoid(signal, "out", omega, window)
