@@ -13,7 +13,6 @@ from .dae import (
     DaeSystem,
     InputModel,
     Trajectory,
-    check_regularity,
     consistent_project,
     fourier_input,
     reference_solve,

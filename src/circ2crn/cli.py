@@ -30,7 +30,7 @@ from .pipeline import (
     verify_circuit,
 )
 from .plot import render_svg
-from .sim import DT_RULE_FACTOR, check_dt
+from .sim import check_dt
 
 
 def _add_step_option(p: argparse.ArgumentParser) -> None:
@@ -109,7 +109,7 @@ def _cmd_simulate(args) -> int:
             raise ValidationError(
                 "--dt auto needs '# meta h ...' in the .crn file; pass --dt"
             )
-        dt = float(net.meta["h"]) / DT_RULE_FACTOR
+        dt = RunConfig(h=float(net.meta["h"])).resolve_dt()
     else:
         dt = float(args.dt)
         if "h" in net.meta:

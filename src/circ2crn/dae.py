@@ -169,6 +169,12 @@ class Trajectory:
         return csv_table(("t",) + self.names, rows)
 
 
+def step_count(T: float, dt: float) -> int:
+    """Steps of `sim.integrate` and `reference_solve`: from 0 to the first
+    multiple of dt at or beyond T."""
+    return int(np.ceil(T / dt - 1e-12))
+
+
 def csv_table(header, rows) -> str:
     """Comma-separated text: the header line, then each row's cells as %.17g."""
     fmt = ",".join(["%.17g"] * len(header))
@@ -373,9 +379,7 @@ def reference_solve(
             stacklevel=2,
         )
 
-    n_steps = int(round(T / h))
-    if abs(n_steps * h - T) > 1e-9 * max(T, 1.0):
-        n_steps = int(np.ceil(T / h - 1e-12))
+    n_steps = step_count(T, h)
     size = x_full.shape[0]
     inv = invert(stacked.E - h * stacked.A)
     P = np.eye(size + 1)

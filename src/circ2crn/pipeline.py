@@ -31,16 +31,14 @@ from .dae import (
     DaeSystem,
     InputModel,
     Trajectory,
-    check_regularity,
     consistent_project,
     coupled_euler_map,
     csv_table,
-    default_h_probes,
     direct_map,
     e_invertible,
     reference_solve,
 )
-from .errors import SingularMatrix, ValidationError
+from .errors import ValidationError
 from .positivation import hungarize, positivate, rails, split_initial
 from .sim import (
     DT_RULE_FACTOR,
@@ -63,7 +61,7 @@ class RunConfig:
     gamma: float | str = "auto"  # auto -> 1/h
     T: float = 50.0
     transient_discard: float = 20.0
-    seed: int | None = None
+    seed: int | None = None  # read only by perfbench/tracing.py
 
     def __post_init__(self):
         # each test is written so that NaN fails it
@@ -97,13 +95,18 @@ class CompiledCircuit:
 def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     """Compile a parsed netlist into its union CRN.
 
-    Raises SingularMatrix when the pencil fails the regularity probes and
-    ValidationError for structural problems; emits RuntimeWarnings for
-    projected initial conditions and for the gamma = 0 diagnostic mode.
+    Raises SingularMatrix when E - hA fails the pivot rule at cfg.h, which
+    a singular pencil does at every h (with E invertible the pencil is
+    regular and E - hA is never formed), and ValidationError for structural
+    problems; emits RuntimeWarnings for projected initial conditions and
+    for the gamma = 0 diagnostic mode.
     """
     sys, inp = build_dae(net)
-    if not check_regularity(sys, default_h_probes(cfg.seed)):
-        raise SingularMatrix("singular pencil: the circuit DAE is not regular")
+    direct = e_invertible(sys)
+    if direct:
+        ax, bx = direct_map(sys)
+    else:
+        ax, bx = coupled_euler_map(sys, cfg.h)
     gamma = cfg.resolve_gamma()
     if gamma == 0.0:
         warnings.warn(
@@ -111,11 +114,6 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
             RuntimeWarning,
             stacklevel=2,
         )
-    direct = e_invertible(sys)
-    if direct:
-        ax, bx = direct_map(sys)
-    else:
-        ax, bx = coupled_euler_map(sys, cfg.h)
 
     x0, flagged = consistent_project(sys, sys.B @ inp.u0, np.zeros(sys.n))
     if flagged:
@@ -227,6 +225,8 @@ def frequency_response(
         raise ValidationError("frequency sweep needs exactly one source")
     src = sources[0].name
     omegas = list(omegas)
+    if not omegas:
+        raise ValueError("omegas must be nonempty")
     for omega in omegas:
         if not 0.0 < omega < np.inf:  # NaN fails too
             raise ValueError("omega must be positive and finite")
@@ -255,21 +255,18 @@ def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, fl
     x0 = np.concatenate([crn.initial_state() for crn in nets])
     traj = integrate(mass_action_field(*nets), x0, max(T for _, T, _ in batch), dt)
     first = batch[0][2]
+    out = first.sys.state_names[first.sys.output_index]
+    pairs = [(plus, minus, name) for name, plus, minus in first.crn.diffs if name in (out, src)]
     species = first.crn.species
-    pairs = {out: (plus, minus) for out, plus, minus in first.crn.diffs}
-    out_name = first.sys.state_names[first.sys.output_index]
-    # (plus, minus) species columns of the output and the input
-    cols = [[species.index(sp) for sp in pairs[name]] for name in (out_name, src)]
     n = len(species)
     rows = []
     for b, (omega, T, _) in enumerate(batch):
         stop = step_count(T, dt) + 1
-        vals = traj.values[:stop, b * n : (b + 1) * n]
-        signals = [vals[:, plus] - vals[:, minus] for plus, minus in cols]
-        signal = Trajectory(traj.times[:stop], ("out", "in"), np.column_stack(signals))
+        own = Trajectory(traj.times[:stop], species, traj.values[:stop, b * n : (b + 1) * n])
+        signal = recover_difference(own, pairs)
         window = (cfg.transient_discard, T)
-        fit_out = fit_sinusoid(signal, "out", omega, window)
-        fit_in = fit_sinusoid(signal, "in", omega, window)
+        fit_out = fit_sinusoid(signal, out, omega, window)
+        fit_in = fit_sinusoid(signal, src, omega, window)
         gain = fit_out.amplitude / fit_in.amplitude
         phase = np.degrees(fit_out.phase - fit_in.phase)
         phase = (phase + 180.0) % 360.0 - 180.0

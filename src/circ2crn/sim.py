@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dae import Trajectory
+from .dae import Trajectory, step_count
 from .errors import NonFiniteState, WindowTooShort
 from .numerics import as_vector
 
@@ -40,11 +40,6 @@ def check_dt(dt: float, h: float) -> None:
             RuntimeWarning,
             stacklevel=2,
         )
-
-
-def step_count(T: float, dt: float) -> int:
-    """Steps `integrate` takes: to the first multiple of dt at or beyond T."""
-    return int(np.ceil(T / dt - 1e-12))
 
 
 def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:

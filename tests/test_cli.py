@@ -17,6 +17,9 @@ from circ2crn.circuit import parse_netlist
 from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block
 
 SINGULAR = "V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n"
+# one source, so `freq` compiles it: nodes 2 and 3 reach ground only through
+# the current source, which makes the pencil singular
+SINGULAR_ONE_SOURCE = "I a 0 2 DC 1\nR r 2 3 1\nOUT 2\n"
 
 
 def rc_ladder(k: int) -> str:
@@ -74,6 +77,19 @@ class TestCompile:
         netlist = _write(tmp_path, "sing.cir", SINGULAR)
         assert main(["compile", netlist]) == 2
         assert "singular" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("command,text,extra", [
+        ("compile", SINGULAR, []),
+        ("verify", SINGULAR, ["-T", "5", "--tol", "0.1"]),
+        ("freq", SINGULAR_ONE_SOURCE, ["--omega", "1"]),
+    ], ids=["compile", "verify", "freq"])
+    def test_singular_pencil_prints_one_error_line(self, tmp_path, capsys, command, text,
+                                                   extra):
+        netlist = _write(tmp_path, "sing.cir", text)
+        assert main([command, netlist, *extra]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: singular pencil: pivot ")
+        assert line.count("singular pencil") == 1
 
     def test_output_round_trips_through_parse_crn(self, tmp_path):
         netlist = _write(tmp_path, "rls.cir", RL_SINE)
@@ -195,6 +211,13 @@ class TestSimulate:
         assert main(["simulate", crn, "-T", "1", "--dt", "0.01",
                      "-o", str(tmp_path / "ok.csv")]) == 0
 
+    @pytest.mark.parametrize("h", ["nan", "0", "-0.01"])
+    def test_dt_auto_rejects_a_bad_meta_h(self, tmp_path, capsys, h):
+        text = open(self._compiled(tmp_path)).read()
+        crn = _write(tmp_path, "bad_h.crn", text.replace("# meta h 0.01", f"# meta h {h}"))
+        assert main(["simulate", crn, "-T", "1"]) == 1
+        assert _error_lines(capsys) == ["error: h must be positive and finite"]
+
     @pytest.mark.parametrize("line", ["X ->{inf} 0", "X ->{nan} 0", "init X nan"])
     def test_non_finite_numbers_exit_1(self, tmp_path, capsys, line):
         crn = _write(tmp_path, "bad.crn", f"species X\n{line}\n")
@@ -293,6 +316,11 @@ class TestFreq:
         netlist = _write(tmp_path, "rl.cir", RL_SINE)
         assert main(["freq", netlist, "--omega", omega]) == 1
         assert _error_lines(capsys) == ["error: omega must be positive and finite"]
+
+    def test_empty_omega_list_exits_1(self, tmp_path, capsys):
+        netlist = _write(tmp_path, "rl.cir", RL_SINE)
+        assert main(["freq", netlist, "--omega", ","]) == 1
+        assert _error_lines(capsys) == ["error: omegas must be nonempty"]
 
 
 class TestFrequencyResponseExamples:

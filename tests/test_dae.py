@@ -18,6 +18,7 @@ from circ2crn.dae import (
     fourier_input,
     reference_solve,
     stacked_pencil,
+    step_count,
 )
 from circ2crn.errors import NonFiniteState, SingularMatrix, UnknownColumn
 from circ2crn.sim import integrate
@@ -283,6 +284,14 @@ class TestReferenceSolve:
         sparse = reference_solve(sys, inp, x0, 1.0, 1e-3, max_points=100)
         stride = (len(dense.times) - 1) // (len(sparse.times) - 1)
         assert np.allclose(dense.values[::stride], sparse.values, atol=1e-11)
+
+    @pytest.mark.parametrize("T, h", [(1.0, 0.3), (15.0, 3e-4)])
+    def test_stores_the_integrator_step_count(self, T, h):
+        # 15 / 3e-4 is one ulp above 50 000, so T is reached after 50 001 steps
+        sys = DaeSystem(np.eye(1), -np.eye(1), np.zeros((1, 0)), ("y",), 0)
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        traj = reference_solve(sys, inp, np.array([1.0]), T, h)
+        assert len(traj.times) == step_count(T, h) + 1
 
     def test_blowup_raises_non_finite(self):
         sys = DaeSystem(
