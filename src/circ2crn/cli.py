@@ -104,16 +104,18 @@ def _cmd_compile(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.crn) as fh:
         net = parse_crn(fh.read())
+    # RunConfig rejects a '# meta h' that is not positive and finite
+    cfg = RunConfig(h=float(net.meta["h"])) if "h" in net.meta else None
     if args.dt == "auto":
-        if "h" not in net.meta:
+        if cfg is None:
             raise ValidationError(
                 "--dt auto needs '# meta h ...' in the .crn file; pass --dt"
             )
-        dt = RunConfig(h=float(net.meta["h"])).resolve_dt()
+        dt = cfg.resolve_dt()
     else:
         dt = float(args.dt)
-        if "h" in net.meta:
-            check_dt(dt, float(net.meta["h"]))
+        if cfg is not None:
+            check_dt(dt, cfg.h)
     traj = simulate_crn(net, args.T, dt)
     _write(traj.to_csv(), args.output)
     if args.plot is not None:
@@ -128,7 +130,7 @@ def _cmd_verify(args) -> int:
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
     cfg = RunConfig(h=args.h, T=args.T, transient_discard=0.0)
-    if args.study:
+    if args.study is not None:
         hs = [float(tok) for tok in args.study.split(",") if tok]
         _sys.stdout.write(study_to_csv(convergence_study(net, cfg, hs)))
         return 0

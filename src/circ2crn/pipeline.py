@@ -8,8 +8,9 @@ Each input block holds the reactions of that source's own generator ODE.
 The blocks are recorded on the union, so `serialize_crn` marks them.
 
 `verify_circuit` and `convergence_study` certify exactly that union: they
-simulate it under mass-action kinetics and compare the recovered circuit
-variables with a backward-Euler run on the exact pencil.
+simulate it under mass-action kinetics with the error-controlled
+`integrate_adaptive`, sampled on the h/20 grid, and compare the recovered
+circuit variables with a backward-Euler run on the exact pencil.
 
 `frequency_response` validates every drive frequency before it compiles
 any, then simulates the unions of all frequencies together as one stacked
@@ -44,6 +45,7 @@ from .sim import (
     DT_RULE_FACTOR,
     fit_sinusoid,
     integrate,
+    integrate_adaptive,
     recover_difference,
     step_count,
     sup_error,
@@ -146,13 +148,15 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     return CompiledCircuit(sys, inp, x0, flagged, direct, cfg.h, gamma, merged)
 
 
-def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
+def simulate_crn(net: Crn, T: float, dt: float, integrator=integrate) -> Trajectory:
     """Integrate a CRN from its declared initial concentrations.
 
-    Returns the species trajectory with any annotated rail differences
-    appended as extra columns.
+    `integrator` is `sim.integrate` (RK4 with step dt) or
+    `sim.integrate_adaptive` (sampled on the same grid).  Returns the
+    species trajectory with any annotated rail differences appended as
+    extra columns.
     """
-    traj = integrate(mass_action_field(net), net.initial_state(), T, dt, net.species)
+    traj = integrator(mass_action_field(net), net.initial_state(), T, dt, net.species)
     if net.diffs:
         extra = recover_difference(traj, [(p, m, out) for out, p, m in net.diffs])
         values = np.column_stack([traj.values, extra.values])
@@ -164,9 +168,11 @@ def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> 
     """Sup error on [0, cfg.T] of the compiled union CRN against the oracle.
 
     This certifies the artifact that `compile` emits: the CRN is simulated
-    under mass-action kinetics, the circuit variables are recovered as rail
-    differences, and the result is compared with reference_solve on the
-    exact stacked pencil.  The oracle step defaults to h/100.
+    under mass-action kinetics by `integrate_adaptive`, sampled at the RK4
+    grid h/20, the circuit variables are recovered as rail differences, and
+    the result is compared with reference_solve on the exact stacked
+    pencil.  The oracle step defaults to h/100.  It is the one-row
+    `convergence_study`.
     """
     return convergence_study(net, cfg, [cfg.h], h_ref)[0][1]
 
@@ -178,7 +184,9 @@ def convergence_study(
 
     h values must be strictly decreasing; the oracle step defaults to
     min(hs)/100.  The oracle depends only on the circuit, its inputs and
-    the projected initial state, none of which depend on h.
+    the projected initial state, none of which depend on h.  Each network
+    is integrated by `integrate_adaptive`, whose steps follow its error
+    control, and sampled on its own grid of h/20 (`RunConfig.resolve_dt`).
     """
     hs = list(hs)
     if not hs:
@@ -196,7 +204,7 @@ def convergence_study(
             reference = reference_solve(
                 compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref, max_points=400_000
             )
-        traj = simulate_crn(compiled.crn, cfg.T, cfg_h.resolve_dt())
+        traj = simulate_crn(compiled.crn, cfg.T, cfg_h.resolve_dt(), integrate_adaptive)
         rows.append((h, sup_error(traj, reference, compiled.sys.state_names)))
     return rows
 

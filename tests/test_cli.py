@@ -218,6 +218,14 @@ class TestSimulate:
         assert main(["simulate", crn, "-T", "1"]) == 1
         assert _error_lines(capsys) == ["error: h must be positive and finite"]
 
+    @pytest.mark.parametrize("h", ["nan", "0", "-0.01"])
+    def test_explicit_dt_rejects_a_bad_meta_h(self, tmp_path, capsys, h):
+        # the dt-rule check needs h: a bad one is an error, not a skipped warning
+        text = open(self._compiled(tmp_path)).read()
+        crn = _write(tmp_path, "bad_h.crn", text.replace("# meta h 0.01", f"# meta h {h}"))
+        assert main(["simulate", crn, "-T", "1", "--dt", "0.5"]) == 1
+        assert _error_lines(capsys) == ["error: h must be positive and finite"]
+
     @pytest.mark.parametrize("line", ["X ->{inf} 0", "X ->{nan} 0", "init X nan"])
     def test_non_finite_numbers_exit_1(self, tmp_path, capsys, line):
         crn = _write(tmp_path, "bad.crn", f"species X\n{line}\n")
@@ -277,6 +285,14 @@ class TestVerify:
             h = float(h_tok)
             cfg = RunConfig(h=h, T=2.0, transient_discard=0.0)
             assert float(err_tok) == verify_circuit(net, cfg, h_ref=0.02 / 100.0)
+
+    @pytest.mark.parametrize("study", ["", ","])
+    def test_empty_study_list_exits_1(self, tmp_path, capsys, study):
+        netlist = _write(tmp_path, "rl.cir", RL_DC)
+        assert main(["verify", netlist, "-T", "1", "--tol", "1", "--study", study]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""  # no plain verify line
+        assert err.splitlines()[-1] == "error: hs must be nonempty"
 
     def test_singular_exits_2(self, tmp_path):
         netlist = _write(tmp_path, "sing.cir", SINGULAR)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circ2crn import pipeline, sim
+from circ2crn.circuit import parse_netlist
 from circ2crn.crn import Crn, Reaction, mass_action_field
 from circ2crn.dae import AffineOde, Trajectory
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
@@ -20,12 +21,19 @@ from circ2crn.sim import (
     check_dt,
     fit_sinusoid,
     integrate,
+    integrate_adaptive,
     recover_difference,
     step_count,
     sup_error,
 )
 
-from conftest import interleave, signed_ode, sine_input_2state
+from conftest import (
+    RL_DC,
+    TWO_CAP,
+    interleave,
+    signed_ode,
+    sine_input_2state,
+)
 
 
 class TestIntegrate:
@@ -149,6 +157,67 @@ class TestIntegrate:
         with pytest.warns(RuntimeWarning):
             check_dt(0.01, 0.01)
         check_dt(0.0005, 0.01)  # compliant: no warning
+
+
+
+class TestIntegrateAdaptive:
+    def test_grid_is_integrates_grid_from_x0(self):
+        # T = 1.05 is not a multiple of dt: both end on the next grid time
+        field = lambda x: -x  # noqa: E731
+        fixed = integrate(field, [1.0, 2.0], 1.05, 0.1, ("a", "b"))
+        adaptive = integrate_adaptive(field, [1.0, 2.0], 1.05, 0.1, ("a", "b"))
+        assert np.array_equal(adaptive.times, fixed.times)
+        assert adaptive.names == ("a", "b")
+        assert np.array_equal(adaptive.values[0], [1.0, 2.0])
+
+    def test_dense_rows_follow_the_solution(self):
+        # steps span many grid rows; those inside a step come from the dense output
+        traj = integrate_adaptive(lambda x: -x, [1.0], 5.0, 1e-3)
+        assert np.max(np.abs(traj.values[:, 0] - np.exp(-traj.times))) <= 1e-8
+
+    def test_blowup_within_one_grid_step_of_rk4(self):
+        field = lambda x: 10.0 * x  # noqa: E731
+        dt = 1e-2
+        with pytest.raises(NonFiniteState) as fixed:
+            integrate(field, [1.0], 10.0, dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonFiniteState) as adaptive:
+                integrate_adaptive(field, [1.0], 10.0, dt, ("x",))
+        exc = adaptive.value
+        assert abs(exc.time - fixed.value.time) <= dt * (1.0 + 1e-9)
+        rows = round(exc.time / dt)
+        assert exc.partial.names == ("x",)
+        assert np.array_equal(exc.partial.times, np.arange(rows) * dt)
+        assert np.all(np.abs(exc.partial.values) <= BLOWUP_LIMIT)
+        assert np.allclose(exc.partial.values[:, 0], np.exp(10.0 * exc.partial.times),
+                           rtol=1e-6)
+
+    def test_nan_field_aborts_without_looping(self):
+        calls = 0
+
+        def field(x):
+            nonlocal calls
+            calls += 1
+            return np.full_like(x, np.nan)
+
+        with pytest.raises(NonFiniteState) as exc_info:
+            integrate_adaptive(field, [1.0, 2.0], 1.0, 0.1)
+        exc = exc_info.value
+        assert exc.time == 0.1  # the first grid row never reached
+        assert np.array_equal(exc.partial.values, [[1.0, 2.0]])
+        assert calls < 200  # every step is rejected until the step floor
+
+    @pytest.mark.parametrize("source, mode", [(RL_DC, "euler"), (TWO_CAP, "direct")])
+    def test_agrees_with_fine_rk4_on_compiled_networks(self, source, mode):
+        cfg = RunConfig(h=0.01)
+        net = compile_circuit(parse_netlist(source), cfg).crn
+        assert net.meta["mode"] == mode
+        field, x0, dt = mass_action_field(net), net.initial_state(), cfg.resolve_dt()
+        adaptive = integrate_adaptive(field, x0, 2.0, dt)
+        fine = integrate(field, x0, 2.0, dt / 8)
+        assert np.array_equal(adaptive.times, fine.times[::8])
+        assert np.max(np.abs(adaptive.values - fine.values[::8])) <= 5e-8
 
 
 def rk4_stepwise(field, x0, T, dt):
