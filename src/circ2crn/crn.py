@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -41,6 +43,8 @@ INPUT_BLOCK = "input reactions"
 # Substrings no name may hold: `+` separates the species of a reaction side,
 # `->{` opens a rate, and `,` separates the cells of a simulation CSV.
 NAME_FORBIDDEN = ("+", ",", "->{")
+# The spelling of a reaction side with no species, so no species may take it.
+EMPTY_SIDE = "0"
 
 
 def check_name(name: str, line_no: int, what: str) -> None:
@@ -66,8 +70,10 @@ class Reaction:
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "reactants", tuple(self.reactants))
-        object.__setattr__(self, "products", tuple(self.products))
+        if type(self.reactants) is not tuple:
+            object.__setattr__(self, "reactants", tuple(self.reactants))
+        if type(self.products) is not tuple:
+            object.__setattr__(self, "products", tuple(self.products))
         if not self.rate > 0.0:
             raise ValueError("reaction rate must be positive")
 
@@ -93,13 +99,20 @@ class Crn:
                 raise ValueError(f"bad reaction block ({label!r}, {count})")
         if self.marked > len(self.reactions):
             raise ValueError("reaction blocks cover more reactions than exist")
-        if len(set(self.species)) != len(self.species):
-            raise ValueError("duplicate species names")
         known = set(self.species)
-        for r in self.reactions:
-            for sp in r.reactants + r.products:
-                if sp not in known:
-                    raise UnknownSpecies(f"reaction references unknown species {sp!r}")
+        if len(known) != len(self.species):
+            raise ValueError("duplicate species names")
+        if EMPTY_SIDE in known:
+            raise ValueError(f"species name {EMPTY_SIDE!r} reads as the empty side")
+        # emitted networks share few reactant sides; product sides are
+        # mostly distinct, so they are checked name by name
+        reactants = set(map(attrgetter("reactants"), self.reactions))
+        products = map(attrgetter("products"), self.reactions)
+        if not (known.issuperset(chain.from_iterable(reactants))
+                and known.issuperset(chain.from_iterable(products))):
+            sp = next(sp for r in self.reactions for sp in r.reactants + r.products
+                      if sp not in known)
+            raise UnknownSpecies(f"reaction references unknown species {sp!r}")
         for sp, val in self.init.items():
             if sp not in known:
                 raise UnknownSpecies(f"init references unknown species {sp!r}")
@@ -133,30 +146,36 @@ def emit_crn(rs: RailSystem, init_plus, init_minus) -> Crn:
 
     species = rs.rail_names
     pos, neg = species[0::2], species[1::2]
+    pos1, neg1 = [(sp,) for sp in pos], [(sp,) for sp in neg]
     reactions: list[Reaction] = []
-    for i, j in zip(*np.nonzero((rs.aplus > 0.0) | (rs.aminus > 0.0))):
-        up, um = rs.aplus[i, j], rs.aminus[i, j]
+    rows, cols = np.nonzero((rs.aplus > 0.0) | (rs.aminus > 0.0))
+    for i, j, up, um in zip(
+        rows.tolist(), cols.tolist(),
+        rs.aplus[rows, cols].tolist(), rs.aminus[rows, cols].tolist(),
+    ):
+        pj, nj, pi, ni = pos[j], neg[j], pos[i], neg[i]
         if up > 0.0:
-            reactions.append(Reaction((pos[j],), (pos[j], pos[i]), up))
-            reactions.append(Reaction((neg[j],), (neg[j], neg[i]), up))
+            reactions.append(Reaction(pos1[j], (pj, pi), up))
+            reactions.append(Reaction(neg1[j], (nj, ni), up))
         if um > 0.0:
-            reactions.append(Reaction((neg[j],), (neg[j], pos[i]), um))
-            reactions.append(Reaction((pos[j],), (pos[j], neg[i]), um))
-    for i in range(n):
-        if rs.bplus[i] > 0.0:
-            reactions.append(Reaction((), (pos[i],), rs.bplus[i]))
-        if rs.bminus[i] > 0.0:
-            reactions.append(Reaction((), (neg[i],), rs.bminus[i]))
+            reactions.append(Reaction(neg1[j], (nj, pi), um))
+            reactions.append(Reaction(pos1[j], (pj, ni), um))
+    for i, (bp, bm) in enumerate(zip(rs.bplus.tolist(), rs.bminus.tolist())):
+        if bp > 0.0:
+            reactions.append(Reaction((), pos1[i], bp))
+        if bm > 0.0:
+            reactions.append(Reaction((), neg1[i], bm))
     if rs.gamma > 0.0:
+        gamma = float(rs.gamma)
         for i in range(n):
-            reactions.append(Reaction((pos[i], neg[i]), (), rs.gamma))
+            reactions.append(Reaction((pos[i], neg[i]), (), gamma))
 
     init = {}
-    for i in range(n):
-        if plus[i] != 0.0:
-            init[pos[i]] = float(plus[i])
-        if minus[i] != 0.0:
-            init[neg[i]] = float(minus[i])
+    for i, (p, m) in enumerate(zip(plus.tolist(), minus.tolist())):
+        if p != 0.0:
+            init[pos[i]] = p
+        if m != 0.0:
+            init[neg[i]] = m
     return Crn(species, tuple(reactions), init)
 
 
@@ -189,20 +208,33 @@ def mass_action_field(*nets: Crn):
     # monomial -> column; a monomial is a sorted index pair in which the
     # slot n_sp reads a constant 1.0, so A + B and B + A share a column
     cols: dict[tuple[int, int], int] = {}
-    rx_cols = []
-    for rx in first.reactions:
-        if len(rx.reactants) > 2:
+    reactants = list(map(attrgetter("reactants"), first.reactions))
+    side_cols = dict.fromkeys(reactants)
+    for side in side_cols:
+        if len(side) > 2:
             raise ValueError("mass action supported up to binary reactions")
-        pair = sorted(idx[sp] for sp in rx.reactants) + [n_sp, n_sp]
-        rx_cols.append(cols.setdefault((pair[0], pair[1]), len(cols)))
+        pair = sorted(idx[sp] for sp in side) + [n_sp, n_sp]
+        side_cols[side] = cols.setdefault((pair[0], pair[1]), len(cols))
+    # M sums rate * (products - reactants) reaction by reaction, reactants
+    # before products: one entry per species occurrence in that order, added
+    # by one unbuffered np.add.at, which keeps the order of the sums
+    products = list(map(attrgetter("products"), first.reactions))
+    n_rx = len(reactants)
+    n_in = np.fromiter(map(len, reactants), np.intp, n_rx)
+    n_occ = n_in + np.fromiter(map(len, products), np.intp, n_rx)
+    owner = np.repeat(np.arange(n_rx), n_occ)  # the reaction of each occurrence
+    rank = np.arange(owner.size) - (np.cumsum(n_occ) - n_occ)[owner]
+    sign = np.where(rank < n_in[owner], -1.0, 1.0)
+    occ_sp = np.fromiter(
+        map(idx.__getitem__, chain.from_iterable(map(add, reactants, products))),
+        np.intp, owner.size,
+    )
+    occ_col = np.fromiter(map(side_cols.__getitem__, reactants), np.intp, n_rx)[owner]
     n_net, n_mono, size = len(nets), len(cols), len(nets) * n_sp
     M = np.zeros((n_net, n_sp, n_mono))
     for net, M_net in zip(nets, M):
-        for rx, k in zip(net.reactions, rx_cols):
-            for sp in rx.reactants:
-                M_net[idx[sp], k] -= rx.rate
-            for sp in rx.products:
-                M_net[idx[sp], k] += rx.rate
+        rates = np.fromiter(map(attrgetter("rate"), net.reactions), float, n_rx)
+        np.add.at(M_net, (occ_sp, occ_col), sign * rates[owner])
     # the stacked concentrations fill ext[:size] and ext[size] holds the
     # constant 1.0; network b's monomials gather from its own slice, shaped
     # (network, monomial, 1) for the stacked product
@@ -256,12 +288,10 @@ def union(a: Crn, b: Crn) -> Crn:
     )
 
 
-def _side_str(names: tuple[str, ...]) -> str:
-    return " + ".join(names) if names else "0"
-
-
 def format_reaction(rx: Reaction) -> str:
-    return f"{_side_str(rx.reactants)} ->{{{rx.rate:.17g}}} {_side_str(rx.products)}"
+    left = " + ".join(rx.reactants) or EMPTY_SIDE
+    right = " + ".join(rx.products) or EMPTY_SIDE
+    return f"{left} ->{{{rx.rate:.17g}}} {right}"
 
 
 def serialize_crn(net: Crn) -> str:
@@ -275,10 +305,10 @@ def serialize_crn(net: Crn) -> str:
         if sp in net.init:
             lines.append(f"init {sp} {net.init[sp]:.17g}")
     start = len(net.reactions) - net.marked
-    lines.extend(format_reaction(rx) for rx in net.reactions[:start])
+    lines.extend(map(format_reaction, net.reactions[:start]))
     for label, count in net.blocks:
         lines.append(f"# {label}")
-        lines.extend(format_reaction(rx) for rx in net.reactions[start : start + count])
+        lines.extend(map(format_reaction, net.reactions[start : start + count]))
         start += count
     for out, plus, minus in net.diffs:
         lines.append(f"# diff {out} {plus} {minus}")
@@ -287,12 +317,12 @@ def serialize_crn(net: Crn) -> str:
 
 def _parse_side(text: str, line_no: int) -> tuple[str, ...]:
     text = text.strip()
-    if text == "0":
+    if text == EMPTY_SIDE:
         return ()
-    names = [t.strip() for t in text.split("+")]
-    if any(not nm for nm in names):
+    names = tuple([t.strip() for t in text.split("+")])
+    if "" in names:
         raise ParseError(line_no, f"malformed reaction side {text!r}")
-    return tuple(names)
+    return names
 
 
 def parse_crn(text: str) -> Crn:
@@ -302,47 +332,58 @@ def parse_crn(text: str) -> Crn:
     reactions: list[Reaction] = []
     meta: dict[str, str] = {}
     diffs: list[tuple[str, str, str]] = []
-    blocks: list[tuple[str, int]] = []
+    starts: list[tuple[str, int]] = []  # (block label, its first reaction)
+    # side text -> its names, once every name is known to be declared;
+    # species are only ever added, so a checked side stays valid
+    sides: dict[str, tuple[str, ...]] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             toks = line[1:].split()
             if toks[:1] == ["meta"] and len(toks) >= 3:
                 meta[toks[1]] = " ".join(toks[2:])
             elif toks[:1] == ["diff"] and len(toks) == 4:
                 diffs.append((toks[1], toks[2], toks[3]))
             elif (label := _block_label(toks)) is not None:
-                blocks.append((label, 0))
+                starts.append((label, len(reactions)))
             continue
-        if "->{" in line:
-            left, rest = line.split("->{", 1)
-            if "}" not in rest:
+        left, arrow, rest = line.partition("->{")
+        if arrow:
+            rate_str, brace, right = rest.partition("}")
+            if not brace:
                 raise ParseError(line_no, "missing closing brace on rate")
-            rate_str, right = rest.split("}", 1)
             try:
                 rate = float(rate_str)
             except ValueError:
                 raise ParseError(line_no, f"bad rate {rate_str!r}") from None
-            if not math.isfinite(rate):
-                raise ParseError(line_no, f"non-finite rate {rate_str!r}")
-            if rate <= 0.0:
+            if not 0.0 < rate < math.inf:
+                if not math.isfinite(rate):
+                    raise ParseError(line_no, f"non-finite rate {rate_str!r}")
                 raise ParseError(line_no, "rate must be positive")
-            reactants = _parse_side(left, line_no)
+            reactants = sides.get(left)
+            fresh = reactants is None
+            if fresh:
+                reactants = _parse_side(left, line_no)
             products = _parse_side(right, line_no)
-            for sp in reactants + products:
-                if sp not in declared:
-                    raise ParseError(line_no, f"undeclared species {sp!r}")
+            if (fresh and not declared.issuperset(reactants)
+                    or not declared.issuperset(products)):
+                sp = next(sp for sp in reactants + products if sp not in declared)
+                raise ParseError(line_no, f"undeclared species {sp!r}")
+            if fresh:
+                sides[left] = reactants
             reactions.append(Reaction(reactants, products, rate))
-            if blocks:
-                blocks[-1] = (blocks[-1][0], blocks[-1][1] + 1)
             continue
         toks = line.split()
         if toks[0] == "species":
             for nm in toks[1:]:
                 check_name(nm, line_no, "species")
+                if nm == EMPTY_SIDE:
+                    raise ParseError(
+                        line_no, f"species name {EMPTY_SIDE!r} reads as the empty side"
+                    )
                 if nm in declared:
                     raise ParseError(line_no, f"duplicate species {nm!r}")
                 species.append(nm)
@@ -353,6 +394,8 @@ def parse_crn(text: str) -> Crn:
                 raise ParseError(line_no, "init takes: name value")
             if toks[1] not in declared:
                 raise ParseError(line_no, f"init of undeclared species {toks[1]!r}")
+            if toks[1] in init:
+                raise ParseError(line_no, f"duplicate init for {toks[1]!r}")
             try:
                 val = float(toks[2])
             except ValueError:
@@ -365,4 +408,6 @@ def parse_crn(text: str) -> Crn:
             continue
         raise ParseError(line_no, f"unrecognized line {line!r}")
 
-    return Crn(tuple(species), tuple(reactions), init, meta, tuple(diffs), tuple(blocks))
+    ends = [first for _, first in starts[1:]] + [len(reactions)]
+    blocks = tuple((label, end - first) for (label, first), end in zip(starts, ends))
+    return Crn(tuple(species), tuple(reactions), init, meta, tuple(diffs), blocks)

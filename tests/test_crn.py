@@ -360,13 +360,39 @@ class TestSerialization:
             ("species X\nspecies a+b\n", "species name 'a+b' contains '+'"),
             ("species X\nspecies a,b\n", "species name 'a,b' contains ','"),
             ("species X\nspecies a->{b\n", "brace"),  # `->{` makes it a reaction line
+            ("species X\nspecies 0\n", "species name '0'"),
+            ("species X\ninit X 1\ninit X 2\n", "duplicate init for 'X'"),
+            # a bad side after valid reactions that share the other side
+            ("species X Y\nX ->{1} X + Y\nX ->{1} X + Z\n", "undeclared species 'Z'"),
+            ("species X Y\nX ->{1} X + Y\nX ->{1} X +\n", "malformed reaction side 'X +'"),
+            ("species X Y\nX ->{1} Y\nX + Z ->{1} Y\n", "undeclared species 'Z'"),
+            ("species X Y\nX ->{1} Y\n+ X ->{1} Y\n", "malformed reaction side '+ X'"),
+            # a malformed product side is reported before an undeclared reactant
+            ("species X\nX ->{1} X\nZ ->{1} X +\n", "malformed reaction side 'X +'"),
         ],
     )
     def test_parse_errors_carry_line_numbers(self, text, fragment):
         with pytest.raises(ParseError) as exc_info:
             parse_crn(text)
         assert fragment in str(exc_info.value)
-        assert exc_info.value.line_no == 2
+        assert exc_info.value.line_no == text.count("\n")  # the last line
+
+    def test_species_named_zero_is_rejected(self):
+        # `0` spells the empty side, so a catalysis on `0` would read back
+        # as a production of 0 + x
+        with pytest.raises(ValueError, match="'0'"):
+            Crn(("0", "x"), (Reaction(("0",), ("0", "x"), 1.0),))
+        with pytest.raises(ParseError) as exc_info:
+            parse_crn("species 0 x\n0 ->{1} 0 + x\n")
+        assert exc_info.value.line_no == 1
+
+    def test_rates_are_python_floats(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            net = compile_circuit(parse_netlist(rl_ladder(3)), RunConfig()).crn
+        for crn in (net, parse_crn(serialize_crn(net))):
+            assert {type(rx.rate) for rx in crn.reactions} == {float}
+            assert {type(v) for v in crn.init.values()} == {float}
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,6 +478,48 @@ def test_field_equals_reaction_by_reaction_sum(case):
     got = mass_action_field(net)(c)
     # below the normal range one rounding is worth more than 1e-12 * scale
     assert np.all(np.abs(got - want) <= np.maximum(1e-12 * scale, np.finfo(float).tiny))
+
+
+def reaction_loop_field(net: Crn):
+    """The polynomial field with M filled by a per-reaction Python loop."""
+    n_sp = len(net.species)
+    idx = {sp: i for i, sp in enumerate(net.species)}
+    cols: dict[tuple[int, int], int] = {}
+    rx_cols = []
+    for rx in net.reactions:
+        pair = sorted(idx[sp] for sp in rx.reactants) + [n_sp, n_sp]
+        rx_cols.append(cols.setdefault((pair[0], pair[1]), len(cols)))
+    M = np.zeros((1, n_sp, len(cols)))
+    for rx, k in zip(net.reactions, rx_cols):
+        for sp in rx.reactants:
+            M[0, idx[sp], k] -= rx.rate
+        for sp in rx.products:
+            M[0, idx[sp], k] += rx.rate
+    pairs = np.array(list(cols), dtype=np.intp).reshape(1, -1, 2)
+
+    def rhs(c):
+        ext = np.append(c, 1.0)  # slot n_sp reads the constant 1.0
+        return np.matmul(M, ext[pairs[:, :, :1]] * ext[pairs[:, :, 1:]]).reshape(n_sp)
+
+    return rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_networks())
+def test_field_equals_reaction_loop_bitwise(case):
+    net, c = case
+    assert np.array_equal(mass_action_field(net)(c), reaction_loop_field(net)(c))
+
+
+def test_compiled_ladder_field_equals_reaction_loop_bitwise():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        net = compile_circuit(parse_netlist(rl_ladder(20)), RunConfig()).crn
+    field, want = mass_action_field(net), reaction_loop_field(net)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        c = rng.uniform(0.0, 2.0, len(net.species))
+        assert np.array_equal(field(c), want(c))
 
 
 def assert_stacked_equals_own_fields(nets, rng) -> None:
