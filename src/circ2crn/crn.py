@@ -6,6 +6,13 @@ every positive offset a production 0 -> x_i, and each state pair gets the
 annihilation x_i+ + x_i- -> 0 at rate gamma.  The mass-action field of the
 emitted network reproduces the rail field identically.
 
+A network keeps its reactions in a `ReactionTable`: the reactant and
+product species of every reaction as indices into the network's species,
+flattened behind offsets, and the rates as one float64 array, all in
+reaction order.  Emission, union, serialization, parsing and the field
+build work on the table alone; `Crn.reactions` gives the same reactions as
+`Reaction` objects for callers that want them.
+
 The `.crn` text format is line oriented with '#' comments:
 
     species <name> [<name> ...]
@@ -22,9 +29,8 @@ to any other reader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from operator import add, attrgetter
 
 import numpy as np
 
@@ -54,6 +60,24 @@ def check_name(name: str, line_no: int, what: str) -> None:
             raise ParseError(line_no, f"{what} name {name!r} contains {bad!r}")
 
 
+def _species_name_problem(name: str) -> str | None:
+    """Why `parse_crn` could not read a species name back, or None.
+
+    The reader splits lines on whitespace, takes `+`, `->{` and a leading
+    `#` as syntax and `0` as the empty side; `,` would split a CSV cell.
+    """
+    for bad in NAME_FORBIDDEN:
+        if bad in name:
+            return f"species name {name!r} contains {bad!r}"
+    if name == EMPTY_SIDE:
+        return f"species name {EMPTY_SIDE!r} reads as the empty side"
+    if name.split() != [name]:
+        return f"species name {name!r} is empty or holds whitespace"
+    if name[0] == "#":
+        return f"species name {name!r} starts a comment"
+    return None
+
+
 def _block_label(toks: list[str]) -> str | None:
     """The block label spelled by a marker comment's tokens, else None."""
     if toks == CIRCUIT_BLOCK.split() or (
@@ -78,46 +102,187 @@ class Reaction:
             raise ValueError("reaction rate must be positive")
 
 
-@dataclass(frozen=True)
-class Crn:
-    species: tuple[str, ...]
-    reactions: tuple[Reaction, ...]
-    init: dict[str, float] = field(default_factory=dict)
-    meta: dict[str, str] = field(default_factory=dict)
-    diffs: tuple[tuple[str, str, str], ...] = ()  # (out, plus, minus)
-    # (label, reaction count) of the marked blocks, which cover the last
-    # reactions in order; any reactions before them are unmarked
-    blocks: tuple[tuple[str, int], ...] = ()
+def _frozen(a, dtype) -> np.ndarray:
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
+_SIDE_ARRAYS = ("in_off", "in_idx", "out_off", "out_idx")
+
+
+@dataclass(frozen=True, eq=False)
+class ReactionTable:
+    """Reactions as index arrays, in reaction order.
+
+    Reaction r consumes the species `in_idx[in_off[r]:in_off[r + 1]]` and
+    produces `out_idx[out_off[r]:out_off[r + 1]]` at `rates[r]`.  The
+    indices point into the species of the network that holds the table, a
+    species appears once per occurrence (A + A holds A twice), and a side
+    may have any length.  The arrays are read-only.
+    """
+
+    in_off: np.ndarray
+    in_idx: np.ndarray
+    out_off: np.ndarray
+    out_idx: np.ndarray
+    rates: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "species", tuple(self.species))
-        object.__setattr__(self, "reactions", tuple(self.reactions))
-        object.__setattr__(self, "diffs", tuple(self.diffs))
-        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
-        for label, count in self.blocks:
+        for name in _SIDE_ARRAYS:
+            object.__setattr__(self, name, _frozen(getattr(self, name), np.intp))
+        object.__setattr__(self, "rates", _frozen(self.rates, float))
+        n = self.rates.size
+        for off, idx in ((self.in_off, self.in_idx), (self.out_off, self.out_idx)):
+            if (off.shape != (n + 1,) or idx.ndim != 1 or off[0] != 0
+                    or off[-1] != idx.size or np.any(off[1:] < off[:-1])):
+                raise ValueError("reaction table offsets do not match their indices")
+        if self.rates.ndim != 1 or not np.all(self.rates > 0.0):
+            raise ValueError("reaction rate must be positive")
+
+    @classmethod
+    def from_sides(cls, in_len, in_idx, out_len, out_idx, rates) -> ReactionTable:
+        """The table of reactions whose sides have these lengths and indices."""
+        return cls(_offsets(in_len), in_idx, _offsets(out_len), out_idx, rates)
+
+    def __len__(self) -> int:
+        return self.rates.size
+
+    def __eq__(self, other):
+        if not isinstance(other, ReactionTable):
+            return NotImplemented
+        return self.same_sides(other) and np.array_equal(self.rates, other.rates)
+
+    __hash__ = None
+
+    def same_sides(self, other: ReactionTable) -> bool:
+        """Whether both tables hold the same reactions in the same order,
+        rates aside."""
+        return all(np.array_equal(getattr(self, name), getattr(other, name))
+                   for name in _SIDE_ARRAYS)
+
+    def reactions(self, species) -> tuple[Reaction, ...]:
+        """The reactions as `Reaction` objects over these species names."""
+        return tuple(map(
+            Reaction,
+            _side_names(self.in_off, self.in_idx, species),
+            _side_names(self.out_off, self.out_idx, species),
+            self.rates.tolist(),
+        ))
+
+
+def _offsets(lengths) -> np.ndarray:
+    lengths = np.asarray(lengths, dtype=np.intp)
+    off = np.zeros(lengths.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=off[1:])
+    return off
+
+
+def _side_names(off, idx, species) -> list[tuple[str, ...]]:
+    names = list(map(species.__getitem__, idx.tolist()))
+    bounds = off.tolist()
+    return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _table_of(reactions: tuple[Reaction, ...], index: dict[str, int]) -> ReactionTable:
+    """The table of Reaction objects; UnknownSpecies for an undeclared name."""
+    ins = [rx.reactants for rx in reactions]
+    outs = [rx.products for rx in reactions]
+    try:
+        in_idx = list(map(index.__getitem__, chain.from_iterable(ins)))
+        out_idx = list(map(index.__getitem__, chain.from_iterable(outs)))
+    except KeyError:
+        sp = next(sp for rx in reactions for sp in rx.reactants + rx.products
+                  if sp not in index)
+        raise UnknownSpecies(f"reaction references unknown species {sp!r}") from None
+    return ReactionTable.from_sides(
+        list(map(len, ins)), in_idx, list(map(len, outs)), out_idx,
+        [rx.rate for rx in reactions],
+    )
+
+
+class Crn:
+    """A reaction network: species, reactions, initial values, annotations.
+
+    `Crn(species, reactions, init, meta, diffs, blocks)` takes the reactions
+    as a sequence of `Reaction` or as a `ReactionTable` over the species
+    indices, and keeps them as the table (`Crn.table`).  `Crn.reactions` is
+    the caller's own tuple when the network was built from one, and is
+    otherwise built from the table on first access and cached.  `blocks`
+    lists (label, reaction count) of the marked blocks, which cover the
+    last reactions in order; any reactions before them are unmarked.  A
+    Crn is immutable and compares by content.
+    """
+
+    def __init__(self, species, reactions, init=None, meta=None, diffs=(), blocks=()):
+        species = tuple(species)
+        blocks = tuple(tuple(b) for b in blocks)
+        for label, count in blocks:
             if _block_label(label.split()) != label or count < 0:
                 raise ValueError(f"bad reaction block ({label!r}, {count})")
-        if self.marked > len(self.reactions):
-            raise ValueError("reaction blocks cover more reactions than exist")
-        known = set(self.species)
-        if len(known) != len(self.species):
+        for sp in species:
+            problem = _species_name_problem(sp)
+            if problem is not None:
+                raise ValueError(problem)
+        index = {sp: i for i, sp in enumerate(species)}
+        if len(index) != len(species):
             raise ValueError("duplicate species names")
-        if EMPTY_SIDE in known:
-            raise ValueError(f"species name {EMPTY_SIDE!r} reads as the empty side")
-        # emitted networks share few reactant sides; product sides are
-        # mostly distinct, so they are checked name by name
-        reactants = set(map(attrgetter("reactants"), self.reactions))
-        products = map(attrgetter("products"), self.reactions)
-        if not (known.issuperset(chain.from_iterable(reactants))
-                and known.issuperset(chain.from_iterable(products))):
-            sp = next(sp for r in self.reactions for sp in r.reactants + r.products
-                      if sp not in known)
-            raise UnknownSpecies(f"reaction references unknown species {sp!r}")
-        for sp, val in self.init.items():
-            if sp not in known:
+        if isinstance(reactions, ReactionTable):
+            table, own = reactions, None
+            for idx in (table.in_idx, table.out_idx):
+                if idx.size and not 0 <= idx.min() <= idx.max() < len(species):
+                    raise UnknownSpecies("reaction table indexes beyond the species")
+        else:
+            own = tuple(reactions)
+            table = _table_of(own, index)
+        if sum(count for _, count in blocks) > len(table):
+            raise ValueError("reaction blocks cover more reactions than exist")
+        init = {} if init is None else init
+        for sp, val in init.items():
+            if sp not in index:
                 raise UnknownSpecies(f"init references unknown species {sp!r}")
             if val < 0.0:
                 raise NegativeInit(f"init[{sp!r}] = {val} is negative")
+        self.__dict__.update(
+            species=species, table=table, _reactions=own, init=init,
+            meta={} if meta is None else meta, diffs=tuple(diffs), blocks=blocks,
+        )
+
+    @classmethod
+    def _valid(cls, species, table, init, meta, diffs, blocks) -> Crn:
+        """A network of parts already known to be valid together, unchecked."""
+        net = cls.__new__(cls)
+        net.__dict__.update(
+            species=species, table=table, _reactions=None, init=init,
+            meta=meta, diffs=diffs, blocks=blocks,
+        )
+        return net
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Crn is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Crn is immutable")
+
+    @property
+    def reactions(self) -> tuple[Reaction, ...]:
+        if self._reactions is None:
+            self.__dict__["_reactions"] = self.table.reactions(self.species)
+        return self._reactions
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.species == other.species and self.table == other.table
+                and self.init == other.init and self.meta == other.meta
+                and self.diffs == other.diffs and self.blocks == other.blocks)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"Crn(species={self.species!r}, reactions={self.reactions!r}, "
+                f"init={self.init!r}, meta={self.meta!r}, diffs={self.diffs!r}, "
+                f"blocks={self.blocks!r})")
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.init.get(sp, 0.0) for sp in self.species])
@@ -144,39 +309,34 @@ def emit_crn(rs: RailSystem, init_plus, init_minus) -> Crn:
     if np.any(plus < 0.0) or np.any(minus < 0.0):
         raise NegativeInit("initial rail concentrations must be nonnegative")
 
-    species = rs.rail_names
-    pos, neg = species[0::2], species[1::2]
-    pos1, neg1 = [(sp,) for sp in pos], [(sp,) for sp in neg]
-    reactions: list[Reaction] = []
+    # state or input j has the rails 2j (plus) and 2j + 1 (minus).  Entry
+    # (i, j) emits, in this order, x_j+ -> x_j+ + x_i+ and x_j- -> x_j- + x_i-
+    # at A+[i, j], then x_j- -> x_j- + x_i+ and x_j+ -> x_j+ + x_i- at A-[i, j]
     rows, cols = np.nonzero((rs.aplus > 0.0) | (rs.aminus > 0.0))
-    for i, j, up, um in zip(
-        rows.tolist(), cols.tolist(),
-        rs.aplus[rows, cols].tolist(), rs.aminus[rows, cols].tolist(),
-    ):
-        pj, nj, pi, ni = pos[j], neg[j], pos[i], neg[i]
-        if up > 0.0:
-            reactions.append(Reaction(pos1[j], (pj, pi), up))
-            reactions.append(Reaction(neg1[j], (nj, ni), up))
-        if um > 0.0:
-            reactions.append(Reaction(neg1[j], (nj, pi), um))
-            reactions.append(Reaction(pos1[j], (pj, ni), um))
-    for i, (bp, bm) in enumerate(zip(rs.bplus.tolist(), rs.bminus.tolist())):
-        if bp > 0.0:
-            reactions.append(Reaction((), pos1[i], bp))
-        if bm > 0.0:
-            reactions.append(Reaction((), neg1[i], bm))
-    if rs.gamma > 0.0:
-        gamma = float(rs.gamma)
-        for i in range(n):
-            reactions.append(Reaction((pos[i], neg[i]), (), gamma))
-
-    init = {}
-    for i, (p, m) in enumerate(zip(plus.tolist(), minus.tolist())):
-        if p != 0.0:
-            init[pos[i]] = p
-        if m != 0.0:
-            init[neg[i]] = m
-    return Crn(species, tuple(reactions), init)
+    up, um = rs.aplus[rows, cols], rs.aminus[rows, cols]
+    rate = np.column_stack([up, up, um, um]).ravel()
+    keep = rate > 0.0
+    catalyst = (2 * cols[:, None] + [0, 1, 1, 0]).ravel()[keep]
+    made = (2 * rows[:, None] + [0, 1, 0, 1]).ravel()[keep]
+    # productions 0 -> x_i+ at b+[i] and 0 -> x_i- at b-[i]: entry k of the
+    # interleaved offsets is the rate of rail k
+    offset = np.column_stack([rs.bplus, rs.bminus]).ravel()
+    produced = np.flatnonzero(offset > 0.0)
+    # annihilations x_i+ + x_i- -> 0 consume the rails 0 .. 2n - 1 in pairs
+    n_ann = n if rs.gamma > 0.0 else 0
+    counts = [catalyst.size, produced.size, n_ann]
+    table = ReactionTable.from_sides(
+        np.repeat([1, 0, 2], counts),
+        np.concatenate([catalyst, np.arange(2 * n_ann)]),
+        np.repeat([2, 1, 0], counts),
+        np.concatenate([np.column_stack([catalyst, made]).ravel(), produced]),
+        np.concatenate([rate[keep], offset[produced], np.full(n_ann, float(rs.gamma))]),
+    )
+    species = rs.rail_names
+    rails0 = np.column_stack([plus, minus]).ravel()
+    held = np.flatnonzero(rails0)
+    init = dict(zip(map(species.__getitem__, held.tolist()), rails0[held].tolist()))
+    return Crn(species, table, init)
 
 
 def mass_action_field(*nets: Crn):
@@ -201,45 +361,51 @@ def mass_action_field(*nets: Crn):
     if not nets:
         raise ValueError("mass_action_field needs at least one network")
     first = nets[0]
-    if any(_structure(other) != _structure(first) for other in nets[1:]):
+    table = first.table
+    if any(other.species != first.species or not other.table.same_sides(table)
+           for other in nets[1:]):
         raise ValueError("stacked networks must share species and reactions")
-    n_sp = len(first.species)
-    idx = {sp: i for i, sp in enumerate(first.species)}
-    # monomial -> column; a monomial is a sorted index pair in which the
-    # slot n_sp reads a constant 1.0, so A + B and B + A share a column
-    cols: dict[tuple[int, int], int] = {}
-    reactants = list(map(attrgetter("reactants"), first.reactions))
-    side_cols = dict.fromkeys(reactants)
-    for side in side_cols:
-        if len(side) > 2:
-            raise ValueError("mass action supported up to binary reactions")
-        pair = sorted(idx[sp] for sp in side) + [n_sp, n_sp]
-        side_cols[side] = cols.setdefault((pair[0], pair[1]), len(cols))
+    n_sp, n_rx = len(first.species), len(table)
+    n_in, n_out = np.diff(table.in_off), np.diff(table.out_off)
+    if np.any(n_in > 2):
+        raise ValueError("mass action supported up to binary reactions")
+    # a monomial is a sorted index pair in which the slot n_sp reads a
+    # constant 1.0, so A + B and B + A share one; columns are numbered in
+    # the order their monomials first appear.  A dict keeps that order
+    # without a numpy sort, whose kernels, paged in on a process's first
+    # sort, raised the peak memory of small workloads by about 1 MB
+    pair = np.full((2, n_rx), n_sp, dtype=np.intp)
+    for k in (0, 1):
+        on = n_in > k
+        pair[k, on] = table.in_idx[table.in_off[:-1][on] + k]
+    keys = (np.minimum(*pair) * (n_sp + 1) + np.maximum(*pair)).tolist()
+    cols = {key: col for col, key in enumerate(dict.fromkeys(keys))}
+    rx_col = np.fromiter(map(cols.__getitem__, keys), np.intp, n_rx)
+    pairs = np.column_stack(divmod(np.fromiter(cols, np.intp, len(cols)), n_sp + 1))
     # M sums rate * (products - reactants) reaction by reaction, reactants
     # before products: one entry per species occurrence in that order, added
     # by one unbuffered np.add.at, which keeps the order of the sums
-    products = list(map(attrgetter("products"), first.reactions))
-    n_rx = len(reactants)
-    n_in = np.fromiter(map(len, reactants), np.intp, n_rx)
-    n_occ = n_in + np.fromiter(map(len, products), np.intp, n_rx)
+    n_occ = n_in + n_out
     owner = np.repeat(np.arange(n_rx), n_occ)  # the reaction of each occurrence
-    rank = np.arange(owner.size) - (np.cumsum(n_occ) - n_occ)[owner]
-    sign = np.where(rank < n_in[owner], -1.0, 1.0)
-    occ_sp = np.fromiter(
-        map(idx.__getitem__, chain.from_iterable(map(add, reactants, products))),
-        np.intp, owner.size,
-    )
-    occ_col = np.fromiter(map(side_cols.__getitem__, reactants), np.intp, n_rx)[owner]
+    # reaction r's occurrences start at start[r]: its reactants, then its
+    # products, each side in its table order
+    start = np.cumsum(n_occ) - n_occ
+    at_in = np.repeat(start - table.in_off[:-1], n_in) + np.arange(table.in_idx.size)
+    at_out = (np.repeat(start + n_in - table.out_off[:-1], n_out)
+              + np.arange(table.out_idx.size))
+    occ_sp = np.empty(owner.size, dtype=np.intp)
+    occ_sp[at_in], occ_sp[at_out] = table.in_idx, table.out_idx
+    sign = np.ones(owner.size)
+    sign[at_in] = -1.0
+    occ_col = rx_col[owner]
     n_net, n_mono, size = len(nets), len(cols), len(nets) * n_sp
     M = np.zeros((n_net, n_sp, n_mono))
     for net, M_net in zip(nets, M):
-        rates = np.fromiter(map(attrgetter("rate"), net.reactions), float, n_rx)
-        np.add.at(M_net, (occ_sp, occ_col), sign * rates[owner])
+        np.add.at(M_net, (occ_sp, occ_col), sign * net.table.rates[owner])
     # the stacked concentrations fill ext[:size] and ext[size] holds the
     # constant 1.0; network b's monomials gather from its own slice, shaped
     # (network, monomial, 1) for the stacked product
     ext = np.ones(size + 1)
-    pairs = np.array(list(cols), dtype=np.intp).reshape(-1, 2)
     gather = n_sp * np.arange(n_net, dtype=np.intp)[:, None, None] + pairs
     gather[:, pairs == n_sp] = size
     ma, mb = gather[:, :, :1].copy(), gather[:, :, 1:].copy()
@@ -254,11 +420,6 @@ def mass_action_field(*nets: Crn):
     return rhs
 
 
-def _structure(net: Crn):
-    """What networks stacked in one field must share: all but the rates."""
-    return net.species, [(rx.reactants, rx.products) for rx in net.reactions]
-
-
 def union(a: Crn, b: Crn) -> Crn:
     """Compose two networks; shared species names identify shared species.
 
@@ -266,32 +427,55 @@ def union(a: Crn, b: Crn) -> Crn:
     networks assign a shared species different values.  Reaction blocks
     concatenate, so unmarked reactions of b may not follow a marked block.
     """
-    if a.blocks and b.marked < len(b.reactions):
+    if a.blocks and b.marked < len(b.table):
         raise ValueError("unmarked reactions cannot follow a marked block")
-    shared = set(a.species) & set(b.species)
-    for sp in sorted(shared):
+    known = set(a.species)
+    for sp in sorted(known.intersection(b.species)):
         if sp in a.init and sp in b.init and a.init[sp] != b.init[sp]:
             raise InitConflict(
                 f"species {sp!r} has init {a.init[sp]} in one network "
                 f"and {b.init[sp]} in the other"
             )
-    species = a.species + tuple(sp for sp in b.species if sp not in set(a.species))
+    species = a.species + tuple(sp for sp in b.species if sp not in known)
+    index = {sp: i for i, sp in enumerate(species)}
+    remap = np.array([index[sp] for sp in b.species], dtype=np.intp)
+    ta, tb = a.table, b.table
+    table = ReactionTable.from_sides(
+        np.concatenate([np.diff(ta.in_off), np.diff(tb.in_off)]),
+        np.concatenate([ta.in_idx, remap[tb.in_idx]]),
+        np.concatenate([np.diff(ta.out_off), np.diff(tb.out_off)]),
+        np.concatenate([ta.out_idx, remap[tb.out_idx]]),
+        np.concatenate([ta.rates, tb.rates]),
+    )
     init = dict(a.init)
     for sp, val in b.init.items():
         init.setdefault(sp, val)
     meta = dict(a.meta)
     for key, val in b.meta.items():
         meta.setdefault(key, val)
-    diffs = a.diffs + tuple(d for d in b.diffs if d not in set(a.diffs))
-    return Crn(
-        species, a.reactions + b.reactions, init, meta, diffs, a.blocks + b.blocks
-    )
+    paired = set(a.diffs)
+    diffs = a.diffs + tuple(d for d in b.diffs if d not in paired)
+    # two valid networks with compatible inits and blocks make a valid union
+    return Crn._valid(species, table, init, meta, diffs, a.blocks + b.blocks)
 
 
-def format_reaction(rx: Reaction) -> str:
-    left = " + ".join(rx.reactants) or EMPTY_SIDE
-    right = " + ".join(rx.products) or EMPTY_SIDE
-    return f"{left} ->{{{rx.rate:.17g}}} {right}"
+def _side_texts(off, idx, names, before: str, after: str) -> np.ndarray:
+    """`before` + each side's text (`0`, `a`, `a + b`, ...) + `after`.
+
+    `names` is the species as an object array; the texts come back as one.
+    """
+    lengths = np.diff(off)
+    texts = np.full(lengths.size, before + EMPTY_SIDE + after, dtype=object)
+    for length in range(1, lengths.max(initial=0) + 1):
+        rows = np.flatnonzero(lengths == length)
+        at = off[rows]
+        parts = [before + names] + [" + " + names] * (length - 1)
+        parts[-1] = parts[-1] + after
+        text = parts[0][idx[at]]
+        for k in range(1, length):
+            text = text + parts[k][idx[at + k]]
+        texts[rows] = text
+    return texts
 
 
 def serialize_crn(net: Crn) -> str:
@@ -304,38 +488,73 @@ def serialize_crn(net: Crn) -> str:
     for sp in net.species:
         if sp in net.init:
             lines.append(f"init {sp} {net.init[sp]:.17g}")
-    start = len(net.reactions) - net.marked
-    lines.extend(map(format_reaction, net.reactions[:start]))
+    table = net.table
+    names = np.array(net.species, dtype=object)
+    # catalytic reactions come in pairs of one rate, so each run of equal
+    # rates is formatted once
+    rates = table.rates
+    new_run = np.ones(rates.size, dtype=bool)
+    new_run[1:] = rates[1:] != rates[:-1]
+    runs = np.flatnonzero(new_run)
+    texts = np.array(["%.17g" % rate for rate in rates[runs].tolist()], dtype=object)
+    reactions = (
+        _side_texts(table.in_off, table.in_idx, names, "", " ->{")
+        + np.repeat(texts, np.diff(runs, append=rates.size))
+        + _side_texts(table.out_off, table.out_idx, names, "} ", "")
+    ).tolist()
+    start = len(reactions) - net.marked
+    lines.extend(reactions[:start])
     for label, count in net.blocks:
         lines.append(f"# {label}")
-        lines.extend(map(format_reaction, net.reactions[start : start + count]))
+        lines.extend(reactions[start : start + count])
         start += count
     for out, plus, minus in net.diffs:
         lines.append(f"# diff {out} {plus} {minus}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_side(text: str, line_no: int) -> tuple[str, ...]:
-    text = text.strip()
-    if text == EMPTY_SIDE:
-        return ()
-    names = tuple([t.strip() for t in text.split("+")])
+def _parse_side(text: str, line_no: int) -> list[str]:
+    names = list(map(str.strip, text.split("+")))
+    if names == [EMPTY_SIDE]:
+        return []
     if "" in names:
-        raise ParseError(line_no, f"malformed reaction side {text!r}")
+        raise ParseError(line_no, f"malformed reaction side {text.strip()!r}")
     return names
+
+
+def _reaction_indices(left: str, right: str, index: dict[str, int], line_no: int):
+    """The species indices of a reaction line's two sides, or its ParseError.
+
+    A malformed side is reported before an undeclared name, and reactants
+    before products.
+    """
+    sides = _parse_side(left, line_no), _parse_side(right, line_no)
+    try:
+        return [list(map(index.__getitem__, names)) for names in sides]
+    except KeyError as exc:
+        raise ParseError(line_no, f"undeclared species {exc.args[0]!r}") from None
 
 
 def parse_crn(text: str) -> Crn:
     species: list[str] = []
-    declared: set[str] = set()
+    index: dict[str, int] = {}
     init: dict[str, float] = {}
-    reactions: list[Reaction] = []
     meta: dict[str, str] = {}
     diffs: list[tuple[str, str, str]] = []
     starts: list[tuple[str, int]] = []  # (block label, its first reaction)
-    # side text -> its names, once every name is known to be declared;
-    # species are only ever added, so a checked side stays valid
-    sides: dict[str, tuple[str, ...]] = {}
+    # the reaction table's columns: side lengths, species indices and rates
+    in_len: list[int] = []
+    in_idx: list[int] = []
+    out_len: list[int] = []
+    out_idx: list[int] = []
+    rates: list[float] = []
+    # reactant side text -> its indices, and a product side's `+`-separated
+    # token -> its index, once the names are known to be declared; species
+    # are only ever added, so a checked side or token stays valid
+    sides: dict[str, list[int]] = {}
+    product_tokens: dict[str, int] = {}
+    # rate text -> its value; catalytic reactions come in pairs of one rate
+    checked_rates: dict[str, float] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -348,51 +567,52 @@ def parse_crn(text: str) -> Crn:
             elif toks[:1] == ["diff"] and len(toks) == 4:
                 diffs.append((toks[1], toks[2], toks[3]))
             elif (label := _block_label(toks)) is not None:
-                starts.append((label, len(reactions)))
+                starts.append((label, len(rates)))
             continue
         left, arrow, rest = line.partition("->{")
         if arrow:
             rate_str, brace, right = rest.partition("}")
             if not brace:
                 raise ParseError(line_no, "missing closing brace on rate")
-            try:
-                rate = float(rate_str)
-            except ValueError:
-                raise ParseError(line_no, f"bad rate {rate_str!r}") from None
-            if not 0.0 < rate < math.inf:
-                if not math.isfinite(rate):
-                    raise ParseError(line_no, f"non-finite rate {rate_str!r}")
-                raise ParseError(line_no, "rate must be positive")
+            rate = checked_rates.get(rate_str)
+            if rate is None:
+                try:
+                    rate = float(rate_str)
+                except ValueError:
+                    raise ParseError(line_no, f"bad rate {rate_str!r}") from None
+                if not 0.0 < rate < math.inf:
+                    if not math.isfinite(rate):
+                        raise ParseError(line_no, f"non-finite rate {rate_str!r}")
+                    raise ParseError(line_no, "rate must be positive")
+                checked_rates[rate_str] = rate
             reactants = sides.get(left)
-            fresh = reactants is None
-            if fresh:
-                reactants = _parse_side(left, line_no)
-            products = _parse_side(right, line_no)
-            if (fresh and not declared.issuperset(reactants)
-                    or not declared.issuperset(products)):
-                sp = next(sp for sp in reactants + products if sp not in declared)
-                raise ParseError(line_no, f"undeclared species {sp!r}")
-            if fresh:
+            tokens = right.split("+")
+            products = list(map(product_tokens.get, tokens))
+            if reactants is None or None in products:
+                reactants, products = _reaction_indices(left, right, index, line_no)
                 sides[left] = reactants
-            reactions.append(Reaction(reactants, products, rate))
+                product_tokens.update(zip(tokens, products))
+            in_len.append(len(reactants))
+            in_idx += reactants
+            out_len.append(len(products))
+            out_idx += products
+            rates.append(rate)
             continue
         toks = line.split()
         if toks[0] == "species":
             for nm in toks[1:]:
-                check_name(nm, line_no, "species")
-                if nm == EMPTY_SIDE:
-                    raise ParseError(
-                        line_no, f"species name {EMPTY_SIDE!r} reads as the empty side"
-                    )
-                if nm in declared:
+                problem = _species_name_problem(nm)
+                if problem is not None:
+                    raise ParseError(line_no, problem)
+                if nm in index:
                     raise ParseError(line_no, f"duplicate species {nm!r}")
+                index[nm] = len(species)
                 species.append(nm)
-                declared.add(nm)
             continue
         if toks[0] == "init":
             if len(toks) != 3:
                 raise ParseError(line_no, "init takes: name value")
-            if toks[1] not in declared:
+            if toks[1] not in index:
                 raise ParseError(line_no, f"init of undeclared species {toks[1]!r}")
             if toks[1] in init:
                 raise ParseError(line_no, f"duplicate init for {toks[1]!r}")
@@ -408,6 +628,7 @@ def parse_crn(text: str) -> Crn:
             continue
         raise ParseError(line_no, f"unrecognized line {line!r}")
 
-    ends = [first for _, first in starts[1:]] + [len(reactions)]
+    ends = [first for _, first in starts[1:]] + [len(rates)]
     blocks = tuple((label, end - first) for (label, first), end in zip(starts, ends))
-    return Crn(tuple(species), tuple(reactions), init, meta, tuple(diffs), blocks)
+    table = ReactionTable.from_sides(in_len, in_idx, out_len, out_idx, rates)
+    return Crn(tuple(species), table, init, meta, tuple(diffs), blocks)

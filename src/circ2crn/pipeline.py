@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -129,7 +130,12 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     circuit_rs = hungarize(
         positivate(circuit_ode, coupling=(bx, inp.input_names)), gamma
     )
-    circuit = emit_crn(circuit_rs, *split_initial(x0))
+    parts = [(CIRCUIT_BLOCK, emit_crn(circuit_rs, *split_initial(x0)))]
+    for name, model in source_models(net):
+        ode = AffineOde(model.D, model.d, model.names, 0)
+        block = emit_crn(hungarize(positivate(ode), gamma), *split_initial(model.init))
+        parts.append((f"{INPUT_BLOCK} {name}", block))
+    merged = reduce(union, [block for _, block in parts])
     meta = {
         "h": f"{cfg.h:.17g}",
         "gamma": f"{gamma:.17g}",
@@ -138,14 +144,9 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     names = sys.state_names + inp.names
     pairs = rails(names)
     diffs = tuple(zip(names, pairs[0::2], pairs[1::2]))
-    blocks = ((CIRCUIT_BLOCK, len(circuit.reactions)),)
-    merged = replace(circuit, meta=meta, diffs=diffs, blocks=blocks)
-    for name, model in source_models(net):
-        ode = AffineOde(model.D, model.d, model.names, 0)
-        block = emit_crn(hungarize(positivate(ode), gamma), *split_initial(model.init))
-        label = f"{INPUT_BLOCK} {name}"
-        merged = union(merged, replace(block, blocks=((label, len(block.reactions)),)))
-    return CompiledCircuit(sys, inp, x0, flagged, direct, cfg.h, gamma, merged)
+    blocks = tuple((label, len(block.table)) for label, block in parts)
+    crn = Crn(merged.species, merged.table, merged.init, meta, diffs, blocks)
+    return CompiledCircuit(sys, inp, x0, flagged, direct, cfg.h, gamma, crn)
 
 
 def simulate_crn(net: Crn, T: float, dt: float, integrator=integrate) -> Trajectory:

@@ -10,11 +10,11 @@ import pytest
 
 import circ2crn
 from circ2crn.cli import main
-from circ2crn.crn import parse_crn, serialize_crn
+from circ2crn.crn import Reaction, parse_crn, serialize_crn
 from circ2crn.pipeline import RunConfig, frequency_response, verify_circuit
 from circ2crn.circuit import parse_netlist
 
-from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block
+from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block, rl_ladder
 
 SINGULAR = "V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n"
 # one source, so `freq` compiles it: nodes 2 and 3 reach ground only through
@@ -116,6 +116,19 @@ class TestCompile:
         header, *rows = open(csv_path).read().splitlines()
         assert "v{a}-b.$" in header.split(",")
         assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+
+    def test_compile_and_simulate_build_no_reaction_objects(self, tmp_path, monkeypatch):
+        # both commands work on the reaction table from emission to field
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Reaction object was built")
+
+        monkeypatch.setattr(Reaction, "__init__", refuse)
+        with pytest.raises(AssertionError):
+            Reaction((), ("x",), 1.0)
+        netlist = _write(tmp_path, "ladder.cir", rl_ladder(20))
+        out = str(tmp_path / "ladder.crn")
+        assert main(["compile", netlist, "-o", out]) == 0
+        assert main(["simulate", out, "-T", "0.0005", "-o", str(tmp_path / "l.csv")]) == 0
 
     @pytest.mark.parametrize("flags,message", [
         (["-h", "nan"], "h must be positive and finite"),

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from circ2crn.circuit import Fourier, build_dae, parse_netlist
+from circ2crn.circuit import Fourier, build_dae, parse_netlist, source_models
 from circ2crn.crn import (
     CIRCUIT_BLOCK,
     Crn,
     Reaction,
+    ReactionTable,
     emit_crn,
     mass_action_field,
     parse_crn,
@@ -27,7 +28,7 @@ from circ2crn.errors import (
     UnknownSpecies,
 )
 from circ2crn.pipeline import RunConfig, compile_circuit
-from circ2crn.positivation import hungarize, positivate, rail_field
+from circ2crn.positivation import RailSystem, hungarize, positivate, rail_field, split_initial
 
 from conftest import rl_ladder, rlc_netlists, signed_ode
 
@@ -131,6 +132,137 @@ class TestEmit:
         net = emit_crn(hs, np.zeros(2), np.zeros(2))
         assert len(net.reactions) == 10
         assert all(len(r.reactants) == 1 for r in net.reactions)
+
+
+def reaction_loop_emit(rs: RailSystem, init_plus, init_minus):
+    """Reactions and init of a rail system, emitted one reaction at a time."""
+    species = rs.rail_names
+    pos, neg = species[0::2], species[1::2]
+    reactions: list[Reaction] = []
+    rows, cols = np.nonzero((rs.aplus > 0.0) | (rs.aminus > 0.0))
+    for i, j, up, um in zip(
+        rows.tolist(), cols.tolist(),
+        rs.aplus[rows, cols].tolist(), rs.aminus[rows, cols].tolist(),
+    ):
+        if up > 0.0:
+            reactions.append(Reaction((pos[j],), (pos[j], pos[i]), up))
+            reactions.append(Reaction((neg[j],), (neg[j], neg[i]), up))
+        if um > 0.0:
+            reactions.append(Reaction((neg[j],), (neg[j], pos[i]), um))
+            reactions.append(Reaction((pos[j],), (pos[j], neg[i]), um))
+    for i, (bp, bm) in enumerate(zip(rs.bplus.tolist(), rs.bminus.tolist())):
+        if bp > 0.0:
+            reactions.append(Reaction((), (pos[i],), bp))
+        if bm > 0.0:
+            reactions.append(Reaction((), (neg[i],), bm))
+    if rs.gamma > 0.0:
+        for i in range(rs.n):
+            reactions.append(Reaction((pos[i], neg[i]), (), float(rs.gamma)))
+    init = {}
+    plus, minus = np.asarray(init_plus).tolist(), np.asarray(init_minus).tolist()
+    for i, (p, m) in enumerate(zip(plus, minus)):
+        if p != 0.0:
+            init[pos[i]] = p
+        if m != 0.0:
+            init[neg[i]] = m
+    return tuple(reactions), init
+
+
+@st.composite
+def rail_systems(draw):
+    """Rail systems with zero and positive entries, up to two input columns
+    and gamma = 0 or > 0, with nonnegative initial rails."""
+    n, q = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    entry = st.just(0.0) | st.floats(1e-3, 1e3)
+
+    def values(*shape):
+        count = int(np.prod(shape))
+        return np.array(draw(st.lists(entry, min_size=count, max_size=count))).reshape(shape)
+
+    gamma = draw(st.just(0.0) | st.floats(1e-2, 1e2))
+    rs = RailSystem(
+        values(n, n + q), values(n, n + q), values(n), values(n),
+        tuple(f"x{i}" for i in range(n)), tuple(f"u{i}" for i in range(q)), gamma,
+    )
+    return rs, values(n), values(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rail_systems())
+def test_emit_equals_reaction_loop(case):
+    rs, plus, minus = case
+    net = emit_crn(rs, plus, minus)
+    reactions, init = reaction_loop_emit(rs, plus, minus)
+    assert net.reactions == reactions
+    assert net.init == init
+    assert net.species == rs.rail_names
+
+
+def test_compiled_ladder_blocks_equal_reaction_loop():
+    """Each block of a compiled network is its rail system, reaction by reaction."""
+    net, cfg = parse_netlist(rl_ladder(20)), RunConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        compiled = compile_circuit(net, cfg)
+    sys, inp = compiled.sys, compiled.inp
+    assert not compiled.direct
+    ax, bx = coupled_euler_map(sys, cfg.h)
+    ode = AffineOde(ax, np.zeros(sys.n), sys.state_names, sys.output_index)
+    parts = [(positivate(ode, coupling=(bx, inp.input_names)), compiled.x0)]
+    for _, model in source_models(net):
+        parts.append((positivate(AffineOde(model.D, model.d, model.names, 0)), model.init))
+    reactions, start = compiled.crn.reactions, 0
+    assert len(compiled.crn.blocks) == len(parts) == 2
+    for (_, count), (rs, x0) in zip(compiled.crn.blocks, parts):
+        rs = hungarize(rs, compiled.gamma)
+        want, _ = reaction_loop_emit(rs, *split_initial(x0))
+        assert emit_crn(rs, *split_initial(x0)).reactions == want
+        assert reactions[start : start + count] == want
+        start += count
+    assert start == len(reactions)
+
+
+class TestReactionTable:
+    def test_reactions_are_the_callers_tuple_or_built_once(self):
+        own = (Reaction(("A",), ("A", "B"), 2.0), Reaction(("A", "B"), (), 0.5))
+        net = Crn(("A", "B"), own)
+        assert net.reactions is own
+        assert net.table.in_idx.tolist() == [0, 0, 1]
+        assert net.table.out_off.tolist() == [0, 2, 2]
+        again = Crn(net.species, net.table)
+        assert again == net
+        assert again.reactions == own
+        assert again.reactions is again.reactions
+
+    def test_sides_of_any_length_round_trip(self):
+        net = Crn(("A", "B", "C"), (
+            Reaction(("A", "B", "C"), ("A",), 1.5),
+            Reaction(("A",), ("A", "B", "C"), 2.5),
+        ))
+        text = serialize_crn(net)
+        assert "A + B + C ->{1.5} A\nA ->{2.5} A + B + C\n" in text
+        again = parse_crn(text)
+        assert again == net
+        assert again.reactions == net.reactions
+        assert serialize_crn(again) == text
+        with pytest.raises(ValueError, match="up to binary"):
+            mass_action_field(again)
+
+    def test_malformed_tables_rejected(self):
+        table = Crn(("A", "B"), (Reaction(("A",), ("B",), 1.0),)).table
+        with pytest.raises(UnknownSpecies):
+            Crn(("A",), table)
+        with pytest.raises(ValueError, match="offsets"):
+            ReactionTable([0, 2], [0], [0, 1], [1], [1.0])
+        with pytest.raises(ValueError, match="positive"):
+            ReactionTable([0, 1], [0], [0, 1], [1], [0.0])
+
+    def test_network_and_table_are_immutable(self):
+        net = Crn(("A",), (Reaction(("A",), (), 1.0),))
+        with pytest.raises(AttributeError):
+            net.species = ("B",)
+        with pytest.raises(ValueError):
+            net.table.rates[0] = 2.0
 
 
 class TestMassActionField:
@@ -361,6 +493,8 @@ class TestSerialization:
             ("species X\nspecies a,b\n", "species name 'a,b' contains ','"),
             ("species X\nspecies a->{b\n", "brace"),  # `->{` makes it a reaction line
             ("species X\nspecies 0\n", "species name '0'"),
+            # a reaction line on `#a` would read as a comment
+            ("species X\nspecies X2 #a\n", "species name '#a' starts a comment"),
             ("species X\ninit X 1\ninit X 2\n", "duplicate init for 'X'"),
             # a bad side after valid reactions that share the other side
             ("species X Y\nX ->{1} X + Y\nX ->{1} X + Z\n", "undeclared species 'Z'"),
@@ -385,6 +519,15 @@ class TestSerialization:
         with pytest.raises(ParseError) as exc_info:
             parse_crn("species 0 x\n0 ->{1} 0 + x\n")
         assert exc_info.value.line_no == 1
+
+    @pytest.mark.parametrize(
+        "name", ["a b", "a\tb", "a\u2028b", "", "#a", "0", "a+b", "a,b", "a->{b"]
+    )
+    def test_species_name_the_format_cannot_carry_is_rejected(self, name):
+        # `a b` would not parse back, `` would write `0 ->{1} x`, a
+        # production, and `#a ->{1} x` would read as a comment
+        with pytest.raises(ValueError, match="species name"):
+            Crn((name, "x"), (Reaction((name,), ("x",), 1.0),))
 
     def test_rates_are_python_floats(self):
         with warnings.catch_warnings():
