@@ -11,7 +11,9 @@ product species of every reaction as indices into the network's species,
 flattened behind offsets, and the rates as one float64 array, all in
 reaction order.  Emission, union, serialization, parsing and the field
 build work on the table alone; `Crn.reactions` gives the same reactions as
-`Reaction` objects for callers that want them.
+`Reaction` objects for callers that want them.  `Crn` checks its parts
+whenever one is made, so every network in hand is valid.  `union` composes
+unannotated networks only; meta, diffs and blocks go on the finished one.
 
 The `.crn` text format is line oriented with '#' comments:
 
@@ -29,7 +31,8 @@ to any other reader.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -98,8 +101,8 @@ class Reaction:
             object.__setattr__(self, "reactants", tuple(self.reactants))
         if type(self.products) is not tuple:
             object.__setattr__(self, "products", tuple(self.products))
-        if not self.rate > 0.0:
-            raise ValueError("reaction rate must be positive")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError("reaction rate must be positive and finite")
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -137,8 +140,9 @@ class ReactionTable:
             if (off.shape != (n + 1,) or idx.ndim != 1 or off[0] != 0
                     or off[-1] != idx.size or np.any(off[1:] < off[:-1])):
                 raise ValueError("reaction table offsets do not match their indices")
-        if self.rates.ndim != 1 or not np.all(self.rates > 0.0):
-            raise ValueError("reaction rate must be positive")
+        finite = (self.rates > 0.0) & (self.rates < math.inf)
+        if self.rates.ndim != 1 or not np.all(finite):
+            raise ValueError("reaction rate must be positive and finite")
 
     @classmethod
     def from_sides(cls, in_len, in_idx, out_len, out_idx, rates) -> ReactionTable:
@@ -201,88 +205,59 @@ def _table_of(reactions: tuple[Reaction, ...], index: dict[str, int]) -> Reactio
     )
 
 
+@dataclass(frozen=True)
 class Crn:
     """A reaction network: species, reactions, initial values, annotations.
 
-    `Crn(species, reactions, init, meta, diffs, blocks)` takes the reactions
-    as a sequence of `Reaction` or as a `ReactionTable` over the species
-    indices, and keeps them as the table (`Crn.table`).  `Crn.reactions` is
-    the caller's own tuple when the network was built from one, and is
-    otherwise built from the table on first access and cached.  `blocks`
-    lists (label, reaction count) of the marked blocks, which cover the
-    last reactions in order; any reactions before them are unmarked.  A
-    Crn is immutable and compares by content.
+    `table` takes the reactions as a `ReactionTable` over the species
+    indices or as a sequence of `Reaction`, which is converted to one.
+    `Crn.reactions` gives the table's reactions as `Reaction` objects,
+    built on first access.  `blocks` lists (label, reaction count) of the
+    marked blocks, which cover the last reactions in order; any reactions
+    before them are unmarked.  Every construction, `dataclasses.replace`
+    included, runs the same checks.
     """
 
-    def __init__(self, species, reactions, init=None, meta=None, diffs=(), blocks=()):
-        species = tuple(species)
-        blocks = tuple(tuple(b) for b in blocks)
-        for label, count in blocks:
+    species: tuple[str, ...]
+    table: ReactionTable
+    init: dict[str, float] = field(default_factory=dict)
+    meta: dict[str, str] = field(default_factory=dict)
+    diffs: tuple[tuple[str, str, str], ...] = ()  # (out, plus, minus)
+    blocks: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "species", tuple(self.species))
+        object.__setattr__(self, "diffs", tuple(self.diffs))
+        object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        for label, count in self.blocks:
             if _block_label(label.split()) != label or count < 0:
                 raise ValueError(f"bad reaction block ({label!r}, {count})")
-        for sp in species:
+        for sp in self.species:
             problem = _species_name_problem(sp)
             if problem is not None:
                 raise ValueError(problem)
-        index = {sp: i for i, sp in enumerate(species)}
-        if len(index) != len(species):
+        index = {sp: i for i, sp in enumerate(self.species)}
+        if len(index) != len(self.species):
             raise ValueError("duplicate species names")
-        if isinstance(reactions, ReactionTable):
-            table, own = reactions, None
-            for idx in (table.in_idx, table.out_idx):
-                if idx.size and not 0 <= idx.min() <= idx.max() < len(species):
+        if isinstance(self.table, ReactionTable):
+            for idx in (self.table.in_idx, self.table.out_idx):
+                if idx.size and not 0 <= idx.min() <= idx.max() < len(index):
                     raise UnknownSpecies("reaction table indexes beyond the species")
         else:
-            own = tuple(reactions)
-            table = _table_of(own, index)
-        if sum(count for _, count in blocks) > len(table):
+            object.__setattr__(self, "table", _table_of(tuple(self.table), index))
+        if self.marked > len(self.table):
             raise ValueError("reaction blocks cover more reactions than exist")
-        init = {} if init is None else init
-        for sp, val in init.items():
+        for sp, val in self.init.items():
             if sp not in index:
                 raise UnknownSpecies(f"init references unknown species {sp!r}")
+            if not math.isfinite(val):
+                raise ValueError(f"init[{sp!r}] = {val} is not finite")
             if val < 0.0:
                 raise NegativeInit(f"init[{sp!r}] = {val} is negative")
-        self.__dict__.update(
-            species=species, table=table, _reactions=own, init=init,
-            meta={} if meta is None else meta, diffs=tuple(diffs), blocks=blocks,
-        )
 
-    @classmethod
-    def _valid(cls, species, table, init, meta, diffs, blocks) -> Crn:
-        """A network of parts already known to be valid together, unchecked."""
-        net = cls.__new__(cls)
-        net.__dict__.update(
-            species=species, table=table, _reactions=None, init=init,
-            meta=meta, diffs=diffs, blocks=blocks,
-        )
-        return net
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Crn is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Crn is immutable")
-
-    @property
+    @cached_property
     def reactions(self) -> tuple[Reaction, ...]:
-        if self._reactions is None:
-            self.__dict__["_reactions"] = self.table.reactions(self.species)
-        return self._reactions
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.species == other.species and self.table == other.table
-                and self.init == other.init and self.meta == other.meta
-                and self.diffs == other.diffs and self.blocks == other.blocks)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return (f"Crn(species={self.species!r}, reactions={self.reactions!r}, "
-                f"init={self.init!r}, meta={self.meta!r}, diffs={self.diffs!r}, "
-                f"blocks={self.blocks!r})")
+        return self.table.reactions(self.species)
 
     def initial_state(self) -> np.ndarray:
         return np.array([self.init.get(sp, 0.0) for sp in self.species])
@@ -421,14 +396,16 @@ def mass_action_field(*nets: Crn):
 
 
 def union(a: Crn, b: Crn) -> Crn:
-    """Compose two networks; shared species names identify shared species.
+    """Compose two unannotated networks; shared species names identify
+    shared species.
 
-    Initial values are partial maps: a conflict is raised only when both
-    networks assign a shared species different values.  Reaction blocks
-    concatenate, so unmarked reactions of b may not follow a marked block.
+    The result holds a's species and reactions, then b's.  Initial values
+    are partial maps: a conflict is raised only when both networks assign
+    a shared species different values.  ValueError when either network
+    carries meta, diffs or blocks; annotations go on the finished network.
     """
-    if a.blocks and b.marked < len(b.table):
-        raise ValueError("unmarked reactions cannot follow a marked block")
+    if a.meta or a.diffs or a.blocks or b.meta or b.diffs or b.blocks:
+        raise ValueError("union composes only networks without meta, diffs or blocks")
     known = set(a.species)
     for sp in sorted(known.intersection(b.species)):
         if sp in a.init and sp in b.init and a.init[sp] != b.init[sp]:
@@ -450,13 +427,7 @@ def union(a: Crn, b: Crn) -> Crn:
     init = dict(a.init)
     for sp, val in b.init.items():
         init.setdefault(sp, val)
-    meta = dict(a.meta)
-    for key, val in b.meta.items():
-        meta.setdefault(key, val)
-    paired = set(a.diffs)
-    diffs = a.diffs + tuple(d for d in b.diffs if d not in paired)
-    # two valid networks with compatible inits and blocks make a valid union
-    return Crn._valid(species, table, init, meta, diffs, a.blocks + b.blocks)
+    return Crn(species, table, init)
 
 
 def _side_texts(off, idx, names, before: str, after: str) -> np.ndarray:

@@ -145,7 +145,7 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     pairs = rails(names)
     diffs = tuple(zip(names, pairs[0::2], pairs[1::2]))
     blocks = tuple((label, len(block.table)) for label, block in parts)
-    crn = Crn(merged.species, merged.table, merged.init, meta, diffs, blocks)
+    crn = replace(merged, meta=meta, diffs=diffs, blocks=blocks)
     return CompiledCircuit(sys, inp, x0, flagged, direct, cfg.h, gamma, crn)
 
 

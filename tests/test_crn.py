@@ -223,16 +223,16 @@ def test_compiled_ladder_blocks_equal_reaction_loop():
 
 
 class TestReactionTable:
-    def test_reactions_are_the_callers_tuple_or_built_once(self):
+    def test_reactions_equal_the_input_and_are_built_once(self):
         own = (Reaction(("A",), ("A", "B"), 2.0), Reaction(("A", "B"), (), 0.5))
         net = Crn(("A", "B"), own)
-        assert net.reactions is own
+        assert net.reactions == own
+        assert net.reactions is net.reactions
         assert net.table.in_idx.tolist() == [0, 0, 1]
         assert net.table.out_off.tolist() == [0, 2, 2]
         again = Crn(net.species, net.table)
         assert again == net
         assert again.reactions == own
-        assert again.reactions is again.reactions
 
     def test_sides_of_any_length_round_trip(self):
         net = Crn(("A", "B", "C"), (
@@ -387,14 +387,18 @@ class TestUnion:
         with pytest.raises(InitConflict):
             union(a, b)
 
-    def test_blocks_concatenate(self):
-        a = Crn(("X",), (Reaction(("X",), (), 1.0),), blocks=((CIRCUIT_BLOCK, 1),))
-        b = Crn(("Y",), (Reaction(("Y",), (), 2.0),), blocks=(("input reactions y", 1),))
-        assert union(a, b).blocks == ((CIRCUIT_BLOCK, 1), ("input reactions y", 1))
-        # unmarked reactions may lead, but not follow a marked block
-        assert union(Crn(("Y",), b.reactions), a).blocks == a.blocks
-        with pytest.raises(ValueError):
-            union(a, Crn(("Y",), b.reactions))
+    @pytest.mark.parametrize("annotation", [
+        {"meta": {"h": "0.01"}},
+        {"diffs": (("x", "X", "X"),)},
+        {"blocks": ((CIRCUIT_BLOCK, 1),)},
+    ], ids=["meta", "diffs", "blocks"])
+    def test_annotated_network_rejected(self, annotation):
+        plain = self._simple("Y")
+        annotated = replace(self._simple("X"), **annotation)
+        with pytest.raises(ValueError, match="without meta, diffs or blocks"):
+            union(annotated, plain)
+        with pytest.raises(ValueError, match="without meta, diffs or blocks"):
+            union(plain, annotated)
 
     def test_partial_init_is_not_a_conflict(self):
         a = Crn(("X",), ())  # no init statement for X
@@ -406,6 +410,17 @@ NON_FINITE = ("nan", "inf", "-inf")
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("make", [
+        lambda v: Reaction(("X",), (), v),
+        lambda v: ReactionTable([0, 1], [0], [0, 0], [], [v]),
+        lambda v: Crn(("X",), (), {"X": v}),
+    ], ids=["reaction_rate", "table_rate", "init"])
+    def test_non_finite_values_rejected_before_writing(self, make, value):
+        # the reader rejects them, so a network holding one could not read back
+        with pytest.raises(ValueError):
+            make(float(value))
+
     def test_single_reaction_exact_text(self):
         h = 0.01
         net = Crn(
@@ -464,6 +479,9 @@ class TestSerialization:
             Crn(("X",), (), blocks=(("not a marker", 0),))
         with pytest.raises(ValueError):
             Crn(("X",), (), blocks=((CIRCUIT_BLOCK, 1),))  # covers no reaction
+        # a copy runs the same checks
+        with pytest.raises(ValueError, match="bad reaction block"):
+            replace(Crn(("X",), ()), blocks=(("not a marker", 0),))
 
     def test_keywords_only_matter_as_first_token(self):
         text = (

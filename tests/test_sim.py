@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from circ2crn import pipeline, sim
-from circ2crn.circuit import parse_netlist
+from circ2crn.circuit import build_dae, parse_netlist
 from circ2crn.crn import Crn, Reaction, mass_action_field
-from circ2crn.dae import AffineOde, Trajectory
+from circ2crn.dae import AffineOde, Trajectory, coupled_euler_map, e_invertible
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
 from circ2crn.pipeline import (
     RunConfig,
@@ -29,8 +29,10 @@ from circ2crn.sim import (
 
 from conftest import (
     RL_DC,
+    RL_SINE,
     TWO_CAP,
     interleave,
+    rl_ladder,
     signed_ode,
     sine_input_2state,
 )
@@ -158,6 +160,20 @@ class TestIntegrate:
             check_dt(0.01, 0.01)
         check_dt(0.0005, 0.01)  # compliant: no warning
 
+
+class TestEulerStiffnessBound:
+    """RK4 at h/20 rests on the Euler map's eigenvalues staying within 1/h:
+    those of (E - hA)^-1 A are lambda / (1 - h lambda) for the finite
+    eigenvalues of a passive pencil, and -1/h on the algebraic columns."""
+
+    @pytest.mark.parametrize("text", [RL_DC, RL_SINE, rl_ladder(20), rl_ladder(60)],
+                             ids=["rl_dc", "rl_sine", "ladder20", "ladder60"])
+    @pytest.mark.parametrize("h", [0.001, 0.01, 0.1])
+    def test_spectral_radius_within_one_over_h(self, text, h):
+        sys, _ = build_dae(parse_netlist(text))
+        assert not e_invertible(sys)
+        fa, _ = coupled_euler_map(sys, h)
+        assert np.max(np.abs(np.linalg.eigvals(fa))) * h <= 1 + 1e-9
 
 
 class TestIntegrateAdaptive:
