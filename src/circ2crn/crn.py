@@ -12,7 +12,8 @@ flattened behind offsets, and the rates as one float64 array, all in
 reaction order.  Emission, union, serialization, parsing and the field
 build work on the table alone; `Crn.reactions` gives the same reactions as
 `Reaction` objects for callers that want them.  `Crn` checks its parts
-whenever one is made, so every network in hand is valid.  `union` composes
+whenever one is made and keeps them read-only, so every network in hand is
+valid and its `.crn` text reads back as itself.  `union` composes
 unannotated networks only; meta, diffs and blocks go on the finished one.
 
 The `.crn` text format is line oriented with '#' comments:
@@ -31,9 +32,11 @@ to any other reader.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,6 +66,11 @@ def check_name(name: str, line_no: int, what: str) -> None:
             raise ParseError(line_no, f"{what} name {name!r} contains {bad!r}")
 
 
+def _is_word(name) -> bool:
+    """Whether the reader's whitespace split gives the name back whole."""
+    return isinstance(name, str) and name.split() == [name]
+
+
 def _species_name_problem(name: str) -> str | None:
     """Why `parse_crn` could not read a species name back, or None.
 
@@ -74,10 +82,23 @@ def _species_name_problem(name: str) -> str | None:
             return f"species name {name!r} contains {bad!r}"
     if name == EMPTY_SIDE:
         return f"species name {EMPTY_SIDE!r} reads as the empty side"
-    if name.split() != [name]:
+    if not _is_word(name):
         return f"species name {name!r} is empty or holds whitespace"
     if name[0] == "#":
         return f"species name {name!r} starts a comment"
+    return None
+
+
+def _meta_problem(key, value) -> str | None:
+    """Why `parse_crn` could not read a `# meta key value` line back, or None.
+
+    The reader splits the line on whitespace and joins the value's words
+    with single spaces.
+    """
+    if not _is_word(key):
+        return f"meta key {key!r} is empty or holds whitespace"
+    if not isinstance(value, str) or not value or " ".join(value.split()) != value:
+        return f"meta value {value!r} of {key!r} is empty or not single-spaced"
     return None
 
 
@@ -212,23 +233,32 @@ class Crn:
     `table` takes the reactions as a `ReactionTable` over the species
     indices or as a sequence of `Reaction`, which is converted to one.
     `Crn.reactions` gives the table's reactions as `Reaction` objects,
-    built on first access.  `blocks` lists (label, reaction count) of the
+    built on first access.  `init` and `meta` are copied into read-only
+    mappings.  `diffs` lists (out, plus, minus), where plus and minus are
+    declared species.  `blocks` lists (label, reaction count) of the
     marked blocks, which cover the last reactions in order; any reactions
     before them are unmarked.  Every construction, `dataclasses.replace`
-    included, runs the same checks.
+    included, runs the same checks, and every check asks that the `.crn`
+    text of the network read back as the network.
     """
 
     species: tuple[str, ...]
     table: ReactionTable
-    init: dict[str, float] = field(default_factory=dict)
-    meta: dict[str, str] = field(default_factory=dict)
+    init: Mapping[str, float] = field(default_factory=dict)
+    meta: Mapping[str, str] = field(default_factory=dict)
     diffs: tuple[tuple[str, str, str], ...] = ()  # (out, plus, minus)
     blocks: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "species", tuple(self.species))
-        object.__setattr__(self, "diffs", tuple(self.diffs))
+        object.__setattr__(self, "init", MappingProxyType(dict(self.init)))
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
+        object.__setattr__(self, "diffs", tuple(tuple(d) for d in self.diffs))
         object.__setattr__(self, "blocks", tuple(tuple(b) for b in self.blocks))
+        for key, value in self.meta.items():
+            problem = _meta_problem(key, value)
+            if problem is not None:
+                raise ValueError(problem)
         for label, count in self.blocks:
             if _block_label(label.split()) != label or count < 0:
                 raise ValueError(f"bad reaction block ({label!r}, {count})")
@@ -254,6 +284,12 @@ class Crn:
                 raise ValueError(f"init[{sp!r}] = {val} is not finite")
             if val < 0.0:
                 raise NegativeInit(f"init[{sp!r}] = {val} is negative")
+        for diff in self.diffs:
+            if len(diff) != 3 or not all(map(_is_word, diff)):
+                raise ValueError(f"diff {diff!r} needs three names without whitespace")
+            for rail in diff[1:]:
+                if rail not in index:
+                    raise UnknownSpecies(f"diff references unknown species {rail!r}")
 
     @cached_property
     def reactions(self) -> tuple[Reaction, ...]:
@@ -536,6 +572,9 @@ def parse_crn(text: str) -> Crn:
             if toks[:1] == ["meta"] and len(toks) >= 3:
                 meta[toks[1]] = " ".join(toks[2:])
             elif toks[:1] == ["diff"] and len(toks) == 4:
+                for rail in toks[2:]:
+                    if rail not in index:
+                        raise ParseError(line_no, f"diff of undeclared species {rail!r}")
                 diffs.append((toks[1], toks[2], toks[3]))
             elif (label := _block_label(toks)) is not None:
                 starts.append((label, len(rates)))

@@ -193,7 +193,7 @@ def default_h_probes(seed: int | None = None) -> list[float]:
 
 
 def check_regularity(sys: DaeSystem, h_probe: list[float]) -> bool:
-    """True when E - hA passes the relative pivot rule at some probe h.
+    """True when E - hA passes the relative rank test at some probe h.
 
     For a regular pencil det(E - hA) is a polynomial in h that is not
     identically zero, so failing at every probe flags a singular pencil.
@@ -259,7 +259,9 @@ def direct_map(sys: DaeSystem) -> tuple[np.ndarray, np.ndarray]:
 
 
 def e_invertible(sys: DaeSystem) -> bool:
-    return failed_pivot(sys.E) is None
+    """Whether E passes the rank test; a zero column of E, which every
+    algebraic state gives, makes it singular without a factorization."""
+    return bool(sys.E.any(axis=0).all()) and failed_pivot(sys.E) is None
 
 
 def fourier_input(alpha: float, terms, name: str = "u") -> InputModel:

@@ -6,7 +6,7 @@ class Circ2CrnError(Exception):
 
 
 class SingularMatrix(Circ2CrnError):
-    """A pivot fell below the singularity threshold during LU factorization."""
+    """A matrix failed the relative rank test of `numerics.failed_pivot`."""
 
 
 class ParseError(Circ2CrnError):

@@ -1,11 +1,16 @@
 """Dense real linear algebra for small, well-scaled systems.
 
 Matrices are plain 2-D float64 numpy arrays, vectors 1-D arrays.  A square
-matrix counts as nonsingular when every pivot |U_kk| of its LU factorization
-with partial pivoting exceeds ``REL_PIVOT_TOL`` times the largest magnitude
-found in its original column k.  That relative threshold is what lets
-callers distinguish a genuinely singular pencil from round-off; the inverse
-itself comes from LAPACK through numpy.
+matrix counts as nonsingular when every diagonal entry |R_kk| of its
+Householder QR factorization exceeds ``REL_PIVOT_TOL`` times the 2-norm of
+its column k (Golub & Van Loan, Matrix Computations, 5.4).  |R_kk| is the
+distance of column k from the span of the columns before it, so the test is
+a rank test: scaling a column scales its |R_kk| and its norm together and
+leaves the verdict unchanged, and since |R_kk| >= sigma_min, a matrix fails
+only when its condition number is at least 1 / REL_PIVOT_TOL = 1e12.  That
+relative threshold is what lets callers distinguish a genuinely singular
+pencil from round-off.  The factorization and the inverse both come from
+LAPACK through numpy.
 """
 
 from __future__ import annotations
@@ -45,27 +50,25 @@ def _square(m, name: str = "M") -> np.ndarray:
 
 
 def failed_pivot(m) -> tuple[int, float] | None:
-    """First column whose pivot fails the relative rule, as (column, |U_kk|).
+    """First column that fails the relative rank test, as (column, |R_kk|).
 
-    Runs LU elimination with partial pivoting and stops at the first pivot
-    |U_kk| <= REL_PIVOT_TOL * (largest initial magnitude in column k).  None means
-    every pivot passes, i.e. the matrix is numerically nonsingular.  Scaling
-    any column leaves the verdict unchanged.
+    Factors the matrix once by Householder QR and reports the first k with
+    |R_kk| <= REL_PIVOT_TOL * ||column k||_2.  None means every column
+    passes, i.e. the matrix is numerically nonsingular.  Scaling any column
+    leaves the verdict unchanged, and a failure implies a condition number
+    of at least 1 / REL_PIVOT_TOL.
     """
     a = _square(m)
-    col_scale = np.max(np.abs(a), axis=0, initial=0.0)
-    for k in range(a.shape[0]):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        pivot = abs(a[p, k])
-        if pivot <= REL_PIVOT_TOL * col_scale[k]:
-            return k, float(pivot)
-        a[[k, p]] = a[[p, k]]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
-    return None
+    r = np.abs(np.diagonal(np.linalg.qr(a, mode="r")))
+    failed = np.flatnonzero(r <= REL_PIVOT_TOL * np.linalg.norm(a, axis=0))
+    if failed.size == 0:
+        return None
+    k = int(failed[0])
+    return k, float(r[k])
 
 
 def invert(m) -> np.ndarray:
-    """Inverse of a square matrix; SingularMatrix when a pivot fails the rule."""
+    """Inverse of a square matrix; SingularMatrix when a column fails the rank test."""
     mm = _square(m)
     failed = failed_pivot(mm)
     if failed is not None:

@@ -98,7 +98,7 @@ class CompiledCircuit:
 def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     """Compile a parsed netlist into its union CRN.
 
-    Raises SingularMatrix when E - hA fails the pivot rule at cfg.h, which
+    Raises SingularMatrix when E - hA fails the rank test at cfg.h, which
     a singular pencil does at every h (with E invertible the pencil is
     regular and E - hA is never formed), and ValidationError for structural
     problems; emits RuntimeWarnings for projected initial conditions and

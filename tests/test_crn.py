@@ -264,6 +264,22 @@ class TestReactionTable:
         with pytest.raises(ValueError):
             net.table.rates[0] = 2.0
 
+    def test_init_and_meta_are_read_only_copies(self):
+        init, meta = {"A": 1.0}, {"note": "a b"}
+        net = Crn(("A",), (), init, meta)
+        # a change after the checks would write `init A inf`, which the
+        # reader rejects
+        with pytest.raises(TypeError):
+            net.init["A"] = float("inf")
+        with pytest.raises(TypeError):
+            net.meta["note"] = "a\nA ->{1} 0"
+        init["A"], meta["note"] = float("inf"), ""
+        assert net == Crn(("A",), (), {"A": 1.0}, {"note": "a b"})
+        assert parse_crn(serialize_crn(net)) == net
+        again = replace(net, init={"A": 2.0})
+        assert again.init == {"A": 2.0} and again.meta == net.meta
+        assert replace(again, init=net.init) == net
+
 
 class TestMassActionField:
     def test_zero_order_production(self):
@@ -421,6 +437,28 @@ class TestSerialization:
         with pytest.raises(ValueError):
             make(float(value))
 
+    @pytest.mark.parametrize("annotation", [
+        {"meta": {"bad key": "v"}},
+        {"meta": {"": "v"}},
+        {"meta": {"k": "a\nX ->{1} 0"}},
+        {"meta": {"k": ""}},
+        {"meta": {"k": "a  b"}},
+        {"meta": {"k": " a"}},
+        {"diffs": (("o", "nope", "X"),)},
+        {"diffs": (("o", "X", "nope"),)},
+        {"diffs": (("o p", "X", "X"),)},
+        {"diffs": (("o", "X"),)},
+    ], ids=["key_space", "key_empty", "value_newline", "value_empty", "value_double_space",
+            "value_leading_space", "diff_plus_undeclared", "diff_minus_undeclared",
+            "diff_name_space", "diff_two_names"])
+    def test_annotation_the_format_cannot_carry_is_rejected(self, annotation):
+        # e.g. `# meta bad key v` reads back as key `bad`, and a value
+        # holding a newline writes a second line the reader rejects
+        with pytest.raises((ValueError, UnknownSpecies)):
+            Crn(("X",), (), **annotation)
+        with pytest.raises((ValueError, UnknownSpecies)):
+            replace(Crn(("X",), ()), **annotation)
+
     def test_single_reaction_exact_text(self):
         h = 0.01
         net = Crn(
@@ -514,6 +552,8 @@ class TestSerialization:
             # a reaction line on `#a` would read as a comment
             ("species X\nspecies X2 #a\n", "species name '#a' starts a comment"),
             ("species X\ninit X 1\ninit X 2\n", "duplicate init for 'X'"),
+            ("species X\n# diff o nope X\n", "diff of undeclared species 'nope'"),
+            ("species X\n# diff o X nope\n", "diff of undeclared species 'nope'"),
             # a bad side after valid reactions that share the other side
             ("species X Y\nX ->{1} X + Y\nX ->{1} X + Z\n", "undeclared species 'Z'"),
             ("species X Y\nX ->{1} X + Y\nX ->{1} X +\n", "malformed reaction side 'X +'"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from circ2crn.errors import SingularMatrix
-from circ2crn.numerics import as_matrix, as_vector, failed_pivot, invert
+from circ2crn.numerics import REL_PIVOT_TOL, as_matrix, as_vector, failed_pivot, invert
 
 
 def _residual(m, y, rhs) -> float:
@@ -86,7 +86,10 @@ class TestFailedPivot:
         assert failed_pivot(np.eye(3)) is None
 
     def test_exactly_singular_reports_column(self):
-        assert failed_pivot([[1.0, 1.0], [1.0, 1.0]]) == (1, 0.0)
+        # QR leaves a rounding residue of ~5e-17 where elimination left 0
+        col, value = failed_pivot([[1.0, 1.0], [1.0, 1.0]])
+        assert col == 1
+        assert value <= REL_PIVOT_TOL * np.linalg.norm([1.0, 1.0])
 
     def test_verdict_invariant_under_column_scaling(self):
         # pivot 1e-13 against column scale 1 fails the 1e-12 rule
@@ -134,3 +137,64 @@ def test_random_matrix_properties():
         x = rng.standard_normal(size)
         back = inv @ (m @ x)
         assert np.max(np.abs(back - x)) <= 1e-8 * max(1.0, np.max(np.abs(x)))
+
+
+def _lu_failed_pivot(m) -> tuple[int, float] | None:
+    """The elimination rule the QR rank test replaced, kept as a reference.
+
+    LU with partial pivoting, stopping at the first pivot
+    |U_kk| <= REL_PIVOT_TOL * (largest initial magnitude in column k).
+    """
+    a = np.array(m, dtype=float)
+    col_scale = np.max(np.abs(a), axis=0, initial=0.0)
+    for k in range(a.shape[0]):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = abs(a[p, k])
+        if pivot <= REL_PIVOT_TOL * col_scale[k]:
+            return k, float(pivot)
+        a[[k, p]] = a[[p, k]]
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k] / a[k, k], a[k, k + 1 :])
+    return None
+
+
+def _column_scalings(rng, size):
+    """Unit scales, then per-column scales drawn log-uniformly in [1e-8, 1e8]."""
+    yield np.ones(size)
+    for _ in range(3):
+        yield 10.0 ** rng.uniform(-8.0, 8.0, size)
+
+
+def _dependent_column(rng, size):
+    """An integer matrix whose column j >= 1 is an exact integer combination
+    of the columns before it; the other columns are well conditioned."""
+    while True:
+        rest = rng.integers(-9, 10, (size, size - 1)).astype(float)
+        if np.linalg.cond(rest) < 1e6:
+            break
+    j = int(rng.integers(1, size))
+    coef = rng.integers(-3, 4, j).astype(float)
+    coef[rng.integers(0, j)] = rng.choice([-2.0, -1.0, 1.0, 2.0])
+    return np.insert(rest, j, rest[:, :j] @ coef, axis=1), j
+
+
+class TestFailedPivotAgainstElimination:
+    """The QR rank test and the elimination rule agree on verdict and column."""
+
+    def test_well_conditioned_pass_both(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(60):
+            size = int(rng.integers(1, 41))
+            m = _random_well_conditioned(rng, size)
+            for scale in _column_scalings(rng, size):
+                assert failed_pivot(m * scale) is None
+                assert _lu_failed_pivot(m * scale) is None
+
+    def test_dependent_column_fails_both_at_it(self):
+        rng = np.random.default_rng(18120330)
+        for _ in range(60):
+            size = int(rng.integers(2, 41))
+            m, j = _dependent_column(rng, size)
+            for scale in _column_scalings(rng, size):
+                qr, lu = failed_pivot(m * scale), _lu_failed_pivot(m * scale)
+                assert qr is not None and lu is not None
+                assert qr[0] == lu[0] == j
