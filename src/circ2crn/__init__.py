@@ -6,7 +6,7 @@ chemical reaction network, plus a backward-Euler DAE oracle and analytics
 for certifying the translation numerically.
 """
 
-from .circuit import Netlist, build_dae, parse_netlist, serialize_netlist
+from .circuit import Netlist, build_dae, parse_netlist
 from .crn import Crn, Reaction, emit_crn, mass_action_field, parse_crn, serialize_crn, union
 from .dae import (
     AffineOde,

@@ -7,6 +7,8 @@ The netlist grammar is line oriented with '#' comments:
     V|I   <name> <node+> <node-> FOURIER <alpha> (<beta> <omega> <gamma>)*
     OUT   <node>
 
+`DC <level>` is `FOURIER <level>` with no terms.
+
 Ground is the literal node "0".  Compilation produces the pencil
 E dx/dt = A x + B u over x = (non-ground node voltages) ++ (branch currents
 of voltage sources and inductors), with one input column per source.
@@ -32,17 +34,9 @@ GROUND = "0"
 
 
 @dataclass(frozen=True)
-class Dc:
-    level: float
-
-
-@dataclass(frozen=True)
 class Fourier:
     alpha: float
-    terms: tuple[tuple[float, float, float], ...]  # (beta, omega, gamma)
-
-
-Waveform = Dc | Fourier
+    terms: tuple[tuple[float, float, float], ...] = ()  # (beta, omega, gamma)
 
 
 @dataclass(frozen=True)
@@ -58,7 +52,7 @@ class Component:
 class Netlist:
     components: tuple[Component, ...]
     output_spec: str  # the ground-referenced output node
-    source_waveforms: dict[str, Waveform] = field(default_factory=dict)
+    source_waveforms: dict[str, Fourier] = field(default_factory=dict)
 
     def nodes(self) -> list[str]:
         seen: list[str] = []
@@ -85,7 +79,7 @@ def _float(tok: str, line_no: int, what: str) -> float:
 def parse_netlist(text: str) -> Netlist:
     """Parse and validate a netlist; raises ParseError / ValidationError."""
     components: list[Component] = []
-    waveforms: dict[str, Waveform] = {}
+    waveforms: dict[str, Fourier] = {}
     output: str | None = None
     names: set[str] = set()
 
@@ -121,7 +115,7 @@ def parse_netlist(text: str) -> Netlist:
             if mode == "DC":
                 if len(toks) != 6:
                     raise ParseError(line_no, "DC takes a single level")
-                waveforms[name] = Dc(_float(toks[5], line_no, "DC level"))
+                waveforms[name] = Fourier(_float(toks[5], line_no, "DC level"))
             elif mode == "FOURIER":
                 rest = toks[5:]
                 if not rest or (len(rest) - 1) % 3 != 0:
@@ -184,34 +178,12 @@ def _validate_graph(net: Netlist) -> None:
         raise ValidationError(f"OUT references unknown node {net.output_spec!r}")
 
 
-def serialize_netlist(net: Netlist) -> str:
-    """Textual form that parses back to an equal Netlist."""
-    lines = []
-    for c in net.components:
-        if c.kind in ("R", "L", "C"):
-            lines.append(f"{c.kind} {c.name} {c.n1} {c.n2} {c.value:.17g}")
-        else:
-            wf = net.source_waveforms[c.name]
-            if isinstance(wf, Dc):
-                lines.append(f"{c.kind} {c.name} {c.n1} {c.n2} DC {wf.level:.17g}")
-            else:
-                parts = [f"{c.kind} {c.name} {c.n1} {c.n2} FOURIER {wf.alpha:.17g}"]
-                for beta, omega, gamma in wf.terms:
-                    parts.append(f"{beta:.17g} {omega:.17g} {gamma:.17g}")
-                lines.append(" ".join(parts))
-    lines.append(f"OUT {net.output_spec}")
-    return "\n".join(lines) + "\n"
-
-
 def source_models(net: Netlist) -> list[tuple[str, InputModel]]:
     """One input generator per source, in netlist order."""
     models = []
     for c in net.sources():
         wf = net.source_waveforms[c.name]
-        if isinstance(wf, Dc):
-            models.append((c.name, fourier_input(wf.level, [], name=c.name)))
-        else:
-            models.append((c.name, fourier_input(wf.alpha, wf.terms, name=c.name)))
+        models.append((c.name, fourier_input(wf.alpha, wf.terms, name=c.name)))
     return models
 
 
@@ -262,66 +234,43 @@ def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
     A = np.zeros((n, n))
     B = np.zeros((n, m))
 
-    kcl_row = dict(node_idx)  # KCL equation index per retained node
-
-    def stamp_a(row: int, node: str, coef: float) -> None:
-        """Add coef * v(node) to the A x + B u side of a row."""
+    def stamp(M: np.ndarray, row: int, node: str, coef: float) -> None:
+        """Add coef * v(node) to a row of M; a pinned node's term goes to B."""
         if node == GROUND:
             return
         if node in pinned:
             s, sign = pinned[node]
             B[row, s] += coef * sign
         else:
-            A[row, node_idx[node]] += coef
+            M[row, node_idx[node]] += coef
 
-    def stamp_e(row: int, node: str, coef: float) -> None:
-        if node == GROUND:
-            return
-        # pinned nodes never carry capacitors, so E never sees an input
-        E[row, node_idx[node]] += coef
+    def inject(M: np.ndarray, col: int, c: Component) -> None:
+        """KCL: the branch current in column col leaves n1 and enters n2."""
+        for node, sign in ((c.n1, -1.0), (c.n2, 1.0)):
+            if node in node_idx:
+                M[node_idx[node], col] += sign
 
     for c in net.components:
-        if c.kind == "R":
-            g = 1.0 / c.value
+        if c.kind in ("R", "C"):
+            # R: the out-current (v_a - v_b) / R moves negated to the A side;
+            # C: the out-current C d(v_a - v_b)/dt stays on the E side
+            M, coef = (A, -1.0 / c.value) if c.kind == "R" else (E, c.value)
             for a, b in ((c.n1, c.n2), (c.n2, c.n1)):
-                if a in kcl_row:
-                    row = kcl_row[a]
-                    # out-current g (v_a - v_b) moves negated to the RHS
-                    stamp_a(row, a, -g)
-                    stamp_a(row, b, +g)
-        elif c.kind == "C":
-            for a, b in ((c.n1, c.n2), (c.n2, c.n1)):
-                if a in kcl_row:
-                    row = kcl_row[a]
-                    stamp_e(row, a, +c.value)
-                    stamp_e(row, b, -c.value)
-        elif c.kind == "L":
+                if a in node_idx:
+                    stamp(M, node_idx[a], a, coef)
+                    stamp(M, node_idx[a], b, -coef)
+        elif c.name in current_of:
+            # L: L di/dt = v(n1) - v(n2);  V: 0 = v(n+) - v(n-) - u
             idx = current_of[c.name]
-            if c.n1 in kcl_row:
-                A[kcl_row[c.n1], idx] -= 1.0
-            if c.n2 in kcl_row:
-                A[kcl_row[c.n2], idx] += 1.0
-            E[idx, idx] = c.value  # L di/dt = v(n1) - v(n2)
-            stamp_a(idx, c.n1, +1.0)
-            stamp_a(idx, c.n2, -1.0)
-        elif c.kind == "V":
-            if c.name in eliminated:
-                continue
-            idx = current_of[c.name]
-            if c.n1 in kcl_row:
-                A[kcl_row[c.n1], idx] -= 1.0
-            if c.n2 in kcl_row:
-                A[kcl_row[c.n2], idx] += 1.0
-            # constraint row: 0 = v(n+) - v(n-) - u
-            stamp_a(idx, c.n1, +1.0)
-            stamp_a(idx, c.n2, -1.0)
-            B[idx, src_index[c.name]] -= 1.0
+            inject(A, idx, c)
+            stamp(A, idx, c.n1, +1.0)
+            stamp(A, idx, c.n2, -1.0)
+            if c.kind == "L":
+                E[idx, idx] = c.value
+            else:
+                B[idx, src_index[c.name]] -= 1.0
         elif c.kind == "I":
-            s = src_index[c.name]
-            if c.n1 in kcl_row:
-                B[kcl_row[c.n1], s] -= 1.0
-            if c.n2 in kcl_row:
-                B[kcl_row[c.n2], s] += 1.0
+            inject(B, src_index[c.name], c)
 
     zero_rows = [
         i

@@ -57,6 +57,8 @@ INPUT_BLOCK = "input reactions"
 NAME_FORBIDDEN = ("+", ",", "->{")
 # The spelling of a reaction side with no species, so no species may take it.
 EMPTY_SIDE = "0"
+# The first column of a simulation CSV, ahead of the species and diff outputs.
+TIME_COLUMN = "t"
 
 
 def check_name(name: str, line_no: int, what: str) -> None:
@@ -75,13 +77,16 @@ def _species_name_problem(name: str) -> str | None:
     """Why `parse_crn` could not read a species name back, or None.
 
     The reader splits lines on whitespace, takes `+`, `->{` and a leading
-    `#` as syntax and `0` as the empty side; `,` would split a CSV cell.
+    `#` as syntax and `0` as the empty side; `,` would split a CSV cell,
+    and `t` heads the CSV's time column.
     """
     for bad in NAME_FORBIDDEN:
         if bad in name:
             return f"species name {name!r} contains {bad!r}"
     if name == EMPTY_SIDE:
         return f"species name {EMPTY_SIDE!r} reads as the empty side"
+    if name == TIME_COLUMN:
+        return f"species name {TIME_COLUMN!r} is the CSV time column"
     if not _is_word(name):
         return f"species name {name!r} is empty or holds whitespace"
     if name[0] == "#":
@@ -99,6 +104,25 @@ def _meta_problem(key, value) -> str | None:
         return f"meta key {key!r} is empty or holds whitespace"
     if not isinstance(value, str) or not value or " ".join(value.split()) != value:
         return f"meta value {value!r} of {key!r} is empty or not single-spaced"
+    return None
+
+
+def _diff_problem(diff, index, outs) -> str | None:
+    """Why a `# diff out plus minus` line cannot stand, or None.
+
+    `simulate` writes each diff output as a CSV column after `t` and the
+    species, so an output must not hold a CSV separator (or a name
+    separator of the reader) and must not repeat `t`, a species in `index`
+    or an earlier output in `outs`.  The rails are checked by the callers.
+    """
+    if len(diff) != 3 or not all(map(_is_word, diff)):
+        return f"diff {diff!r} needs three names without whitespace"
+    out = diff[0]
+    for bad in NAME_FORBIDDEN:
+        if bad in out:
+            return f"diff output {out!r} contains {bad!r}"
+    if out == TIME_COLUMN or out in index or out in outs:
+        return f"diff output {out!r} repeats a CSV column"
     return None
 
 
@@ -235,11 +259,12 @@ class Crn:
     `Crn.reactions` gives the table's reactions as `Reaction` objects,
     built on first access.  `init` and `meta` are copied into read-only
     mappings.  `diffs` lists (out, plus, minus), where plus and minus are
-    declared species.  `blocks` lists (label, reaction count) of the
-    marked blocks, which cover the last reactions in order; any reactions
-    before them are unmarked.  Every construction, `dataclasses.replace`
-    included, runs the same checks, and every check asks that the `.crn`
-    text of the network read back as the network.
+    declared species and out names a CSV column of its own.  `blocks` lists
+    (label, reaction count) of the marked blocks, which cover the last
+    reactions in order; any reactions before them are unmarked.  Every
+    construction, `dataclasses.replace` included, runs the same checks, and
+    every check asks that the `.crn` text of the network read back as the
+    network.
     """
 
     species: tuple[str, ...]
@@ -284,9 +309,12 @@ class Crn:
                 raise ValueError(f"init[{sp!r}] = {val} is not finite")
             if val < 0.0:
                 raise NegativeInit(f"init[{sp!r}] = {val} is negative")
+        outs: set[str] = set()
         for diff in self.diffs:
-            if len(diff) != 3 or not all(map(_is_word, diff)):
-                raise ValueError(f"diff {diff!r} needs three names without whitespace")
+            problem = _diff_problem(diff, index, outs)
+            if problem is not None:
+                raise ValueError(problem)
+            outs.add(diff[0])
             for rail in diff[1:]:
                 if rail not in index:
                     raise UnknownSpecies(f"diff references unknown species {rail!r}")
@@ -548,6 +576,7 @@ def parse_crn(text: str) -> Crn:
     init: dict[str, float] = {}
     meta: dict[str, str] = {}
     diffs: list[tuple[str, str, str]] = []
+    outs: set[str] = set()  # the diff outputs so far
     starts: list[tuple[str, int]] = []  # (block label, its first reaction)
     # the reaction table's columns: side lengths, species indices and rates
     in_len: list[int] = []
@@ -572,10 +601,14 @@ def parse_crn(text: str) -> Crn:
             if toks[:1] == ["meta"] and len(toks) >= 3:
                 meta[toks[1]] = " ".join(toks[2:])
             elif toks[:1] == ["diff"] and len(toks) == 4:
+                problem = _diff_problem(toks[1:], index, outs)
+                if problem is not None:
+                    raise ParseError(line_no, problem)
                 for rail in toks[2:]:
                     if rail not in index:
                         raise ParseError(line_no, f"diff of undeclared species {rail!r}")
                 diffs.append((toks[1], toks[2], toks[3]))
+                outs.add(toks[1])
             elif (label := _block_label(toks)) is not None:
                 starts.append((label, len(rates)))
             continue
@@ -616,6 +649,8 @@ def parse_crn(text: str) -> Crn:
                     raise ParseError(line_no, problem)
                 if nm in index:
                     raise ParseError(line_no, f"duplicate species {nm!r}")
+                if nm in outs:
+                    raise ParseError(line_no, f"species {nm!r} repeats a diff output")
                 index[nm] = len(species)
                 species.append(nm)
             continue

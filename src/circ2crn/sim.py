@@ -5,11 +5,14 @@ multiple of dt at or beyond T, so trajectories of either kind compare row
 by row.
 
 `integrate` is classical RK4 with step dt; `simulate` and `freq` use it.
-Its stability rests on the stiffness scale of every emitted system being
-known: the fastest rates are about 2/h (the algebraic-row relaxation plus
-annihilation at gamma = 1/h) and rail values stay O(1), so dt = h/20 sits
-far inside the real-axis stability bound of roughly 2.78/|lambda|.  Larger
-steps trigger a configuration warning.
+Its stability rests on the stiffness scale of the emitted system.  In
+Euler mode the fastest rates are about 2/h (the algebraic-row relaxation
+plus annihilation at gamma = 1/h, the eigenvalues lambda/(1 - h lambda) of
+F_h staying below 1/h) and rail values stay O(1), so dt = h/20 sits far
+inside the real-axis stability bound of roughly 2.78/|lambda|.  Larger
+steps trigger a configuration warning.  In direct mode (E invertible) the
+rates are those of E^-1 A, which do not depend on h: a circuit time
+constant well below h makes RK4 at h/20 blow up.
 
 `integrate_adaptive` is Dormand-Prince 5(4) with error control, sampled on
 the same grid through its 4th-order dense output; `verify` certifies with

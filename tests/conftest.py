@@ -123,8 +123,10 @@ def rl_ladder(k: int) -> str:
     return f"V vin 1 0 FOURIER 0 1 1 0\n{sections}OUT {k + 1}\n"
 
 
+# `t` is left out: a source's diff output carries its name, and `t` is the
+# CSV time column, so compile rejects a source named `t`
 SOURCE_NAMES = st.sampled_from(["init", "inity", "initial", "species", "speciesA", "s"]) | (
-    st.from_regex(r"[a-hj-uw-z][a-z0-9{}.$-]{0,4}", fullmatch=True)
+    st.from_regex(r"[a-hj-uw-z][a-z0-9{}.$-]{0,4}", fullmatch=True).filter(lambda s: s != "t")
 )
 
 

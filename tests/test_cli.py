@@ -117,6 +117,20 @@ class TestCompile:
         assert "v{a}-b.$" in header.split(",")
         assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
 
+    @pytest.mark.parametrize("text,column", [
+        # node 2_p's voltage v2_p would share a CSV column with v2's plus rail
+        ("V vin 1 0 DC 1\nR r1 1 2 1\nC c1 2 0 1\nR r2 2 2_p 1\nC c2 2_p 0 1\nOUT 2\n",
+         "v2_p"),
+        # a source's difference column would repeat the time column
+        (RL_DC.replace("vin", "t"), "t"),
+    ], ids=["node_voltage_is_a_rail", "source_named_t"])
+    def test_repeated_csv_column_exits_1(self, tmp_path, capsys, text, column):
+        netlist = _write(tmp_path, "clash.cir", text)
+        assert main(["compile", netlist, "-o", str(tmp_path / "c.crn")]) == 1
+        [line] = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert line.startswith("error: ") and f"{column!r}" in line
+        assert not (tmp_path / "c.crn").exists()
+
     def test_compile_and_simulate_build_no_reaction_objects(self, tmp_path, monkeypatch):
         # both commands work on the reaction table from emission to field
         def refuse(self, *args, **kwargs):

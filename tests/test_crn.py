@@ -448,9 +448,16 @@ class TestSerialization:
         {"diffs": (("o", "X", "nope"),)},
         {"diffs": (("o p", "X", "X"),)},
         {"diffs": (("o", "X"),)},
+        {"diffs": (("a,b", "X", "X"),)},
+        {"diffs": (("a+b", "X", "X"),)},
+        {"diffs": (("a->{b", "X", "X"),)},
+        {"diffs": (("t", "X", "X"),)},
+        {"diffs": (("X", "X", "X"),)},
+        {"diffs": (("o", "X", "X"), ("o", "X", "X"))},
     ], ids=["key_space", "key_empty", "value_newline", "value_empty", "value_double_space",
             "value_leading_space", "diff_plus_undeclared", "diff_minus_undeclared",
-            "diff_name_space", "diff_two_names"])
+            "diff_name_space", "diff_two_names", "diff_out_comma", "diff_out_plus",
+            "diff_out_arrow", "diff_out_time", "diff_out_species", "diff_out_repeated"])
     def test_annotation_the_format_cannot_carry_is_rejected(self, annotation):
         # e.g. `# meta bad key v` reads back as key `bad`, and a value
         # holding a newline writes a second line the reader rejects
@@ -554,6 +561,12 @@ class TestSerialization:
             ("species X\ninit X 1\ninit X 2\n", "duplicate init for 'X'"),
             ("species X\n# diff o nope X\n", "diff of undeclared species 'nope'"),
             ("species X\n# diff o X nope\n", "diff of undeclared species 'nope'"),
+            ("species X\n# diff a,b X X\n", "diff output 'a,b' contains ','"),
+            ("species X\n# diff t X X\n", "diff output 't' repeats a CSV column"),
+            ("species X\n# diff X X X\n", "diff output 'X' repeats a CSV column"),
+            ("species X\n# diff o X X\n# diff o X X\n", "diff output 'o' repeats"),
+            ("species X\nspecies t\n", "species name 't' is the CSV time column"),
+            ("species X\n# diff o X X\nspecies o\n", "species 'o' repeats a diff output"),
             # a bad side after valid reactions that share the other side
             ("species X Y\nX ->{1} X + Y\nX ->{1} X + Z\n", "undeclared species 'Z'"),
             ("species X Y\nX ->{1} X + Y\nX ->{1} X +\n", "malformed reaction side 'X +'"),
@@ -579,7 +592,7 @@ class TestSerialization:
         assert exc_info.value.line_no == 1
 
     @pytest.mark.parametrize(
-        "name", ["a b", "a\tb", "a\u2028b", "", "#a", "0", "a+b", "a,b", "a->{b"]
+        "name", ["a b", "a\tb", "a\u2028b", "", "#a", "0", "a+b", "a,b", "a->{b", "t"]
     )
     def test_species_name_the_format_cannot_carry_is_rejected(self, name):
         # `a b` would not parse back, `` would write `0 ->{1} x`, a
