@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .crn import check_name
-from .dae import DaeSystem, InputModel, combine_inputs, fourier_input
+from .dae import DaeSystem, InputModel, fourier_input
 from .errors import ParseError, ValidationError
 
 GROUND = "0"
@@ -178,13 +178,15 @@ def _validate_graph(net: Netlist) -> None:
         raise ValidationError(f"OUT references unknown node {net.output_spec!r}")
 
 
+def _waveforms(net: Netlist) -> list[tuple[str, float, tuple]]:
+    """(name, alpha, terms) of each source, in netlist order."""
+    wfs = [(c.name, net.source_waveforms[c.name]) for c in net.sources()]
+    return [(name, wf.alpha, wf.terms) for name, wf in wfs]
+
+
 def source_models(net: Netlist) -> list[tuple[str, InputModel]]:
     """One input generator per source, in netlist order."""
-    models = []
-    for c in net.sources():
-        wf = net.source_waveforms[c.name]
-        models.append((c.name, fourier_input(wf.alpha, wf.terms, name=c.name)))
-    return models
+    return [(src[0], fourier_input(src)) for src in _waveforms(net)]
 
 
 def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
@@ -286,7 +288,7 @@ def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
         raise ValidationError(f"output node {out_node!r} is not a circuit state")
     output_index = node_idx[out_node]
 
-    inp = combine_inputs([model for _, model in source_models(net)])
+    inp = fourier_input(*_waveforms(net))
     all_names = list(state_names) + list(inp.names)
     if len(set(all_names)) != len(all_names):
         dupes = sorted({nm for nm in all_names if all_names.count(nm) > 1})

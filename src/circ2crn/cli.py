@@ -129,7 +129,7 @@ def _cmd_verify(args) -> int:
         raise ValueError("--tol must be finite and nonnegative")
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
-    cfg = RunConfig(h=args.h, T=args.T, transient_discard=0.0)
+    cfg = RunConfig(h=args.h, T=args.T)
     if args.study is not None:
         hs = [float(tok) for tok in args.study.split(",") if tok]
         _sys.stdout.write(study_to_csv(convergence_study(net, cfg, hs)))
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
     except NonFiniteState as exc:
         print(f"error: state blew up at t={exc.time:g}", file=_sys.stderr)
         return 3
-    except (Circ2CrnError, ValueError, OSError) as exc:
+    except (Circ2CrnError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -4,8 +4,10 @@ The central transform replaces the DAE by the ODE dx/dt = F_h(x) with
 F_h(x) = (E - hA)^-1 (A x + b); for a regular pencil the ODE solution
 converges to the DAE solution as h -> 0.  Inputs are themselves solutions
 of an affine ODE d(u,z)/dt = D (u,z) + d, which covers constants and
-truncated Fourier series.  A backward-Euler stepper on the exact stacked
-pencil serves as the numerical oracle for every downstream comparison.
+truncated Fourier series: u holds one value per source, in source order,
+and z each source's oscillator pairs after it.  A backward-Euler stepper on
+the exact stacked pencil serves as the numerical oracle for every downstream
+comparison.
 """
 
 from __future__ import annotations
@@ -264,65 +266,38 @@ def e_invertible(sys: DaeSystem) -> bool:
     return bool(sys.E.any(axis=0).all()) and failed_pivot(sys.E) is None
 
 
-def fourier_input(alpha: float, terms, name: str = "u") -> InputModel:
-    """Input generator for u(t) = alpha + sum_i beta_i sin(omega_i t + gamma_i).
+def fourier_input(*sources) -> InputModel:
+    """Input generator for u_s(t) = alpha_s + sum_i beta_i sin(omega_i t + gamma_i).
 
-    Realized as the linear oscillator bank du/dt = sum beta_i omega_i zb_i,
-    dz_i/dt = omega_i zb_i, dzb_i/dt = -omega_i z_i with z_i(0) = sin(gamma_i)
-    and zb_i(0) = cos(gamma_i).
+    Each source is a (name, alpha, terms) triple, terms holding (beta, omega,
+    gamma).  Realized as the linear oscillator bank du_s/dt = sum_i beta_i
+    omega_i zb_i, dz_i/dt = omega_i zb_i, dzb_i/dt = -omega_i z_i with
+    z_i(0) = sin(gamma_i) and zb_i(0) = cos(gamma_i).  Every u_s comes first,
+    at its source's index, then each source's (z_i, zb_i) pairs in source
+    order; one source gives that source's own generator.
     """
-    terms = list(terms)
-    for _, omega, _ in terms:
-        if not 0.0 < omega < np.inf:  # NaN fails too
-            raise ValueError("omega must be positive and finite")
-    n_aux = 2 * len(terms)
-    size = 1 + n_aux
+    sources = [(name, alpha, list(terms)) for name, alpha, terms in sources]
+    for _, _, terms in sources:
+        for _, omega, _ in terms:
+            if not 0.0 < omega < np.inf:  # NaN fails too
+                raise ValueError("omega must be positive and finite")
+    m = len(sources)
+    size = m + 2 * sum(len(terms) for _, _, terms in sources)
     D = np.zeros((size, size))
-    z0 = np.zeros(n_aux)
-    aux_names = []
-    for i, (beta, omega, gamma) in enumerate(terms):
-        iz = 1 + 2 * i  # z_i column
-        izb = iz + 1  # zbar_i column
-        D[0, izb] = beta * omega
-        D[iz, izb] = omega
-        D[izb, iz] = -omega
-        z0[2 * i] = np.sin(gamma)
-        z0[2 * i + 1] = np.cos(gamma)
-        aux_names += [f"{name}_z{i + 1}", f"{name}_zb{i + 1}"]
-    u0 = alpha + sum(beta * np.sin(gamma) for beta, _, gamma in terms)
-    return InputModel(
-        D, np.zeros(size), np.array([u0]), z0, (name,), tuple(aux_names)
-    )
-
-
-def combine_inputs(models: list[InputModel]) -> InputModel:
-    """Stack independent input generators into one block model.
-
-    The stacked vector keeps all u components first, then all auxiliaries,
-    matching the (u, z) layout the DAE coupling expects.
-    """
-    m_total = sum(mod.m for mod in models)
-    k_total = sum(mod.k for mod in models)
-    size = m_total + k_total
-    D = np.zeros((size, size))
-    d = np.zeros(size)
-    u0 = np.zeros(m_total)
-    z0 = np.zeros(k_total)
-    input_names: list[str] = []
+    u0 = np.zeros(m)
+    z0 = np.zeros(size - m)
     aux_names: list[str] = []
-    mu, kz = 0, 0
-    for mod in models:
-        # local index -> global index (u block first, then z block)
-        gidx = np.r_[mu : mu + mod.m, m_total + kz : m_total + kz + mod.k]
-        D[np.ix_(gidx, gidx)] = mod.D
-        d[gidx] = mod.d
-        u0[mu : mu + mod.m] = mod.u0
-        z0[kz : kz + mod.k] = mod.z0
-        input_names += list(mod.input_names)
-        aux_names += list(mod.aux_names)
-        mu += mod.m
-        kz += mod.k
-    return InputModel(D, d, u0, z0, tuple(input_names), tuple(aux_names))
+    for s, (name, alpha, terms) in enumerate(sources):
+        for i, (beta, omega, gamma) in enumerate(terms, start=1):
+            iz = m + len(aux_names)  # z_i column; zbar_i follows
+            D[s, iz + 1] = beta * omega
+            D[iz, iz + 1] = omega
+            D[iz + 1, iz] = -omega
+            z0[iz - m : iz - m + 2] = np.sin(gamma), np.cos(gamma)
+            aux_names += [f"{name}_z{i}", f"{name}_zb{i}"]
+        u0[s] = alpha + sum(beta * np.sin(gamma) for beta, _, gamma in terms)
+    names = tuple(name for name, _, _ in sources)
+    return InputModel(D, np.zeros(size), u0, z0, names, tuple(aux_names))
 
 
 # ---------------------------------------------------------------------------

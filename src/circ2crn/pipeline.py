@@ -70,8 +70,10 @@ class RunConfig:
         # each test is written so that NaN fails it
         if not 0.0 < self.h < np.inf:
             raise ValueError("h must be positive and finite")
-        if not np.inf > self.T > self.transient_discard >= 0.0:
-            raise ValueError("need finite T > transient_discard >= 0")
+        if not 0.0 < self.T < np.inf:
+            raise ValueError("T must be positive and finite")
+        if not 0.0 <= self.transient_discard < np.inf:
+            raise ValueError("transient_discard must be finite and nonnegative")
         if self.gamma != "auto" and not 0.0 <= float(self.gamma) < np.inf:
             raise ValueError("gamma must be finite and nonnegative, or 'auto'")
 

@@ -252,3 +252,58 @@ def test_output_node_outside_the_circuit_is_rejected():
     net = parse_netlist("V s 1 0 DC 1\nR r1 1 2 1\nR r2 2 0 1\nOUT 2\n")
     with pytest.raises(ValidationError, match="'9' is not a circuit state"):
         build_dae(Netlist(net.components, "9", net.source_waveforms))
+
+
+class TestStackedInputModel:
+    """The (u, z) layout that the oracle's stacked pencil and the circuit
+    coupling read: every source value first, in netlist order, then each
+    source's oscillator pairs in the same order."""
+
+    THREE_SOURCES = (
+        "V a 1 0 DC 2\n"
+        "I b 0 2 FOURIER 0.5 1 2 0 3 4 0.7\n"
+        "V c 3 0 FOURIER -1 2 0.5 0\n"
+        "R r1 1 2 1\nR r2 2 3 1\nR r3 2 0 1\nOUT 2\n"
+    )
+
+    def test_three_sources_exact_layout(self):
+        _, inp = build_dae(parse_netlist(self.THREE_SOURCES))
+        assert inp.input_names == ("a", "b", "c")
+        assert inp.aux_names == ("b_z1", "b_zb1", "b_z2", "b_zb2", "c_z1", "c_zb1")
+        D = np.zeros((9, 9))
+        D[1, 4], D[3, 4], D[4, 3] = 1.0 * 2.0, 2.0, -2.0  # b, term 1
+        D[1, 6], D[5, 6], D[6, 5] = 3.0 * 4.0, 4.0, -4.0  # b, term 2
+        D[2, 8], D[7, 8], D[8, 7] = 2.0 * 0.5, 0.5, -0.5  # c
+        assert np.array_equal(inp.D, D)
+        assert np.array_equal(inp.d, np.zeros(9))
+        assert np.array_equal(inp.u0, [2.0, 0.5 + 3.0 * np.sin(0.7), -1.0])
+        assert np.array_equal(
+            inp.z0, [0.0, 1.0, np.sin(0.7), np.cos(0.7), 0.0, 1.0]
+        )
+
+    def test_each_source_block_is_its_own_model(self):
+        net = parse_netlist(self.THREE_SOURCES)
+        _, inp = build_dae(net)
+        covered = np.zeros(inp.D.shape, dtype=bool)
+        for name, model in source_models(net):
+            idx = [inp.names.index(nm) for nm in model.names]
+            assert np.array_equal(inp.D[np.ix_(idx, idx)], model.D)
+            assert np.array_equal(inp.init[idx], model.init)
+            assert np.array_equal(inp.d[idx], model.d)
+            assert model.input_names == (name,)
+            covered[np.ix_(idx, idx)] = True
+        assert not inp.D[~covered].any()  # no coupling between sources
+
+    def test_no_source_gives_the_empty_model(self):
+        sys, inp = build_dae(parse_netlist("R r1 1 0 1\nC c1 1 0 1\nOUT 1\n"))
+        assert sys.B.shape == (1, 0)
+        assert inp.D.shape == (0, 0) and inp.d.shape == (0,)
+        assert inp.m == 0 and inp.k == 0 and inp.names == ()
+
+    @pytest.mark.parametrize("omega", [np.nan, np.inf, -1.0])
+    def test_bad_omega_in_the_second_source_is_rejected(self, omega):
+        # parse_netlist rejects these omegas; a hand-built Netlist reaches build_dae
+        net = parse_netlist(self.THREE_SOURCES)
+        waveforms = dict(net.source_waveforms, b=Fourier(0.0, ((1.0, omega, 0.0),)))
+        with pytest.raises(ValueError, match="omega must be positive and finite"):
+            build_dae(Netlist(net.components, net.output_spec, waveforms))

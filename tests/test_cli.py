@@ -48,6 +48,20 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _run_capped(*args) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter whose address space is capped at 2 GiB,
+    so an oversized allocation fails at once, whatever the host allows."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(circ2crn.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "circ2crn.cli", *args], env=env,
+                          capture_output=True, text=True, preexec_fn=cap)
+
+
 class TestCompile:
     def test_rl_writes_deterministic_crn(self, tmp_path):
         netlist = _write(tmp_path, "rl.cir", RL_DC)
@@ -328,7 +342,7 @@ class TestVerify:
     def test_infinite_horizon_exits_1(self, tmp_path, capsys):
         netlist = _write(tmp_path, "hp.cir", RL_SINE)
         assert main(["verify", netlist, "-T", "inf", "--tol", "0.05"]) == 1
-        assert _error_lines(capsys) == ["error: need finite T > transient_discard >= 0"]
+        assert _error_lines(capsys) == ["error: T must be positive and finite"]
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_bad_tolerance_exits_1_before_compiling(self, tmp_path, capsys, tol):
@@ -383,3 +397,24 @@ class TestFrequencyResponseExamples:
         cfg = RunConfig(h=0.002, T=15.0, transient_discard=10.0)
         [(_, gain, _)] = frequency_response(net, [10.0], cfg)
         assert gain >= 0.99
+
+
+class TestImpossibleHorizon:
+    """A horizon whose grid no machine can hold (each request below is many
+    PiB, beyond the 128 TiB user address space of x86-64) exits 1 with one
+    `error:` line instead of numpy's MemoryError traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "{crn}", "-T", "1e12"],
+        ["verify", "{cir}", "-T", "1e12", "--tol", "1"],
+        ["freq", "{cir}", "--omega", "1e-12"],
+    ])
+    def test_exits_1_with_one_error_line(self, tmp_path, args):
+        cir = _write(tmp_path, "hp.cir", RL_SINE)
+        crn = str(tmp_path / "hp.crn")
+        assert main(["compile", cir, "-o", crn]) == 0
+        done = _run_capped(*(a.format(cir=cir, crn=crn) for a in args))
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
+        assert "allocate" in line

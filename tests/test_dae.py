@@ -131,7 +131,7 @@ class TestBackwardEulerMap:
 
 class TestFourierInput:
     def test_pure_sine_embedding(self):
-        inp = fourier_input(0.0, [(1.0, 1.0, 0.0)])
+        inp = fourier_input(("u", 0.0, [(1.0, 1.0, 0.0)]))
         assert inp.m == 1 and inp.k == 2
         assert inp.u0[0] == 0.0
         assert np.array_equal(inp.z0, [0.0, 1.0])
@@ -142,13 +142,13 @@ class TestFourierInput:
         assert np.max(np.abs(traj.column("u") - np.sin(traj.times))) < 1e-6
 
     def test_constant_input(self):
-        inp = fourier_input(2.0, [])
+        inp = fourier_input(("u", 2.0, []))
         assert inp.m == 1 and inp.k == 0
         assert inp.u0[0] == 2.0
         assert np.all(inp.D == 0.0) and np.all(inp.d == 0.0)
 
     def test_phase_and_offset(self):
-        inp = fourier_input(1.5, [(2.0, 3.0, 0.7)])
+        inp = fourier_input(("u", 1.5, [(2.0, 3.0, 0.7)]))
         assert inp.z0[0] == pytest.approx(np.sin(0.7))
         assert inp.z0[1] == pytest.approx(np.cos(0.7))
         assert inp.u0[0] == pytest.approx(1.5 + 2.0 * np.sin(0.7))
@@ -156,7 +156,7 @@ class TestFourierInput:
     def test_square_wave_sum_matches_trig_oracle(self):
         w0 = 1.0
         terms = [(4.0 / (j * np.pi), j * w0, 0.0) for j in (1, 3, 5, 7)]
-        inp = fourier_input(0.0, terms)
+        inp = fourier_input(("u", 0.0, terms))
         traj = integrate(
             AffineOde(inp.D, inp.d, inp.names, 0).field(), inp.init, 20.0, 1e-3,
             names=inp.names,
@@ -167,13 +167,21 @@ class TestFourierInput:
 
     def test_omega_validation(self):
         with pytest.raises(ValueError):
-            fourier_input(0.0, [(1.0, -1.0, 0.0)])
+            fourier_input(("u", 0.0, [(1.0, -1.0, 0.0)]))
 
     @pytest.mark.parametrize("omega", [np.nan, np.inf])
     def test_non_finite_omega_is_rejected(self, omega, capfd):
         with pytest.raises(ValueError, match="positive and finite"):
-            fourier_input(0.0, [(1.0, omega, 0.0)])
+            fourier_input(("u", 0.0, [(1.0, omega, 0.0)]))
         assert capfd.readouterr().err == ""
+
+    def test_bad_omega_in_a_later_source_is_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fourier_input(("a", 1.0, [(1.0, 1.0, 0.0)]), ("b", 0.0, [(1.0, 0.0, 0.0)]))
+
+    def test_no_source_gives_the_empty_model(self):
+        inp = fourier_input()
+        assert inp.D.shape == (0, 0) and inp.init.shape == (0,) and inp.names == ()
 
 
 def stepwise(sys, inp, x0, n_steps, h, stride=1):

@@ -427,6 +427,26 @@ class TestCsvText:
         assert freq_to_csv([]) == "omega,gain,phase_deg\n"
 
 
+class TestRunConfig:
+    """Each field is checked on its own; only freq reads transient_discard."""
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_horizon(self, T):
+        with pytest.raises(ValueError, match="^T must be positive and finite$"):
+            RunConfig(T=T)
+
+    @pytest.mark.parametrize("discard", [-1.0, np.nan, np.inf])
+    def test_bad_transient_discard(self, discard):
+        with pytest.raises(ValueError, match="^transient_discard must be finite"):
+            RunConfig(transient_discard=discard)
+
+    def test_horizon_below_the_discard_still_fits(self, rl_sine):
+        # freq stretches its horizon to transient_discard + 2.2 periods
+        cfg = RunConfig(h=0.05, T=1.0, transient_discard=5.0)
+        [(_, gain, _)] = frequency_response(rl_sine[0], [3.0], cfg)
+        assert 0.0 < gain < np.inf
+
+
 class TestFrequencyResponse:
     """A sweep integrates its frequencies together; each row must equal a
     sweep of that frequency alone, byte for byte."""
