@@ -83,12 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(chunks, path: str | None) -> None:
+    """Write each text of chunks in turn to path, or else to stdout."""
     if path is None:
-        _sys.stdout.write(text)
+        _sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _cmd_compile(args) -> int:
@@ -97,7 +98,7 @@ def _cmd_compile(args) -> int:
     gamma = args.gamma if args.gamma == "auto" else float(args.gamma)
     cfg = RunConfig(h=args.h, gamma=gamma)
     compiled = compile_circuit(net, cfg)
-    _write(serialize_crn(compiled.crn), args.output)
+    _write([serialize_crn(compiled.crn)], args.output)
     return 0
 
 
@@ -117,10 +118,10 @@ def _cmd_simulate(args) -> int:
         if cfg is not None:
             check_dt(dt, cfg.h)
     traj = simulate_crn(net, args.T, dt)
-    _write(traj.to_csv(), args.output)
+    _write(traj.csv_lines(), args.output)
     if args.plot is not None:
         columns = [d[0] for d in net.diffs] if net.diffs else list(traj.names)
-        _write(render_svg(traj, columns, title=args.crn), args.plot)
+        _write([render_svg(traj, columns, title=args.crn)], args.plot)
     return 0
 
 
@@ -146,7 +147,7 @@ def _cmd_freq(args) -> int:
     omegas = [float(tok) for tok in args.omega.split(",") if tok]
     cfg = RunConfig(h=args.h)
     rows = frequency_response(net, omegas, cfg)
-    _write(freq_to_csv(rows), args.output)
+    _write([freq_to_csv(rows)], args.output)
     return 0
 
 

@@ -166,9 +166,13 @@ class Trajectory:
             raise UnknownColumn(f"no column named {name!r}") from None
         return self.values[:, j]
 
-    def to_csv(self) -> str:
+    def csv_lines(self):
+        """The lines of `to_csv`, one at a time."""
         rows = ((t, *row.tolist()) for t, row in zip(self.times.tolist(), self.values))
-        return csv_table(("t",) + self.names, rows)
+        return csv_lines(("t",) + self.names, rows)
+
+    def to_csv(self) -> str:
+        return "".join(self.csv_lines())
 
 
 def step_count(T: float, dt: float) -> int:
@@ -177,10 +181,18 @@ def step_count(T: float, dt: float) -> int:
     return int(np.ceil(T / dt - 1e-12))
 
 
+def csv_lines(header, rows):
+    """Comma-separated lines, each ending in a newline: the header line, then
+    each row's cells as %.17g."""
+    fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield fmt % tuple(row)
+
+
 def csv_table(header, rows) -> str:
-    """Comma-separated text: the header line, then each row's cells as %.17g."""
-    fmt = ",".join(["%.17g"] * len(header))
-    return "\n".join([",".join(header), *(fmt % tuple(row) for row in rows)]) + "\n"
+    """The text of `csv_lines`."""
+    return "".join(csv_lines(header, rows))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ circuit variables with a backward-Euler run on the exact pencil.
 
 `frequency_response` validates every drive frequency before it compiles
 any, then simulates the unions of all frequencies together as one stacked
-state, in batches bounded by _SWEEP_ENTRIES; a batch that blows up raises
-NonFiniteState at the earliest blow-up time among its frequencies.
+state by RK4, in batches.  It takes the grid rows block by block and keeps
+of each network only the output and source rail differences inside its fit
+window; _SWEEP_ENTRIES bounds what a batch keeps.  A batch that blows up
+raises NonFiniteState at the earliest blow-up time among its frequencies.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -48,11 +51,12 @@ from .sim import (
     integrate,
     integrate_adaptive,
     recover_difference,
+    rk4_blocks,
     step_count,
     sup_error,
 )
 
-# float64 values one batch of a frequency sweep may store (32 MB)
+# float64 rail differences one batch of a frequency sweep may store (32 MB)
 _SWEEP_ENTRIES = 1 << 22
 
 
@@ -225,11 +229,12 @@ def frequency_response(
     the union CRN is simulated, and both the recovered input and output are
     fitted over the post-transient window.  Every omega is validated before
     any is compiled.  The networks of all frequencies share one structure,
-    so they are integrated together as one stacked state, in batches whose
-    stored trajectory stays under _SWEEP_ENTRIES values; each frequency is
-    fitted on the leading rows it needs, which equal its own run bit for
-    bit.  A batch that blows up raises NonFiniteState at the earliest
-    blow-up time of its networks.
+    so they are integrated together as one stacked state.  Of each network
+    only the output and source rail differences inside its fit window are
+    stored, and a batch of networks stores at most _SWEEP_ENTRIES such
+    values (a single network may exceed it); each frequency is fitted on
+    rows that equal its own run bit for bit.  A batch that blows up raises
+    NonFiniteState at the earliest blow-up time of its networks.
     """
     sources = net.sources()
     if len(sources) != 1:
@@ -243,38 +248,65 @@ def frequency_response(
             raise ValueError("omega must be positive and finite")
     dt = cfg.resolve_dt()
     rows: list[tuple[float, float, float]] = []
-    batch: list[tuple[float, float, CompiledCircuit]] = []
+    batch: list[tuple[float, float, range, CompiledCircuit]] = []
+    stored = 0
     for omega in omegas:
         drive = Fourier(0.0, ((1.0, float(omega), 0.0),))
         compiled = compile_circuit(replace(net, source_waveforms={src: drive}), cfg)
         T = max(cfg.T, cfg.transient_discard + 2.2 * (2.0 * np.pi / omega))
-        T_max = max([T] + [t for _, t, _ in batch])
-        entries = (step_count(T_max, dt) + 1) * len(compiled.crn.species) * (len(batch) + 1)
-        if batch and entries > _SWEEP_ENTRIES:
+        fit = _fit_rows(T, dt, cfg.transient_discard)
+        entries = 2 * len(fit)  # the output and source differences
+        if batch and stored + entries > _SWEEP_ENTRIES:
             rows += _sweep_batch(batch, src, cfg)
-            batch = []
-        batch.append((omega, T, compiled))
+            batch, stored = [], 0
+        batch.append((omega, T, fit, compiled))
+        stored += entries
     if batch:
         rows += _sweep_batch(batch, src, cfg)
     return rows
 
 
+def _fit_rows(T: float, dt: float, discard: float) -> range:
+    """Grid rows a sweep keeps for a fit over (discard, T): from the last row
+    at or before discard to the last row of the grid that reaches T."""
+    start = int(discard // dt)  # the floor of the exact quotient
+    if (start + 1) * dt <= discard:  # the row time may still round onto it
+        start += 1
+    return range(start, step_count(T, dt) + 1)
+
+
 def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, float]]:
-    """Rows of `frequency_response` for one batch of (omega, T, compiled)."""
-    nets = [compiled.crn for _, _, compiled in batch]
+    """Rows of `frequency_response` for one batch of (omega, T, fit rows,
+    compiled).
+
+    The stacked networks are stepped by `rk4_blocks`; of network b, only
+    the output and source differences on its fit rows are stored, each
+    computed as `recover_difference` computes it.
+    """
+    nets = [compiled.crn for *_, compiled in batch]
     dt = cfg.resolve_dt()
-    x0 = np.concatenate([crn.initial_state() for crn in nets])
-    traj = integrate(mass_action_field(*nets), x0, max(T for _, T, _ in batch), dt)
-    first = batch[0][2]
+    first = batch[0][3]
     out = first.sys.state_names[first.sys.output_index]
-    pairs = [(plus, minus, name) for name, plus, minus in first.crn.diffs if name in (out, src)]
+    names = (out, src)
     species = first.crn.species
+    rails = {name: (plus, minus) for name, plus, minus in first.crn.diffs}
+    plus = [species.index(rails[name][0]) for name in names]
+    minus = [species.index(rails[name][1]) for name in names]
     n = len(species)
+    kept = [(fit, np.empty((len(fit), len(names)))) for _, _, fit, _ in batch]
+    x0 = np.concatenate([crn.initial_state() for crn in nets])
+    steps = max(fit.stop for fit, _ in kept) - 1
+    row = 0  # the grid row of the block's first row
+    for block in chain([x0[None]], rk4_blocks(mass_action_field(*nets), x0, steps, dt)):
+        for b, (fit, diff) in enumerate(kept):
+            lo, hi = max(fit.start, row), min(fit.stop, row + len(block))
+            if lo < hi:
+                own = block[lo - row : hi - row, b * n : (b + 1) * n]
+                diff[lo - fit.start : hi - fit.start] = own[:, plus] - own[:, minus]
+        row += len(block)
     rows = []
-    for b, (omega, T, _) in enumerate(batch):
-        stop = step_count(T, dt) + 1
-        own = Trajectory(traj.times[:stop], species, traj.values[:stop, b * n : (b + 1) * n])
-        signal = recover_difference(own, pairs)
+    for (omega, T, _, _), (fit, diff) in zip(batch, kept):
+        signal = Trajectory(np.arange(fit.start, fit.stop) * dt, names, diff)
         window = (cfg.transient_discard, T)
         fit_out = fit_sinusoid(signal, out, omega, window)
         fit_in = fit_sinusoid(signal, src, omega, window)

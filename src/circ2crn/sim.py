@@ -4,15 +4,18 @@ Both integrators return values at the times k*dt from 0 to the first
 multiple of dt at or beyond T, so trajectories of either kind compare row
 by row.
 
-`integrate` is classical RK4 with step dt; `simulate` and `freq` use it.
-Its stability rests on the stiffness scale of the emitted system.  In
-Euler mode the fastest rates are about 2/h (the algebraic-row relaxation
-plus annihilation at gamma = 1/h, the eigenvalues lambda/(1 - h lambda) of
-F_h staying below 1/h) and rail values stay O(1), so dt = h/20 sits far
-inside the real-axis stability bound of roughly 2.78/|lambda|.  Larger
-steps trigger a configuration warning.  In direct mode (E invertible) the
-rates are those of E^-1 A, which do not depend on h: a circuit time
-constant well below h makes RK4 at h/20 blow up.
+`rk4_blocks` is classical RK4 with step dt.  It hands the grid rows to its
+caller in checked blocks as it steps, so a caller stores only what it
+reads: `integrate` collects every row into one table, which `simulate`
+writes out, and `freq` keeps only the two rail differences it fits, over
+each frequency's fit window.  RK4's stability rests on the stiffness scale
+of the emitted system.  In Euler mode the fastest rates are about 2/h (the
+algebraic-row relaxation plus annihilation at gamma = 1/h, the eigenvalues
+lambda/(1 - h lambda) of F_h staying below 1/h) and rail values stay O(1),
+so dt = h/20 sits far inside the real-axis stability bound of roughly
+2.78/|lambda|.  Larger steps trigger a configuration warning.  In direct
+mode (E invertible) the rates are those of E^-1 A, which do not depend on
+h: a circuit time constant well below h makes RK4 at h/20 blow up.
 
 `integrate_adaptive` is Dormand-Prince 5(4) with error control, sampled on
 the same grid through its 4th-order dense output; `verify` certifies with
@@ -36,7 +39,7 @@ from .numerics import as_vector
 
 BLOWUP_LIMIT = 1e12
 DT_RULE_FACTOR = 20.0
-# RK4 steps between two blow-up checks of integrate
+# RK4 rows in one block of rk4_blocks, checked for blow-up together
 _CHECK_ROWS = 256
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980).  Row s of _DP_A gives stage
@@ -123,43 +126,67 @@ def _blowup(times, names, values, i: int) -> NonFiniteState:
     return exc
 
 
-def _check_rows(times, names, values, start: int, stop: int) -> None:
-    """Raise _blowup at the first of rows start..stop-1 with a magnitude
-    above BLOWUP_LIMIT or a non-finite value."""
-    ok = np.abs(values[start:stop]) <= BLOWUP_LIMIT  # NaN fails the <= too
-    if not ok.all():
-        raise _blowup(times, names, values, start + int(np.argmin(ok.all(axis=1))))
+def _first_bad_row(rows) -> int | None:
+    """Index of the first row with a magnitude above BLOWUP_LIMIT or a
+    non-finite value, or None."""
+    ok = (np.abs(rows) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the <= too
+    return None if ok.all() else int(np.argmin(ok))
+
+
+def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
+    """Classical 4th-order Runge-Kutta on a time-invariant field, as blocks.
+
+    Takes `steps` steps of dt from the float64 vector x0 (grid row 0) and
+    yields grid rows 1..steps in order, as fresh arrays of at most
+    _CHECK_ROWS rows that the caller may keep.  Each block is checked before
+    it is yielded: at the first row in which any state magnitude exceeds
+    1e12 or turns non-finite, the rows before it are yielded and
+    NonFiniteState is raised with that row's time (and no partial
+    trajectory).  A blow-up is thus found up to a block late, but the steps
+    taken past it raise no floating-point warning.  On the stacked state of
+    several networks (see crn.mass_action_field) that row is the earliest
+    blow-up of any of them.  The field's arrays are only read, never
+    written.
+    """
+    x = x0
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for start in range(1, steps + 1, _CHECK_ROWS):
+        block = np.empty((min(_CHECK_ROWS, steps + 1 - start), x.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row in block:
+                k1 = field(x)
+                k2 = field(x + half * k1)
+                k3 = field(x + half * k2)
+                k4 = field(x + dt * k3)
+                np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=row)
+                x = row
+        bad = _first_bad_row(block)
+        if bad is not None:
+            if bad:
+                yield block[:bad]
+            raise NonFiniteState((start + bad) * dt)
+        yield block
 
 
 def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
     """Classical 4th-order Runge-Kutta on a time-invariant field.
 
-    Steps from 0 to the first multiple of dt at or beyond T.  Aborts with
-    NonFiniteState (carrying the blow-up time and the partial trajectory)
-    at the first row in which any state magnitude exceeds 1e12 or turns
-    non-finite.  The rows are checked once per block of _CHECK_ROWS steps,
-    so a blow-up is found up to a block late, but the time and partial
-    trajectory it reports are those of its first row, and the steps taken
-    past it raise no floating-point warning.  On the stacked state of
-    several networks (see crn.mass_action_field) that row is the earliest
-    blow-up of any of them.  The field's arrays are only read, never
-    written.
+    Steps from 0 to the first multiple of dt at or beyond T and collects
+    the blocks of `rk4_blocks` into one table allocated up front.  Aborts
+    with NonFiniteState at the first row in which any state magnitude
+    exceeds 1e12 or turns non-finite, carrying that row's time and the
+    partial trajectory of the rows before it.
     """
     times, names, values = _grid(x0, T, dt, names)
-    x = values[0]
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(1, len(times), _CHECK_ROWS):
-            stop = min(start + _CHECK_ROWS, len(times))
-            for i in range(start, stop):
-                k1 = field(x)
-                k2 = field(x + half * k1)
-                k3 = field(x + half * k2)
-                k4 = field(x + dt * k3)
-                np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=values[i])
-                x = values[i]
-            _check_rows(times, names, values, start, stop)
+    row = 1
+    try:
+        for block in rk4_blocks(field, values[0], len(times) - 1, dt):
+            values[row : row + len(block)] = block
+            row += len(block)
+    except NonFiniteState as exc:
+        exc.partial = Trajectory(times[:row], names, values[:row])
+        raise
     return Trajectory(times, names, values)
 
 
@@ -203,7 +230,9 @@ def integrate_adaptive(field, x0, T: float, dt: float, names=None) -> Trajectory
                 if stop > row:
                     theta = (times[row:stop, None] - t) / h
                     values[row:stop] = y + (theta**_THETA_POWERS) @ (h * _DP_W @ k)
-                    _check_rows(times, names, values, row, stop)
+                    bad = _first_bad_row(values[row:stop])
+                    if bad is not None:
+                        raise _blowup(times, names, values, row + bad)
                     row = stop
                 t, y = t_new, y_new
                 k[0] = k[6]

@@ -1,10 +1,11 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from circ2crn import pipeline, sim
-from circ2crn.circuit import build_dae, parse_netlist
+from circ2crn.circuit import Fourier, build_dae, parse_netlist
 from circ2crn.crn import Crn, Reaction, mass_action_field
 from circ2crn.dae import AffineOde, Trajectory, coupled_euler_map, e_invertible
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
@@ -469,19 +470,66 @@ class TestFrequencyResponse:
         omegas = [3.0, 0.2, 1.1, 2.0]
         want = self._one_at_a_time(net, omegas)
         n = len(compile_circuit(net, self.CFG).crn.species)
-        rows_50 = step_count(50.0, self.CFG.resolve_dt()) + 1
-        # two networks fit over T = 50, but not over omega = 0.2's horizon
-        monkeypatch.setattr(pipeline, "_SWEEP_ENTRIES", 2 * n * rows_50)
+        dt = self.CFG.resolve_dt()
+        rows_50 = step_count(50.0, dt) + 1
+        start = round(self.CFG.transient_discard / dt)
+        assert start * dt == self.CFG.transient_discard
+        # a batch stores two differences per kept row: two networks fit over
+        # T = 50, but not with omega = 0.2's longer window
+        cap = 2 * 2 * (rows_50 - start)
+        monkeypatch.setattr(pipeline, "_SWEEP_ENTRIES", cap)
         sizes = []
 
-        def counted(field, x0, T, dt, names=None):
+        def counted(field, x0, steps, dt):
             sizes.append(len(x0))
-            return integrate(field, x0, T, dt, names)
+            return sim.rk4_blocks(field, x0, steps, dt)
 
-        monkeypatch.setattr(pipeline, "integrate", counted)
+        monkeypatch.setattr(pipeline, "rk4_blocks", counted)
         got = freq_to_csv(frequency_response(net, omegas, self.CFG))
         assert sizes == [n, n, 2 * n]
         assert got == want
+        # two full tables of n species would exceed the cap, two windows do not
+        assert 2 * n * rows_50 > cap
+        sizes.clear()
+        got = freq_to_csv(frequency_response(net, omegas[2:], self.CFG))
+        assert sizes == [2 * n]
+        assert got == freq_to_csv(frequency_response(net, omegas[2:3], self.CFG)
+                                  + frequency_response(net, omegas[3:], self.CFG))
+
+    @pytest.mark.parametrize("discard", [5.0, 5.001, 0.0],
+                             ids=["on_grid", "off_grid", "zero"])
+    def test_rows_equal_fits_over_the_full_table(self, rl_sine, discard):
+        # each row the way a sweep computed it while it stored every species
+        # of every row: one network, its whole table, the difference columns
+        net, cfg = rl_sine[0], RunConfig(h=0.05, T=10.0, transient_discard=discard)
+        omegas = [3.0, 0.9]
+        dt = cfg.resolve_dt()
+        want = []
+        for omega in omegas:
+            drive = Fourier(0.0, ((1.0, omega, 0.0),))
+            compiled = compile_circuit(replace(net, source_waveforms={"vin": drive}), cfg)
+            crn = compiled.crn
+            T = max(cfg.T, discard + 2.2 * (2.0 * np.pi / omega))
+            traj = integrate(mass_action_field(crn), crn.initial_state(), T, dt, crn.species)
+            signal = recover_difference(traj, [(p, m, name) for name, p, m in crn.diffs])
+            fit_out = fit_sinusoid(signal, "v2", omega, (discard, T))
+            fit_in = fit_sinusoid(signal, "vin", omega, (discard, T))
+            phase = np.degrees(fit_out.phase - fit_in.phase)
+            want.append((omega, fit_out.amplitude / fit_in.amplitude,
+                         (phase + 180.0) % 360.0 - 180.0))
+        got = frequency_response(net, omegas, cfg)
+        assert freq_to_csv(got) == freq_to_csv(want)
+
+    def test_sweep_stops_at_the_earliest_blowup(self):
+        # direct mode with a time constant of h/100: RK4 at h/20 blows up
+        net = parse_netlist("V vin 1 0 DC 1\nR r1 1 2 1\nC c1 2 0 1e-4\nOUT 2\n")
+        assert compile_circuit(net, RunConfig()).direct
+        times = []
+        for omegas in ([1.0], [2.0], [1.0, 2.0]):
+            with pytest.raises(NonFiniteState) as exc_info:
+                frequency_response(net, omegas, RunConfig())
+            times.append(exc_info.value.time)
+        assert times[2] == min(times[:2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_every_omega_is_validated_before_any_compile(self, rl_sine, monkeypatch, bad):
