@@ -33,13 +33,6 @@ from .errors import (
 from .numerics import invert
 from .pipeline import RunConfig, compile_circuit, convergence_study, frequency_response
 from .positivation import RailSystem, hungarize, positivate, rail_field, split_initial
-from .sim import (
-    FitResult,
-    fit_sinusoid,
-    integrate,
-    integrate_adaptive,
-    recover_difference,
-    sup_error,
-)
+from .sim import FitResult, fit_sinusoid, integrate, recover_difference, sup_error
 
 __version__ = "0.1.0"

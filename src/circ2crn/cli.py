@@ -64,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--help", action="help")
 
     p = sub.add_parser("verify", add_help=False,
-                       help="co-simulate the CRN against the DAE oracle")
+                       help="check the emitted CRN against the DAE oracle")
     p.add_argument("netlist")
     _add_step_option(p)
     p.add_argument("-T", dest="T", type=float, required=True)

@@ -46,6 +46,7 @@ from .errors import (
     NegativeInit,
     ParseError,
     UnknownSpecies,
+    ValidationError,
 )
 from .numerics import as_vector
 from .positivation import RailSystem
@@ -457,6 +458,61 @@ def mass_action_field(*nets: Crn):
         return np.matmul(M, ext[ma] * ext[mb]).reshape(size)
 
     return rhs
+
+
+def difference_system(net: Crn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, g, d0): the law d' = F d + g of the rail differences, difference
+    i being plus - minus of `net.diffs[i]`, and their initial values.
+
+    Under mass action the law is exact when no reaction with two or more
+    reactants moves a difference (annihilation moves none), no species off
+    the rails feeds one, and each minus rail's column is the negated column
+    of its plus rail.  F holds the plus-rail columns and g the moves of the
+    reactant-free reactions, each summed in reaction order.  ValidationError
+    names the first reaction that breaks a rule.
+    """
+    table, n_sp, n_rx = net.table, len(net.species), len(net.table)
+    index = {sp: k for k, sp in enumerate(net.species)}
+    plus = np.array([index[p] for _, p, _ in net.diffs], dtype=np.intp)
+    minus = np.array([index[m] for _, _, m in net.diffs], dtype=np.intp)
+    rails = np.concatenate([plus, minus])
+    if np.bincount(rails, minlength=1).max() > 1:
+        raise ValidationError("a species is a rail of two differences")
+    pair = np.full(n_sp, -1)  # the difference of each rail, -1 off the rails
+    pair[rails] = np.tile(np.arange(plus.size), 2)
+    sign = np.bincount(plus, minlength=n_sp) - np.bincount(minus, minlength=n_sp)
+    # slot a of row r holds one species occurrence of reaction r, reactants
+    # first: the difference it is a rail of and its move of that difference
+    n_in, n_out = np.diff(table.in_off), np.diff(table.out_off)
+    first_out = int(n_in.max(initial=0))
+    diff_of = np.full((n_rx, first_out + int(n_out.max(initial=0))), -1)
+    move = np.zeros(diff_of.shape)
+    for off, idx, count, at, s in ((table.in_off, table.in_idx, n_in, 0, -1.0),
+                                   (table.out_off, table.out_idx, n_out, first_out, 1.0)):
+        r = np.repeat(np.arange(n_rx), count)
+        slot = at + np.arange(idx.size) - off[r]
+        diff_of[r, slot], move[r, slot] = pair[idx], s * sign[idx]
+    # a reaction's net move of a difference, kept at its first slot
+    same = diff_of[:, :, None] == diff_of[:, None, :]
+    net_move = (same * move[:, None, :]).sum(axis=2)
+    first = ~np.tril(same, -1).any(axis=2)
+    r, slot = np.nonzero(first & (diff_of >= 0) & (net_move != 0.0))
+    reactant = np.append(table.in_idx, 0)[table.in_off[r]]  # read where n_in is 1
+    G = np.zeros((plus.size, n_sp + 1))  # the last column collects g
+    col = np.where(n_in[r] == 0, n_sp, reactant)
+    np.add.at(G, (diff_of[r, slot], col), net_move[r, slot] * table.rates[r])
+    # whether the reactant's rail pair has unequal columns; pair -1 reads the False
+    unequal = np.append((G[:, minus] != -G[:, plus]).any(axis=0), False)[pair[reactant]]
+    unary = n_in[r] == 1
+    for bad, rule in ((n_in[r] > 1, "has two reactants and moves a difference"),
+                      (unary & (pair[reactant] < 0), "reads a species off the rails"),
+                      (unary & unequal, "reads a rail whose partner is not its negation")):
+        if bad.any():
+            rx = net.reactions[r[bad][0]]
+            sides = [" + ".join(side) or EMPTY_SIDE for side in (rx.reactants, rx.products)]
+            raise ValidationError(f"reaction {r[bad][0] + 1} ({' -> '.join(sides)}) {rule}")
+    c0 = net.initial_state()
+    return G[:, plus], G[:, n_sp], c0[plus] - c0[minus]
 
 
 def union(a: Crn, b: Crn) -> Crn:

@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, UnknownColumn
-from .numerics import as_matrix, as_vector, failed_pivot, invert
+from .errors import UnknownColumn
+from .numerics import as_matrix, as_vector, failed_pivot, invert, propagate
 
 DEFAULT_SEED = 1729
 PROBE_COUNT = 8
 PROBE_RANGE = (1e-4, 0.5)
-# float64 entries in reference_solve's table of step-map powers (512 KB)
-_TABLE_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +347,10 @@ def reference_solve(
     Steps the stacked pencil x[i+1] = x[i] + h F_h(x[i]), which is the affine
     map x -> S x + c, written as y -> P y on y = (x, 1) with P = [[S, c],
     [0, 1]].  When max_points is given, only every stride-th iterate is
-    stored and P is replaced by P^stride.  A table of P^1 .. P^b (b bounded
-    by _TABLE_ENTRIES) turns each block of b stored iterates into one matrix
-    product with the last iterate of the previous block.  The stored values
-    agree with the step-by-step recursion to rounding, about 1e-12 relative
-    to max|x|.  NonFiniteState carries the time of the first non-finite
-    stored iterate.
+    stored and P is replaced by P^stride.  The stored iterates come from
+    `numerics.propagate`, a block at a time, and agree with the step-by-step
+    recursion to rounding, about 1e-12 relative to max|x|.  NonFiniteState
+    carries the time of the first non-finite stored iterate.
     """
     if not 0.0 < h <= T < np.inf:  # NaN fails too
         raise ValueError("need 0 < h <= T, both finite")
@@ -379,33 +375,14 @@ def reference_solve(
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
     n_stored = n_steps // stride
-    block = min(n_stored, max(1, _TABLE_ENTRIES // (size + 1) ** 2))
-
     out = np.empty((n_stored + 1, size))
     out[0] = x_full
-    y = np.append(x_full, 1.0)
-    # finiteness is checked row by row below, so overflow needs no warning
+    row = 1
+    # finiteness is checked row by row in propagate, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.empty((block, size + 1, size + 1))
-        powers[0] = np.linalg.matrix_power(P, stride)
-        k = 1
-        while k < block:  # doubling: powers[k:2k] = powers[:k] @ P^k
-            j = min(k, block - k)
-            powers[k : k + j] = powers[:j] @ powers[k - 1]
-            k += j
-        # an overflowed power would turn a zero component into NaN, where
-        # stepping keeps it zero: use only the leading finite powers
-        finite = np.isfinite(powers).all(axis=(1, 2))
-        if not finite.all():
-            block = max(1, int(np.argmin(finite)))
-        for start in range(1, n_stored + 1, block):
-            count = min(block, n_stored + 1 - start)
-            # one matrix-vector product over the stacked powers
-            ys = (powers[:count].reshape(-1, size + 1) @ y).reshape(count, -1)
-            bad = ~np.isfinite(ys).all(axis=1)
-            if bad.any():
-                raise NonFiniteState((start + int(np.argmax(bad))) * stride * h)
-            out[start : start + count] = ys[:, :size]
-            y = ys[-1]
+        phi = np.linalg.matrix_power(P, stride)
+    for ys in propagate(phi, np.append(x_full, 1.0), n_stored, stride * h):
+        out[row : row + len(ys)] = ys[:, :size]
+        row += len(ys)
     times = np.arange(n_stored + 1) * (stride * h)
     return Trajectory(times, stacked.state_names, out)

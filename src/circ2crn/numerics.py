@@ -9,17 +9,27 @@ a rank test: scaling a column scales its |R_kk| and its norm together and
 leaves the verdict unchanged, and since |R_kk| >= sigma_min, a matrix fails
 only when its condition number is at least 1 / REL_PIVOT_TOL = 1e12.  That
 relative threshold is what lets callers distinguish a genuinely singular
-pencil from round-off.  The factorization and the inverse both come from
-LAPACK through numpy.
+pencil from round-off.  The factorization, the inverse and the solve inside
+`expm` all come from LAPACK through numpy.  `expm` and `propagate` step
+y' = M y exactly on a grid: y(k dt) = Phi^k y(0) with Phi = expm(M dt).
 """
 
 from __future__ import annotations
 
+from math import comb, perm
+
 import numpy as np
 
-from .errors import SingularMatrix
+from .errors import NonFiniteState, SingularMatrix
 
 REL_PIVOT_TOL = 1e-12
+# float64 entries in propagate's table of powers (512 KB)
+_TABLE_ENTRIES = 1 << 16
+# the Pade [13/13] coefficients b_0 .. b_13, scaled to b_0 = 1 so that a zero
+# row keeps its diagonal at exactly 1, and the largest 1-norm at which that
+# approximant meets double precision (Higham 2005)
+_PADE13 = [comb(13, k) / perm(26, k) for k in range(14)]
+_THETA13 = 5.371920351148152
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -75,3 +85,64 @@ def invert(m) -> np.ndarray:
         col, pivot = failed
         raise SingularMatrix(f"pivot {pivot:.3e} below threshold in column {col}")
     return np.linalg.inv(mm)
+
+
+def expm(m) -> np.ndarray:
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005): M is scaled
+    by 2^-s to a 1-norm of at most _THETA13, and the approximant
+    (V - U)^-1 (V + U) there is squared s times."""
+    a = _square(m)
+    norm = float(np.linalg.norm(a, 1)) if a.size else 0.0
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0.0 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def propagate(phi: np.ndarray, y0: np.ndarray, steps: int, dt: float):
+    """The rows Phi^1 y0 .. Phi^steps y0, as blocks.
+
+    Yields fresh arrays that the caller may keep.  A table of Phi^1 .. Phi^b
+    (b bounded by _TABLE_ENTRIES) makes each block of b rows one matrix
+    product with the previous block's last row.  The block holding the first
+    non-finite row is not yielded: NonFiniteState carries that row's time.
+    """
+    size = phi.shape[0]
+    block = max(1, min(steps, _TABLE_ENTRIES // size**2))
+    y = y0
+    # finiteness is checked row by row below, so overflow needs no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.empty((block, size, size))
+        powers[0] = phi
+        k = 1
+        while k < block:  # doubling: powers[k:2k] = powers[:k] @ Phi^k
+            j = min(k, block - k)
+            powers[k : k + j] = powers[:j] @ powers[k - 1]
+            k += j
+        # an overflowed power would turn a zero component into NaN, where
+        # stepping keeps it zero: use only the leading finite powers
+        finite = np.isfinite(powers).all(axis=(1, 2))
+    if not finite.all():
+        block = max(1, int(np.argmin(finite)))
+    for start in range(1, steps + 1, block):
+        count = min(block, steps + 1 - start)
+        # one matrix-vector product over the stacked powers
+        with np.errstate(over="ignore", invalid="ignore"):
+            ys = (powers[:count].reshape(-1, size) @ y).reshape(count, -1)
+        bad = ~np.isfinite(ys).all(axis=1)
+        if bad.any():
+            raise NonFiniteState((start + int(np.argmax(bad))) * dt)
+        yield ys
+        y = ys[-1]

@@ -7,10 +7,10 @@ catalysts; it depends only on the circuit and h, never on the waveforms.
 Each input block holds the reactions of that source's own generator ODE.
 The blocks are recorded on the union, so `serialize_crn` marks them.
 
-`verify_circuit` and `convergence_study` certify exactly that union: they
-simulate it under mass-action kinetics with the error-controlled
-`integrate_adaptive`, sampled on the h/20 grid, and compare the recovered
-circuit variables with a backward-Euler run on the exact pencil.
+`verify_circuit` and `convergence_study` certify exactly that union, read
+back from its `.crn` text: under mass action its rail differences obey an
+affine law exactly, which they propagate on the h/20 grid and compare with
+a backward-Euler run on the exact pencil.
 
 `frequency_response` validates every drive frequency before it compiles
 any, then simulates the unions of all frequencies together as one stacked
@@ -30,7 +30,8 @@ from itertools import chain
 import numpy as np
 
 from .circuit import Fourier, Netlist, build_dae, source_models
-from .crn import CIRCUIT_BLOCK, INPUT_BLOCK, Crn, emit_crn, mass_action_field, union
+from .crn import (CIRCUIT_BLOCK, INPUT_BLOCK, Crn, difference_system, emit_crn,
+                  mass_action_field, parse_crn, serialize_crn, union)
 from .dae import (
     AffineOde,
     DaeSystem,
@@ -49,7 +50,7 @@ from .sim import (
     DT_RULE_FACTOR,
     fit_sinusoid,
     integrate,
-    integrate_adaptive,
+    integrate_linear,
     recover_difference,
     rk4_blocks,
     step_count,
@@ -85,7 +86,7 @@ class RunConfig:
         return 1.0 / self.h if self.gamma == "auto" else float(self.gamma)
 
     def resolve_dt(self) -> float:
-        """The RK4 step of every simulation: h / DT_RULE_FACTOR."""
+        """The grid step of every simulation and of verify: h / DT_RULE_FACTOR."""
         return self.h / DT_RULE_FACTOR
 
 
@@ -155,15 +156,12 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     return CompiledCircuit(sys, inp, x0, flagged, direct, cfg.h, gamma, crn)
 
 
-def simulate_crn(net: Crn, T: float, dt: float, integrator=integrate) -> Trajectory:
-    """Integrate a CRN from its declared initial concentrations.
-
-    `integrator` is `sim.integrate` (RK4 with step dt) or
-    `sim.integrate_adaptive` (sampled on the same grid).  Returns the
-    species trajectory with any annotated rail differences appended as
-    extra columns.
+def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
+    """Integrate a CRN by RK4 with step dt from its declared initial
+    concentrations: the species trajectory with any annotated rail
+    differences appended as extra columns.
     """
-    traj = integrator(mass_action_field(net), net.initial_state(), T, dt, net.species)
+    traj = integrate(mass_action_field(net), net.initial_state(), T, dt, net.species)
     if net.diffs:
         extra = recover_difference(traj, [(p, m, out) for out, p, m in net.diffs])
         values = np.column_stack([traj.values, extra.values])
@@ -174,12 +172,11 @@ def simulate_crn(net: Crn, T: float, dt: float, integrator=integrate) -> Traject
 def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> float:
     """Sup error on [0, cfg.T] of the compiled union CRN against the oracle.
 
-    This certifies the artifact that `compile` emits: the CRN is simulated
-    under mass-action kinetics by `integrate_adaptive`, sampled at the RK4
-    grid h/20, the circuit variables are recovered as rail differences, and
-    the result is compared with reference_solve on the exact stacked
-    pencil.  The oracle step defaults to h/100.  It is the one-row
-    `convergence_study`.
+    This certifies the artifact that `compile` emits: the `.crn` text is
+    read back, its rail differences are propagated exactly on the grid
+    h/20, and the circuit variables among them are compared with
+    reference_solve on the exact stacked pencil.  The oracle step defaults
+    to h/100.  It is the one-row `convergence_study`.
     """
     return convergence_study(net, cfg, [cfg.h], h_ref)[0][1]
 
@@ -192,8 +189,9 @@ def convergence_study(
     h values must be strictly decreasing; the oracle step defaults to
     min(hs)/100.  The oracle depends only on the circuit, its inputs and
     the projected initial state, none of which depend on h.  Each network
-    is integrated by `integrate_adaptive`, whose steps follow its error
-    control, and sampled on its own grid of h/20 (`RunConfig.resolve_dt`).
+    is read back from its `.crn` text, and the law of its rail differences
+    (`crn.difference_system`) is propagated exactly on its own grid of h/20
+    (`RunConfig.resolve_dt`).  ValidationError when that law is not exact.
     """
     hs = list(hs)
     if not hs:
@@ -211,8 +209,12 @@ def convergence_study(
             reference = reference_solve(
                 compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref, max_points=400_000
             )
-        traj = simulate_crn(compiled.crn, cfg.T, cfg_h.resolve_dt(), integrate_adaptive)
-        rows.append((h, sup_error(traj, reference, compiled.sys.state_names)))
+        emitted = parse_crn(serialize_crn(compiled.crn))
+        outs = [out for out, _, _ in emitted.diffs]
+        states = compiled.sys.state_names
+        traj = integrate_linear(*difference_system(emitted), cfg.T, cfg_h.resolve_dt(),
+                                [outs.index(name) for name in states], states)
+        rows.append((h, sup_error(traj, reference, states)))
     return rows
 
 

@@ -17,17 +17,13 @@ so dt = h/20 sits far inside the real-axis stability bound of roughly
 mode (E invertible) the rates are those of E^-1 A, which do not depend on
 h: a circuit time constant well below h makes RK4 at h/20 blow up.
 
-`integrate_adaptive` is Dormand-Prince 5(4) with error control, sampled on
-the same grid through its 4th-order dense output; `verify` certifies with
-it.  On the emitted systems its steps are limited by accuracy (the rail
-sums sharpen where a rail difference crosses zero), not by stability: on
-the four reference circuits at T = 10 it makes 8-41x fewer field
-evaluations than RK4 at h/20.
+`integrate_linear` propagates a linear system x' = F x + g exactly, by the
+matrix exponential of one grid step; `verify` certifies with it, on the
+rail differences of an emitted network (`crn.difference_system`).
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -35,56 +31,12 @@ import numpy as np
 
 from .dae import Trajectory, step_count
 from .errors import NonFiniteState, WindowTooShort
-from .numerics import as_vector
+from .numerics import as_vector, expm, propagate
 
 BLOWUP_LIMIT = 1e12
 DT_RULE_FACTOR = 20.0
 # RK4 rows in one block of rk4_blocks, checked for blow-up together
 _CHECK_ROWS = 256
-
-# Dormand-Prince 5(4) (Dormand & Prince 1980).  Row s of _DP_A gives stage
-# s + 1 from stages 1..s; the last row is the 5th-order solution, whose
-# field value is the next step's first stage.  _DP_E weighs the stages into
-# the 5th- minus 4th-order difference.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_DP_E = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
-)
-
-
-def _dense_weights() -> np.ndarray:
-    """Shampine's 4th-order dense output of Dormand-Prince 5(4) (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.6), as stage weights per power of
-    theta: x(t + theta*h) = x + h * sum_j theta^j (W[j-1] @ k), j = 1..4.
-
-    It expands x + theta*dx + theta(1-theta)*c3 + theta^2(1-theta)*c4
-    + theta^2(1-theta)^2*c5, where dx = h*b@k, c3 = h*k1 - dx,
-    c4 = dx - h*k7 - c3 and c5 = h*d@k.
-    """
-    b = np.append(_DP_A[-1], 0.0)
-    d = np.array([
-        -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
-        -10690763975 / 1880347072, 701980252875 / 199316789632,
-        -1453857185 / 822651844, 69997945 / 29380423,
-    ])
-    k1, k7 = np.eye(7)[[0, 6]]
-    return np.array([k1, 3 * b - 2 * k1 - k7 + d, -2 * b + k1 + k7 - 2 * d, d])
-
-
-_DP_W = _dense_weights()
-_THETA_POWERS = np.arange(1, 5)
-# absolute and relative tolerance of one integrate_adaptive step
-_TOL = 1e-9
-# smallest integrate_adaptive step, as a fraction of the horizon
-_MIN_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -119,20 +71,6 @@ def _grid(x0, T: float, dt: float, names):
     return times, names, values
 
 
-def _blowup(times, names, values, i: int) -> NonFiniteState:
-    """NonFiniteState at row i, carrying the rows before it."""
-    exc = NonFiniteState(float(times[i]))
-    exc.partial = Trajectory(times[:i], names, values[:i])
-    return exc
-
-
-def _first_bad_row(rows) -> int | None:
-    """Index of the first row with a magnitude above BLOWUP_LIMIT or a
-    non-finite value, or None."""
-    ok = (np.abs(rows) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the <= too
-    return None if ok.all() else int(np.argmin(ok))
-
-
 def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
     """Classical 4th-order Runge-Kutta on a time-invariant field, as blocks.
 
@@ -161,8 +99,9 @@ def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
                 k4 = field(x + dt * k3)
                 np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=row)
                 x = row
-        bad = _first_bad_row(block)
-        if bad is not None:
+        ok = (np.abs(block) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the <= too
+        if not ok.all():
+            bad = int(np.argmin(ok))
             if bad:
                 yield block[:bad]
             raise NonFiniteState((start + bad) * dt)
@@ -190,58 +129,20 @@ def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
     return Trajectory(times, names, values)
 
 
-def integrate_adaptive(field, x0, T: float, dt: float, names=None) -> Trajectory:
-    """Error-controlled Dormand-Prince 5(4) on a time-invariant field,
-    returned on integrate's grid (the same times and row count).
+def integrate_linear(F, g, x0, T: float, dt: float, columns, names) -> Trajectory:
+    """The exact solution of x' = F x + g on integrate's grid, at `columns`.
 
-    Each step keeps the RMS over states of its local error estimate, scaled
-    by _TOL * (1 + |x|), at or below 1; the next step is the last one times
-    0.9 * err^(-1/5), clipped to [0.2, 5].  The first step tried is dt, and
-    the last step is stretched or cut to end exactly on the last grid time.
-    Grid rows inside an accepted step come from the dense output.  Aborts
-    with NonFiniteState like integrate, at the first grid row whose
-    magnitude exceeds 1e12 or turns non-finite, and also when the step
-    falls below _MIN_STEP * T (a non-finite field rejects every step); it
-    then reports the first grid row not yet reached.  The partial
-    trajectory holds the rows before the reported one.
+    Steps (x, 1) by expm([[F, g], [0, 0]] dt) through `numerics.propagate`
+    and keeps the components in `columns`, under `names`.  NonFiniteState,
+    without a partial trajectory, at the first grid row that is not finite.
     """
-    times, names, values = _grid(x0, T, dt, names)
-    t_end = times[-1]
-    y = values[0]
-    k = np.empty((7, y.shape[0]))
-    k[0] = field(y)
-    t, h, row = 0.0, dt, 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while row < len(times):
-            if h < _MIN_STEP * t_end:
-                raise _blowup(times, names, values, row)
-            last = t + 1.1 * h >= t_end
-            if last:
-                h = t_end - t
-            hA = h * _DP_A
-            for s in range(1, 7):
-                y_new = y + hA[s, :s] @ k[:s]
-                k[s] = field(y_new)
-            z = (_DP_E @ k) * (h / _TOL) / (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-            err = math.sqrt(z @ z / max(len(z), 1))  # NaN rejects the step
-            if err <= 1.0:
-                t_new = t_end if last else t + h
-                stop = int(times.searchsorted(t_new, side="right"))
-                if stop > row:
-                    theta = (times[row:stop, None] - t) / h
-                    values[row:stop] = y + (theta**_THETA_POWERS) @ (h * _DP_W @ k)
-                    bad = _first_bad_row(values[row:stop])
-                    if bad is not None:
-                        raise _blowup(times, names, values, row + bad)
-                    row = stop
-                t, y = t_new, y_new
-                k[0] = k[6]
-            if err == 0.0:
-                h *= 5.0
-            elif err < np.inf:
-                h *= min(5.0, max(0.2, 0.9 * err**-0.2))
-            else:
-                h *= 0.2
+    x = as_vector(x0, "x0")
+    M = np.vstack([np.column_stack([F, g]), np.zeros(x.size + 1)])
+    times, names, values = _grid(x[columns], T, dt, names)
+    row = 1
+    for block in propagate(expm(M * dt), np.append(x, 1.0), len(times) - 1, dt):
+        values[row : row + len(block)] = block[:, columns]
+        row += len(block)
     return Trajectory(times, names, values)
 
 

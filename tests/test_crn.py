@@ -1,6 +1,8 @@
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from circ2crn.crn import (
     Crn,
     Reaction,
     ReactionTable,
+    difference_system,
     emit_crn,
     mass_action_field,
     parse_crn,
@@ -26,11 +29,14 @@ from circ2crn.errors import (
     NegativeInit,
     ParseError,
     UnknownSpecies,
+    ValidationError,
 )
 from circ2crn.pipeline import RunConfig, compile_circuit
 from circ2crn.positivation import RailSystem, hungarize, positivate, rail_field, split_initial
 
-from conftest import rl_ladder, rlc_netlists, signed_ode
+from conftest import RC_LOWPASS, RL_DC, RL_SINE, TWO_CAP, rl_ladder, rlc_netlists, signed_ode
+
+DATA = Path(__file__).parent / "data"
 
 
 def rl_circuit_hungarization(sys, inp, h, gamma):
@@ -653,6 +659,45 @@ def test_shifted_map_equals_inverse_times_a(text):
         got = coupled_euler_map(sys, h)[0]
         want = np.linalg.inv(sys.E - h * sys.A) @ sys.A
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@example(RL_DC)
+@example(RL_SINE)
+@example(TWO_CAP)
+@example(RC_LOWPASS)
+@example(rl_ladder(20))
+@settings(max_examples=60, deadline=None)
+@given(rlc_netlists())
+def test_difference_system_is_the_signed_ode(text):
+    """The read-back law of the rail differences is compile's signed ODE."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        compiled = compile_circuit(parse_netlist(text), RunConfig())
+    net = compiled.crn
+    F, g, d0 = difference_system(parse_crn(serialize_crn(net)))
+    ode = signed_ode(compiled.sys, compiled.inp, None if compiled.direct else compiled.h)
+    scale = np.max(np.abs(ode.Ahat))
+    assert np.max(np.abs(F - ode.Ahat)) <= 1e-13 * scale
+    assert np.max(np.abs(g - ode.bhat)) <= 1e-13 * scale
+    init = [net.init.get(p, 0.0) - net.init.get(m, 0.0) for _, p, m in net.diffs]
+    assert np.array_equal(d0, init)
+
+
+@pytest.mark.parametrize("name, reaction", [
+    ("bimolecular_moves_a_difference.crn", "reaction 3 (x_p + x_p -> x_p) has two reactants"),
+    ("unequal_rail_columns.crn", "reaction 1 (x_p -> x_p + x_m) reads a rail whose partner is not its negation"),
+    ("unpaired_feeder.crn", "reaction 2 (w -> w + x_p) reads a species off the rails"),
+])
+def test_difference_system_names_the_reaction_that_breaks_a_rule(name, reaction):
+    net = parse_crn((DATA / name).read_text())
+    with pytest.raises(ValidationError, match=re.escape(reaction)):
+        difference_system(net)
+
+
+def test_difference_system_rejects_a_rail_shared_by_two_differences():
+    net = Crn(("x_p", "x_m"), (), diffs=(("a", "x_p", "x_m"), ("b", "x_m", "x_p")))
+    with pytest.raises(ValidationError, match="rail of two differences"):
+        difference_system(net)
 
 
 @st.composite

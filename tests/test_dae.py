@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from circ2crn import dae
+from circ2crn import numerics
 from circ2crn.circuit import build_dae, parse_netlist
 from circ2crn.dae import (
     AffineOde,
@@ -210,8 +210,9 @@ def assert_matches_stepwise(sys, inp, T, h, max_points=None):
 
 
 def table_block(sys, inp) -> int:
-    """Iterates per block of reference_solve's table of powers."""
-    return dae._TABLE_ENTRIES // (sys.n + inp.m + inp.k + 1) ** 2
+    """Iterates per block of the table of powers that reference_solve
+    steps through (`numerics.propagate`)."""
+    return numerics._TABLE_ENTRIES // (sys.n + inp.m + inp.k + 1) ** 2
 
 
 class TestReferenceSolve:

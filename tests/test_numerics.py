@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from circ2crn.errors import SingularMatrix
-from circ2crn.numerics import REL_PIVOT_TOL, as_matrix, as_vector, failed_pivot, invert
+from circ2crn.errors import NonFiniteState, SingularMatrix
+from circ2crn.numerics import (
+    REL_PIVOT_TOL,
+    as_matrix,
+    as_vector,
+    expm,
+    failed_pivot,
+    invert,
+    propagate,
+)
 
 
 def _residual(m, y, rhs) -> float:
@@ -198,3 +206,79 @@ class TestFailedPivotAgainstElimination:
                 qr, lu = failed_pivot(m * scale), _lu_failed_pivot(m * scale)
                 assert qr is not None and lu is not None
                 assert qr[0] == lu[0] == j
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestExpm:
+    """The Pade-13 scaling-and-squaring exponential against closed forms."""
+
+    @pytest.mark.parametrize("omega", [0.7, 3.0, 40.0])
+    def test_rotation(self, omega):
+        c, s = np.cos(omega), np.sin(omega)
+        got = expm([[0.0, omega], [-omega, 0.0]])
+        assert _rel_err(got, [[c, s], [-s, c]]) <= 1e-13
+
+    def test_diagonal(self):
+        d = np.array([-30.0, -3.0, 0.0, 0.5, 2.0])
+        assert _rel_err(expm(np.diag(d)), np.diag(np.exp(d))) <= 1e-13
+
+    @pytest.mark.parametrize("a", [0.3, 25.0])
+    def test_nilpotent_jordan_block(self, a):
+        j = a * np.eye(4, k=1)
+        want = np.eye(4) + j + j @ j / 2.0 + j @ j @ j / 6.0
+        assert _rel_err(expm(j), want) <= 1e-13
+
+    @pytest.mark.parametrize("a, b, d", [(-1.0, 2.0, 0.5), (-20.0, 3.0, -0.1)])
+    def test_distinct_real_eigenvalues(self, a, b, d):
+        ea, ed = np.exp(a), np.exp(d)
+        want = [[ea, b * (ea - ed) / (a - d)], [0.0, ed]]
+        assert _rel_err(expm([[a, b], [0.0, d]]), want) <= 1e-13
+
+    def test_times_its_negation_is_identity(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 3, 8):
+            m = rng.normal(size=(size, size))
+            assert np.max(np.abs(expm(m) @ expm(-m) - np.eye(size))) <= 1e-13
+
+    def test_agrees_with_taylor_series_at_small_norm(self):
+        rng = np.random.default_rng(7)
+        m = rng.normal(size=(6, 6))
+        m *= 0.09 / np.linalg.norm(m, 2)
+        term, want = np.eye(6), np.eye(6)
+        for k in range(1, 40):
+            term = term @ m / k
+            want = want + term
+        assert _rel_err(expm(m), want) <= 1e-15
+
+    def test_empty_and_zero(self):
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+        # a zero row, such as a DC source's, stays exactly constant
+        assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+
+
+class TestPropagate:
+    def test_hundred_steps_equal_the_powers(self):
+        # 40 x 40 powers fill the table 40 at a time: three blocks
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(40, 40)) - 6.0 * np.eye(40)
+        phi, y0 = expm(0.01 * m), rng.normal(size=40)
+        blocks = list(propagate(phi, y0, 100, 0.01))
+        assert [len(b) for b in blocks] == [40, 40, 20]
+        rows = np.concatenate(blocks)
+        for k in (1, 2, 39, 40, 41, 99, 100):
+            want = np.linalg.matrix_power(phi, k) @ y0
+            assert _rel_err(rows[k - 1], want) <= 1e-13
+
+    def test_no_steps_no_rows(self):
+        assert list(propagate(np.eye(2), np.ones(2), 0, 0.1)) == []
+
+    def test_first_non_finite_row_raises_with_its_time(self):
+        rows = []
+        with pytest.raises(NonFiniteState) as exc_info:
+            for block in propagate(np.array([[1e200]]), np.array([1.0]), 5, 0.5):
+                rows.extend(block.tolist())
+        assert exc_info.value.time == 1.0
+        assert rows == [[1e200]]
