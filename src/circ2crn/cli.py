@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys as _sys
 import warnings
+from functools import cache
 
 from .circuit import parse_netlist
 from .crn import parse_crn, serialize_crn
@@ -38,7 +39,10 @@ def _add_step_option(p: argparse.ArgumentParser) -> None:
                    metavar="H", help="backward-Euler step parameter (default 0.01)")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="circ2crn", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -481,26 +481,27 @@ def difference_system(net: Crn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pair = np.full(n_sp, -1)  # the difference of each rail, -1 off the rails
     pair[rails] = np.tile(np.arange(plus.size), 2)
     sign = np.bincount(plus, minlength=n_sp) - np.bincount(minus, minlength=n_sp)
-    # slot a of row r holds one species occurrence of reaction r, reactants
-    # first: the difference it is a rail of and its move of that difference
+    # every occurrence of a rail in a reaction, as the key r * (differences)
+    # + difference and its move; a reaction's occurrences of one difference
+    # sum to its net move, and the keys sort by reaction first
     n_in, n_out = np.diff(table.in_off), np.diff(table.out_off)
-    first_out = int(n_in.max(initial=0))
-    diff_of = np.full((n_rx, first_out + int(n_out.max(initial=0))), -1)
-    move = np.zeros(diff_of.shape)
-    for off, idx, count, at, s in ((table.in_off, table.in_idx, n_in, 0, -1.0),
-                                   (table.out_off, table.out_idx, n_out, first_out, 1.0)):
-        r = np.repeat(np.arange(n_rx), count)
-        slot = at + np.arange(idx.size) - off[r]
-        diff_of[r, slot], move[r, slot] = pair[idx], s * sign[idx]
-    # a reaction's net move of a difference, kept at its first slot
-    same = diff_of[:, :, None] == diff_of[:, None, :]
-    net_move = (same * move[:, None, :]).sum(axis=2)
-    first = ~np.tril(same, -1).any(axis=2)
-    r, slot = np.nonzero(first & (diff_of >= 0) & (net_move != 0.0))
+    idx = np.concatenate([table.in_idx, table.out_idx])
+    on = pair[idx] >= 0
+    width = max(plus.size, 1)
+    key = (np.concatenate([np.repeat(np.arange(n_rx), n_in),
+                           np.repeat(np.arange(n_rx), n_out)])[on] * width + pair[idx[on]])
+    move = np.concatenate([-sign[table.in_idx], sign[table.out_idx]])[on]
+    order = np.argsort(key, kind="stable")
+    key, move = key[order], move[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    net_move = np.add.reduceat(move, first) if first.size else move
+    moved = net_move != 0
+    r, diff = np.divmod(key[first[moved]], width)
+    net_move = net_move[moved]
     reactant = np.append(table.in_idx, 0)[table.in_off[r]]  # read where n_in is 1
     G = np.zeros((plus.size, n_sp + 1))  # the last column collects g
     col = np.where(n_in[r] == 0, n_sp, reactant)
-    np.add.at(G, (diff_of[r, slot], col), net_move[r, slot] * table.rates[r])
+    np.add.at(G, (diff, col), net_move * table.rates[r])
     # whether the reactant's rail pair has unequal columns; pair -1 reads the False
     unequal = np.append((G[:, minus] != -G[:, plus]).any(axis=0), False)[pair[reactant]]
     unary = n_in[r] == 1

@@ -7,7 +7,8 @@ of an affine ODE d(u,z)/dt = D (u,z) + d, which covers constants and
 truncated Fourier series: u holds one value per source, in source order,
 and z each source's oscillator pairs after it.  A backward-Euler stepper on
 the exact stacked pencil serves as the numerical oracle for every downstream
-comparison.
+comparison; `reference_rows` streams its rows a block at a time, and
+`reference_solve` collects them into a `Trajectory`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import random
 import warnings
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -171,6 +174,21 @@ class Trajectory:
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
+
+
+class Rows(NamedTuple):
+    """A trajectory as a stream: the rows at the times k*dt for k = 0..steps,
+    handed out in order as consecutive blocks, row 0 first.  The blocks are
+    computed as they are read, so a consumer that folds them holds one block
+    at a time."""
+
+    dt: float
+    steps: int
+    blocks: Iterator[np.ndarray]
+
+    def columns(self, cols) -> Rows:
+        """The same rows, restricted to the columns `cols`."""
+        return self._replace(blocks=(block[:, cols] for block in self.blocks))
 
 
 def step_count(T: float, dt: float) -> int:
@@ -334,23 +352,21 @@ def stacked_pencil(sys: DaeSystem, inp: InputModel):
     return stacked, b
 
 
-def reference_solve(
-    sys: DaeSystem,
-    inp: InputModel,
-    x0,
-    T: float,
-    h: float,
-    max_points: int | None = None,
-) -> Trajectory:
-    """Backward-Euler (equivalently BDF-1) trajectory of the exact DAE.
+def reference_rows(sys: DaeSystem, inp: InputModel, x0, T: float, h: float,
+                   stride: int = 1) -> tuple[tuple[str, ...], Rows]:
+    """Backward-Euler (equivalently BDF-1) rows of the exact DAE, streamed.
 
     Steps the stacked pencil x[i+1] = x[i] + h F_h(x[i]), which is the affine
     map x -> S x + c, written as y -> P y on y = (x, 1) with P = [[S, c],
-    [0, 1]].  When max_points is given, only every stride-th iterate is
-    stored and P is replaced by P^stride.  The stored iterates come from
-    `numerics.propagate`, a block at a time, and agree with the step-by-step
-    recursion to rounding, about 1e-12 relative to max|x|.  NonFiniteState
-    carries the time of the first non-finite stored iterate.
+    [0, 1]].  Only every stride-th iterate is kept, by stepping with P^stride
+    through `numerics.propagate`, up to the last one at or before the first
+    multiple of h at or beyond T.  Returns the stacked state names and the
+    kept rows, row k at time k*stride*h; each row holds the stacked state
+    and then the constant 1 of y.  The rows agree with the step-by-step
+    recursion to rounding, about 1e-12 relative to max|x|.  The initial
+    state is projected, and P formed, before this returns; NonFiniteState,
+    raised while the blocks are read, carries the time of the first
+    non-finite kept row.
     """
     if not 0.0 < h <= T < np.inf:  # NaN fails too
         raise ValueError("need 0 < h <= T, both finite")
@@ -363,26 +379,45 @@ def reference_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-
-    n_steps = step_count(T, h)
     size = x_full.shape[0]
     inv = invert(stacked.E - h * stacked.A)
     P = np.eye(size + 1)
     P[:size, :size] = inv @ stacked.E
     P[:size, size] = h * (inv @ b)
-
-    stride = 1
-    if max_points is not None and n_steps > max_points:
-        stride = int(np.ceil(n_steps / max_points))
-    n_stored = n_steps // stride
-    out = np.empty((n_stored + 1, size))
-    out[0] = x_full
-    row = 1
     # finiteness is checked row by row in propagate, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.linalg.matrix_power(P, stride)
-    for ys in propagate(phi, np.append(x_full, 1.0), n_stored, stride * h):
-        out[row : row + len(ys)] = ys[:, :size]
+    steps = step_count(T, h) // stride
+    y0 = np.append(x_full, 1.0)
+    blocks = chain([y0[None]], propagate(phi, y0, steps, stride * h))
+    return stacked.state_names, Rows(stride * h, steps, blocks)
+
+
+def reference_solve(
+    sys: DaeSystem,
+    inp: InputModel,
+    x0,
+    T: float,
+    h: float,
+    max_points: int | None = None,
+) -> Trajectory:
+    """Backward-Euler (equivalently BDF-1) trajectory of the exact DAE.
+
+    Collects the rows of `reference_rows` into one table.  When max_points
+    is given, only every stride-th iterate is stored, the stride being the
+    least one that keeps the stored steps within max_points.
+    NonFiniteState carries the time of the first non-finite stored iterate.
+    """
+    if not 0.0 < h <= T < np.inf:  # NaN fails too
+        raise ValueError("need 0 < h <= T, both finite")
+    n_steps = step_count(T, h)
+    stride = 1
+    if max_points is not None and n_steps > max_points:
+        stride = int(np.ceil(n_steps / max_points))
+    names, rows = reference_rows(sys, inp, x0, T, h, stride)
+    out = np.empty((rows.steps + 1, len(names)))
+    row = 0
+    for ys in rows.blocks:
+        out[row : row + len(ys)] = ys[:, :-1]
         row += len(ys)
-    times = np.arange(n_stored + 1) * (stride * h)
-    return Trajectory(times, stacked.state_names, out)
+    return Trajectory(np.arange(rows.steps + 1) * rows.dt, names, out)

@@ -10,7 +10,10 @@ The blocks are recorded on the union, so `serialize_crn` marks them.
 `verify_circuit` and `convergence_study` certify exactly that union, read
 back from its `.crn` text: under mass action its rail differences obey an
 affine law exactly, which they propagate on the h/20 grid and compare with
-a backward-Euler run on the exact pencil.
+a backward-Euler run on the exact pencil.  Both runs are streamed and
+compared block by block, so memory does not grow with the horizon.
+
+`simulate_crn` fills one table, rail differences included, as RK4 steps.
 
 `frequency_response` validates every drive frequency before it compiles
 any, then simulates the unions of all frequencies together as one stacked
@@ -42,7 +45,7 @@ from .dae import (
     csv_table,
     direct_map,
     e_invertible,
-    reference_solve,
+    reference_rows,
 )
 from .errors import ValidationError
 from .positivation import hungarize, positivate, rails, split_initial
@@ -50,15 +53,20 @@ from .sim import (
     DT_RULE_FACTOR,
     fit_sinusoid,
     integrate,
-    integrate_linear,
-    recover_difference,
+    linear_rows,
     rk4_blocks,
     step_count,
-    sup_error,
+    stream_sup_error,
 )
 
 # float64 rail differences one batch of a frequency sweep may store (32 MB)
 _SWEEP_ENTRIES = 1 << 22
+# the grid rows verify steps at most, checked before it steps: minutes of
+# stepping even on the smallest circuits
+MAX_GRID_ROWS = 10**9
+# the oracle rows `reference_solve` stores when verify's grid is not a
+# whole number of oracle steps
+_ORACLE_POINTS = 400_000
 
 
 @dataclass(frozen=True)
@@ -159,14 +167,10 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
 def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
     """Integrate a CRN by RK4 with step dt from its declared initial
     concentrations: the species trajectory with any annotated rail
-    differences appended as extra columns.
+    differences appended as extra columns, in one table.
     """
-    traj = integrate(mass_action_field(net), net.initial_state(), T, dt, net.species)
-    if net.diffs:
-        extra = recover_difference(traj, [(p, m, out) for out, p, m in net.diffs])
-        values = np.column_stack([traj.values, extra.values])
-        traj = Trajectory(traj.times, traj.names + extra.names, values)
-    return traj
+    return integrate(mass_action_field(net), net.initial_state(), T, dt, net.species,
+                     net.diffs)
 
 
 def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> float:
@@ -174,9 +178,9 @@ def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> 
 
     This certifies the artifact that `compile` emits: the `.crn` text is
     read back, its rail differences are propagated exactly on the grid
-    h/20, and the circuit variables among them are compared with
-    reference_solve on the exact stacked pencil.  The oracle step defaults
-    to h/100.  It is the one-row `convergence_study`.
+    h/20, and the circuit variables among them are compared with the
+    backward-Euler rows of the exact stacked pencil.  The oracle step
+    defaults to h/100.  It is the one-row `convergence_study`.
     """
     return convergence_study(net, cfg, [cfg.h], h_ref)[0][1]
 
@@ -184,14 +188,19 @@ def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> 
 def convergence_study(
     net: Netlist, cfg: RunConfig, hs, h_ref: float | None = None
 ) -> list[tuple[float, float]]:
-    """Sup error of the compiled union CRN at each h against one oracle run.
+    """Sup error of the compiled union CRN at each h against the oracle.
 
     h values must be strictly decreasing; the oracle step defaults to
-    min(hs)/100.  The oracle depends only on the circuit, its inputs and
-    the projected initial state, none of which depend on h.  Each network
-    is read back from its `.crn` text, and the law of its rail differences
-    (`crn.difference_system`) is propagated exactly on its own grid of h/20
-    (`RunConfig.resolve_dt`).  ValidationError when that law is not exact.
+    min(hs)/100.  Each network is read back from its `.crn` text, and the
+    law of its rail differences (`crn.difference_system`) is propagated
+    exactly on its own grid of h/20 (`RunConfig.resolve_dt`), a stream of
+    blocks that `sim.stream_sup_error` compares with a stream of oracle rows
+    (`dae.reference_rows`) as both are stepped.  When the grid step is a
+    whole number s of oracle steps, the oracle keeps every s-th row, one per
+    grid row; otherwise it keeps the rows `reference_solve` keeps with
+    max_points _ORACLE_POINTS, interpolated onto the grid.  ValueError,
+    before anything is stepped, when a grid would exceed MAX_GRID_ROWS
+    rows; ValidationError when the difference law is not exact.
     """
     hs = list(hs)
     if not hs:
@@ -200,21 +209,27 @@ def convergence_study(
         raise ValueError("hs must be strictly decreasing")
     if h_ref is None:
         h_ref = min(hs) / 100.0
+    finest = step_count(cfg.T, replace(cfg, h=hs[-1]).resolve_dt())
+    if finest > MAX_GRID_ROWS:
+        raise ValueError(f"T={cfg.T:g} needs {finest:.3g} grid rows at h={hs[-1]:g}, "
+                         f"above the cap of {MAX_GRID_ROWS:.0e}")
     rows = []
-    reference = None
     for h in hs:
         cfg_h = replace(cfg, h=h)
+        dt = cfg_h.resolve_dt()
         compiled = compile_circuit(net, cfg_h)
-        if reference is None:
-            reference = reference_solve(
-                compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref, max_points=400_000
-            )
+        stride = round(dt / h_ref)
+        if stride < 1 or abs(dt / h_ref - stride) > 1e-12 * stride:
+            stride = int(np.ceil(step_count(cfg.T, h_ref) / _ORACLE_POINTS))
+        _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref,
+                                   stride)
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
         states = compiled.sys.state_names
-        traj = integrate_linear(*difference_system(emitted), cfg.T, cfg_h.resolve_dt(),
-                                [outs.index(name) for name in states], states)
-        rows.append((h, sup_error(traj, reference, states)))
+        artifact = linear_rows(*difference_system(emitted), step_count(cfg.T, dt), dt)
+        err = stream_sup_error(artifact.columns([outs.index(name) for name in states]),
+                               oracle.columns(slice(len(states))))
+        rows.append((h, err))
     return rows
 
 

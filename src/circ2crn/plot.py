@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .dae import Trajectory
@@ -13,6 +11,11 @@ PALETTE = [
     "#8c564b", "#17becf", "#e377c2", "#7f7f7f", "#bcbd22",
 ]
 MAX_POINTS = 1500
+
+
+def escape(text: str) -> str:
+    """Text as SVG character data: &, < and > as entities, & first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

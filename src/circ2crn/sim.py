@@ -6,30 +6,35 @@ by row.
 
 `rk4_blocks` is classical RK4 with step dt.  It hands the grid rows to its
 caller in checked blocks as it steps, so a caller stores only what it
-reads: `integrate` collects every row into one table, which `simulate`
-writes out, and `freq` keeps only the two rail differences it fits, over
-each frequency's fit window.  RK4's stability rests on the stiffness scale
-of the emitted system.  In Euler mode the fastest rates are about 2/h (the
-algebraic-row relaxation plus annihilation at gamma = 1/h, the eigenvalues
-lambda/(1 - h lambda) of F_h staying below 1/h) and rail values stay O(1),
-so dt = h/20 sits far inside the real-axis stability bound of roughly
-2.78/|lambda|.  Larger steps trigger a configuration warning.  In direct
-mode (E invertible) the rates are those of E^-1 A, which do not depend on
-h: a circuit time constant well below h makes RK4 at h/20 blow up.
+reads: `integrate` collects every row into one table, difference columns
+included, which `simulate` writes out, and `freq` keeps only the two rail
+differences it fits, over each frequency's fit window.  RK4's stability
+rests on the stiffness scale of the emitted system.  In Euler mode the
+fastest rates are about 2/h (the algebraic-row relaxation plus annihilation
+at gamma = 1/h, the eigenvalues lambda/(1 - h lambda) of F_h staying below
+1/h) and rail values stay O(1), so dt = h/20 sits far inside the real-axis
+stability bound of roughly 2.78/|lambda|.  Larger steps trigger a
+configuration warning.  In direct mode (E invertible) the rates are those
+of E^-1 A, which do not depend on h: a circuit time constant well below h
+makes RK4 at h/20 blow up.
 
-`integrate_linear` propagates a linear system x' = F x + g exactly, by the
-matrix exponential of one grid step; `verify` certifies with it, on the
-rail differences of an emitted network (`crn.difference_system`).
+`linear_rows` streams the exact solution of a linear system x' = F x + g,
+propagated by the matrix exponential of one grid step; `integrate_linear`
+collects it.  `verify` certifies with it, on the rail differences of an
+emitted network (`crn.difference_system`): `stream_sup_error` folds the
+sup error of those rows against the streamed oracle one block at a time,
+so nothing of the length of the horizon is stored.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .dae import Trajectory, step_count
+from .dae import Rows, Trajectory, step_count
 from .errors import NonFiniteState, WindowTooShort
 from .numerics import as_vector, expm, propagate
 
@@ -57,18 +62,13 @@ def check_dt(dt: float, h: float) -> None:
         )
 
 
-def _grid(x0, T: float, dt: float, names):
-    """Times k*dt up to the first multiple of dt at or beyond T, the names,
-    and the value rows to fill, row 0 holding x0."""
+def _grid(T: float, dt: float, width: int):
+    """Times k*dt up to the first multiple of dt at or beyond T, and an
+    empty table of `width` columns with one row per time."""
     if not 0.0 < dt <= T < np.inf:  # NaN fails too
         raise ValueError("need 0 < dt <= T, both finite")
-    x = as_vector(x0, "x0")
-    if names is None:
-        names = tuple(f"s{i}" for i in range(x.shape[0]))
     times = np.arange(step_count(T, dt) + 1) * dt
-    values = np.empty((times.shape[0], x.shape[0]))
-    values[0] = x
-    return times, names, values
+    return times, np.empty((times.shape[0], width))
 
 
 def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
@@ -108,20 +108,29 @@ def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
         yield block
 
 
-def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
+def integrate(field, x0, T: float, dt: float, names=None, diffs=()) -> Trajectory:
     """Classical 4th-order Runge-Kutta on a time-invariant field.
 
     Steps from 0 to the first multiple of dt at or beyond T and collects
-    the blocks of `rk4_blocks` into one table allocated up front.  Aborts
-    with NonFiniteState at the first row in which any state magnitude
-    exceeds 1e12 or turns non-finite, carrying that row's time and the
-    partial trajectory of the rows before it.
+    the blocks of `rk4_blocks` into one table allocated up front.  Each
+    (out, plus, minus) of diffs, plus and minus among the names, appends a
+    column out = plus - minus, filled block by block as `recover_difference`
+    computes it.  Aborts with NonFiniteState at the first row in which any
+    state magnitude exceeds 1e12 or turns non-finite, carrying that row's
+    time and the partial trajectory of the rows before it.
     """
-    times, names, values = _grid(x0, T, dt, names)
-    row = 1
+    x = as_vector(x0, "x0")
+    names = tuple(f"s{i}" for i in range(x.shape[0])) if names is None else tuple(names)
+    plus = [names.index(p) for _, p, _ in diffs]
+    minus = [names.index(m) for _, _, m in diffs]
+    names += tuple(out for out, _, _ in diffs)
+    times, values = _grid(T, dt, len(names))
+    row = 0
     try:
-        for block in rk4_blocks(field, values[0], len(times) - 1, dt):
-            values[row : row + len(block)] = block
+        for block in chain([x[None]], rk4_blocks(field, x, len(times) - 1, dt)):
+            rows = values[row : row + len(block)]
+            rows[:, : x.shape[0]] = block
+            rows[:, x.shape[0] :] = block[:, plus] - block[:, minus]
             row += len(block)
     except NonFiniteState as exc:
         exc.partial = Trajectory(times[:row], names, values[:row])
@@ -129,21 +138,33 @@ def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
     return Trajectory(times, names, values)
 
 
-def integrate_linear(F, g, x0, T: float, dt: float, columns, names) -> Trajectory:
-    """The exact solution of x' = F x + g on integrate's grid, at `columns`.
+def linear_rows(F, g, x0, steps: int, dt: float) -> Rows:
+    """The exact solution of x' = F x + g at the times k*dt, k = 0..steps.
 
-    Steps (x, 1) by expm([[F, g], [0, 0]] dt) through `numerics.propagate`
-    and keeps the components in `columns`, under `names`.  NonFiniteState,
-    without a partial trajectory, at the first grid row that is not finite.
+    Steps (x, 1) by expm([[F, g], [0, 0]] dt) through `numerics.propagate`;
+    each row holds x and then the constant 1.  The exponential is formed
+    before this returns; NonFiniteState, raised while the blocks are read,
+    carries the time of the first grid row that is not finite.
     """
     x = as_vector(x0, "x0")
     M = np.vstack([np.column_stack([F, g]), np.zeros(x.size + 1)])
-    times, names, values = _grid(x[columns], T, dt, names)
-    row = 1
-    for block in propagate(expm(M * dt), np.append(x, 1.0), len(times) - 1, dt):
-        values[row : row + len(block)] = block[:, columns]
+    y0 = np.append(x, 1.0)
+    return Rows(dt, steps, chain([y0[None]], propagate(expm(M * dt), y0, steps, dt)))
+
+
+def integrate_linear(F, g, x0, T: float, dt: float, columns, names) -> Trajectory:
+    """The exact solution of x' = F x + g on integrate's grid, at `columns`.
+
+    Collects the rows of `linear_rows`, keeping the components in `columns`
+    under `names`.  NonFiniteState, without a partial trajectory, at the
+    first grid row that is not finite.
+    """
+    times, values = _grid(T, dt, len(columns))
+    row = 0
+    for block in linear_rows(F, g, x0, len(times) - 1, dt).columns(columns).blocks:
+        values[row : row + len(block)] = block
         row += len(block)
-    return Trajectory(times, names, values)
+    return Trajectory(times, tuple(names), values)
 
 
 def recover_difference(traj: Trajectory, pairs) -> Trajectory:
@@ -171,6 +192,92 @@ def sup_error(a: Trajectory, b: Trajectory, columns) -> float:
         ca = a.column(name)[mask]
         cb = np.interp(grid, b.times, b.column(name))
         worst = max(worst, float(np.max(np.abs(ca - cb))))
+    return worst
+
+
+def stream_sup_error(a: Rows, b: Rows) -> float:
+    """`sup_error` of two streamed trajectories over all their columns.
+
+    Column j of a is compared with column j of b, one block of a at a time,
+    holding only the rows of b around that block.  When the two steps agree
+    to 1e-12 relative, the streams share one grid and row k of a is compared
+    with row k of b, up to the last row both have.  Otherwise b is
+    resampled onto a's grid by `sup_error`'s linear interpolation, over the
+    rows `sup_error` compares.  ValueError when the blocks of a and b differ
+    in width.  Both streams are read to their end.  A blow-up of b is the
+    one raised: the oracle's failure is what a
+    comparison against it reports, wherever it happens, so a blow-up of a
+    is raised only after b has been read to its end without one.
+    """
+    try:
+        if abs(a.dt - b.dt) <= 1e-12 * a.dt:
+            worst = _sup_on_one_grid(a, b)
+        else:
+            worst = _sup_interpolated(a, b)
+    except NonFiniteState:
+        for _ in b.blocks:
+            pass
+        raise
+    for _ in b.blocks:
+        pass
+    return worst
+
+
+def _sup_on_one_grid(a: Rows, b: Rows) -> float:
+    last = min(a.steps, b.steps)
+    worst = 0.0
+    row = 0  # the index of the block's first row
+    held = np.empty((0, 0))  # the rows of b from index row on
+    for block in a.blocks:
+        m = min(len(block), last + 1 - row)
+        row += len(block)
+        if m <= 0:
+            continue  # a is still read to its end
+        while len(held) < m:
+            more = next(b.blocks)
+            held = np.concatenate([held, more]) if len(held) else more
+        _check_widths(block, held)
+        worst = max(worst, float(np.max(np.abs(block[:m] - held[:m]))))
+        held = held[m:]
+    return worst
+
+
+def _check_widths(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[1] != b.shape[1]:  # they would broadcast against each other
+        raise ValueError(f"streams of {a.shape[1]} and {b.shape[1]} columns")
+
+
+def _sup_interpolated(a: Rows, b: Rows) -> float:
+    limit = min(a.steps * a.dt, b.steps * b.dt) * (1.0 + 1e-12)
+    worst = 0.0
+    row = 0  # the index of the block's first row
+    bt = np.empty(0)  # the times of the held rows of b, and the rows
+    by = None
+    b_next = 0  # the index of b's next row
+    for block in a.blocks:
+        t = np.arange(row, row + len(block)) * a.dt
+        row += len(block)
+        shared = t <= limit
+        if not shared.any():
+            continue  # a is still read to its end
+        t, block = t[shared], block[shared]
+        # hold b up to its first row beyond this block, or to its end
+        while (not bt.size or bt[-1] <= t[-1]) and b_next <= b.steps:
+            more = next(b.blocks)
+            bt = np.concatenate([bt, np.arange(b_next, b_next + len(more)) * b.dt])
+            by = more if by is None else np.concatenate([by, more])
+            b_next += len(more)
+        # np.interp's formula on the interval [bt[j], bt[j + 1]) holding t;
+        # at or beyond b's last row, that row's value
+        j = np.searchsorted(bt, t, side="right") - 1
+        inner = j < bt.size - 1
+        interp = by[j]
+        _check_widths(block, interp)
+        k = j[inner]
+        slope = (by[k + 1] - by[k]) / (bt[k + 1] - bt[k])[:, None]
+        interp[inner] = slope * (t[inner] - bt[k])[:, None] + by[k]
+        worst = max(worst, float(np.max(np.abs(block - interp))))
+        bt, by = bt[j[-1] :], by[j[-1] :]
     return worst
 
 

@@ -402,7 +402,8 @@ class TestFrequencyResponseExamples:
 class TestImpossibleHorizon:
     """A horizon whose grid no machine can hold (each request below is many
     PiB, beyond the 128 TiB user address space of x86-64) exits 1 with one
-    `error:` line instead of numpy's MemoryError traceback."""
+    `error:` line instead of numpy's MemoryError traceback.  `verify`
+    streams its grid, so it refuses by its row cap before it steps."""
 
     @pytest.mark.parametrize("args", [
         ["simulate", "{crn}", "-T", "1e12"],
@@ -417,4 +418,35 @@ class TestImpossibleHorizon:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         [line] = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
-        assert "allocate" in line
+        if args[0] == "verify":
+            assert line == ("error: T=1e+12 needs 2e+15 grid rows at h=0.01, "
+                            "above the cap of 1e+09")
+        else:
+            assert "allocate" in line
+
+
+class TestStartup:
+    def test_import_leaves_out_the_network_and_xml_stacks(self):
+        code = ("import sys, circ2crn.cli; "
+                "print(sorted({'urllib.request', 'xml.sax'} & set(sys.modules)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(circ2crn.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "[]\n"
+
+    def test_plot_escape_matches_the_xml_library(self):
+        from xml.sax.saxutils import escape as xml_escape
+
+        from circ2crn.plot import escape
+
+        for text in ["", "plain", "a&b<1>.crn", "&amp;&lt;", ">>&<<", "x&y<2>\"'"]:
+            assert escape(text) == xml_escape(text)
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        from circ2crn.cli import _build_parser
+
+        parser = _build_parser()
+        netlist = _write(tmp_path, "rl.cir", RL_DC)
+        assert main(["verify", netlist, "-T", "1", "--tol", "0.05"]) == 0
+        assert main(["compile", netlist]) == 0
+        assert _build_parser() is parser

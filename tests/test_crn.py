@@ -683,6 +683,49 @@ def test_difference_system_is_the_signed_ode(text):
     assert np.array_equal(d0, init)
 
 
+def difference_law_by_reaction(net):
+    """(F, g) of `difference_system`, one reaction at a time in reaction
+    order: each reaction's net move of each difference, times its rate, is
+    added to the column of its one reactant's plus rail, or to g."""
+    diff_of = {}
+    for i, (_, plus, minus) in enumerate(net.diffs):
+        diff_of[plus], diff_of[minus] = (i, 1), (i, -1)
+    F, g = np.zeros((len(net.diffs),) * 2), np.zeros(len(net.diffs))
+    for rx in net.reactions:
+        moves = {}
+        for side, sign in ((rx.reactants, -1), (rx.products, 1)):
+            for sp in side:
+                if sp in diff_of:
+                    i, rail = diff_of[sp]
+                    moves[i] = moves.get(i, 0) + sign * rail
+        for i, move in moves.items():
+            if move == 0:
+                continue
+            if not rx.reactants:
+                g[i] += move * rx.rate
+            else:
+                [reactant] = rx.reactants
+                j, rail = diff_of[reactant]
+                if rail == 1:
+                    F[i, j] += move * rx.rate
+    return F, g
+
+
+@pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, rl_ladder(20),
+                                  rl_ladder(60)],
+                         ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass", "ladder20",
+                              "ladder60"])
+def test_difference_system_sums_each_reaction_in_order(text):
+    """F and g equal, bit for bit, the sums taken reaction by reaction."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        net = parse_crn(serialize_crn(compile_circuit(parse_netlist(text), RunConfig()).crn))
+    F, g, _ = difference_system(net)
+    want_F, want_g = difference_law_by_reaction(net)
+    assert np.array_equal(F, want_F)
+    assert np.array_equal(g, want_g)
+
+
 @pytest.mark.parametrize("name, reaction", [
     ("bimolecular_moves_a_difference.crn", "reaction 3 (x_p + x_p -> x_p) has two reactants"),
     ("unequal_rail_columns.crn", "reaction 1 (x_p -> x_p + x_m) reads a rail whose partner is not its negation"),

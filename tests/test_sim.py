@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -14,7 +15,16 @@ from circ2crn.crn import (
     parse_crn,
     serialize_crn,
 )
-from circ2crn.dae import AffineOde, Trajectory, coupled_euler_map, e_invertible, reference_solve
+from circ2crn.dae import (
+    AffineOde,
+    DaeSystem,
+    Trajectory,
+    coupled_euler_map,
+    e_invertible,
+    fourier_input,
+    reference_rows,
+    reference_solve,
+)
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
 from circ2crn.pipeline import (
     RunConfig,
@@ -31,12 +41,15 @@ from circ2crn.sim import (
     fit_sinusoid,
     integrate,
     integrate_linear,
+    linear_rows,
     recover_difference,
     step_count,
+    stream_sup_error,
     sup_error,
 )
 
 from conftest import (
+    RC_LOWPASS,
     RL_DC,
     RL_SINE,
     TWO_CAP,
@@ -170,6 +183,43 @@ class TestIntegrate:
         check_dt(0.0005, 0.01)  # compliant: no warning
 
 
+class TestSimulateCrn:
+    """simulate_crn fills one table, the rail differences included."""
+
+    @staticmethod
+    def ladder():
+        return compile_circuit(parse_netlist(rl_ladder(8)), RunConfig()).crn
+
+    def test_equals_the_species_table_with_recovered_differences(self):
+        net = self.ladder()
+        got = pipeline.simulate_crn(net, 1.0, 5e-4)
+        species = integrate(mass_action_field(net), net.initial_state(), 1.0, 5e-4,
+                            net.species)
+        extra = recover_difference(species, [(p, m, out) for out, p, m in net.diffs])
+        assert got.names == species.names + extra.names
+        assert np.array_equal(got.times, species.times)
+        assert np.array_equal(got.values, np.column_stack([species.values, extra.values]))
+
+    def test_holds_one_table(self):
+        net = self.ladder()
+        tracemalloc.start()
+        try:
+            traj = pipeline.simulate_crn(net, 4.0, 5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * traj.values.nbytes, (peak, traj.values.nbytes)
+
+    def test_blowup_partial_carries_the_difference_columns(self):
+        net = Crn(("x_p", "x_m"), (Reaction(("x_p",), ("x_p", "x_p"), 3.0),),
+                  {"x_p": 1.0}, diffs=(("x", "x_p", "x_m"),))
+        with pytest.raises(NonFiniteState) as exc_info:
+            pipeline.simulate_crn(net, 50.0, 1e-3)
+        partial = exc_info.value.partial
+        assert partial.names == ("x_p", "x_m", "x")
+        assert np.array_equal(partial.column("x"), partial.column("x_p") - partial.column("x_m"))
+
+
 class TestEulerStiffnessBound:
     """RK4 at h/20 rests on the Euler map's eigenvalues staying within 1/h:
     those of (E - hA)^-1 A are lambda / (1 - h lambda) for the finite
@@ -221,6 +271,118 @@ class TestExactDifferences:
         fine = Trajectory(fine.times[::8], fine.names, fine.values[::8])
         assert "%.6g" % sup_error(fine, ref, states) == "2.48897e-05"
         assert "%.6g" % verify_circuit(net, cfg) == "2.48897e-05"
+
+
+def materialised_study(net, cfg, hs, h_ref):
+    """convergence_study from two stored tables: reference_solve, keeping
+    one row per grid row when the grid step is a whole number of oracle
+    steps and else its default 400 000 rows, then integrate_linear, compared
+    by sup_error."""
+    rows = []
+    for h in hs:
+        cfg_h = replace(cfg, h=h)
+        dt = cfg_h.resolve_dt()
+        compiled = compile_circuit(net, cfg_h)
+        steps, whole = step_count(cfg.T, h_ref), round(dt / h_ref)
+        points = -(-steps // whole) if abs(dt / h_ref - whole) <= 1e-12 * whole else 400_000
+        ref = reference_solve(compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref, points)
+        if points != 400_000:
+            assert ref.times[1] == pytest.approx(dt, rel=1e-12)
+        emitted = parse_crn(serialize_crn(compiled.crn))
+        outs = [out for out, _, _ in emitted.diffs]
+        states = compiled.sys.state_names
+        traj = integrate_linear(*difference_system(emitted), cfg.T, dt,
+                                [outs.index(name) for name in states], states)
+        rows.append((h, sup_error(traj, ref, states)))
+    return rows
+
+
+class TestStreamedVerify:
+    """verify folds the sup error of two row streams, block by block; it
+    equals sup_error over the two tables those streams would fill."""
+
+    @pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS],
+                             ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass"])
+    @pytest.mark.parametrize("T, hs, h_ref", [
+        (10.0, [0.01], 1e-4),  # verify's default oracle: five steps per grid row
+        (10.0, [0.04, 0.02, 0.01], 1e-5),  # c03's study: 200, 100 and 50 steps
+        (2.0, [0.02, 0.01], 7e-5),  # not a whole number: interpolated
+        (3.0003, [0.01], 1e-4),  # T not a multiple of dt: the grids end apart
+    ], ids=["verify", "integral_study", "non_integral", "ragged_end"])
+    def test_fold_equals_sup_error_of_the_tables(self, text, T, hs, h_ref):
+        net = parse_netlist(text)
+        cfg = RunConfig(T=T, transient_discard=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = convergence_study(net, cfg, hs, h_ref)
+            want = materialised_study(net, cfg, hs, h_ref)
+        assert [h for h, _ in got] == hs
+        for (_, err), (_, ref) in zip(got, want):
+            assert abs(err - ref) <= 1e-12 * ref
+
+    @staticmethod
+    def scalar(rate):
+        """x' = rate x as a DAE with one zero source, and its oracle input."""
+        sys = DaeSystem([[1.0]], [[rate]], [[0.0]], ("x",), 0)
+        return sys, fourier_input(("u", 0.0, ()))
+
+    @pytest.mark.parametrize("artifact_rate, oracle_rate", [
+        (200.0, -1.0),  # only the artifact overflows
+        (-1.0, 100.0),  # only the oracle overflows
+        (200.0, 100.0),  # the artifact first, then the oracle
+    ])
+    def test_blowup_is_raised_at_the_time_of_the_tables(self, artifact_rate, oracle_rate):
+        T, dt, h_ref, x0 = 10.0, 5e-4, 1e-4, [1.0]
+        sys, inp = self.scalar(oracle_rate)
+        F, g = np.array([[artifact_rate]]), np.zeros(1)
+        with pytest.raises(NonFiniteState) as want:
+            # the oracle first, as a comparison against it reports its failure
+            ref = reference_solve(sys, inp, x0, T, h_ref, max_points=step_count(T, dt))
+            sup_error(integrate_linear(F, g, x0, T, dt, [0], ("x",)), ref, ("x",))
+        _, oracle = reference_rows(sys, inp, x0, T, h_ref, stride=5)
+        with pytest.raises(NonFiniteState) as got:
+            stream_sup_error(linear_rows(F, g, x0, step_count(T, dt), dt).columns([0]),
+                             oracle.columns([0]))
+        assert got.value.time == want.value.time
+        assert want.value.time < T
+
+    def test_fold_reads_both_streams_to_their_end(self):
+        T, dt, x0 = 2.0, 5e-4, [1.0]
+        sys, inp = self.scalar(-1.0)
+        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, step_count(T, dt), dt)
+        _, oracle = reference_rows(sys, inp, x0, T, 1e-4, stride=5)
+        err = stream_sup_error(artifact.columns([0]), oracle.columns([0]))
+        assert 0.0 < err <= 1e-4  # BDF-1 at 1e-4 against the exact exponential
+        assert next(artifact.blocks, None) is None
+        assert next(oracle.blocks, None) is None
+
+    @pytest.mark.parametrize("h_ref", [1e-4, 7e-5], ids=["one_grid", "interpolated"])
+    def test_streams_of_unequal_width_are_refused(self, h_ref):
+        T, dt, x0 = 1.0, 5e-4, [1.0]
+        sys, inp = self.scalar(-1.0)
+        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, step_count(T, dt), dt)
+        _, oracle = reference_rows(sys, inp, x0, T, h_ref, stride=round(dt / h_ref))
+        with pytest.raises(ValueError, match="streams of 2 and 1 columns"):
+            stream_sup_error(artifact, oracle.columns([0]))
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        net = parse_netlist(rl_ladder(3))
+        peaks = []
+        for T in (1.0, 8.0):
+            tracemalloc.start()
+            try:
+                verify_circuit(net, RunConfig(T=T, transient_discard=0.0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
+
+    def test_a_grid_over_the_row_cap_is_refused_before_stepping(self, rc_lowpass):
+        net, _, _ = rc_lowpass
+        cfg = RunConfig(T=1e12, transient_discard=0.0)
+        with pytest.raises(ValueError, match=r"^T=1e\+12 needs 2e\+15 grid rows at h=0.01, "
+                                             r"above the cap of 1e\+09$"):
+            convergence_study(net, cfg, [0.02, 0.01])
 
 
 def rk4_stepwise(field, x0, T, dt):
