@@ -361,9 +361,10 @@ def reference_rows(sys: DaeSystem, inp: InputModel, x0, T: float, h: float,
     [0, 1]].  Only every stride-th iterate is kept, by stepping with P^stride
     through `numerics.propagate`, up to the last one at or before the first
     multiple of h at or beyond T.  Returns the stacked state names and the
-    kept rows, row k at time k*stride*h; each row holds the stacked state
-    and then the constant 1 of y.  The rows agree with the step-by-step
-    recursion to rounding, about 1e-12 relative to max|x|.  The initial
+    kept rows, row k at time k*stride*h, as row 0 and then propagate's fixed
+    blocks, which depend on the number of kept rows alone; each row holds
+    the stacked state and then the constant 1 of y.  The rows agree with
+    the step-by-step recursion to rounding, about 1e-12 relative to max|x|.  The initial
     state is projected, and P formed, before this returns; NonFiniteState,
     raised while the blocks are read, carries the time of the first
     non-finite kept row.
@@ -384,7 +385,7 @@ def reference_rows(sys: DaeSystem, inp: InputModel, x0, T: float, h: float,
     P = np.eye(size + 1)
     P[:size, :size] = inv @ stacked.E
     P[:size, size] = h * (inv @ b)
-    # finiteness is checked row by row in propagate, so overflow needs no warning
+    # finiteness is checked block by block in propagate, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.linalg.matrix_power(P, stride)
     steps = step_count(T, h) // stride

@@ -12,6 +12,8 @@ relative threshold is what lets callers distinguish a genuinely singular
 pencil from round-off.  The factorization, the inverse and the solve inside
 `expm` all come from LAPACK through numpy.  `expm` and `propagate` step
 y' = M y exactly on a grid: y(k dt) = Phi^k y(0) with Phi = expm(M dt).
+`propagate` hands the rows out in blocks of one fixed length, each filled
+by products with a table of powers of Phi.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import numpy as np
 from .errors import NonFiniteState, SingularMatrix
 
 REL_PIVOT_TOL = 1e-12
-# float64 entries in propagate's table of powers (512 KB)
+# float64 entries in propagate's table of powers (512 KB), and the rows in
+# one of its blocks, whatever the width of the stream
 _TABLE_ENTRIES = 1 << 16
+_BLOCK_ROWS = 512
 # the Pade [13/13] coefficients b_0 .. b_13, scaled to b_0 = 1 so that a zero
 # row keeps its diagonal at exactly 1, and the largest 1-norm at which that
 # approximant meets double precision (Higham 2005)
@@ -114,35 +118,44 @@ def expm(m) -> np.ndarray:
 def propagate(phi: np.ndarray, y0: np.ndarray, steps: int, dt: float):
     """The rows Phi^1 y0 .. Phi^steps y0, as blocks.
 
-    Yields fresh arrays that the caller may keep.  A table of Phi^1 .. Phi^b
-    (b bounded by _TABLE_ENTRIES) makes each block of b rows one matrix
-    product with the previous block's last row.  The block holding the first
-    non-finite row is not yielded: NonFiniteState carries that row's time.
+    Yields fresh arrays that the caller may keep: blocks of _BLOCK_ROWS rows
+    and then one of the rest.  That schedule depends on steps alone, never
+    on the width of Phi, so streams of equal length share it.  A table of
+    Phi^1 .. Phi^b (b bounded by _TABLE_ENTRIES and _BLOCK_ROWS) fills a
+    block b rows at a time, each b rows one matrix product with the row
+    before them.  Each block is checked whole: at the first non-finite row,
+    the rows before it are yielded and NonFiniteState is raised with that
+    row's time.
     """
     size = phi.shape[0]
-    block = max(1, min(steps, _TABLE_ENTRIES // size**2))
-    y = y0
-    # finiteness is checked row by row below, so overflow needs no warning
+    table = max(1, min(_BLOCK_ROWS, _TABLE_ENTRIES // size**2, steps))
+    # finiteness is checked block by block below, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.empty((block, size, size))
+        powers = np.empty((table, size, size))
         powers[0] = phi
         k = 1
-        while k < block:  # doubling: powers[k:2k] = powers[:k] @ Phi^k
-            j = min(k, block - k)
-            powers[k : k + j] = powers[:j] @ powers[k - 1]
+        while k < table:  # doubling, one product: powers[k:k+j] = powers[:j] @ Phi^k
+            j = min(k, table - k)
+            doubled = powers[:j].reshape(j * size, size) @ powers[k - 1]
+            powers[k : k + j] = doubled.reshape(j, size, size)
             k += j
         # an overflowed power would turn a zero component into NaN, where
         # stepping keeps it zero: use only the leading finite powers
         finite = np.isfinite(powers).all(axis=(1, 2))
     if not finite.all():
-        block = max(1, int(np.argmin(finite)))
-    for start in range(1, steps + 1, block):
-        count = min(block, steps + 1 - start)
-        # one matrix-vector product over the stacked powers
+        table = max(1, int(np.argmin(finite)))
+    stacked = powers[:table].reshape(table * size, size)
+    y = y0
+    for start in range(1, steps + 1, _BLOCK_ROWS):
+        ys = np.empty((min(_BLOCK_ROWS, steps + 1 - start), size))
         with np.errstate(over="ignore", invalid="ignore"):
-            ys = (powers[:count].reshape(-1, size) @ y).reshape(count, -1)
-        bad = ~np.isfinite(ys).all(axis=1)
-        if bad.any():
-            raise NonFiniteState((start + int(np.argmax(bad))) * dt)
+            for lo in range(0, len(ys), table):
+                rows = ys[lo : lo + table]
+                rows[:] = (stacked[: len(rows) * size] @ y).reshape(rows.shape)
+                y = rows[-1]
+        if not np.isfinite(ys).all():
+            bad = int(np.argmin(np.isfinite(ys).all(axis=1)))
+            if bad:
+                yield ys[:bad]
+            raise NonFiniteState((start + bad) * dt)
         yield ys
-        y = ys[-1]

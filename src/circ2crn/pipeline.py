@@ -10,8 +10,9 @@ The blocks are recorded on the union, so `serialize_crn` marks them.
 `verify_circuit` and `convergence_study` certify exactly that union, read
 back from its `.crn` text: under mass action its rail differences obey an
 affine law exactly, which they propagate on the h/20 grid and compare with
-a backward-Euler run on the exact pencil.  Both runs are streamed and
-compared block by block, so memory does not grow with the horizon.
+a backward-Euler run on the exact pencil.  Both runs are streamed in blocks
+of one fixed length (`numerics.propagate`) and compared block by block, so
+memory does not grow with the horizon.
 
 `simulate_crn` fills one table, rail differences included, as RK4 steps.
 
@@ -194,13 +195,14 @@ def convergence_study(
     min(hs)/100.  Each network is read back from its `.crn` text, and the
     law of its rail differences (`crn.difference_system`) is propagated
     exactly on its own grid of h/20 (`RunConfig.resolve_dt`), a stream of
-    blocks that `sim.stream_sup_error` compares with a stream of oracle rows
-    (`dae.reference_rows`) as both are stepped.  When the grid step is a
-    whole number s of oracle steps, the oracle keeps every s-th row, one per
-    grid row; otherwise it keeps the rows `reference_solve` keeps with
-    max_points _ORACLE_POINTS, interpolated onto the grid.  ValueError,
-    before anything is stepped, when a grid would exceed MAX_GRID_ROWS
-    rows; ValidationError when the difference law is not exact.
+    fixed blocks that `sim.stream_sup_error` compares with a stream of
+    oracle rows (`dae.reference_rows`) in blocks of the same length as both
+    are stepped.  When the grid step is a whole number s of oracle steps,
+    the oracle keeps every s-th row, one per grid row; otherwise it keeps
+    the rows `reference_solve` keeps with max_points _ORACLE_POINTS,
+    interpolated onto the grid.  ValueError, before anything is stepped,
+    when a grid would exceed MAX_GRID_ROWS rows; ValidationError when the
+    difference law is not exact.
     """
     hs = list(hs)
     if not hs:

@@ -19,11 +19,12 @@ of E^-1 A, which do not depend on h: a circuit time constant well below h
 makes RK4 at h/20 blow up.
 
 `linear_rows` streams the exact solution of a linear system x' = F x + g,
-propagated by the matrix exponential of one grid step; `integrate_linear`
-collects it.  `verify` certifies with it, on the rail differences of an
-emitted network (`crn.difference_system`): `stream_sup_error` folds the
-sup error of those rows against the streamed oracle one block at a time,
-so nothing of the length of the horizon is stored.
+propagated by the matrix exponential of one grid step in the fixed blocks
+of `numerics.propagate`; `integrate_linear` collects it.  `verify`
+certifies with it, on the rail differences of an emitted network
+(`crn.difference_system`): `stream_sup_error` folds the sup error of those
+rows against the streamed oracle, whose blocks follow the same schedule,
+one block at a time, so nothing of the length of the horizon is stored.
 """
 
 from __future__ import annotations
@@ -76,15 +77,15 @@ def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
 
     Takes `steps` steps of dt from the float64 vector x0 (grid row 0) and
     yields grid rows 1..steps in order, as fresh arrays of at most
-    _CHECK_ROWS rows that the caller may keep.  Each block is checked before
-    it is yielded: at the first row in which any state magnitude exceeds
-    1e12 or turns non-finite, the rows before it are yielded and
-    NonFiniteState is raised with that row's time (and no partial
-    trajectory).  A blow-up is thus found up to a block late, but the steps
-    taken past it raise no floating-point warning.  On the stacked state of
-    several networks (see crn.mass_action_field) that row is the earliest
-    blow-up of any of them.  The field's arrays are only read, never
-    written.
+    _CHECK_ROWS rows that the caller may keep.  Each block is checked whole
+    before it is yielded, and only a block that fails is searched row by
+    row: at the first row in which any state magnitude exceeds 1e12 or
+    turns non-finite, the rows before it are yielded and NonFiniteState is
+    raised with that row's time (and no partial trajectory).  A blow-up is
+    thus found up to a block late, but the steps taken past it raise no
+    floating-point warning.  On the stacked state of several networks (see
+    crn.mass_action_field) that row is the earliest blow-up of any of them.
+    The field's arrays are only read, never written.
     """
     x = x0
     half = 0.5 * dt
@@ -99,9 +100,8 @@ def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
                 k4 = field(x + dt * k3)
                 np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=row)
                 x = row
-        ok = (np.abs(block) <= BLOWUP_LIMIT).all(axis=1)  # NaN fails the <= too
-        if not ok.all():
-            bad = int(np.argmin(ok))
+        if not np.max(np.abs(block), initial=0.0) <= BLOWUP_LIMIT:  # NaN fails the <= too
+            bad = int(np.argmin((np.abs(block) <= BLOWUP_LIMIT).all(axis=1)))
             if bad:
                 yield block[:bad]
             raise NonFiniteState((start + bad) * dt)
@@ -141,10 +141,11 @@ def integrate(field, x0, T: float, dt: float, names=None, diffs=()) -> Trajector
 def linear_rows(F, g, x0, steps: int, dt: float) -> Rows:
     """The exact solution of x' = F x + g at the times k*dt, k = 0..steps.
 
-    Steps (x, 1) by expm([[F, g], [0, 0]] dt) through `numerics.propagate`;
-    each row holds x and then the constant 1.  The exponential is formed
-    before this returns; NonFiniteState, raised while the blocks are read,
-    carries the time of the first grid row that is not finite.
+    Steps (x, 1) by expm([[F, g], [0, 0]] dt) through `numerics.propagate`,
+    so row 0 is followed by its fixed blocks; each row holds x and then the
+    constant 1.  The exponential is formed before this returns;
+    NonFiniteState, raised while the blocks are read, carries the time of
+    the first grid row that is not finite.
     """
     x = as_vector(x0, "x0")
     M = np.vstack([np.column_stack([F, g]), np.zeros(x.size + 1)])

@@ -210,9 +210,10 @@ def assert_matches_stepwise(sys, inp, T, h, max_points=None):
 
 
 def table_block(sys, inp) -> int:
-    """Iterates per block of the table of powers that reference_solve
+    """Iterates per product with the table of powers that reference_solve
     steps through (`numerics.propagate`)."""
-    return numerics._TABLE_ENTRIES // (sys.n + inp.m + inp.k + 1) ** 2
+    size = sys.n + inp.m + inp.k + 1
+    return min(numerics._BLOCK_ROWS, numerics._TABLE_ENTRIES // size**2)
 
 
 class TestReferenceSolve:
@@ -367,7 +368,9 @@ class TestReferenceSolve:
         block = table_block(sys, inp)
         if k == 60:
             assert block == 4
-        assert_matches_stepwise(sys, inp, (2 * block + 1) * 1e-3, 1e-3)
+        # across two table products, and across the end of a block
+        for steps in (2 * block + 1, numerics._BLOCK_ROWS + 1):
+            assert_matches_stepwise(sys, inp, steps * 1e-3, 1e-3)
 
 
 @settings(max_examples=40, deadline=None)

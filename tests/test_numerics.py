@@ -1,6 +1,9 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
+from circ2crn import numerics
 from circ2crn.errors import NonFiniteState, SingularMatrix
 from circ2crn.numerics import (
     REL_PIVOT_TOL,
@@ -259,18 +262,53 @@ class TestExpm:
         assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
 
 
+def _binary_powers(phi, y0, steps):
+    """Phi^k y0 for k = 1..steps, each from the squares Phi^(2^i) that
+    np.linalg.matrix_power multiplies for k, applied to y0 one at a time."""
+    squares = [phi]
+    while 2 ** len(squares) <= steps:
+        squares.append(squares[-1] @ squares[-1])
+    rows = []
+    for k in range(1, steps + 1):
+        y = y0
+        for i, square in enumerate(squares):
+            if k >> i & 1:
+                y = square @ y
+        rows.append(y)
+    return np.array(rows)
+
+
 class TestPropagate:
     def test_hundred_steps_equal_the_powers(self):
-        # 40 x 40 powers fill the table 40 at a time: three blocks
+        # a 40 x 40 table holds 40 powers: one block of 100 rows, filled by
+        # three products of 40, 40 and 20 rows
         rng = np.random.default_rng(11)
         m = rng.normal(size=(40, 40)) - 6.0 * np.eye(40)
         phi, y0 = expm(0.01 * m), rng.normal(size=40)
         blocks = list(propagate(phi, y0, 100, 0.01))
-        assert [len(b) for b in blocks] == [40, 40, 20]
+        assert [len(b) for b in blocks] == [100]
         rows = np.concatenate(blocks)
-        for k in (1, 2, 39, 40, 41, 99, 100):
+        for k in (1, 2, 39, 40, 41, 80, 81, 99, 100):
             want = np.linalg.matrix_power(phi, k) @ y0
             assert _rel_err(rows[k - 1], want) <= 1e-13
+
+    @pytest.mark.parametrize("width", [1, 5, 40, 125])
+    def test_blocks_of_fixed_length_hold_the_powers(self, width):
+        # tables of min(_BLOCK_ROWS, 65536 // width^2) powers; the blocks are alike
+        rows_per_block = numerics._BLOCK_ROWS
+        rng = np.random.default_rng(width)
+        m = rng.normal(size=(width, width)) / np.sqrt(width) - np.eye(width)
+        phi, y0 = expm(0.1 * m), rng.normal(size=width)
+        longest = 2 * rows_per_block + 1
+        want = _binary_powers(phi, y0, longest)
+        for k in (1, rows_per_block - 1, rows_per_block, longest):
+            assert _rel_err(want[k - 1], np.linalg.matrix_power(phi, k) @ y0) <= 1e-13
+        for steps in (0, 1, rows_per_block - 1, rows_per_block, rows_per_block + 1, longest):
+            blocks = list(propagate(phi, y0, steps, 0.1))
+            full, rest = divmod(steps, rows_per_block)
+            assert [len(b) for b in blocks] == [rows_per_block] * full + [rest] * (rest > 0)
+            for got, row in zip(chain.from_iterable(blocks), want):
+                assert _rel_err(got, row) <= 1e-13
 
     def test_no_steps_no_rows(self):
         assert list(propagate(np.eye(2), np.ones(2), 0, 0.1)) == []
@@ -282,3 +320,13 @@ class TestPropagate:
                 rows.extend(block.tolist())
         assert exc_info.value.time == 1.0
         assert rows == [[1e200]]
+
+    def test_rows_before_a_blowup_inside_a_block_are_yielded(self):
+        # the rows 2^(k - 1074) are exact and finite up to k = 2097, which
+        # lies inside a block after the first
+        rows = []
+        with pytest.raises(NonFiniteState) as exc_info:
+            for block in propagate(np.array([[2.0]]), np.array([2.0**-1074]), 3000, 0.5):
+                rows.extend(block[:, 0].tolist())
+        assert exc_info.value.time == 2098 * 0.5
+        assert rows == [2.0 ** (k - 1074) for k in range(1, 2098)]

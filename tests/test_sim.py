@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from circ2crn import pipeline, sim
+from circ2crn import numerics, pipeline, sim
 from circ2crn.circuit import Fourier, build_dae, parse_netlist
 from circ2crn.crn import (
     Crn,
@@ -319,6 +319,32 @@ class TestStreamedVerify:
         assert [h for h, _ in got] == hs
         for (_, err), (_, ref) in zip(got, want):
             assert abs(err - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, rl_ladder(20)],
+                             ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass", "ladder_20"])
+    @pytest.mark.parametrize("T", [10.0, 3.0003], ids=["whole", "ragged_end"])
+    def test_both_streams_share_one_block_schedule(self, text, T):
+        # at T = 3.0003 the grid ends one row after the oracle's last kept row
+        net, cfg = parse_netlist(text), RunConfig(T=T, transient_discard=0.0)
+        dt, h_ref = cfg.resolve_dt(), cfg.h / 100.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            compiled = compile_circuit(net, cfg)
+            _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0, T, h_ref,
+                                       round(dt / h_ref))
+        artifact = linear_rows(*difference_system(parse_crn(serialize_crn(compiled.crn))),
+                               step_count(T, dt), dt)
+        assert artifact.steps - oracle.steps == (0 if T == 10.0 else 1)
+        for rows in (artifact, oracle):
+            # row 0, then blocks of _BLOCK_ROWS rows and one of the rest
+            full, rest = divmod(rows.steps, numerics._BLOCK_ROWS)
+            want = [1] + [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
+            assert [len(block) for block in rows.blocks] == want
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            [(_, got)] = convergence_study(net, cfg, [cfg.h], h_ref)
+            [(_, want)] = materialised_study(net, cfg, [cfg.h], h_ref)
+        assert abs(got - want) <= 1e-12 * want
 
     @staticmethod
     def scalar(rate):
