@@ -352,25 +352,24 @@ def stacked_pencil(sys: DaeSystem, inp: InputModel):
     return stacked, b
 
 
-def reference_rows(sys: DaeSystem, inp: InputModel, x0, T: float, h: float,
+def reference_rows(sys: DaeSystem, inp: InputModel, x0, steps: int, h: float,
                    stride: int = 1) -> tuple[tuple[str, ...], Rows]:
     """Backward-Euler (equivalently BDF-1) rows of the exact DAE, streamed.
 
     Steps the stacked pencil x[i+1] = x[i] + h F_h(x[i]), which is the affine
     map x -> S x + c, written as y -> P y on y = (x, 1) with P = [[S, c],
     [0, 1]].  Only every stride-th iterate is kept, by stepping with P^stride
-    through `numerics.propagate`, up to the last one at or before the first
-    multiple of h at or beyond T.  Returns the stacked state names and the
-    kept rows, row k at time k*stride*h, as row 0 and then propagate's fixed
-    blocks, which depend on the number of kept rows alone; each row holds
-    the stacked state and then the constant 1 of y.  The rows agree with
-    the step-by-step recursion to rounding, about 1e-12 relative to max|x|.  The initial
-    state is projected, and P formed, before this returns; NonFiniteState,
-    raised while the blocks are read, carries the time of the first
-    non-finite kept row.
+    through `numerics.propagate`, until `steps` rows follow row 0.  Returns
+    the stacked state names and the kept rows, row k at time k*stride*h, as
+    row 0 and then propagate's fixed blocks, which depend on `steps` alone;
+    each row holds the stacked state and then the constant 1 of y.  The rows
+    agree with the step-by-step recursion to rounding, about 1e-12 relative
+    to max|x|.  The initial state is projected, and P formed, before this
+    returns; NonFiniteState, raised while the blocks are read, carries the
+    time of the first non-finite kept row.
     """
-    if not 0.0 < h <= T < np.inf:  # NaN fails too
-        raise ValueError("need 0 < h <= T, both finite")
+    if not 0.0 < h < np.inf:  # NaN fails too
+        raise ValueError("h must be positive and finite")
     stacked, b = stacked_pencil(sys, inp)
     x_full = np.concatenate([as_vector(x0, "x0"), inp.init])
     x_full, flagged = consistent_project(stacked, b, x_full, min(1e-6, h / 10))
@@ -388,7 +387,6 @@ def reference_rows(sys: DaeSystem, inp: InputModel, x0, T: float, h: float,
     # finiteness is checked block by block in propagate, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.linalg.matrix_power(P, stride)
-    steps = step_count(T, h) // stride
     y0 = np.append(x_full, 1.0)
     blocks = chain([y0[None]], propagate(phi, y0, steps, stride * h))
     return stacked.state_names, Rows(stride * h, steps, blocks)
@@ -415,7 +413,7 @@ def reference_solve(
     stride = 1
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
-    names, rows = reference_rows(sys, inp, x0, T, h, stride)
+    names, rows = reference_rows(sys, inp, x0, n_steps // stride, h, stride)
     out = np.empty((rows.steps + 1, len(names)))
     row = 0
     for ys in rows.blocks:

@@ -10,9 +10,10 @@ The blocks are recorded on the union, so `serialize_crn` marks them.
 `verify_circuit` and `convergence_study` certify exactly that union, read
 back from its `.crn` text: under mass action its rail differences obey an
 affine law exactly, which they propagate on the h/20 grid and compare with
-a backward-Euler run on the exact pencil.  Both runs are streamed in blocks
-of one fixed length (`numerics.propagate`) and compared block by block, so
-memory does not grow with the horizon.
+a backward-Euler run on the exact pencil that keeps one iterate per grid
+row.  Both runs are streamed in blocks of one fixed length
+(`numerics.propagate`) and compared block by block, so memory does not grow
+with the horizon.
 
 `simulate_crn` fills one table, rail differences included, as RK4 steps.
 
@@ -65,9 +66,6 @@ _SWEEP_ENTRIES = 1 << 22
 # the grid rows verify steps at most, checked before it steps: minutes of
 # stepping even on the smallest circuits
 MAX_GRID_ROWS = 10**9
-# the oracle rows `reference_solve` stores when verify's grid is not a
-# whole number of oracle steps
-_ORACLE_POINTS = 400_000
 
 
 @dataclass(frozen=True)
@@ -194,15 +192,15 @@ def convergence_study(
     h values must be strictly decreasing; the oracle step defaults to
     min(hs)/100.  Each network is read back from its `.crn` text, and the
     law of its rail differences (`crn.difference_system`) is propagated
-    exactly on its own grid of h/20 (`RunConfig.resolve_dt`), a stream of
-    fixed blocks that `sim.stream_sup_error` compares with a stream of
-    oracle rows (`dae.reference_rows`) in blocks of the same length as both
-    are stepped.  When the grid step is a whole number s of oracle steps,
-    the oracle keeps every s-th row, one per grid row; otherwise it keeps
-    the rows `reference_solve` keeps with max_points _ORACLE_POINTS,
-    interpolated onto the grid.  ValueError, before anything is stepped,
-    when a grid would exceed MAX_GRID_ROWS rows; ValidationError when the
-    difference law is not exact.
+    exactly on its own grid of step dt = h/20 (`RunConfig.resolve_dt`), a
+    stream of fixed blocks that `sim.stream_sup_error` compares with a
+    stream of oracle rows (`dae.reference_rows`) on the same grid, block by
+    block as both are stepped.  The oracle keeps every s-th backward-Euler
+    iterate: when dt is a whole number of oracle steps, s is that number;
+    otherwise s = ceil(dt/h_ref) and the oracle steps by dt/s.  ValueError,
+    before anything is compiled, when h_ref is not positive and finite,
+    when a grid step exceeds T, or when a grid would exceed MAX_GRID_ROWS
+    rows; ValidationError when the difference law is not exact.
     """
     hs = list(hs)
     if not hs:
@@ -211,24 +209,28 @@ def convergence_study(
         raise ValueError("hs must be strictly decreasing")
     if h_ref is None:
         h_ref = min(hs) / 100.0
-    finest = step_count(cfg.T, replace(cfg, h=hs[-1]).resolve_dt())
+    if not 0.0 < h_ref < np.inf:  # NaN fails too
+        raise ValueError("h_ref must be positive and finite")
+    dts = [replace(cfg, h=h).resolve_dt() for h in hs]
+    if dts[0] > cfg.T:  # the coarsest grid
+        raise ValueError("need 0 < dt <= T, both finite")
+    finest = step_count(cfg.T, dts[-1])
     if finest > MAX_GRID_ROWS:
         raise ValueError(f"T={cfg.T:g} needs {finest:.3g} grid rows at h={hs[-1]:g}, "
                          f"above the cap of {MAX_GRID_ROWS:.0e}")
     rows = []
-    for h in hs:
-        cfg_h = replace(cfg, h=h)
-        dt = cfg_h.resolve_dt()
-        compiled = compile_circuit(net, cfg_h)
-        stride = round(dt / h_ref)
-        if stride < 1 or abs(dt / h_ref - stride) > 1e-12 * stride:
-            stride = int(np.ceil(step_count(cfg.T, h_ref) / _ORACLE_POINTS))
-        _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref,
-                                   stride)
+    for h, dt in zip(hs, dts):
+        compiled = compile_circuit(net, replace(cfg, h=h))
+        steps = step_count(cfg.T, dt)
+        s, step = round(dt / h_ref), h_ref
+        if abs(dt / h_ref - s) > 1e-12 * s:  # not a whole number of oracle steps
+            s = int(np.ceil(dt / h_ref))
+            step = dt / s
+        _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0, steps, step, s)
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
         states = compiled.sys.state_names
-        artifact = linear_rows(*difference_system(emitted), step_count(cfg.T, dt), dt)
+        artifact = linear_rows(*difference_system(emitted), steps, dt)
         err = stream_sup_error(artifact.columns([outs.index(name) for name in states]),
                                oracle.columns(slice(len(states))))
         rows.append((h, err))

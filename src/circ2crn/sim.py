@@ -23,8 +23,9 @@ propagated by the matrix exponential of one grid step in the fixed blocks
 of `numerics.propagate`; `integrate_linear` collects it.  `verify`
 certifies with it, on the rail differences of an emitted network
 (`crn.difference_system`): `stream_sup_error` folds the sup error of those
-rows against the streamed oracle, whose blocks follow the same schedule,
-one block at a time, so nothing of the length of the horizon is stored.
+rows against the streamed oracle, which keeps one row per grid row and
+whose blocks follow the same schedule, one pair of blocks at a time, so
+nothing of the length of the horizon is stored.
 """
 
 from __future__ import annotations
@@ -197,88 +198,35 @@ def sup_error(a: Trajectory, b: Trajectory, columns) -> float:
 
 
 def stream_sup_error(a: Rows, b: Rows) -> float:
-    """`sup_error` of two streamed trajectories over all their columns.
+    """`sup_error` of two streamed trajectories on one grid, over all their
+    columns.
 
-    Column j of a is compared with column j of b, one block of a at a time,
-    holding only the rows of b around that block.  When the two steps agree
-    to 1e-12 relative, the streams share one grid and row k of a is compared
-    with row k of b, up to the last row both have.  Otherwise b is
-    resampled onto a's grid by `sup_error`'s linear interpolation, over the
-    rows `sup_error` compares.  ValueError when the blocks of a and b differ
-    in width.  Both streams are read to their end.  A blow-up of b is the
-    one raised: the oracle's failure is what a
-    comparison against it reports, wherever it happens, so a blow-up of a
-    is raised only after b has been read to its end without one.
+    Row k of a is compared with row k of b and column j with column j, one
+    pair of blocks at a time, over the rows both blocks hold; the streams
+    must hand out blocks of the same lengths, as `numerics.propagate` does
+    for streams of one step count.  ValueError when the streams differ in
+    step (beyond 1e-12 relative) or step count, or a pair of blocks in
+    width.  Both streams are read to their end.  A blow-up of b is the one
+    raised: the oracle's failure is what a comparison against it reports,
+    wherever it happens, so a blow-up of a is raised only after b has been
+    read to its end without one.
     """
+    if abs(a.dt - b.dt) > 1e-12 * a.dt or a.steps != b.steps:
+        raise ValueError(f"streams of {a.steps} steps of {a.dt:g} and "
+                         f"{b.steps} steps of {b.dt:g}")
+    worst = 0.0
     try:
-        if abs(a.dt - b.dt) <= 1e-12 * a.dt:
-            worst = _sup_on_one_grid(a, b)
-        else:
-            worst = _sup_interpolated(a, b)
+        for x, y in zip(a.blocks, b.blocks):
+            if x.shape[1] != y.shape[1]:  # they would broadcast against each other
+                raise ValueError(f"streams of {x.shape[1]} and {y.shape[1]} columns")
+            m = min(len(x), len(y))
+            gap = np.subtract(x[:m], y[:m])
+            worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
+            del x, y, gap  # the next pair is filled without this one held
     except NonFiniteState:
         for _ in b.blocks:
             pass
         raise
-    for _ in b.blocks:
-        pass
-    return worst
-
-
-def _sup_on_one_grid(a: Rows, b: Rows) -> float:
-    last = min(a.steps, b.steps)
-    worst = 0.0
-    row = 0  # the index of the block's first row
-    held = np.empty((0, 0))  # the rows of b from index row on
-    for block in a.blocks:
-        m = min(len(block), last + 1 - row)
-        row += len(block)
-        if m <= 0:
-            continue  # a is still read to its end
-        while len(held) < m:
-            more = next(b.blocks)
-            held = np.concatenate([held, more]) if len(held) else more
-        _check_widths(block, held)
-        worst = max(worst, float(np.max(np.abs(block[:m] - held[:m]))))
-        held = held[m:]
-    return worst
-
-
-def _check_widths(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[1] != b.shape[1]:  # they would broadcast against each other
-        raise ValueError(f"streams of {a.shape[1]} and {b.shape[1]} columns")
-
-
-def _sup_interpolated(a: Rows, b: Rows) -> float:
-    limit = min(a.steps * a.dt, b.steps * b.dt) * (1.0 + 1e-12)
-    worst = 0.0
-    row = 0  # the index of the block's first row
-    bt = np.empty(0)  # the times of the held rows of b, and the rows
-    by = None
-    b_next = 0  # the index of b's next row
-    for block in a.blocks:
-        t = np.arange(row, row + len(block)) * a.dt
-        row += len(block)
-        shared = t <= limit
-        if not shared.any():
-            continue  # a is still read to its end
-        t, block = t[shared], block[shared]
-        # hold b up to its first row beyond this block, or to its end
-        while (not bt.size or bt[-1] <= t[-1]) and b_next <= b.steps:
-            more = next(b.blocks)
-            bt = np.concatenate([bt, np.arange(b_next, b_next + len(more)) * b.dt])
-            by = more if by is None else np.concatenate([by, more])
-            b_next += len(more)
-        # np.interp's formula on the interval [bt[j], bt[j + 1]) holding t;
-        # at or beyond b's last row, that row's value
-        j = np.searchsorted(bt, t, side="right") - 1
-        inner = j < bt.size - 1
-        interp = by[j]
-        _check_widths(block, interp)
-        k = j[inner]
-        slope = (by[k + 1] - by[k]) / (bt[k + 1] - bt[k])[:, None]
-        interp[inner] = slope * (t[inner] - bt[k])[:, None] + by[k]
-        worst = max(worst, float(np.max(np.abs(block - interp))))
-        bt, by = bt[j[-1] :], by[j[-1] :]
     return worst
 
 

@@ -317,15 +317,18 @@ class TestVerify:
         assert errs[0] > errs[1]
 
     def test_study_rows_equal_verify_against_the_same_oracle(self, tmp_path, capsys):
+        # at h = 0.03 the grid step is 7.5 oracle steps: the oracle steps by dt/8
         netlist = _write(tmp_path, "rls.cir", RL_SINE)
-        assert main(["verify", netlist, "-T", "2", "--tol", "1",
-                     "--study", "0.04,0.02"]) == 0
-        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         net = parse_netlist(RL_SINE)
-        for h_tok, err_tok in rows:
-            h = float(h_tok)
-            cfg = RunConfig(h=h, T=2.0, transient_discard=0.0)
-            assert float(err_tok) == verify_circuit(net, cfg, h_ref=0.02 / 100.0)
+        for study in ("0.04,0.02", "0.03,0.02"):
+            assert main(["verify", netlist, "-T", "2", "--tol", "1",
+                         "--study", study]) == 0
+            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+            assert len(rows) == 2
+            for h_tok, err_tok in rows:
+                h = float(h_tok)
+                cfg = RunConfig(h=h, T=2.0, transient_discard=0.0)
+                assert float(err_tok) == verify_circuit(net, cfg, h_ref=0.02 / 100.0)
 
     @pytest.mark.parametrize("study", ["", ","])
     def test_empty_study_list_exits_1(self, tmp_path, capsys, study):
@@ -338,6 +341,16 @@ class TestVerify:
     def test_singular_exits_2(self, tmp_path):
         netlist = _write(tmp_path, "sing.cir", SINGULAR)
         assert main(["verify", netlist, "-T", "5", "--tol", "0.1"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["-T", "0.0001"],  # at h = 0.01 the grid step is 5e-4
+        ["-T", "0.00005"],
+        ["-T", "0.001", "--study", "0.04,0.01"],  # 0.002 at h = 0.04
+    ])
+    def test_horizon_below_the_grid_step_exits_1(self, tmp_path, capsys, args):
+        netlist = _write(tmp_path, "hp.cir", RL_SINE)
+        assert main(["verify", netlist, *args, "--tol", "1"]) == 1
+        assert _error_lines(capsys) == ["error: need 0 < dt <= T, both finite"]
 
     def test_infinite_horizon_exits_1(self, tmp_path, capsys):
         netlist = _write(tmp_path, "hp.cir", RL_SINE)

@@ -274,20 +274,26 @@ class TestExactDifferences:
 
 
 def materialised_study(net, cfg, hs, h_ref):
-    """convergence_study from two stored tables: reference_solve, keeping
-    one row per grid row when the grid step is a whole number of oracle
-    steps and else its default 400 000 rows, then integrate_linear, compared
-    by sup_error."""
+    """convergence_study from two stored tables: reference_solve at the
+    oracle step, keeping one row per grid row, then integrate_linear,
+    compared by sup_error."""
     rows = []
     for h in hs:
         cfg_h = replace(cfg, h=h)
         dt = cfg_h.resolve_dt()
         compiled = compile_circuit(net, cfg_h)
-        steps, whole = step_count(cfg.T, h_ref), round(dt / h_ref)
-        points = -(-steps // whole) if abs(dt / h_ref - whole) <= 1e-12 * whole else 400_000
-        ref = reference_solve(compiled.sys, compiled.inp, compiled.x0, cfg.T, h_ref, points)
-        if points != 400_000:
-            assert ref.times[1] == pytest.approx(dt, rel=1e-12)
+        grid = step_count(cfg.T, dt)
+        s = round(dt / h_ref)
+        step = h_ref
+        if abs(dt / h_ref - s) > 1e-12 * s:  # not a whole number of oracle steps
+            s = int(np.ceil(dt / h_ref))
+            step = dt / s
+        # half a step short of grid * s steps, so reference_solve takes that
+        # many and keeps every s-th
+        ref = reference_solve(compiled.sys, compiled.inp, compiled.x0,
+                              (grid * s - 0.5) * step, step, max_points=grid)
+        assert len(ref.times) == grid + 1
+        assert ref.times[1] == pytest.approx(dt, rel=1e-12)
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
         states = compiled.sys.state_names
@@ -306,8 +312,8 @@ class TestStreamedVerify:
     @pytest.mark.parametrize("T, hs, h_ref", [
         (10.0, [0.01], 1e-4),  # verify's default oracle: five steps per grid row
         (10.0, [0.04, 0.02, 0.01], 1e-5),  # c03's study: 200, 100 and 50 steps
-        (2.0, [0.02, 0.01], 7e-5),  # not a whole number: interpolated
-        (3.0003, [0.01], 1e-4),  # T not a multiple of dt: the grids end apart
+        (2.0, [0.02, 0.01], 7e-5),  # not a whole number: 15 and 8 steps of dt/s
+        (3.0003, [0.01], 1e-4),  # T not a multiple of dt: the last row is past T
     ], ids=["verify", "integral_study", "non_integral", "ragged_end"])
     def test_fold_equals_sup_error_of_the_tables(self, text, T, hs, h_ref):
         net = parse_netlist(text)
@@ -324,17 +330,17 @@ class TestStreamedVerify:
                              ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass", "ladder_20"])
     @pytest.mark.parametrize("T", [10.0, 3.0003], ids=["whole", "ragged_end"])
     def test_both_streams_share_one_block_schedule(self, text, T):
-        # at T = 3.0003 the grid ends one row after the oracle's last kept row
+        # at T = 3.0003 the grid's last row is past T, and the oracle's with it
         net, cfg = parse_netlist(text), RunConfig(T=T, transient_discard=0.0)
         dt, h_ref = cfg.resolve_dt(), cfg.h / 100.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             compiled = compile_circuit(net, cfg)
-            _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0, T, h_ref,
-                                       round(dt / h_ref))
+            _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0,
+                                       step_count(T, dt), h_ref, round(dt / h_ref))
         artifact = linear_rows(*difference_system(parse_crn(serialize_crn(compiled.crn))),
                                step_count(T, dt), dt)
-        assert artifact.steps - oracle.steps == (0 if T == 10.0 else 1)
+        assert artifact.steps == oracle.steps
         for rows in (artifact, oracle):
             # row 0, then blocks of _BLOCK_ROWS rows and one of the rest
             full, rest = divmod(rows.steps, numerics._BLOCK_ROWS)
@@ -365,7 +371,7 @@ class TestStreamedVerify:
             # the oracle first, as a comparison against it reports its failure
             ref = reference_solve(sys, inp, x0, T, h_ref, max_points=step_count(T, dt))
             sup_error(integrate_linear(F, g, x0, T, dt, [0], ("x",)), ref, ("x",))
-        _, oracle = reference_rows(sys, inp, x0, T, h_ref, stride=5)
+        _, oracle = reference_rows(sys, inp, x0, step_count(T, dt), h_ref, stride=5)
         with pytest.raises(NonFiniteState) as got:
             stream_sup_error(linear_rows(F, g, x0, step_count(T, dt), dt).columns([0]),
                              oracle.columns([0]))
@@ -376,20 +382,31 @@ class TestStreamedVerify:
         T, dt, x0 = 2.0, 5e-4, [1.0]
         sys, inp = self.scalar(-1.0)
         artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, step_count(T, dt), dt)
-        _, oracle = reference_rows(sys, inp, x0, T, 1e-4, stride=5)
+        _, oracle = reference_rows(sys, inp, x0, step_count(T, dt), 1e-4, stride=5)
         err = stream_sup_error(artifact.columns([0]), oracle.columns([0]))
         assert 0.0 < err <= 1e-4  # BDF-1 at 1e-4 against the exact exponential
         assert next(artifact.blocks, None) is None
         assert next(oracle.blocks, None) is None
 
-    @pytest.mark.parametrize("h_ref", [1e-4, 7e-5], ids=["one_grid", "interpolated"])
-    def test_streams_of_unequal_width_are_refused(self, h_ref):
-        T, dt, x0 = 1.0, 5e-4, [1.0]
+    def test_streams_of_unequal_width_are_refused(self):
+        dt, steps, x0 = 5e-4, 2000, [1.0]
         sys, inp = self.scalar(-1.0)
-        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, step_count(T, dt), dt)
-        _, oracle = reference_rows(sys, inp, x0, T, h_ref, stride=round(dt / h_ref))
+        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, steps, dt)
+        _, oracle = reference_rows(sys, inp, x0, steps, 1e-4, stride=5)
         with pytest.raises(ValueError, match="streams of 2 and 1 columns"):
             stream_sup_error(artifact, oracle.columns([0]))
+
+    @pytest.mark.parametrize("h_ref, stride, rows", [
+        (7e-5, 7, 2000),  # 4.9e-4 per row, where the grid has 5e-4
+        (1e-4, 5, 1999),  # the grid's step, one row short
+    ], ids=["other_step", "other_count"])
+    def test_streams_on_different_grids_are_refused(self, h_ref, stride, rows):
+        dt, steps, x0 = 5e-4, 2000, [1.0]
+        sys, inp = self.scalar(-1.0)
+        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, steps, dt)
+        _, oracle = reference_rows(sys, inp, x0, rows, h_ref, stride)
+        with pytest.raises(ValueError, match="streams of 2000 steps of 0.0005 and "):
+            stream_sup_error(artifact.columns([0]), oracle.columns([0]))
 
     def test_memory_does_not_grow_with_the_horizon(self):
         net = parse_netlist(rl_ladder(3))
@@ -409,6 +426,16 @@ class TestStreamedVerify:
         with pytest.raises(ValueError, match=r"^T=1e\+12 needs 2e\+15 grid rows at h=0.01, "
                                              r"above the cap of 1e\+09$"):
             convergence_study(net, cfg, [0.02, 0.01])
+
+    @pytest.mark.parametrize("h_ref", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_a_bad_oracle_step_is_refused_before_compiling(self, h_ref):
+        # a singular pencil would raise SingularMatrix if it were compiled first
+        net = parse_netlist("V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n")
+        cfg = RunConfig(T=1.0, transient_discard=0.0)
+        with pytest.raises(ValueError, match="^h_ref must be positive and finite$"):
+            convergence_study(net, cfg, [0.02, 0.01], h_ref)
+        with pytest.raises(ValueError, match="^h_ref must be positive and finite$"):
+            verify_circuit(net, cfg, h_ref)
 
 
 def rk4_stepwise(field, x0, T, dt):
