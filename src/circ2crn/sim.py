@@ -223,6 +223,8 @@ def stream_sup_error(a: Rows, b: Rows) -> float:
             gap = np.subtract(x[:m], y[:m])
             worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
             del x, y, gap  # the next pair is filled without this one held
+        for _ in b.blocks:  # zip stops at a's end: a blow-up b has yet to raise
+            pass
     except NonFiniteState:
         for _ in b.blocks:
             pass

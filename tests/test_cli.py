@@ -330,6 +330,18 @@ class TestVerify:
                 cfg = RunConfig(h=h, T=2.0, transient_discard=0.0)
                 assert float(err_tok) == verify_circuit(net, cfg, h_ref=0.02 / 100.0)
 
+    def test_study_rows_of_a_non_whole_ratio_are_pinned(self, tmp_path, capsys):
+        # h_ref = 0.02/100; at h = 0.03 the grid step 1.5e-3 is 7.5 oracle
+        # steps, so the oracle steps by 1.5e-3/8 and keeps every 8th iterate
+        netlist = _write(tmp_path, "hp.cir", RL_SINE)
+        assert main(["verify", netlist, "-T", "10", "--tol", "0.05",
+                     "--study", "0.03,0.02"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "h,sup_error",
+            "0.029999999999999999,0.033364286841104374",
+            "0.02,0.022266560879070585",
+        ]
+
     @pytest.mark.parametrize("study", ["", ","])
     def test_empty_study_list_exits_1(self, tmp_path, capsys, study):
         netlist = _write(tmp_path, "rl.cir", RL_DC)

@@ -364,7 +364,16 @@ class TestStreamedVerify:
         (200.0, 100.0),  # the artifact first, then the oracle
     ])
     def test_blowup_is_raised_at_the_time_of_the_tables(self, artifact_rate, oracle_rate):
-        T, dt, h_ref, x0 = 10.0, 5e-4, 1e-4, [1.0]
+        self.assert_blowup_at_the_time_of_the_tables(artifact_rate, oracle_rate, 10.0)
+
+    def test_blowup_of_the_oracle_in_its_last_block_is_raised(self):
+        # at t = 7.0625, inside the oracle's last block: the artifact has
+        # handed out all its blocks by then, so only reading the oracle to
+        # its end raises it
+        self.assert_blowup_at_the_time_of_the_tables(-1.0, 100.0, 7.1)
+
+    def assert_blowup_at_the_time_of_the_tables(self, artifact_rate, oracle_rate, T):
+        dt, h_ref, x0 = 5e-4, 1e-4, [1.0]
         sys, inp = self.scalar(oracle_rate)
         F, g = np.array([[artifact_rate]]), np.zeros(1)
         with pytest.raises(NonFiniteState) as want:
@@ -383,10 +392,16 @@ class TestStreamedVerify:
         sys, inp = self.scalar(-1.0)
         artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, step_count(T, dt), dt)
         _, oracle = reference_rows(sys, inp, x0, step_count(T, dt), 1e-4, stride=5)
-        err = stream_sup_error(artifact.columns([0]), oracle.columns([0]))
+        ended = []
+
+        def to_the_end(rows, name):  # notes when the fold resumes rows past its last block
+            yield from rows.columns([0]).blocks
+            ended.append(name)
+
+        err = stream_sup_error(artifact._replace(blocks=to_the_end(artifact, "artifact")),
+                               oracle._replace(blocks=to_the_end(oracle, "oracle")))
         assert 0.0 < err <= 1e-4  # BDF-1 at 1e-4 against the exact exponential
-        assert next(artifact.blocks, None) is None
-        assert next(oracle.blocks, None) is None
+        assert sorted(ended) == ["artifact", "oracle"]
 
     def test_streams_of_unequal_width_are_refused(self):
         dt, steps, x0 = 5e-4, 2000, [1.0]
