@@ -9,6 +9,12 @@ and z each source's oscillator pairs after it.  A backward-Euler stepper on
 the exact stacked pencil serves as the numerical oracle for every downstream
 comparison; `reference_rows` streams its rows a block at a time, and
 `reference_solve` collects them into a `Trajectory`.
+
+`Rows` is the one contract of every stepped trajectory: the oracle's rows,
+RK4's (`sim.rk4_rows`) and the exact propagation of a linear law
+(`sim.linear_rows`) are all handed out as a `Rows` stream, row 0 first, and
+`Rows.collect` is the one loop that copies a stream into a table.
+`grid_steps` is the one horizon rule of a stepped run.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import UnknownColumn
+from .errors import NonFiniteState, UnknownColumn
 from .numerics import as_matrix, as_vector, failed_pivot, invert, propagate
 
 DEFAULT_SEED = 1729
@@ -190,11 +196,46 @@ class Rows(NamedTuple):
         """The same rows, restricted to the columns `cols`."""
         return self._replace(blocks=(block[:, cols] for block in self.blocks))
 
+    def collect(self, names, diffs=()) -> Trajectory:
+        """The rows in one table under `names`, allocated before the first
+        block is read.
+
+        Each (out, plus, minus) of diffs, plus and minus among the names,
+        appends a column out = plus - minus, filled block by block as
+        `sim.recover_difference` computes it.  NonFiniteState raised by the
+        stream carries the table of the rows before it as .partial.
+        """
+        names = tuple(names)
+        width = len(names)
+        plus = [names.index(p) for _, p, _ in diffs]
+        minus = [names.index(m) for _, _, m in diffs]
+        names += tuple(out for out, _, _ in diffs)
+        times = np.arange(self.steps + 1) * self.dt
+        values = np.empty((times.shape[0], len(names)))
+        row = 0
+        try:
+            for block in self.blocks:
+                rows = values[row : row + len(block)]
+                rows[:, :width] = block
+                rows[:, width:] = block[:, plus] - block[:, minus]
+                row += len(block)
+        except NonFiniteState as exc:
+            exc.partial = Trajectory(times[:row], names, values[:row])
+            raise
+        return Trajectory(times, names, values)
+
 
 def step_count(T: float, dt: float) -> int:
-    """Steps of `sim.integrate` and `reference_solve`: from 0 to the first
-    multiple of dt at or beyond T."""
+    """Steps of a grid from 0 to the first multiple of dt at or beyond T."""
     return int(np.ceil(T / dt - 1e-12))
+
+
+def grid_steps(T: float, dt: float) -> int:
+    """`step_count` of the grid of a stepped run: ValueError unless
+    0 < dt <= T, both finite."""
+    if not 0.0 < dt <= T < np.inf:  # NaN fails too
+        raise ValueError("need 0 < dt <= T, both finite")
+    return step_count(T, dt)
 
 
 def csv_lines(header, rows):
@@ -402,21 +443,16 @@ def reference_solve(
 ) -> Trajectory:
     """Backward-Euler (equivalently BDF-1) trajectory of the exact DAE.
 
-    Collects the rows of `reference_rows` into one table.  When max_points
-    is given, only every stride-th iterate is stored, the stride being the
+    Collects the rows of `reference_rows`, without the constant column,
+    into one table on the grid of `grid_steps(T, h)`.  When max_points is
+    given, only every stride-th iterate is stored, the stride being the
     least one that keeps the stored steps within max_points.
-    NonFiniteState carries the time of the first non-finite stored iterate.
+    NonFiniteState carries the time of the first non-finite stored iterate
+    and, as .partial, the rows before it.
     """
-    if not 0.0 < h <= T < np.inf:  # NaN fails too
-        raise ValueError("need 0 < h <= T, both finite")
-    n_steps = step_count(T, h)
+    n_steps = grid_steps(T, h)
     stride = 1
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
     names, rows = reference_rows(sys, inp, x0, n_steps // stride, h, stride)
-    out = np.empty((rows.steps + 1, len(names)))
-    row = 0
-    for ys in rows.blocks:
-        out[row : row + len(ys)] = ys[:, :-1]
-        row += len(ys)
-    return Trajectory(np.arange(rows.steps + 1) * rows.dt, names, out)
+    return rows.columns(slice(-1)).collect(names)

@@ -15,11 +15,12 @@ row.  Both runs are streamed in blocks of one fixed length
 (`numerics.propagate`) and compared block by block, so memory does not grow
 with the horizon.
 
-`simulate_crn` fills one table, rail differences included, as RK4 steps.
+`simulate_crn` collects RK4's rows (`sim.rk4_rows`) into one table, rail
+differences included.
 
 `frequency_response` validates every drive frequency before it compiles
 any, then simulates the unions of all frequencies together as one stacked
-state by RK4, in batches.  It takes the grid rows block by block and keeps
+state by RK4, in batches.  It reads RK4's rows block by block and keeps
 of each network only the output and source rail differences inside its fit
 window; _SWEEP_ENTRIES bounds what a batch keeps.  A batch that blows up
 raises NonFiniteState at the earliest blow-up time among its frequencies.
@@ -30,7 +31,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain
 
 import numpy as np
 
@@ -47,19 +47,13 @@ from .dae import (
     csv_table,
     direct_map,
     e_invertible,
+    grid_steps,
     reference_rows,
+    step_count,
 )
 from .errors import ValidationError
 from .positivation import hungarize, positivate, rails, split_initial
-from .sim import (
-    DT_RULE_FACTOR,
-    fit_sinusoid,
-    integrate,
-    linear_rows,
-    rk4_blocks,
-    step_count,
-    stream_sup_error,
-)
+from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_rows, rk4_rows, stream_sup_error
 
 # float64 rail differences one batch of a frequency sweep may store (32 MB)
 _SWEEP_ENTRIES = 1 << 22
@@ -165,11 +159,12 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
 
 def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
     """Integrate a CRN by RK4 with step dt from its declared initial
-    concentrations: the species trajectory with any annotated rail
-    differences appended as extra columns, in one table.
+    concentrations, from 0 to the first multiple of dt at or beyond T: the
+    species trajectory with any annotated rail differences appended as extra
+    columns, in one table.
     """
-    return integrate(mass_action_field(net), net.initial_state(), T, dt, net.species,
-                     net.diffs)
+    rows = rk4_rows(mass_action_field(net), net.initial_state(), grid_steps(T, dt), dt)
+    return rows.collect(net.species, net.diffs)
 
 
 def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> float:
@@ -212,16 +207,13 @@ def convergence_study(
     if not 0.0 < h_ref < np.inf:  # NaN fails too
         raise ValueError("h_ref must be positive and finite")
     dts = [replace(cfg, h=h).resolve_dt() for h in hs]
-    if dts[0] > cfg.T:  # the coarsest grid
-        raise ValueError("need 0 < dt <= T, both finite")
-    finest = step_count(cfg.T, dts[-1])
-    if finest > MAX_GRID_ROWS:
-        raise ValueError(f"T={cfg.T:g} needs {finest:.3g} grid rows at h={hs[-1]:g}, "
+    counts = [grid_steps(cfg.T, dt) for dt in dts]
+    if counts[-1] > MAX_GRID_ROWS:
+        raise ValueError(f"T={cfg.T:g} needs {counts[-1]:.3g} grid rows at h={hs[-1]:g}, "
                          f"above the cap of {MAX_GRID_ROWS:.0e}")
     rows = []
-    for h, dt in zip(hs, dts):
+    for h, dt, steps in zip(hs, dts, counts):
         compiled = compile_circuit(net, replace(cfg, h=h))
-        steps = step_count(cfg.T, dt)
         s, step = round(dt / h_ref), h_ref
         if abs(dt / h_ref - s) > 1e-12 * s:  # not a whole number of oracle steps
             s = int(np.ceil(dt / h_ref))
@@ -300,7 +292,7 @@ def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, fl
     """Rows of `frequency_response` for one batch of (omega, T, fit rows,
     compiled).
 
-    The stacked networks are stepped by `rk4_blocks`; of network b, only
+    The stacked networks are stepped by `rk4_rows`; of network b, only
     the output and source differences on its fit rows are stored, each
     computed as `recover_difference` computes it.
     """
@@ -318,7 +310,7 @@ def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, fl
     x0 = np.concatenate([crn.initial_state() for crn in nets])
     steps = max(fit.stop for fit, _ in kept) - 1
     row = 0  # the grid row of the block's first row
-    for block in chain([x0[None]], rk4_blocks(mass_action_field(*nets), x0, steps, dt)):
+    for block in rk4_rows(mass_action_field(*nets), x0, steps, dt).blocks:
         for b, (fit, diff) in enumerate(kept):
             lo, hi = max(fit.start, row), min(fit.stop, row + len(block))
             if lo < hi:

@@ -1,13 +1,12 @@
 """Integration on a fixed time grid, and trajectory analytics.
 
-Both integrators return values at the times k*dt from 0 to the first
-multiple of dt at or beyond T, so trajectories of either kind compare row
-by row.
+Every stepped trajectory is a `dae.Rows` stream of the rows at the times
+k*dt, row 0 first, and `Rows.collect` copies a stream into one table.
 
-`rk4_blocks` is classical RK4 with step dt.  It hands the grid rows to its
+`rk4_rows` is classical RK4 with step dt.  It hands the grid rows to its
 caller in checked blocks as it steps, so a caller stores only what it
-reads: `integrate` collects every row into one table, difference columns
-included, which `simulate` writes out, and `freq` keeps only the two rail
+reads: `integrate` collects every row into one table, `simulate` collects
+it with the difference columns, and `freq` keeps only the two rail
 differences it fits, over each frequency's fit window.  RK4's stability
 rests on the stiffness scale of the emitted system.  In Euler mode the
 fastest rates are about 2/h (the algebraic-row relaxation plus annihilation
@@ -20,12 +19,12 @@ makes RK4 at h/20 blow up.
 
 `linear_rows` streams the exact solution of a linear system x' = F x + g,
 propagated by the matrix exponential of one grid step in the fixed blocks
-of `numerics.propagate`; `integrate_linear` collects it.  `verify`
-certifies with it, on the rail differences of an emitted network
-(`crn.difference_system`): `stream_sup_error` folds the sup error of those
-rows against the streamed oracle, which keeps one row per grid row and
-whose blocks follow the same schedule, one pair of blocks at a time, so
-nothing of the length of the horizon is stored.
+of `numerics.propagate`.  `verify` certifies with it, on the rail
+differences of an emitted network (`crn.difference_system`):
+`stream_sup_error` folds the sup error of those rows against the streamed
+oracle, which keeps one row per grid row and whose blocks follow the same
+schedule, one pair of blocks at a time, so nothing of the length of the
+horizon is stored.
 """
 
 from __future__ import annotations
@@ -36,13 +35,13 @@ from itertools import chain
 
 import numpy as np
 
-from .dae import Rows, Trajectory, step_count
+from .dae import Rows, Trajectory, grid_steps
 from .errors import NonFiniteState, WindowTooShort
 from .numerics import as_vector, expm, propagate
 
 BLOWUP_LIMIT = 1e12
 DT_RULE_FACTOR = 20.0
-# RK4 rows in one block of rk4_blocks, checked for blow-up together
+# RK4 rows in one block of rk4_rows, checked for blow-up together
 _CHECK_ROWS = 256
 
 
@@ -64,79 +63,59 @@ def check_dt(dt: float, h: float) -> None:
         )
 
 
-def _grid(T: float, dt: float, width: int):
-    """Times k*dt up to the first multiple of dt at or beyond T, and an
-    empty table of `width` columns with one row per time."""
-    if not 0.0 < dt <= T < np.inf:  # NaN fails too
-        raise ValueError("need 0 < dt <= T, both finite")
-    times = np.arange(step_count(T, dt) + 1) * dt
-    return times, np.empty((times.shape[0], width))
+def rk4_rows(field, x0, steps: int, dt: float) -> Rows:
+    """Classical 4th-order Runge-Kutta on a time-invariant field, as rows.
 
-
-def rk4_blocks(field, x0: np.ndarray, steps: int, dt: float):
-    """Classical 4th-order Runge-Kutta on a time-invariant field, as blocks.
-
-    Takes `steps` steps of dt from the float64 vector x0 (grid row 0) and
-    yields grid rows 1..steps in order, as fresh arrays of at most
-    _CHECK_ROWS rows that the caller may keep.  Each block is checked whole
-    before it is yielded, and only a block that fails is searched row by
-    row: at the first row in which any state magnitude exceeds 1e12 or
-    turns non-finite, the rows before it are yielded and NonFiniteState is
-    raised with that row's time (and no partial trajectory).  A blow-up is
-    thus found up to a block late, but the steps taken past it raise no
-    floating-point warning.  On the stacked state of several networks (see
+    Takes `steps` steps of dt from the float64 vector x0, which is row 0.
+    The rows after it come in order, as fresh arrays of at most _CHECK_ROWS
+    rows that the caller may keep, computed as they are read.  Each block
+    is checked whole before it is handed out, and only a block that fails
+    is searched row by row: at the first row in which any state magnitude
+    exceeds 1e12 or turns non-finite, the rows before it are handed out and
+    NonFiniteState is raised with that row's time.  A blow-up is thus found
+    up to a block late, but the steps taken past it raise no floating-point
+    warning.  On the stacked state of several networks (see
     crn.mass_action_field) that row is the earliest blow-up of any of them.
     The field's arrays are only read, never written.
     """
-    x = x0
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for start in range(1, steps + 1, _CHECK_ROWS):
-        block = np.empty((min(_CHECK_ROWS, steps + 1 - start), x.shape[0]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for row in block:
-                k1 = field(x)
-                k2 = field(x + half * k1)
-                k3 = field(x + half * k2)
-                k4 = field(x + dt * k3)
-                np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=row)
-                x = row
-        if not np.max(np.abs(block), initial=0.0) <= BLOWUP_LIMIT:  # NaN fails the <= too
-            bad = int(np.argmin((np.abs(block) <= BLOWUP_LIMIT).all(axis=1)))
-            if bad:
-                yield block[:bad]
-            raise NonFiniteState((start + bad) * dt)
-        yield block
+
+    def blocks(x):
+        yield x[None]
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        for start in range(1, steps + 1, _CHECK_ROWS):
+            block = np.empty((min(_CHECK_ROWS, steps + 1 - start), x.shape[0]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                for row in block:
+                    k1 = field(x)
+                    k2 = field(x + half * k1)
+                    k3 = field(x + half * k2)
+                    k4 = field(x + dt * k3)
+                    np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=row)
+                    x = row
+            if not np.max(np.abs(block), initial=0.0) <= BLOWUP_LIMIT:  # NaN fails the <= too
+                bad = int(np.argmin((np.abs(block) <= BLOWUP_LIMIT).all(axis=1)))
+                if bad:
+                    yield block[:bad]
+                raise NonFiniteState((start + bad) * dt)
+            yield block
+
+    return Rows(dt, steps, blocks(as_vector(x0, "x0")))
 
 
-def integrate(field, x0, T: float, dt: float, names=None, diffs=()) -> Trajectory:
+def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
     """Classical 4th-order Runge-Kutta on a time-invariant field.
 
-    Steps from 0 to the first multiple of dt at or beyond T and collects
-    the blocks of `rk4_blocks` into one table allocated up front.  Each
-    (out, plus, minus) of diffs, plus and minus among the names, appends a
-    column out = plus - minus, filled block by block as `recover_difference`
-    computes it.  Aborts with NonFiniteState at the first row in which any
-    state magnitude exceeds 1e12 or turns non-finite, carrying that row's
-    time and the partial trajectory of the rows before it.
+    Steps from 0 to the first multiple of dt at or beyond T (`grid_steps`)
+    and collects the rows of `rk4_rows` into one table, the columns named
+    s0, s1, ... unless `names` are given.  Aborts with NonFiniteState at the
+    first row in which any state magnitude exceeds 1e12 or turns
+    non-finite, carrying that row's time and the partial trajectory of the
+    rows before it.
     """
     x = as_vector(x0, "x0")
-    names = tuple(f"s{i}" for i in range(x.shape[0])) if names is None else tuple(names)
-    plus = [names.index(p) for _, p, _ in diffs]
-    minus = [names.index(m) for _, _, m in diffs]
-    names += tuple(out for out, _, _ in diffs)
-    times, values = _grid(T, dt, len(names))
-    row = 0
-    try:
-        for block in chain([x[None]], rk4_blocks(field, x, len(times) - 1, dt)):
-            rows = values[row : row + len(block)]
-            rows[:, : x.shape[0]] = block
-            rows[:, x.shape[0] :] = block[:, plus] - block[:, minus]
-            row += len(block)
-    except NonFiniteState as exc:
-        exc.partial = Trajectory(times[:row], names, values[:row])
-        raise
-    return Trajectory(times, names, values)
+    names = tuple(f"s{i}" for i in range(x.shape[0])) if names is None else names
+    return rk4_rows(field, x, grid_steps(T, dt), dt).collect(names)
 
 
 def linear_rows(F, g, x0, steps: int, dt: float) -> Rows:
@@ -152,21 +131,6 @@ def linear_rows(F, g, x0, steps: int, dt: float) -> Rows:
     M = np.vstack([np.column_stack([F, g]), np.zeros(x.size + 1)])
     y0 = np.append(x, 1.0)
     return Rows(dt, steps, chain([y0[None]], propagate(expm(M * dt), y0, steps, dt)))
-
-
-def integrate_linear(F, g, x0, T: float, dt: float, columns, names) -> Trajectory:
-    """The exact solution of x' = F x + g on integrate's grid, at `columns`.
-
-    Collects the rows of `linear_rows`, keeping the components in `columns`
-    under `names`.  NonFiniteState, without a partial trajectory, at the
-    first grid row that is not finite.
-    """
-    times, values = _grid(T, dt, len(columns))
-    row = 0
-    for block in linear_rows(F, g, x0, len(times) - 1, dt).columns(columns).blocks:
-        values[row : row + len(block)] = block
-        row += len(block)
-    return Trajectory(times, tuple(names), values)
 
 
 def recover_difference(traj: Trajectory, pairs) -> Trajectory:
@@ -238,7 +202,9 @@ def fit_sinusoid(
     """Least-squares fit of a sin(wt) + b cos(wt) + c over the window.
 
     Amplitude is sqrt(a^2 + b^2) and phase atan2(b, a), so the fitted signal
-    reads amplitude * sin(wt + phase) + c.
+    reads amplitude * sin(wt + phase) + c.  WindowTooShort when the window
+    spans fewer than two periods, or when its samples do not determine the
+    three coefficients (the least-squares system has rank below 3).
     """
     t0, t1 = window
     if not 0.0 < omega < np.inf:  # NaN fails too
@@ -253,7 +219,10 @@ def fit_sinusoid(
     t = traj.times[mask]
     y = traj.column(column)[mask]
     design = np.column_stack([np.sin(omega * t), np.cos(omega * t), np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if rank < 3:
+        raise WindowTooShort(f"window ({t0:g}, {t1:g}), sample count {t.size}, does not "
+                             f"determine a sinusoid of omega={omega:g}")
     a, b, _ = coef
     resid = y - design @ coef
     return FitResult(

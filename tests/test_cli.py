@@ -404,6 +404,13 @@ class TestFreq:
         assert main(["freq", netlist, "--omega", ","]) == 1
         assert _error_lines(capsys) == ["error: omegas must be nonempty"]
 
+    def test_a_window_of_one_sample_exits_1(self, tmp_path, capsys):
+        # at h = 1000 the grid step is 50: the window (20, 50) holds one row
+        netlist = _write(tmp_path, "rl.cir", RL_SINE)
+        assert main(["freq", netlist, "--omega", "1", "-h", "1000"]) == 1
+        assert _error_lines(capsys) == ["error: window (20, 50), sample count 1, does not "
+                                        "determine a sinusoid of omega=1"]
+
 
 class TestFrequencyResponseExamples:
     """The low and high frequency gain examples, run at settings where the

@@ -16,6 +16,7 @@ from circ2crn.dae import (
     coupled_euler_map,
     default_h_probes,
     fourier_input,
+    grid_steps,
     reference_solve,
     stacked_pencil,
     step_count,
@@ -303,6 +304,13 @@ class TestReferenceSolve:
         traj = reference_solve(sys, inp, np.array([1.0]), T, h)
         assert len(traj.times) == step_count(T, h) + 1
 
+    @pytest.mark.parametrize("T, h", [(1.0, 1.5), (np.inf, 1e-3), (1.0, np.nan)])
+    def test_a_bad_horizon_is_refused_by_the_grid_rule(self, T, h):
+        sys = DaeSystem(np.eye(1), -np.eye(1), np.zeros((1, 0)), ("y",), 0)
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        with pytest.raises(ValueError, match=r"^need 0 < dt <= T, both finite$"):
+            reference_solve(sys, inp, np.array([1.0]), T, h)
+
     def test_blowup_raises_non_finite(self):
         sys = DaeSystem(
             np.eye(1), np.array([[1000.0]]), np.zeros((1, 0)), ("x",), 0
@@ -398,3 +406,19 @@ class TestTrajectory:
     def test_monotone_times_enforced(self):
         with pytest.raises(ValueError):
             Trajectory(np.array([0.0, 0.0]), ("a",), np.zeros((2, 1)))
+
+
+class TestGridSteps:
+    """The one horizon rule of every stepped run."""
+
+    @pytest.mark.parametrize("T, dt", [
+        (1.0, 0.0), (1.0, -1.0), (1.0, np.nan), (1.0, np.inf), (1.0, 1.5), (np.inf, 0.1),
+    ], ids=["zero", "negative", "nan", "inf", "above_T", "infinite_T"])
+    def test_a_bad_grid_gives_one_message(self, T, dt):
+        with pytest.raises(ValueError, match=r"^need 0 < dt <= T, both finite$"):
+            grid_steps(T, dt)
+
+    @pytest.mark.parametrize("T, dt, steps", [(1.0, 1.0, 1), (1.0, 0.3, 4), (15.0, 3e-4, 50_001)])
+    def test_a_good_grid_gives_the_step_count(self, T, dt, steps):
+        # 15 / 3e-4 is one ulp above 50 000, so T is reached after 50 001 steps
+        assert grid_steps(T, dt) == steps

@@ -22,8 +22,10 @@ from circ2crn.dae import (
     coupled_euler_map,
     e_invertible,
     fourier_input,
+    grid_steps,
     reference_rows,
     reference_solve,
+    step_count,
 )
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
 from circ2crn.pipeline import (
@@ -40,10 +42,8 @@ from circ2crn.sim import (
     check_dt,
     fit_sinusoid,
     integrate,
-    integrate_linear,
     linear_rows,
     recover_difference,
-    step_count,
     stream_sup_error,
     sup_error,
 )
@@ -242,7 +242,8 @@ class TestExactDifferences:
     def exact(net, T, dt, names):
         F, g, d0 = difference_system(parse_crn(serialize_crn(net)))
         outs = [out for out, _, _ in net.diffs]
-        return integrate_linear(F, g, d0, T, dt, [outs.index(nm) for nm in names], names)
+        rows = linear_rows(F, g, d0, grid_steps(T, dt), dt)
+        return rows.columns([outs.index(nm) for nm in names]).collect(names)
 
     @pytest.mark.parametrize("source, mode", [(RL_DC, "euler"), (TWO_CAP, "direct")],
                              ids=["rl_dc", "two_cap"])
@@ -275,8 +276,8 @@ class TestExactDifferences:
 
 def materialised_study(net, cfg, hs, h_ref):
     """convergence_study from two stored tables: reference_solve at the
-    oracle step, keeping one row per grid row, then integrate_linear,
-    compared by sup_error."""
+    oracle step, keeping one row per grid row, then the collected rows of
+    linear_rows, compared by sup_error."""
     rows = []
     for h in hs:
         cfg_h = replace(cfg, h=h)
@@ -297,8 +298,8 @@ def materialised_study(net, cfg, hs, h_ref):
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
         states = compiled.sys.state_names
-        traj = integrate_linear(*difference_system(emitted), cfg.T, dt,
-                                [outs.index(name) for name in states], states)
+        exact = linear_rows(*difference_system(emitted), grid_steps(cfg.T, dt), dt)
+        traj = exact.columns([outs.index(name) for name in states]).collect(states)
         rows.append((h, sup_error(traj, ref, states)))
     return rows
 
@@ -366,6 +367,22 @@ class TestStreamedVerify:
     def test_blowup_is_raised_at_the_time_of_the_tables(self, artifact_rate, oracle_rate):
         self.assert_blowup_at_the_time_of_the_tables(artifact_rate, oracle_rate, 10.0)
 
+    def test_blowup_of_the_collected_oracle_carries_the_rows_before_it(self):
+        sys, inp = self.scalar(100.0)
+        h, x0 = 1e-4, [1.0]
+        with pytest.raises(NonFiniteState) as exc_info:
+            reference_solve(sys, inp, x0, 7.1, h)
+        exc = exc_info.value
+        partial = exc.partial
+        rows = len(partial.times)
+        assert rows * h == exc.time < 7.1
+        assert partial.names == ("x", "u")
+        assert np.array_equal(partial.times, np.arange(rows) * h)
+        assert np.all(np.isfinite(partial.values))
+        # backward Euler: x[k] = x0 / (1 - 100 h)^k
+        want = (1.0 - 100.0 * h) ** -np.arange(rows)
+        assert np.allclose(partial.column("x"), want, rtol=1e-9, atol=0.0)
+
     def test_blowup_of_the_oracle_in_its_last_block_is_raised(self):
         # at t = 7.0625, inside the oracle's last block: the artifact has
         # handed out all its blocks by then, so only reading the oracle to
@@ -379,7 +396,8 @@ class TestStreamedVerify:
         with pytest.raises(NonFiniteState) as want:
             # the oracle first, as a comparison against it reports its failure
             ref = reference_solve(sys, inp, x0, T, h_ref, max_points=step_count(T, dt))
-            sup_error(integrate_linear(F, g, x0, T, dt, [0], ("x",)), ref, ("x",))
+            traj = linear_rows(F, g, x0, grid_steps(T, dt), dt).columns([0]).collect(("x",))
+            sup_error(traj, ref, ("x",))
         _, oracle = reference_rows(sys, inp, x0, step_count(T, dt), h_ref, stride=5)
         with pytest.raises(NonFiniteState) as got:
             stream_sup_error(linear_rows(F, g, x0, step_count(T, dt), dt).columns([0]),
@@ -540,6 +558,17 @@ class TestFitSinusoid:
         with pytest.raises(WindowTooShort):
             fit_sinusoid(self._traj(np.sin), "y", 1.0, (0.0, 2 * np.pi))
 
+    def test_a_window_of_one_sample_is_refused(self):
+        traj = Trajectory(np.array([0.0, 50.0]), ("y",), np.array([[0.0], [1.0]]))
+        with pytest.raises(WindowTooShort, match=r"^window \(20, 50\), sample count 1, "):
+            fit_sinusoid(traj, "y", 1.0, (20.0, 50.0))
+
+    def test_a_window_sampled_every_half_period_is_refused(self):
+        # sin(wt) is zero at every sample: its coefficient is not determined
+        traj = self._traj(np.sin, T=20 * np.pi, dt=np.pi)
+        with pytest.raises(WindowTooShort, match="sample count 21, does not determine"):
+            fit_sinusoid(traj, "y", 1.0, (0.0, 20 * np.pi))
+
     def test_window_outside_trajectory(self):
         with pytest.raises(ValueError):
             fit_sinusoid(self._traj(np.sin), "y", 1.0, (0.0, 100.0))
@@ -698,9 +727,9 @@ class TestFrequencyResponse:
 
         def counted(field, x0, steps, dt):
             sizes.append(len(x0))
-            return sim.rk4_blocks(field, x0, steps, dt)
+            return sim.rk4_rows(field, x0, steps, dt)
 
-        monkeypatch.setattr(pipeline, "rk4_blocks", counted)
+        monkeypatch.setattr(pipeline, "rk4_rows", counted)
         got = freq_to_csv(frequency_response(net, omegas, self.CFG))
         assert sizes == [n, n, 2 * n]
         assert got == want
