@@ -7,13 +7,13 @@ of an affine ODE d(u,z)/dt = D (u,z) + d, which covers constants and
 truncated Fourier series: u holds one value per source, in source order,
 and z each source's oscillator pairs after it.  A backward-Euler stepper on
 the exact stacked pencil serves as the numerical oracle for every downstream
-comparison; `reference_rows` streams its rows a block at a time, and
-`reference_solve` collects them into a `Trajectory`.
+comparison; `reference_map` is its map, and `reference_solve` collects
+its rows into a `Trajectory`.
 
-`Rows` is the one contract of every stepped trajectory: the oracle's rows,
-RK4's (`sim.rk4_rows`) and the exact propagation of a linear law
-(`sim.linear_rows`) are all handed out as a `Rows` stream, row 0 first, and
-`Rows.collect` is the one loop that copies a stream into a table.
+`Rows` is the one contract of every stepped trajectory: RK4's rows
+(`sim.rk4_rows`) and those of affine maps stepped together (`stepped`) are
+handed out as a `Rows` stream, row 0 first, and `Rows.collect` is the one
+loop that copies a stream into a table.
 `grid_steps` is the one horizon rule of a stepped run.
 """
 
@@ -192,13 +192,9 @@ class Rows(NamedTuple):
     steps: int
     blocks: Iterator[np.ndarray]
 
-    def columns(self, cols) -> Rows:
-        """The same rows, restricted to the columns `cols`."""
-        return self._replace(blocks=(block[:, cols] for block in self.blocks))
-
     def collect(self, names, diffs=()) -> Trajectory:
-        """The rows in one table under `names`, allocated before the first
-        block is read.
+        """The leading columns of the rows in one table under `names`,
+        allocated before the first block is read.
 
         Each (out, plus, minus) of diffs, plus and minus among the names,
         appends a column out = plus - minus, filled block by block as
@@ -216,7 +212,7 @@ class Rows(NamedTuple):
         try:
             for block in self.blocks:
                 rows = values[row : row + len(block)]
-                rows[:, :width] = block
+                rows[:, :width] = block[:, :width]
                 rows[:, width:] = block[:, plus] - block[:, minus]
                 row += len(block)
         except NonFiniteState as exc:
@@ -393,21 +389,16 @@ def stacked_pencil(sys: DaeSystem, inp: InputModel):
     return stacked, b
 
 
-def reference_rows(sys: DaeSystem, inp: InputModel, x0, steps: int, h: float,
-                   stride: int = 1) -> tuple[tuple[str, ...], Rows]:
-    """Backward-Euler (equivalently BDF-1) rows of the exact DAE, streamed.
+def reference_map(sys: DaeSystem, inp: InputModel, x0, h: float,
+                  stride: int = 1) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Backward-Euler (equivalently BDF-1) steps of the exact DAE, as a map.
 
-    Steps the stacked pencil x[i+1] = x[i] + h F_h(x[i]), which is the affine
+    A step of the stacked pencil, x[i+1] = x[i] + h F_h(x[i]), is the affine
     map x -> S x + c, written as y -> P y on y = (x, 1) with P = [[S, c],
-    [0, 1]].  Only every stride-th iterate is kept, by stepping with P^stride
-    through `numerics.propagate`, until `steps` rows follow row 0.  Returns
-    the stacked state names and the kept rows, row k at time k*stride*h, as
-    row 0 and then propagate's fixed blocks, which depend on `steps` alone;
-    each row holds the stacked state and then the constant 1 of y.  The rows
-    agree with the step-by-step recursion to rounding, about 1e-12 relative
-    to max|x|.  The initial state is projected, and P formed, before this
-    returns; NonFiniteState, raised while the blocks are read, carries the
-    time of the first non-finite kept row.
+    [0, 1]].  Returns the stacked state names, P^stride, which `stepped`
+    steps to keep every stride-th iterate, and y0 = (x0 projected, 1).  The
+    rows agree with the step-by-step recursion to rounding, about 1e-12
+    relative to max|x|.
     """
     if not 0.0 < h < np.inf:  # NaN fails too
         raise ValueError("h must be positive and finite")
@@ -428,9 +419,13 @@ def reference_rows(sys: DaeSystem, inp: InputModel, x0, steps: int, h: float,
     # finiteness is checked block by block in propagate, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.linalg.matrix_power(P, stride)
-    y0 = np.append(x_full, 1.0)
-    blocks = chain([y0[None]], propagate(phi, y0, steps, stride * h))
-    return stacked.state_names, Rows(stride * h, steps, blocks)
+    return stacked.state_names, phi, np.append(x_full, 1.0)
+
+
+def stepped(phis, y0, steps: int, dt: float) -> Rows:
+    """Row 0 = y0 and the fixed blocks of `numerics.propagate`, row k at
+    time k*dt, each column block stepped by its map in phis."""
+    return Rows(dt, steps, chain([y0[None]], propagate(phis, y0, steps, dt)))
 
 
 def reference_solve(
@@ -443,7 +438,7 @@ def reference_solve(
 ) -> Trajectory:
     """Backward-Euler (equivalently BDF-1) trajectory of the exact DAE.
 
-    Collects the rows of `reference_rows`, without the constant column,
+    Collects the rows of `reference_map`, without the constant column,
     into one table on the grid of `grid_steps(T, h)`.  When max_points is
     given, only every stride-th iterate is stored, the stride being the
     least one that keeps the stored steps within max_points.
@@ -454,5 +449,6 @@ def reference_solve(
     stride = 1
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
-    names, rows = reference_rows(sys, inp, x0, n_steps // stride, h, stride)
-    return rows.columns(slice(-1)).collect(names)
+    names, phi, y0 = reference_map(sys, inp, x0, h, stride)
+    rows = stepped([phi], y0, n_steps // stride, stride * h)
+    return rows.collect(names)

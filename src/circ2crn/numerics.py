@@ -12,8 +12,8 @@ relative threshold is what lets callers distinguish a genuinely singular
 pencil from round-off.  The factorization, the inverse and the solve inside
 `expm` all come from LAPACK through numpy.  `expm` and `propagate` step
 y' = M y exactly on a grid: y(k dt) = Phi^k y(0) with Phi = expm(M dt).
-`propagate` hands the rows out in blocks of one fixed length, each filled
-by products with a table of powers of Phi.
+`propagate` steps a block-diagonal Phi, given as its diagonal blocks, in
+row blocks of one fixed length, each diagonal block by its own powers.
 """
 
 from __future__ import annotations
@@ -115,44 +115,53 @@ def expm(m) -> np.ndarray:
     return r
 
 
-def propagate(phi: np.ndarray, y0: np.ndarray, steps: int, dt: float):
-    """The rows Phi^1 y0 .. Phi^steps y0, as blocks.
+def propagate(phis, y0: np.ndarray, steps: int, dt: float):
+    """The rows Phi^1 y0 .. Phi^steps y0 of Phi = diag(phis), as blocks.
 
+    phis are the square diagonal blocks of Phi, and y0 stacks their states.
     Yields fresh arrays that the caller may keep: blocks of _BLOCK_ROWS rows
-    and then one of the rest.  That schedule depends on steps alone, never
-    on the width of Phi, so streams of equal length share it.  A table of
-    Phi^1 .. Phi^b (b bounded by _TABLE_ENTRIES and _BLOCK_ROWS) fills a
-    block b rows at a time, each b rows one matrix product with the row
-    before them.  Each block is checked whole: at the first non-finite row,
-    the rows before it are yielded and NonFiniteState is raised with that
-    row's time.
+    and then one of the rest, a schedule that depends on steps alone.  Each
+    diagonal block fills its own columns from its own table of powers
+    (b of them, bounded by _TABLE_ENTRIES and _BLOCK_ROWS), b rows at a
+    time, each b rows one matrix product with the row before them, so its
+    columns equal its own propagation bit for bit.  Each block is checked
+    whole: at the first row with a non-finite column, the rows before it
+    are yielded and NonFiniteState is raised with that row's time.
     """
-    size = phi.shape[0]
-    table = max(1, min(_BLOCK_ROWS, _TABLE_ENTRIES // size**2, steps))
-    # finiteness is checked block by block below, so overflow needs no warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = np.empty((table, size, size))
-        powers[0] = phi
-        k = 1
-        while k < table:  # doubling, one product: powers[k:k+j] = powers[:j] @ Phi^k
-            j = min(k, table - k)
-            doubled = powers[:j].reshape(j * size, size) @ powers[k - 1]
-            powers[k : k + j] = doubled.reshape(j, size, size)
-            k += j
-        # an overflowed power would turn a zero component into NaN, where
-        # stepping keeps it zero: use only the leading finite powers
-        finite = np.isfinite(powers).all(axis=(1, 2))
-    if not finite.all():
-        table = max(1, int(np.argmin(finite)))
-    stacked = powers[:table].reshape(table * size, size)
+    if any(np.ndim(phi) != 2 or phi.shape[0] != phi.shape[1] for phi in phis):
+        raise ValueError("phis must be the square diagonal blocks of one map")
+    tables = []
+    for phi in phis:
+        size = phi.shape[0]
+        table = max(1, min(_BLOCK_ROWS, _TABLE_ENTRIES // size**2, steps))
+        # finiteness is checked block by block below, so overflow needs no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.empty((table, size, size))
+            powers[0] = phi
+            k = 1
+            while k < table:  # doubling: powers[k:k+j] = powers[:j] @ Phi^k
+                j = min(k, table - k)
+                doubled = powers[:j].reshape(j * size, size) @ powers[k - 1]
+                powers[k : k + j] = doubled.reshape(j, size, size)
+                k += j
+            # an overflowed power would turn a zero component into NaN, where
+            # stepping keeps it zero: use only the leading finite powers
+            finite = np.isfinite(powers).all(axis=(1, 2))
+        if not finite.all():
+            table = max(1, int(np.argmin(finite)))
+        tables.append(powers[:table].reshape(table * size, size))
+    ends = np.cumsum([0] + [phi.shape[0] for phi in phis]).tolist()
     y = y0
     for start in range(1, steps + 1, _BLOCK_ROWS):
-        ys = np.empty((min(_BLOCK_ROWS, steps + 1 - start), size))
+        ys = np.empty((min(_BLOCK_ROWS, steps + 1 - start), ends[-1]))
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(ys), table):
-                rows = ys[lo : lo + table]
-                rows[:] = (stacked[: len(rows) * size] @ y).reshape(rows.shape)
-                y = rows[-1]
+            for a, b, stacked in zip(ends, ends[1:], tables):
+                x, table = y[a:b], len(stacked) // (b - a)
+                for lo in range(0, len(ys), table):
+                    rows = ys[lo : lo + table, a:b]
+                    rows[:] = (stacked[: len(rows) * (b - a)] @ x).reshape(rows.shape)
+                    x = rows[-1]
+        y = ys[-1]
         if not np.isfinite(ys).all():
             bad = int(np.argmin(np.isfinite(ys).all(axis=1)))
             if bad:

@@ -11,16 +11,16 @@ The blocks are recorded on the union, so `serialize_crn` marks them.
 back from its `.crn` text: under mass action its rail differences obey an
 affine law exactly, which they propagate on the h/20 grid and compare with
 a backward-Euler run on the exact pencil that keeps one iterate per grid
-row.  Both runs are streamed in blocks of one fixed length
-(`numerics.propagate`) and compared block by block, so memory does not grow
-with the horizon.
+row.  The two are stepped as the diagonal blocks of one map, in blocks of
+one fixed length (`numerics.propagate`), and compared block by block, so
+memory does not grow with the horizon.
 
 `simulate_crn` collects RK4's rows (`sim.rk4_rows`) into one table, rail
 differences included.
 
-`frequency_response` validates every drive frequency before it compiles
-any, then simulates the unions of all frequencies together as one stacked
-state by RK4, in batches.  It reads RK4's rows block by block and keeps
+`frequency_response` validates every drive frequency and its grid before
+it compiles any, then simulates the unions of all frequencies together as
+one stacked state by RK4, in batches.  It reads RK4's rows block by block and keeps
 of each network only the output and source rail differences inside its fit
 window; _SWEEP_ENTRIES bounds what a batch keeps.  A batch that blows up
 raises NonFiniteState at the earliest blow-up time among its frequencies.
@@ -48,17 +48,18 @@ from .dae import (
     direct_map,
     e_invertible,
     grid_steps,
-    reference_rows,
+    reference_map,
     step_count,
+    stepped,
 )
 from .errors import ValidationError
 from .positivation import hungarize, positivate, rails, split_initial
-from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_rows, rk4_rows, stream_sup_error
+from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_map, rk4_rows
 
 # float64 rail differences one batch of a frequency sweep may store (32 MB)
 _SWEEP_ENTRIES = 1 << 22
-# the grid rows verify steps at most, checked before it steps: minutes of
-# stepping even on the smallest circuits
+# the grid rows verify and freq step at most, checked before they compile:
+# minutes of stepping even on the smallest circuits
 MAX_GRID_ROWS = 10**9
 
 
@@ -96,7 +97,6 @@ class CompiledCircuit:
     sys: DaeSystem
     inp: InputModel
     x0: np.ndarray
-    x0_was_projected: bool
     direct: bool
     h: float
     gamma: float
@@ -154,7 +154,7 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     diffs = tuple(zip(names, pairs[0::2], pairs[1::2]))
     blocks = tuple((label, len(block.table)) for label, block in parts)
     crn = replace(merged, meta=meta, diffs=diffs, blocks=blocks)
-    return CompiledCircuit(sys, inp, x0, flagged, direct, cfg.h, gamma, crn)
+    return CompiledCircuit(sys, inp, x0, direct, cfg.h, gamma, crn)
 
 
 def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
@@ -187,12 +187,12 @@ def convergence_study(
     h values must be strictly decreasing; the oracle step defaults to
     min(hs)/100.  Each network is read back from its `.crn` text, and the
     law of its rail differences (`crn.difference_system`) is propagated
-    exactly on its own grid of step dt = h/20 (`RunConfig.resolve_dt`), a
-    stream of fixed blocks that `sim.stream_sup_error` compares with a
-    stream of oracle rows (`dae.reference_rows`) on the same grid, block by
-    block as both are stepped.  The oracle keeps every s-th backward-Euler
-    iterate: when dt is a whole number of oracle steps, s is that number;
-    otherwise s = ceil(dt/h_ref) and the oracle steps by dt/s.  ValueError,
+    exactly on its own grid of step dt = h/20 (`RunConfig.resolve_dt`) as
+    one diagonal block of a map (`dae.stepped`), and compared block by block
+    with the other, the oracle (`dae.reference_map`), which keeps every s-th
+    backward-Euler iterate: when dt is a whole number of oracle steps, s is
+    that number; otherwise s = ceil(dt/h_ref) and the oracle steps by dt/s.
+    A blow-up of either raises NonFiniteState at its earliest row.  ValueError,
     before anything is compiled, when h_ref is not positive and finite,
     when a grid step exceeds T, or when a grid would exceed MAX_GRID_ROWS
     rows; ValidationError when the difference law is not exact.
@@ -218,14 +218,20 @@ def convergence_study(
         if abs(dt / h_ref - s) > 1e-12 * s:  # not a whole number of oracle steps
             s = int(np.ceil(dt / h_ref))
             step = dt / s
-        _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0, steps, step, s)
+        _, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0, step, s)
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
         states = compiled.sys.state_names
-        artifact = linear_rows(*difference_system(emitted), steps, dt)
-        err = stream_sup_error(artifact.columns([outs.index(name) for name in states]),
-                               oracle.columns(slice(len(states))))
-        rows.append((h, err))
+        artifact, y_artifact = linear_map(*difference_system(emitted), dt)
+        mine = [outs.index(name) for name in states]
+        theirs = slice(len(y_artifact), len(y_artifact) + len(states))
+        joint = stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]), steps, dt)
+        worst = 0.0
+        for block in joint.blocks:
+            gap = np.subtract(block[:, mine], block[:, theirs])
+            worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
+            del block, gap  # the next block is filled without this one held
+        rows.append((h, worst))
     return rows
 
 
@@ -247,7 +253,8 @@ def frequency_response(
     stored, and a batch of networks stores at most _SWEEP_ENTRIES such
     values (a single network may exceed it); each frequency is fitted on
     rows that equal its own run bit for bit.  A batch that blows up raises
-    NonFiniteState at the earliest blow-up time of its networks.
+    NonFiniteState at the earliest blow-up time of its networks.  A grid of
+    more than MAX_GRID_ROWS rows is refused with the other omega checks.
     """
     sources = net.sources()
     if len(sources) != 1:
@@ -256,17 +263,22 @@ def frequency_response(
     omegas = list(omegas)
     if not omegas:
         raise ValueError("omegas must be nonempty")
+    dt = cfg.resolve_dt()
+    horizons = []
     for omega in omegas:
         if not 0.0 < omega < np.inf:  # NaN fails too
             raise ValueError("omega must be positive and finite")
-    dt = cfg.resolve_dt()
+        T = max(cfg.T, cfg.transient_discard + 2.2 * (2.0 * np.pi / omega))
+        if not T / dt <= MAX_GRID_ROWS:  # an infinite T fails too
+            raise ValueError(f"omega={omega:g} needs {T / dt:.3g} grid rows at h={cfg.h:g}, "
+                             f"above the cap of {MAX_GRID_ROWS:.0e}")
+        horizons.append(T)
     rows: list[tuple[float, float, float]] = []
     batch: list[tuple[float, float, range, CompiledCircuit]] = []
     stored = 0
-    for omega in omegas:
+    for omega, T in zip(omegas, horizons):
         drive = Fourier(0.0, ((1.0, float(omega), 0.0),))
         compiled = compile_circuit(replace(net, source_waveforms={src: drive}), cfg)
-        T = max(cfg.T, cfg.transient_discard + 2.2 * (2.0 * np.pi / omega))
         fit = _fit_rows(T, dt, cfg.transient_discard)
         entries = 2 * len(fit)  # the output and source differences
         if batch and stored + entries > _SWEEP_ENTRIES:

@@ -17,27 +17,25 @@ configuration warning.  In direct mode (E invertible) the rates are those
 of E^-1 A, which do not depend on h: a circuit time constant well below h
 makes RK4 at h/20 blow up.
 
-`linear_rows` streams the exact solution of a linear system x' = F x + g,
-propagated by the matrix exponential of one grid step in the fixed blocks
-of `numerics.propagate`.  `verify` certifies with it, on the rail
-differences of an emitted network (`crn.difference_system`):
-`stream_sup_error` folds the sup error of those rows against the streamed
-oracle, which keeps one row per grid row and whose blocks follow the same
-schedule, one pair of blocks at a time, so nothing of the length of the
-horizon is stored.
+`linear_map` is the matrix exponential of one grid step of a linear
+system x' = F x + g, which `dae.stepped` steps exactly.  `verify`
+certifies with it, on the rail differences of an emitted network
+(`crn.difference_system`): that map and the oracle's are stepped as the
+two diagonal blocks of one map, and the sup error is folded over the
+blocks of that one stream, so nothing of the length of the horizon is
+stored.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .dae import Rows, Trajectory, grid_steps
 from .errors import NonFiniteState, WindowTooShort
-from .numerics import as_vector, expm, propagate
+from .numerics import as_vector, expm
 
 BLOWUP_LIMIT = 1e12
 DT_RULE_FACTOR = 20.0
@@ -118,19 +116,16 @@ def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
     return rk4_rows(field, x, grid_steps(T, dt), dt).collect(names)
 
 
-def linear_rows(F, g, x0, steps: int, dt: float) -> Rows:
-    """The exact solution of x' = F x + g at the times k*dt, k = 0..steps.
+def linear_map(F, g, x0, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One grid step of the exact solution of x' = F x + g, for `dae.stepped`.
 
-    Steps (x, 1) by expm([[F, g], [0, 0]] dt) through `numerics.propagate`,
-    so row 0 is followed by its fixed blocks; each row holds x and then the
-    constant 1.  The exponential is formed before this returns;
-    NonFiniteState, raised while the blocks are read, carries the time of
-    the first grid row that is not finite.
+    Returns expm([[F, g], [0, 0]] dt), which steps y = (x, 1) from k*dt to
+    (k + 1)*dt, and y0 = (x0, 1): each stepped row holds x and then the
+    constant 1.
     """
     x = as_vector(x0, "x0")
     M = np.vstack([np.column_stack([F, g]), np.zeros(x.size + 1)])
-    y0 = np.append(x, 1.0)
-    return Rows(dt, steps, chain([y0[None]], propagate(expm(M * dt), y0, steps, dt)))
+    return expm(M * dt), np.append(x, 1.0)
 
 
 def recover_difference(traj: Trajectory, pairs) -> Trajectory:
@@ -158,41 +153,6 @@ def sup_error(a: Trajectory, b: Trajectory, columns) -> float:
         ca = a.column(name)[mask]
         cb = np.interp(grid, b.times, b.column(name))
         worst = max(worst, float(np.max(np.abs(ca - cb))))
-    return worst
-
-
-def stream_sup_error(a: Rows, b: Rows) -> float:
-    """`sup_error` of two streamed trajectories on one grid, over all their
-    columns.
-
-    Row k of a is compared with row k of b and column j with column j, one
-    pair of blocks at a time, over the rows both blocks hold; the streams
-    must hand out blocks of the same lengths, as `numerics.propagate` does
-    for streams of one step count.  ValueError when the streams differ in
-    step (beyond 1e-12 relative) or step count, or a pair of blocks in
-    width.  Both streams are read to their end.  A blow-up of b is the one
-    raised: the oracle's failure is what a comparison against it reports,
-    wherever it happens, so a blow-up of a is raised only after b has been
-    read to its end without one.
-    """
-    if abs(a.dt - b.dt) > 1e-12 * a.dt or a.steps != b.steps:
-        raise ValueError(f"streams of {a.steps} steps of {a.dt:g} and "
-                         f"{b.steps} steps of {b.dt:g}")
-    worst = 0.0
-    try:
-        for x, y in zip(a.blocks, b.blocks):
-            if x.shape[1] != y.shape[1]:  # they would broadcast against each other
-                raise ValueError(f"streams of {x.shape[1]} and {y.shape[1]} columns")
-            m = min(len(x), len(y))
-            gap = np.subtract(x[:m], y[:m])
-            worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
-            del x, y, gap  # the next pair is filled without this one held
-        for _ in b.blocks:  # zip stops at a's end: a blow-up b has yet to raise
-            pass
-    except NonFiniteState:
-        for _ in b.blocks:
-            pass
-        raise
     return worst
 
 

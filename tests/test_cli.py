@@ -404,6 +404,17 @@ class TestFreq:
         assert main(["freq", netlist, "--omega", ","]) == 1
         assert _error_lines(capsys) == ["error: omegas must be nonempty"]
 
+    @pytest.mark.parametrize("omega, line", [
+        ("1e-300", "omega=1e-300 needs 2.76e+304 grid rows"),
+        ("1e-320", "omega=9.99989e-321 needs inf grid rows"),
+        ("1,1e-300", "omega=1e-300 needs 2.76e+304 grid rows"),
+        ("1e-12", "omega=1e-12 needs 2.76e+16 grid rows"),
+    ], ids=["tiny", "infinite_horizon", "after_a_good_one", "petabytes"])
+    def test_a_grid_over_the_row_cap_exits_1(self, tmp_path, capsys, omega, line):
+        netlist = _write(tmp_path, "rl.cir", RL_SINE)
+        assert main(["freq", netlist, "--omega", omega]) == 1
+        assert _error_lines(capsys) == [f"error: {line} at h=0.01, above the cap of 1e+09"]
+
     def test_a_window_of_one_sample_exits_1(self, tmp_path, capsys):
         # at h = 1000 the grid step is 50: the window (20, 50) holds one row
         netlist = _write(tmp_path, "rl.cir", RL_SINE)
@@ -452,6 +463,9 @@ class TestImpossibleHorizon:
         [line] = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
         if args[0] == "verify":
             assert line == ("error: T=1e+12 needs 2e+15 grid rows at h=0.01, "
+                            "above the cap of 1e+09")
+        elif args[0] == "freq":
+            assert line == ("error: omega=1e-12 needs 2.76e+16 grid rows at h=0.01, "
                             "above the cap of 1e+09")
         else:
             assert "allocate" in line

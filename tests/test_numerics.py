@@ -2,6 +2,8 @@ from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circ2crn import numerics
 from circ2crn.errors import NonFiniteState, SingularMatrix
@@ -285,7 +287,7 @@ class TestPropagate:
         rng = np.random.default_rng(11)
         m = rng.normal(size=(40, 40)) - 6.0 * np.eye(40)
         phi, y0 = expm(0.01 * m), rng.normal(size=40)
-        blocks = list(propagate(phi, y0, 100, 0.01))
+        blocks = list(propagate([phi], y0, 100, 0.01))
         assert [len(b) for b in blocks] == [100]
         rows = np.concatenate(blocks)
         for k in (1, 2, 39, 40, 41, 80, 81, 99, 100):
@@ -304,19 +306,19 @@ class TestPropagate:
         for k in (1, rows_per_block - 1, rows_per_block, longest):
             assert _rel_err(want[k - 1], np.linalg.matrix_power(phi, k) @ y0) <= 1e-13
         for steps in (0, 1, rows_per_block - 1, rows_per_block, rows_per_block + 1, longest):
-            blocks = list(propagate(phi, y0, steps, 0.1))
+            blocks = list(propagate([phi], y0, steps, 0.1))
             full, rest = divmod(steps, rows_per_block)
             assert [len(b) for b in blocks] == [rows_per_block] * full + [rest] * (rest > 0)
             for got, row in zip(chain.from_iterable(blocks), want):
                 assert _rel_err(got, row) <= 1e-13
 
     def test_no_steps_no_rows(self):
-        assert list(propagate(np.eye(2), np.ones(2), 0, 0.1)) == []
+        assert list(propagate([np.eye(2)], np.ones(2), 0, 0.1)) == []
 
     def test_first_non_finite_row_raises_with_its_time(self):
         rows = []
         with pytest.raises(NonFiniteState) as exc_info:
-            for block in propagate(np.array([[1e200]]), np.array([1.0]), 5, 0.5):
+            for block in propagate([np.array([[1e200]])], np.array([1.0]), 5, 0.5):
                 rows.extend(block.tolist())
         assert exc_info.value.time == 1.0
         assert rows == [[1e200]]
@@ -326,7 +328,67 @@ class TestPropagate:
         # lies inside a block after the first
         rows = []
         with pytest.raises(NonFiniteState) as exc_info:
-            for block in propagate(np.array([[2.0]]), np.array([2.0**-1074]), 3000, 0.5):
+            for block in propagate([np.array([[2.0]])], np.array([2.0**-1074]), 3000, 0.5):
                 rows.extend(block[:, 0].tolist())
         assert exc_info.value.time == 2098 * 0.5
         assert rows == [2.0 ** (k - 1074) for k in range(1, 2098)]
+
+    @pytest.mark.parametrize("phis", [
+        [np.ones((2, 3))],  # a block that is not square
+        [np.eye(2), np.ones(3)],  # a vector among the blocks
+        np.eye(2),  # one matrix where its list is due: its rows are not blocks
+    ], ids=["not_square", "vector", "bare_matrix"])
+    def test_blocks_that_are_not_square_matrices_are_refused(self, phis):
+        with pytest.raises(ValueError, match="square diagonal blocks"):
+            list(propagate(phis, np.ones(2), 3, 0.1))
+
+    @pytest.mark.parametrize("rates, bad", [
+        ((2.0, 0.5), 2098),  # the first block overflows, the second is finite
+        ((0.5, 2.0), 2098),  # the second overflows
+        ((2.0, 4.0), 1049),  # both overflow: 4^k 2^-1074 = 2^(2k - 1074) first at k = 1049
+    ], ids=["first", "second", "both"])
+    def test_the_earliest_blowup_of_any_block_is_raised(self, rates, bad):
+        # each scalar block steps 2^-1074 by its rate, beside a finite 7 x 7 block
+        rng = np.random.default_rng(3)
+        finite = expm(0.01 * (rng.normal(size=(7, 7)) - 4.0 * np.eye(7)))
+        x0 = rng.normal(size=7)
+        phis = [np.array([[rates[0]]]), finite, np.array([[rates[1]]])]
+        y0 = np.concatenate([[2.0**-1074], x0, [2.0**-1074]])
+        got = []
+        with pytest.raises(NonFiniteState) as exc_info:
+            for block in propagate(phis, y0, 3000, 0.5):
+                got.append(block)
+        assert exc_info.value.time == bad * 0.5
+        rows = np.concatenate(got)
+        assert len(rows) == bad - 1 and np.isfinite(rows).all()
+        alone = np.concatenate(list(propagate([finite], x0, bad - 1, 0.5)))
+        assert np.array_equal(rows[:, 1:8], alone)
+
+
+@st.composite
+def diagonal_blocks(draw):
+    """1 to 3 square blocks of sizes 1 to 12, each scaled to a spectral
+    radius of at most 1, and a state that stacks them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phis = []
+    for size in draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)):
+        m = rng.normal(size=(size, size))
+        radius = np.max(np.abs(np.linalg.eigvals(m)))
+        phis.append(m * (draw(st.floats(0.0, 1.0)) / radius if radius > 0.0 else 1.0))
+    return phis, rng.normal(size=sum(len(phi) for phi in phis))
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_blocks(), st.integers(0, 2000))
+def test_each_block_of_a_joint_stream_is_its_own_propagation(blocks, steps):
+    phis, y0 = blocks
+    joint = list(propagate(phis, y0, steps, 0.1))
+    full, rest = divmod(steps, numerics._BLOCK_ROWS)
+    assert [len(b) for b in joint] == [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
+    rows = np.concatenate([np.empty((0, len(y0)))] + joint)
+    lo = 0
+    for phi in phis:
+        hi = lo + len(phi)
+        alone = [np.empty((0, len(phi)))] + list(propagate([phi], y0[lo:hi], steps, 0.1))
+        assert np.array_equal(rows[:, lo:hi], np.concatenate(alone))
+        lo = hi

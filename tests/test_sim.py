@@ -23,9 +23,10 @@ from circ2crn.dae import (
     e_invertible,
     fourier_input,
     grid_steps,
-    reference_rows,
+    reference_map,
     reference_solve,
     step_count,
+    stepped,
 )
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
 from circ2crn.pipeline import (
@@ -42,9 +43,8 @@ from circ2crn.sim import (
     check_dt,
     fit_sinusoid,
     integrate,
-    linear_rows,
+    linear_map,
     recover_difference,
-    stream_sup_error,
     sup_error,
 )
 
@@ -239,11 +239,11 @@ class TestExactDifferences:
     """verify's exact propagation of the read-back difference law."""
 
     @staticmethod
-    def exact(net, T, dt, names):
-        F, g, d0 = difference_system(parse_crn(serialize_crn(net)))
-        outs = [out for out, _, _ in net.diffs]
-        rows = linear_rows(F, g, d0, grid_steps(T, dt), dt)
-        return rows.columns([outs.index(nm) for nm in names]).collect(names)
+    def exact(net, T, dt):
+        phi, y0 = linear_map(*difference_system(parse_crn(serialize_crn(net))), dt)
+        # each row holds the differences in the order of net.diffs, then the constant 1
+        rows = stepped([phi], y0, grid_steps(T, dt), dt)
+        return rows.collect(out for out, _, _ in net.diffs)
 
     @pytest.mark.parametrize("source, mode", [(RL_DC, "euler"), (TWO_CAP, "direct")],
                              ids=["rl_dc", "two_cap"])
@@ -253,7 +253,7 @@ class TestExactDifferences:
         assert net.meta["mode"] == mode
         outs = tuple(out for out, _, _ in net.diffs)
         dt = cfg.resolve_dt()
-        exact = self.exact(net, 2.0, dt, outs)
+        exact = self.exact(net, 2.0, dt)
         fine = pipeline.simulate_crn(net, 2.0, dt / 8)
         assert np.array_equal(exact.times, fine.times[::8])
         for name in outs:
@@ -277,7 +277,7 @@ class TestExactDifferences:
 def materialised_study(net, cfg, hs, h_ref):
     """convergence_study from two stored tables: reference_solve at the
     oracle step, keeping one row per grid row, then the collected rows of
-    linear_rows, compared by sup_error."""
+    the exact law's map stepped alone, compared by sup_error."""
     rows = []
     for h in hs:
         cfg_h = replace(cfg, h=h)
@@ -297,16 +297,16 @@ def materialised_study(net, cfg, hs, h_ref):
         assert ref.times[1] == pytest.approx(dt, rel=1e-12)
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
-        states = compiled.sys.state_names
-        exact = linear_rows(*difference_system(emitted), grid_steps(cfg.T, dt), dt)
-        traj = exact.columns([outs.index(name) for name in states]).collect(states)
-        rows.append((h, sup_error(traj, ref, states)))
+        phi, y0 = linear_map(*difference_system(emitted), dt)
+        traj = stepped([phi], y0, grid_steps(cfg.T, dt), dt).collect(outs)
+        rows.append((h, sup_error(traj, ref, compiled.sys.state_names)))
     return rows
 
 
 class TestStreamedVerify:
-    """verify folds the sup error of two row streams, block by block; it
-    equals sup_error over the two tables those streams would fill."""
+    """verify steps the artifact's law and the oracle as the two diagonal
+    blocks of one map and folds the sup error over that one stream, block
+    by block; it equals sup_error over the two tables each would fill."""
 
     @pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS],
                              ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass"])
@@ -334,19 +334,31 @@ class TestStreamedVerify:
         # at T = 3.0003 the grid's last row is past T, and the oracle's with it
         net, cfg = parse_netlist(text), RunConfig(T=T, transient_discard=0.0)
         dt, h_ref = cfg.resolve_dt(), cfg.h / 100.0
+        steps, stride = step_count(T, dt), round(dt / h_ref)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             compiled = compile_circuit(net, cfg)
-            _, oracle = reference_rows(compiled.sys, compiled.inp, compiled.x0,
-                                       step_count(T, dt), h_ref, round(dt / h_ref))
-        artifact = linear_rows(*difference_system(parse_crn(serialize_crn(compiled.crn))),
-                               step_count(T, dt), dt)
-        assert artifact.steps == oracle.steps
-        for rows in (artifact, oracle):
-            # row 0, then blocks of _BLOCK_ROWS rows and one of the rest
-            full, rest = divmod(rows.steps, numerics._BLOCK_ROWS)
-            want = [1] + [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
-            assert [len(block) for block in rows.blocks] == want
+            names, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0,
+                                                    h_ref, stride)
+        law = difference_system(parse_crn(serialize_crn(compiled.crn)))
+        artifact, y_artifact = linear_map(*law, dt)
+        width = len(y_artifact)
+        joint = list(stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]),
+                             steps, dt).blocks)
+        # row 0, then blocks of _BLOCK_ROWS rows and one of the rest
+        full, rest = divmod(steps, numerics._BLOCK_ROWS)
+        want = [1] + [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
+        assert [len(block) for block in joint] == want
+        # each side's columns are its own rows, and its own collected table
+        rows = np.concatenate(joint)
+        alone = stepped([artifact], y_artifact, steps, dt)
+        assert np.array_equal(rows[:, :width], np.concatenate(list(alone.blocks)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = reference_solve(compiled.sys, compiled.inp, compiled.x0,
+                                  (steps * stride - 0.5) * h_ref, h_ref, max_points=steps)
+        assert ref.names == names
+        assert np.array_equal(rows[:, width:-1], ref.values)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             [(_, got)] = convergence_study(net, cfg, [cfg.h], h_ref)
@@ -359,13 +371,14 @@ class TestStreamedVerify:
         sys = DaeSystem([[1.0]], [[rate]], [[0.0]], ("x",), 0)
         return sys, fourier_input(("u", 0.0, ()))
 
-    @pytest.mark.parametrize("artifact_rate, oracle_rate", [
-        (200.0, -1.0),  # only the artifact overflows
-        (-1.0, 100.0),  # only the oracle overflows
-        (200.0, 100.0),  # the artifact first, then the oracle
-    ])
-    def test_blowup_is_raised_at_the_time_of_the_tables(self, artifact_rate, oracle_rate):
-        self.assert_blowup_at_the_time_of_the_tables(artifact_rate, oracle_rate, 10.0)
+    @pytest.mark.parametrize("artifact_rate, oracle_rate, time", [
+        (200.0, -1.0, 3.549),  # only the artifact overflows
+        (-1.0, 100.0, 7.0625),  # only the oracle overflows
+        (200.0, 100.0, 3.549),  # the artifact first, then the oracle: the earlier
+    ], ids=["200.0--1.0", "-1.0-100.0", "200.0-100.0"])
+    def test_blowup_is_raised_at_the_time_of_the_tables(self, artifact_rate, oracle_rate,
+                                                         time):
+        self.assert_blowup_at_the_time_of_the_tables(artifact_rate, oracle_rate, 10.0, time)
 
     def test_blowup_of_the_collected_oracle_carries_the_rows_before_it(self):
         sys, inp = self.scalar(100.0)
@@ -384,62 +397,32 @@ class TestStreamedVerify:
         assert np.allclose(partial.column("x"), want, rtol=1e-9, atol=0.0)
 
     def test_blowup_of_the_oracle_in_its_last_block_is_raised(self):
-        # at t = 7.0625, inside the oracle's last block: the artifact has
-        # handed out all its blocks by then, so only reading the oracle to
-        # its end raises it
-        self.assert_blowup_at_the_time_of_the_tables(-1.0, 100.0, 7.1)
+        # at t = 7.0625, inside the stream's last block
+        self.assert_blowup_at_the_time_of_the_tables(-1.0, 100.0, 7.1, 7.0625)
 
-    def assert_blowup_at_the_time_of_the_tables(self, artifact_rate, oracle_rate, T):
+    def assert_blowup_at_the_time_of_the_tables(self, artifact_rate, oracle_rate, T, time):
+        """The joint stream of both maps raises the earlier of the times at
+        which the two tables, each collected alone, blow up."""
         dt, h_ref, x0 = 5e-4, 1e-4, [1.0]
         sys, inp = self.scalar(oracle_rate)
         F, g = np.array([[artifact_rate]]), np.zeros(1)
-        with pytest.raises(NonFiniteState) as want:
-            # the oracle first, as a comparison against it reports its failure
-            ref = reference_solve(sys, inp, x0, T, h_ref, max_points=step_count(T, dt))
-            traj = linear_rows(F, g, x0, grid_steps(T, dt), dt).columns([0]).collect(("x",))
-            sup_error(traj, ref, ("x",))
-        _, oracle = reference_rows(sys, inp, x0, step_count(T, dt), h_ref, stride=5)
+        artifact, y_artifact = linear_map(F, g, x0, dt)
+        _, oracle, y_oracle = reference_map(sys, inp, x0, h_ref, stride=5)
+        tables = []
+        for make in (lambda: reference_solve(sys, inp, x0, T, h_ref, step_count(T, dt)),
+                     lambda: stepped([artifact], y_artifact, grid_steps(T, dt), dt)
+                     .collect(("x", "1"))):
+            try:
+                make()
+            except NonFiniteState as exc:
+                tables.append(exc.time)
+        joint = stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]),
+                        step_count(T, dt), dt)
         with pytest.raises(NonFiniteState) as got:
-            stream_sup_error(linear_rows(F, g, x0, step_count(T, dt), dt).columns([0]),
-                             oracle.columns([0]))
-        assert got.value.time == want.value.time
-        assert want.value.time < T
-
-    def test_fold_reads_both_streams_to_their_end(self):
-        T, dt, x0 = 2.0, 5e-4, [1.0]
-        sys, inp = self.scalar(-1.0)
-        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, step_count(T, dt), dt)
-        _, oracle = reference_rows(sys, inp, x0, step_count(T, dt), 1e-4, stride=5)
-        ended = []
-
-        def to_the_end(rows, name):  # notes when the fold resumes rows past its last block
-            yield from rows.columns([0]).blocks
-            ended.append(name)
-
-        err = stream_sup_error(artifact._replace(blocks=to_the_end(artifact, "artifact")),
-                               oracle._replace(blocks=to_the_end(oracle, "oracle")))
-        assert 0.0 < err <= 1e-4  # BDF-1 at 1e-4 against the exact exponential
-        assert sorted(ended) == ["artifact", "oracle"]
-
-    def test_streams_of_unequal_width_are_refused(self):
-        dt, steps, x0 = 5e-4, 2000, [1.0]
-        sys, inp = self.scalar(-1.0)
-        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, steps, dt)
-        _, oracle = reference_rows(sys, inp, x0, steps, 1e-4, stride=5)
-        with pytest.raises(ValueError, match="streams of 2 and 1 columns"):
-            stream_sup_error(artifact, oracle.columns([0]))
-
-    @pytest.mark.parametrize("h_ref, stride, rows", [
-        (7e-5, 7, 2000),  # 4.9e-4 per row, where the grid has 5e-4
-        (1e-4, 5, 1999),  # the grid's step, one row short
-    ], ids=["other_step", "other_count"])
-    def test_streams_on_different_grids_are_refused(self, h_ref, stride, rows):
-        dt, steps, x0 = 5e-4, 2000, [1.0]
-        sys, inp = self.scalar(-1.0)
-        artifact = linear_rows(np.array([[-1.0]]), np.zeros(1), x0, steps, dt)
-        _, oracle = reference_rows(sys, inp, x0, rows, h_ref, stride)
-        with pytest.raises(ValueError, match="streams of 2000 steps of 0.0005 and "):
-            stream_sup_error(artifact.columns([0]), oracle.columns([0]))
+            for _ in joint.blocks:
+                pass
+        assert got.value.time == min(tables)
+        assert "%g" % got.value.time == "%g" % time
 
     def test_memory_does_not_grow_with_the_horizon(self):
         net = parse_netlist(rl_ladder(3))
@@ -784,3 +767,20 @@ class TestFrequencyResponse:
         monkeypatch.setattr(pipeline, "compile_circuit", no_compile)
         with pytest.raises(ValueError, match="positive and finite"):
             frequency_response(rl_sine[0], [1.0, bad], self.CFG)
+
+    @pytest.mark.parametrize("omegas, message", [
+        ([1e-300], "omega=1e-300 needs 2.76e+304 grid rows"),
+        # the period 2 pi / omega, and so T, is infinite
+        ([1e-320], "omega=9.99989e-321 needs inf grid rows"),
+        ([1.0, 1e-300], "omega=1e-300 needs 2.76e+304 grid rows"),
+        ([1e-12], "omega=1e-12 needs 2.76e+16 grid rows"),
+    ], ids=["tiny", "infinite_horizon", "after_a_good_one", "petabytes"])
+    def test_a_grid_over_the_row_cap_is_refused_before_any_compile(
+            self, rl_sine, monkeypatch, omegas, message):
+        def no_compile(*args):
+            raise AssertionError("compiled before validating every omega")
+
+        monkeypatch.setattr(pipeline, "compile_circuit", no_compile)
+        with pytest.raises(ValueError) as exc_info:
+            frequency_response(rl_sine[0], omegas, RunConfig())
+        assert str(exc_info.value) == f"{message} at h=0.01, above the cap of 1e+09"
