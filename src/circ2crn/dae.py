@@ -12,8 +12,9 @@ its rows into a `Trajectory`.
 
 `Rows` is the one contract of every stepped trajectory: RK4's rows
 (`sim.rk4_rows`) and those of affine maps stepped together (`stepped`) are
-handed out as a `Rows` stream, row 0 first, and `Rows.collect` is the one
-loop that copies a stream into a table.
+handed out as a `Rows` stream, row 0 and then the checked blocks of
+`numerics.checked_blocks`, and `Rows.collect` is the one loop that copies a
+stream into a table.
 `grid_steps` is the one horizon rule of a stepped run.
 """
 
@@ -416,15 +417,15 @@ def reference_map(sys: DaeSystem, inp: InputModel, x0, h: float,
     P = np.eye(size + 1)
     P[:size, :size] = inv @ stacked.E
     P[:size, size] = h * (inv @ b)
-    # finiteness is checked block by block in propagate, so overflow needs no warning
+    # the stepped rows are checked block by block, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.linalg.matrix_power(P, stride)
     return stacked.state_names, phi, np.append(x_full, 1.0)
 
 
 def stepped(phis, y0, steps: int, dt: float) -> Rows:
-    """Row 0 = y0 and the fixed blocks of `numerics.propagate`, row k at
-    time k*dt, each column block stepped by its map in phis."""
+    """Row 0 = y0 and the blocks of `numerics.propagate`, row k at time
+    k*dt, each column block stepped by its map in phis."""
     return Rows(dt, steps, chain([y0[None]], propagate(phis, y0, steps, dt)))
 
 

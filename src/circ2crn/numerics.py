@@ -12,8 +12,9 @@ relative threshold is what lets callers distinguish a genuinely singular
 pencil from round-off.  The factorization, the inverse and the solve inside
 `expm` all come from LAPACK through numpy.  `expm` and `propagate` step
 y' = M y exactly on a grid: y(k dt) = Phi^k y(0) with Phi = expm(M dt).
-`propagate` steps a block-diagonal Phi, given as its diagonal blocks, in
-row blocks of one fixed length, each diagonal block by its own powers.
+`checked_blocks` is the one block loop of every stepped stream, RK4's
+(`sim.rk4_rows`) and `propagate`'s: it hands out rows in checked blocks of
+one fixed length.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import NonFiniteState, SingularMatrix
 
 REL_PIVOT_TOL = 1e-12
 # float64 entries in propagate's table of powers (512 KB), and the rows in
-# one of its blocks, whatever the width of the stream
+# one block of checked_blocks, whatever the width of the stream
 _TABLE_ENTRIES = 1 << 16
 _BLOCK_ROWS = 512
 # the Pade [13/13] coefficients b_0 .. b_13, scaled to b_0 = 1 so that a zero
@@ -115,18 +116,41 @@ def expm(m) -> np.ndarray:
     return r
 
 
+def checked_blocks(fill, y0: np.ndarray, steps: int, dt: float, limit: float):
+    """The rows 1 .. steps after y0, as blocks of _BLOCK_ROWS rows and then
+    one of the rest, a schedule that depends on steps alone.
+
+    fill(block, y) writes the rows of each fresh block, y being the row
+    before it, under one errstate that silences overflow.  Each block is
+    checked whole, and a row passes when every |entry| <= limit, so NaN and
+    +-inf fail whatever the limit.  At the first row that fails, the rows
+    before it are yielded and NonFiniteState is raised with that row's time.
+    The yielded arrays are the caller's to keep.
+    """
+    y = y0
+    for start in range(1, steps + 1, _BLOCK_ROWS):
+        block = np.empty((min(_BLOCK_ROWS, steps + 1 - start), y0.shape[0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            fill(block, y)
+        # |row| <= limit by two reductions, with no copy; NaN fails them too
+        if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
+            bad = int(np.argmin((np.abs(block) <= limit).all(axis=1)))
+            if bad:
+                yield block[:bad]
+            raise NonFiniteState((start + bad) * dt)
+        yield block
+        y = block[-1]
+
+
 def propagate(phis, y0: np.ndarray, steps: int, dt: float):
-    """The rows Phi^1 y0 .. Phi^steps y0 of Phi = diag(phis), as blocks.
+    """The rows Phi^1 y0 .. Phi^steps y0 of Phi = diag(phis), as the blocks
+    of `checked_blocks`, which fail at the first row that is not finite.
 
     phis are the square diagonal blocks of Phi, and y0 stacks their states.
-    Yields fresh arrays that the caller may keep: blocks of _BLOCK_ROWS rows
-    and then one of the rest, a schedule that depends on steps alone.  Each
-    diagonal block fills its own columns from its own table of powers
+    Each diagonal block fills its own columns from its own table of powers
     (b of them, bounded by _TABLE_ENTRIES and _BLOCK_ROWS), b rows at a
     time, each b rows one matrix product with the row before them, so its
-    columns equal its own propagation bit for bit.  Each block is checked
-    whole: at the first row with a non-finite column, the rows before it
-    are yielded and NonFiniteState is raised with that row's time.
+    columns equal its own propagation bit for bit.
     """
     if any(np.ndim(phi) != 2 or phi.shape[0] != phi.shape[1] for phi in phis):
         raise ValueError("phis must be the square diagonal blocks of one map")
@@ -134,7 +158,7 @@ def propagate(phis, y0: np.ndarray, steps: int, dt: float):
     for phi in phis:
         size = phi.shape[0]
         table = max(1, min(_BLOCK_ROWS, _TABLE_ENTRIES // size**2, steps))
-        # finiteness is checked block by block below, so overflow needs no warning
+        # the rows are checked block by block, so overflow needs no warning
         with np.errstate(over="ignore", invalid="ignore"):
             powers = np.empty((table, size, size))
             powers[0] = phi
@@ -151,20 +175,13 @@ def propagate(phis, y0: np.ndarray, steps: int, dt: float):
             table = max(1, int(np.argmin(finite)))
         tables.append(powers[:table].reshape(table * size, size))
     ends = np.cumsum([0] + [phi.shape[0] for phi in phis]).tolist()
-    y = y0
-    for start in range(1, steps + 1, _BLOCK_ROWS):
-        ys = np.empty((min(_BLOCK_ROWS, steps + 1 - start), ends[-1]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for a, b, stacked in zip(ends, ends[1:], tables):
-                x, table = y[a:b], len(stacked) // (b - a)
-                for lo in range(0, len(ys), table):
-                    rows = ys[lo : lo + table, a:b]
-                    rows[:] = (stacked[: len(rows) * (b - a)] @ x).reshape(rows.shape)
-                    x = rows[-1]
-        y = ys[-1]
-        if not np.isfinite(ys).all():
-            bad = int(np.argmin(np.isfinite(ys).all(axis=1)))
-            if bad:
-                yield ys[:bad]
-            raise NonFiniteState((start + bad) * dt)
-        yield ys
+
+    def fill(ys, y):
+        for a, b, stacked in zip(ends, ends[1:], tables):
+            x, table = y[a:b], len(stacked) // (b - a)
+            for lo in range(0, len(ys), table):
+                rows = ys[lo : lo + table, a:b]
+                rows[:] = (stacked[: len(rows) * (b - a)] @ x).reshape(rows.shape)
+                x = rows[-1]
+
+    yield from checked_blocks(fill, y0, steps, dt, np.finfo(float).max)

@@ -251,10 +251,11 @@ def frequency_response(
     so they are integrated together as one stacked state.  Of each network
     only the output and source rail differences inside its fit window are
     stored, and a batch of networks stores at most _SWEEP_ENTRIES such
-    values (a single network may exceed it); each frequency is fitted on
-    rows that equal its own run bit for bit.  A batch that blows up raises
-    NonFiniteState at the earliest blow-up time of its networks.  A grid of
-    more than MAX_GRID_ROWS rows is refused with the other omega checks.
+    values; each frequency is fitted on rows that equal its own run bit for
+    bit.  A batch that blows up raises NonFiniteState at the earliest
+    blow-up time of its networks.  A grid of more than MAX_GRID_ROWS rows,
+    or a fit window of more than _SWEEP_ENTRIES values, is refused with the
+    other omega checks.
     """
     sources = net.sources()
     if len(sources) != 1:
@@ -264,7 +265,7 @@ def frequency_response(
     if not omegas:
         raise ValueError("omegas must be nonempty")
     dt = cfg.resolve_dt()
-    horizons = []
+    windows = []
     for omega in omegas:
         if not 0.0 < omega < np.inf:  # NaN fails too
             raise ValueError("omega must be positive and finite")
@@ -272,15 +273,18 @@ def frequency_response(
         if not T / dt <= MAX_GRID_ROWS:  # an infinite T fails too
             raise ValueError(f"omega={omega:g} needs {T / dt:.3g} grid rows at h={cfg.h:g}, "
                              f"above the cap of {MAX_GRID_ROWS:.0e}")
-        horizons.append(T)
+        fit = _fit_rows(T, dt, cfg.transient_discard)
+        entries = 2 * len(fit)  # the output and source differences
+        if entries > _SWEEP_ENTRIES:
+            raise ValueError(f"omega={omega:g} needs {entries} fit values at h={cfg.h:g}, "
+                             f"above the cap of {_SWEEP_ENTRIES}")
+        windows.append((T, fit, entries))
     rows: list[tuple[float, float, float]] = []
     batch: list[tuple[float, float, range, CompiledCircuit]] = []
     stored = 0
-    for omega, T in zip(omegas, horizons):
+    for omega, (T, fit, entries) in zip(omegas, windows):
         drive = Fourier(0.0, ((1.0, float(omega), 0.0),))
         compiled = compile_circuit(replace(net, source_waveforms={src: drive}), cfg)
-        fit = _fit_rows(T, dt, cfg.transient_discard)
-        entries = 2 * len(fit)  # the output and source differences
         if batch and stored + entries > _SWEEP_ENTRIES:
             rows += _sweep_batch(batch, src, cfg)
             batch, stored = [], 0

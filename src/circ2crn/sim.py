@@ -3,11 +3,11 @@
 Every stepped trajectory is a `dae.Rows` stream of the rows at the times
 k*dt, row 0 first, and `Rows.collect` copies a stream into one table.
 
-`rk4_rows` is classical RK4 with step dt.  It hands the grid rows to its
-caller in checked blocks as it steps, so a caller stores only what it
-reads: `integrate` collects every row into one table, `simulate` collects
-it with the difference columns, and `freq` keeps only the two rail
-differences it fits, over each frequency's fit window.  RK4's stability
+`rk4_rows` is classical RK4 with step dt, stepped and checked block by
+block by `numerics.checked_blocks`, so a caller stores only what it reads:
+`integrate` collects every row into one table, `simulate` collects it with
+the difference columns, and `freq` keeps only the two rail differences it
+fits, over each frequency's fit window.  RK4's stability
 rests on the stiffness scale of the emitted system.  In Euler mode the
 fastest rates are about 2/h (the algebraic-row relaxation plus annihilation
 at gamma = 1/h, the eigenvalues lambda/(1 - h lambda) of F_h staying below
@@ -30,17 +30,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .dae import Rows, Trajectory, grid_steps
-from .errors import NonFiniteState, WindowTooShort
-from .numerics import as_vector, expm
+from .errors import WindowTooShort
+from .numerics import as_vector, checked_blocks, expm
 
 BLOWUP_LIMIT = 1e12
 DT_RULE_FACTOR = 20.0
-# RK4 rows in one block of rk4_rows, checked for blow-up together
-_CHECK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -65,40 +64,27 @@ def rk4_rows(field, x0, steps: int, dt: float) -> Rows:
     """Classical 4th-order Runge-Kutta on a time-invariant field, as rows.
 
     Takes `steps` steps of dt from the float64 vector x0, which is row 0.
-    The rows after it come in order, as fresh arrays of at most _CHECK_ROWS
-    rows that the caller may keep, computed as they are read.  Each block
-    is checked whole before it is handed out, and only a block that fails
-    is searched row by row: at the first row in which any state magnitude
-    exceeds 1e12 or turns non-finite, the rows before it are handed out and
-    NonFiniteState is raised with that row's time.  A blow-up is thus found
-    up to a block late, but the steps taken past it raise no floating-point
-    warning.  On the stacked state of several networks (see
-    crn.mass_action_field) that row is the earliest blow-up of any of them.
-    The field's arrays are only read, never written.
+    The rows after it are the blocks of `numerics.checked_blocks`, computed
+    as they are read, and fail at the first row in which any state
+    magnitude exceeds BLOWUP_LIMIT or turns non-finite.  On the stacked
+    state of several networks (see crn.mass_action_field) that row is the
+    earliest blow-up of any of them.  The field's arrays are only read,
+    never written.
     """
+    half = 0.5 * dt
+    sixth = dt / 6.0
 
-    def blocks(x):
-        yield x[None]
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        for start in range(1, steps + 1, _CHECK_ROWS):
-            block = np.empty((min(_CHECK_ROWS, steps + 1 - start), x.shape[0]))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for row in block:
-                    k1 = field(x)
-                    k2 = field(x + half * k1)
-                    k3 = field(x + half * k2)
-                    k4 = field(x + dt * k3)
-                    np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=row)
-                    x = row
-            if not np.max(np.abs(block), initial=0.0) <= BLOWUP_LIMIT:  # NaN fails the <= too
-                bad = int(np.argmin((np.abs(block) <= BLOWUP_LIMIT).all(axis=1)))
-                if bad:
-                    yield block[:bad]
-                raise NonFiniteState((start + bad) * dt)
-            yield block
+    def fill(block, x):
+        for row in block:
+            k1 = field(x)
+            k2 = field(x + half * k1)
+            k3 = field(x + half * k2)
+            k4 = field(x + dt * k3)
+            np.add(x, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=row)
+            x = row
 
-    return Rows(dt, steps, blocks(as_vector(x0, "x0")))
+    x = as_vector(x0, "x0")
+    return Rows(dt, steps, chain([x[None]], checked_blocks(fill, x, steps, dt, BLOWUP_LIMIT)))
 
 
 def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
@@ -106,10 +92,8 @@ def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
 
     Steps from 0 to the first multiple of dt at or beyond T (`grid_steps`)
     and collects the rows of `rk4_rows` into one table, the columns named
-    s0, s1, ... unless `names` are given.  Aborts with NonFiniteState at the
-    first row in which any state magnitude exceeds 1e12 or turns
-    non-finite, carrying that row's time and the partial trajectory of the
-    rows before it.
+    s0, s1, ... unless `names` are given.  Its NonFiniteState carries the
+    partial trajectory of the rows before the blow-up.
     """
     x = as_vector(x0, "x0")
     names = tuple(f"s{i}" for i in range(x.shape[0])) if names is None else names

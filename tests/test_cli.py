@@ -422,6 +422,17 @@ class TestFreq:
         assert _error_lines(capsys) == ["error: window (20, 50), sample count 1, does not "
                                         "determine a sinusoid of omega=1"]
 
+    def test_a_fit_window_over_the_entry_cap_exits_1_at_once(self, tmp_path):
+        # 5.5e8 fit values (4.1 GiB) fit under the row cap but not under the
+        # sweep's store, and are refused before anything is allocated for them
+        netlist = _write(tmp_path, "rl.cir", RL_SINE)
+        done = _run_capped("freq", netlist, "--omega", "1e-4")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert [ln for ln in done.stderr.splitlines() if ln.startswith("error:")] == [
+            "error: omega=0.0001 needs 552920310 fit values at h=0.01, "
+            "above the cap of 4194304"]
+
 
 class TestFrequencyResponseExamples:
     """The low and high frequency gain examples, run at settings where the

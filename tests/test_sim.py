@@ -107,7 +107,7 @@ class TestIntegrate:
     def test_trajectory_equals_stepwise_loop_bitwise(self):
         inp = sine_input_2state()
         field = AffineOde(inp.D, inp.d, inp.names, 0).field()
-        steps = 2 * sim._CHECK_ROWS + 7
+        steps = 2 * numerics._BLOCK_ROWS + 7
         traj = integrate(field, [0.3, 1.0], steps * 0.01, 0.01)
         time, rows = rk4_stepwise(field, [0.3, 1.0], steps * 0.01, 0.01)
         assert time is None
@@ -121,7 +121,7 @@ class TestIntegrate:
         ["first", "mid_block", "block_end", "block_start", "last"],
     )
     def test_blowup_matches_stepwise_loop_without_warnings(self, kind, step):
-        rows = sim._CHECK_ROWS
+        rows = numerics._BLOCK_ROWS
         steps = 2 * rows + 5
         s = {"first": 1, "mid_block": rows // 2, "block_end": rows,
              "block_start": rows + 1, "last": steps}[step]
@@ -345,10 +345,13 @@ class TestStreamedVerify:
         width = len(y_artifact)
         joint = list(stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]),
                              steps, dt).blocks)
-        # row 0, then blocks of _BLOCK_ROWS rows and one of the rest
+        # row 0, then blocks of _BLOCK_ROWS rows and one of the rest, for the
+        # exact maps and for RK4 alike
         full, rest = divmod(steps, numerics._BLOCK_ROWS)
         want = [1] + [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
         assert [len(block) for block in joint] == want
+        rk4 = sim.rk4_rows(lambda x: -x, y_artifact, steps, dt)
+        assert [len(block) for block in rk4.blocks] == want
         # each side's columns are its own rows, and its own collected table
         rows = np.concatenate(joint)
         alone = stepped([artifact], y_artifact, steps, dt)
@@ -702,9 +705,11 @@ class TestFrequencyResponse:
         rows_50 = step_count(50.0, dt) + 1
         start = round(self.CFG.transient_discard / dt)
         assert start * dt == self.CFG.transient_discard
-        # a batch stores two differences per kept row: two networks fit over
-        # T = 50, but not with omega = 0.2's longer window
-        cap = 2 * 2 * (rows_50 - start)
+        # a batch stores two differences per kept row, and the cap is omega =
+        # 0.2's own window: two networks fit over T = 50, but neither with it
+        T_02 = self.CFG.transient_discard + 2.2 * (2.0 * np.pi / 0.2)
+        cap = 2 * (step_count(T_02, dt) + 1 - start)
+        assert 2 * 2 * (rows_50 - start) <= cap < 3 * 2 * (rows_50 - start)
         monkeypatch.setattr(pipeline, "_SWEEP_ENTRIES", cap)
         sizes = []
 
@@ -767,6 +772,19 @@ class TestFrequencyResponse:
         monkeypatch.setattr(pipeline, "compile_circuit", no_compile)
         with pytest.raises(ValueError, match="positive and finite"):
             frequency_response(rl_sine[0], [1.0, bad], self.CFG)
+
+    @pytest.mark.parametrize("omega, values", [(1e-4, 552920310), (0.01318, 4195150)],
+                             ids=["tiny", "just_above"])
+    def test_a_fit_window_over_the_entry_cap_is_refused_before_any_compile(
+            self, rl_sine, monkeypatch, omega, values):
+        def no_compile(*args):
+            raise AssertionError("compiled before validating every omega")
+
+        monkeypatch.setattr(pipeline, "compile_circuit", no_compile)
+        with pytest.raises(ValueError) as exc_info:
+            frequency_response(rl_sine[0], [1.0, omega], RunConfig())
+        assert str(exc_info.value) == (f"omega={omega:g} needs {values} fit values at "
+                                       f"h=0.01, above the cap of 4194304")
 
     @pytest.mark.parametrize("omegas, message", [
         ([1e-300], "omega=1e-300 needs 2.76e+304 grid rows"),
