@@ -15,7 +15,8 @@ its rows into a `Trajectory`.
 handed out as a `Rows` stream, row 0 and then the checked blocks of
 `numerics.checked_blocks`, and `Rows.collect` is the one loop that copies a
 stream into a table.
-`grid_steps` is the one horizon rule of a stepped run.
+`grid_steps` is the one rule of a stepped run's grid: its step count, and
+its refusal before anything is compiled, allocated or stepped.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .numerics import as_matrix, as_vector, failed_pivot, invert, propagate
 DEFAULT_SEED = 1729
 PROBE_COUNT = 8
 PROBE_RANGE = (1e-4, 0.5)
+# the grid rows a stepped run takes at most (`grid_steps`): minutes of
+# stepping even on the smallest circuits
+MAX_GRID_ROWS = 10**9
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +226,17 @@ class Rows(NamedTuple):
         return Trajectory(times, names, values)
 
 
-def step_count(T: float, dt: float) -> int:
-    """Steps of a grid from 0 to the first multiple of dt at or beyond T."""
-    return int(np.ceil(T / dt - 1e-12))
-
-
 def grid_steps(T: float, dt: float) -> int:
-    """`step_count` of the grid of a stepped run: ValueError unless
-    0 < dt <= T, both finite."""
+    """Steps of a stepped run's grid, from 0 to the first multiple of dt at
+    or beyond T: ValueError unless 0 < dt <= T, both finite, and the steps
+    are at most MAX_GRID_ROWS."""
     if not 0.0 < dt <= T < np.inf:  # NaN fails too
         raise ValueError("need 0 < dt <= T, both finite")
-    return step_count(T, dt)
+    steps = np.ceil(T / dt - 1e-12)
+    if steps > MAX_GRID_ROWS:  # an infinite quotient fails too
+        raise ValueError(f"T={T:g} needs {steps:.3g} grid rows at dt={dt:g}, "
+                         f"above the cap of {MAX_GRID_ROWS:.0e}")
+    return int(steps)
 
 
 def csv_lines(header, rows):
@@ -390,19 +394,25 @@ def stacked_pencil(sys: DaeSystem, inp: InputModel):
     return stacked, b
 
 
-def reference_map(sys: DaeSystem, inp: InputModel, x0, h: float,
-                  stride: int = 1) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Backward-Euler (equivalently BDF-1) steps of the exact DAE, as a map.
+def reference_map(sys: DaeSystem, inp: InputModel, x0, dt: float,
+                  h: float) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Backward-Euler (equivalently BDF-1) steps of the exact DAE, as a map
+    from one row of a grid of step dt to the next.
 
-    A step of the stacked pencil, x[i+1] = x[i] + h F_h(x[i]), is the affine
-    map x -> S x + c, written as y -> P y on y = (x, 1) with P = [[S, c],
-    [0, 1]].  Returns the stacked state names, P^stride, which `stepped`
-    steps to keep every stride-th iterate, and y0 = (x0 projected, 1).  The
-    rows agree with the step-by-step recursion to rounding, about 1e-12
-    relative to max|x|.
+    The oracle steps s times per row: when dt is a whole number of steps h,
+    s is that number; otherwise s = ceil(dt/h) and it steps by dt/s.  A step
+    of the stacked pencil, x[i+1] = x[i] + h F_h(x[i]), is the affine map
+    x -> S x + c, written as y -> P y on y = (x, 1) with P = [[S, c], [0, 1]].
+    Returns the stacked state names, P^s, which `stepped` steps, and
+    y0 = (x0 projected, 1).  The rows agree with the step-by-step recursion
+    to rounding, about 1e-12 relative to max|x|.
     """
-    if not 0.0 < h < np.inf:  # NaN fails too
-        raise ValueError("h must be positive and finite")
+    if not (0.0 < dt < np.inf and 0.0 < h < np.inf):  # NaN fails too
+        raise ValueError("dt and h must be positive and finite")
+    stride = round(dt / h)
+    if abs(dt / h - stride) > 1e-12 * stride:  # not a whole number of steps
+        stride = int(np.ceil(dt / h))
+        h = dt / stride
     stacked, b = stacked_pencil(sys, inp)
     x_full = np.concatenate([as_vector(x0, "x0"), inp.init])
     x_full, flagged = consistent_project(stacked, b, x_full, min(1e-6, h / 10))
@@ -450,6 +460,6 @@ def reference_solve(
     stride = 1
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
-    names, phi, y0 = reference_map(sys, inp, x0, h, stride)
+    names, phi, y0 = reference_map(sys, inp, x0, stride * h, h)
     rows = stepped([phi], y0, n_steps // stride, stride * h)
     return rows.collect(names)

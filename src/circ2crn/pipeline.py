@@ -15,6 +15,10 @@ row.  The two are stepped as the diagonal blocks of one map, in blocks of
 one fixed length (`numerics.propagate`), and compared block by block, so
 memory does not grow with the horizon.
 
+Every grid's step count, and its refusal, comes from `dae.grid_steps`, and
+the oracle's steps per grid row from `dae.reference_map`; the one grid
+arithmetic left here is `freq`'s fit window.
+
 `simulate_crn` collects RK4's rows (`sim.rk4_rows`) into one table, rail
 differences included.
 
@@ -49,7 +53,6 @@ from .dae import (
     e_invertible,
     grid_steps,
     reference_map,
-    step_count,
     stepped,
 )
 from .errors import ValidationError
@@ -58,9 +61,6 @@ from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_map, rk4_rows
 
 # float64 rail differences one batch of a frequency sweep may store (32 MB)
 _SWEEP_ENTRIES = 1 << 22
-# the grid rows verify and freq step at most, checked before they compile:
-# minutes of stepping even on the smallest circuits
-MAX_GRID_ROWS = 10**9
 
 
 @dataclass(frozen=True)
@@ -189,13 +189,11 @@ def convergence_study(
     law of its rail differences (`crn.difference_system`) is propagated
     exactly on its own grid of step dt = h/20 (`RunConfig.resolve_dt`) as
     one diagonal block of a map (`dae.stepped`), and compared block by block
-    with the other, the oracle (`dae.reference_map`), which keeps every s-th
-    backward-Euler iterate: when dt is a whole number of oracle steps, s is
-    that number; otherwise s = ceil(dt/h_ref) and the oracle steps by dt/s.
-    A blow-up of either raises NonFiniteState at its earliest row.  ValueError,
-    before anything is compiled, when h_ref is not positive and finite,
-    when a grid step exceeds T, or when a grid would exceed MAX_GRID_ROWS
-    rows; ValidationError when the difference law is not exact.
+    with the other, the oracle's map from one grid row to the next
+    (`dae.reference_map` at step h_ref).  A blow-up of either raises
+    NonFiniteState at its earliest row.  ValueError, before anything is
+    compiled, when h_ref is not positive and finite or `dae.grid_steps`
+    refuses a grid; ValidationError when the difference law is not exact.
     """
     hs = list(hs)
     if not hs:
@@ -208,17 +206,10 @@ def convergence_study(
         raise ValueError("h_ref must be positive and finite")
     dts = [replace(cfg, h=h).resolve_dt() for h in hs]
     counts = [grid_steps(cfg.T, dt) for dt in dts]
-    if counts[-1] > MAX_GRID_ROWS:
-        raise ValueError(f"T={cfg.T:g} needs {counts[-1]:.3g} grid rows at h={hs[-1]:g}, "
-                         f"above the cap of {MAX_GRID_ROWS:.0e}")
     rows = []
     for h, dt, steps in zip(hs, dts, counts):
         compiled = compile_circuit(net, replace(cfg, h=h))
-        s, step = round(dt / h_ref), h_ref
-        if abs(dt / h_ref - s) > 1e-12 * s:  # not a whole number of oracle steps
-            s = int(np.ceil(dt / h_ref))
-            step = dt / s
-        _, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0, step, s)
+        _, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0, dt, h_ref)
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
         states = compiled.sys.state_names
@@ -253,7 +244,7 @@ def frequency_response(
     stored, and a batch of networks stores at most _SWEEP_ENTRIES such
     values; each frequency is fitted on rows that equal its own run bit for
     bit.  A batch that blows up raises NonFiniteState at the earliest
-    blow-up time of its networks.  A grid of more than MAX_GRID_ROWS rows,
+    blow-up time of its networks.  A grid that `dae.grid_steps` refuses,
     or a fit window of more than _SWEEP_ENTRIES values, is refused with the
     other omega checks.
     """
@@ -270,10 +261,11 @@ def frequency_response(
         if not 0.0 < omega < np.inf:  # NaN fails too
             raise ValueError("omega must be positive and finite")
         T = max(cfg.T, cfg.transient_discard + 2.2 * (2.0 * np.pi / omega))
-        if not T / dt <= MAX_GRID_ROWS:  # an infinite T fails too
-            raise ValueError(f"omega={omega:g} needs {T / dt:.3g} grid rows at h={cfg.h:g}, "
-                             f"above the cap of {MAX_GRID_ROWS:.0e}")
-        fit = _fit_rows(T, dt, cfg.transient_discard)
+        try:
+            steps = grid_steps(T, dt)
+        except ValueError as exc:
+            raise ValueError(f"omega={omega:g}: {exc}") from None
+        fit = _fit_rows(steps, dt, cfg.transient_discard)
         entries = 2 * len(fit)  # the output and source differences
         if entries > _SWEEP_ENTRIES:
             raise ValueError(f"omega={omega:g} needs {entries} fit values at h={cfg.h:g}, "
@@ -295,13 +287,13 @@ def frequency_response(
     return rows
 
 
-def _fit_rows(T: float, dt: float, discard: float) -> range:
-    """Grid rows a sweep keeps for a fit over (discard, T): from the last row
-    at or before discard to the last row of the grid that reaches T."""
+def _fit_rows(steps: int, dt: float, discard: float) -> range:
+    """Grid rows a sweep keeps for a fit over discard to the end of a grid
+    of the given steps: from the last row at or before discard to the last."""
     start = int(discard // dt)  # the floor of the exact quotient
     if (start + 1) * dt <= discard:  # the row time may still round onto it
         start += 1
-    return range(start, step_count(T, dt) + 1)
+    return range(start, steps + 1)
 
 
 def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, float]]:

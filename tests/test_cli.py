@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import circ2crn
+from circ2crn import pipeline
 from circ2crn.cli import main
 from circ2crn.crn import Reaction, parse_crn, serialize_crn
 from circ2crn.pipeline import RunConfig, frequency_response, verify_circuit
@@ -405,15 +406,29 @@ class TestFreq:
         assert _error_lines(capsys) == ["error: omegas must be nonempty"]
 
     @pytest.mark.parametrize("omega, line", [
-        ("1e-300", "omega=1e-300 needs 2.76e+304 grid rows"),
-        ("1e-320", "omega=9.99989e-321 needs inf grid rows"),
-        ("1,1e-300", "omega=1e-300 needs 2.76e+304 grid rows"),
-        ("1e-12", "omega=1e-12 needs 2.76e+16 grid rows"),
+        ("1e-300", "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
+                   "above the cap of 1e+09"),
+        ("1e-320", "omega=9.99989e-321: need 0 < dt <= T, both finite"),
+        ("1,1e-300", "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
+                     "above the cap of 1e+09"),
+        ("1e-12", "omega=1e-12: T=1.3823e+13 needs 2.76e+16 grid rows at dt=0.0005, "
+                  "above the cap of 1e+09"),
     ], ids=["tiny", "infinite_horizon", "after_a_good_one", "petabytes"])
     def test_a_grid_over_the_row_cap_exits_1(self, tmp_path, capsys, omega, line):
         netlist = _write(tmp_path, "rl.cir", RL_SINE)
         assert main(["freq", netlist, "--omega", omega]) == 1
-        assert _error_lines(capsys) == [f"error: {line} at h=0.01, above the cap of 1e+09"]
+        assert _error_lines(capsys) == [f"error: {line}"]
+
+    def test_a_grid_step_past_the_horizon_exits_1_before_compiling(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # at h = 2000 the grid step is 100, past the horizon T = 50
+        def no_compile(*args):
+            raise AssertionError("compiled a grid that steps past its horizon")
+
+        monkeypatch.setattr(pipeline, "compile_circuit", no_compile)
+        netlist = _write(tmp_path, "rl.cir", RL_SINE)
+        assert main(["freq", netlist, "--omega", "1", "-h", "2000"]) == 1
+        assert _error_lines(capsys) == ["error: omega=1: need 0 < dt <= T, both finite"]
 
     def test_a_window_of_one_sample_exits_1(self, tmp_path, capsys):
         # at h = 1000 the grid step is 50: the window (20, 50) holds one row
@@ -456,8 +471,9 @@ class TestFrequencyResponseExamples:
 class TestImpossibleHorizon:
     """A horizon whose grid no machine can hold (each request below is many
     PiB, beyond the 128 TiB user address space of x86-64) exits 1 with one
-    `error:` line instead of numpy's MemoryError traceback.  `verify`
-    streams its grid, so it refuses by its row cap before it steps."""
+    `error:` line, the row cap's, before anything is compiled, allocated or
+    stepped.  A table under the cap that does not fit in memory exits 1
+    with numpy's MemoryError as its one `error:` line, without a traceback."""
 
     @pytest.mark.parametrize("args", [
         ["simulate", "{crn}", "-T", "1e12"],
@@ -472,14 +488,23 @@ class TestImpossibleHorizon:
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
         [line] = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
-        if args[0] == "verify":
-            assert line == ("error: T=1e+12 needs 2e+15 grid rows at h=0.01, "
-                            "above the cap of 1e+09")
-        elif args[0] == "freq":
-            assert line == ("error: omega=1e-12 needs 2.76e+16 grid rows at h=0.01, "
-                            "above the cap of 1e+09")
+        if args[0] == "freq":
+            assert line == ("error: omega=1e-12: T=1.3823e+13 needs 2.76e+16 grid rows at "
+                            "dt=0.0005, above the cap of 1e+09")
         else:
-            assert "allocate" in line
+            assert line == ("error: T=1e+12 needs 2e+15 grid rows at dt=0.0005, "
+                            "above the cap of 1e+09")
+
+    def test_a_table_under_the_row_cap_that_cannot_be_allocated_exits_1(self, tmp_path):
+        # 8e8 rows, under the cap, but the table is far above 2 GiB
+        cir = _write(tmp_path, "hp.cir", RL_SINE)
+        crn = str(tmp_path / "hp.crn")
+        assert main(["compile", cir, "-o", crn]) == 0
+        done = _run_capped("simulate", crn, "-T", "4e5")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        [line] = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
+        assert "allocate" in line
 
 
 class TestStartup:

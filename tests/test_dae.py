@@ -17,9 +17,9 @@ from circ2crn.dae import (
     default_h_probes,
     fourier_input,
     grid_steps,
+    reference_map,
     reference_solve,
     stacked_pencil,
-    step_count,
 )
 from circ2crn.errors import NonFiniteState, SingularMatrix, UnknownColumn
 from circ2crn.sim import integrate
@@ -302,7 +302,7 @@ class TestReferenceSolve:
         sys = DaeSystem(np.eye(1), -np.eye(1), np.zeros((1, 0)), ("y",), 0)
         inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
         traj = reference_solve(sys, inp, np.array([1.0]), T, h)
-        assert len(traj.times) == step_count(T, h) + 1
+        assert len(traj.times) == grid_steps(T, h) + 1
 
     @pytest.mark.parametrize("T, h", [(1.0, 1.5), (np.inf, 1e-3), (1.0, np.nan)])
     def test_a_bad_horizon_is_refused_by_the_grid_rule(self, T, h):
@@ -310,6 +310,34 @@ class TestReferenceSolve:
         inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
         with pytest.raises(ValueError, match=r"^need 0 < dt <= T, both finite$"):
             reference_solve(sys, inp, np.array([1.0]), T, h)
+
+    def test_a_grid_over_the_row_cap_is_refused_before_allocating(self):
+        # 1e16 steps: without the cap, numpy's MemoryError
+        sys = DaeSystem(np.eye(1), -np.eye(1), np.zeros((1, 0)), ("y",), 0)
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        with pytest.raises(ValueError, match=r"^T=1e\+12 needs 1e\+16 grid rows at "
+                                             r"dt=0.0001, above the cap of 1e\+09$"):
+            reference_solve(sys, inp, np.array([1.0]), 1e12, 1e-4)
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf])
+    def test_reference_map_refuses_a_bad_step(self, dt):
+        sys = DaeSystem(np.eye(1), -np.eye(1), np.zeros((1, 0)), ("y",), 0)
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        for args in ((dt, 1e-3), (1e-3, dt)):
+            with pytest.raises(ValueError, match="^dt and h must be positive and finite$"):
+                reference_map(sys, inp, np.array([1.0]), *args)
+
+    @pytest.mark.parametrize("dt, h, strides", [
+        (5e-4, 1e-4, 5),  # a whole number of oracle steps
+        (2e-3, 7e-3, 1),  # one step of dt, shorter than h
+        (1e-3, 3e-4, 4),  # ceil(dt/h) steps of dt/4
+    ], ids=["whole", "below_h", "ceil"])
+    def test_reference_map_steps_a_whole_grid_row(self, dt, h, strides):
+        # y' = -y: s backward-Euler steps of dt/s scale y by (1 + dt/s)^-s
+        sys = DaeSystem(np.eye(1), -np.eye(1), np.zeros((1, 0)), ("y",), 0)
+        inp = InputModel(np.zeros((0, 0)), np.zeros(0), np.zeros(0), np.zeros(0), (), ())
+        _, phi, y0 = reference_map(sys, inp, np.array([1.0]), dt, h)
+        assert (phi @ y0)[0] == pytest.approx((1.0 + dt / strides) ** -strides, rel=1e-14)
 
     def test_blowup_raises_non_finite(self):
         sys = DaeSystem(
@@ -409,7 +437,7 @@ class TestTrajectory:
 
 
 class TestGridSteps:
-    """The one horizon rule of every stepped run."""
+    """The one grid rule of every stepped run."""
 
     @pytest.mark.parametrize("T, dt", [
         (1.0, 0.0), (1.0, -1.0), (1.0, np.nan), (1.0, np.inf), (1.0, 1.5), (np.inf, 0.1),
@@ -418,7 +446,21 @@ class TestGridSteps:
         with pytest.raises(ValueError, match=r"^need 0 < dt <= T, both finite$"):
             grid_steps(T, dt)
 
-    @pytest.mark.parametrize("T, dt, steps", [(1.0, 1.0, 1), (1.0, 0.3, 4), (15.0, 3e-4, 50_001)])
+    @pytest.mark.parametrize("T, dt, steps", [
+        (1.0, 1.0, 1), (1.0, 0.3, 4), (15.0, 3e-4, 50_001),
+        (1e9 - 1.5, 1.0, 10**9 - 1), (1e9, 1.0, 10**9),  # just under and at the row cap
+    ])
     def test_a_good_grid_gives_the_step_count(self, T, dt, steps):
         # 15 / 3e-4 is one ulp above 50 000, so T is reached after 50 001 steps
         assert grid_steps(T, dt) == steps
+
+    @pytest.mark.parametrize("T, dt, message", [
+        (1e12, 5e-4, "T=1e+12 needs 2e+15 grid rows at dt=0.0005"),
+        (3e9, 2.0, "T=3e+09 needs 1.5e+09 grid rows at dt=2"),
+        (1e9 + 0.5, 1.0, "T=1e+09 needs 1e+09 grid rows at dt=1"),  # 10**9 + 1 rows
+        (1e300, 1e-300, "T=1e+300 needs inf grid rows at dt=1e-300"),
+    ], ids=["petabytes", "gigarows", "just_above", "infinite_quotient"])
+    def test_a_grid_over_the_row_cap_gives_one_message(self, T, dt, message):
+        with pytest.raises(ValueError) as exc_info:
+            grid_steps(T, dt)
+        assert str(exc_info.value) == f"{message}, above the cap of 1e+09"

@@ -25,7 +25,6 @@ from circ2crn.dae import (
     grid_steps,
     reference_map,
     reference_solve,
-    step_count,
     stepped,
 )
 from circ2crn.errors import NonFiniteState, UnknownColumn, WindowTooShort
@@ -103,6 +102,12 @@ class TestIntegrate:
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             integrate(lambda x: x, [1.0], 1.0, 0.0)
+
+    def test_a_grid_over_the_row_cap_is_refused_before_allocating(self):
+        # 2e15 rows: without the cap, numpy's MemoryError
+        with pytest.raises(ValueError, match=r"^T=1e\+12 needs 2e\+15 grid rows at "
+                                             r"dt=0.0005, above the cap of 1e\+09$"):
+            integrate(lambda x: -x, [1.0], 1e12, 5e-4)
 
     def test_trajectory_equals_stepwise_loop_bitwise(self):
         inp = sine_input_2state()
@@ -283,7 +288,7 @@ def materialised_study(net, cfg, hs, h_ref):
         cfg_h = replace(cfg, h=h)
         dt = cfg_h.resolve_dt()
         compiled = compile_circuit(net, cfg_h)
-        grid = step_count(cfg.T, dt)
+        grid = grid_steps(cfg.T, dt)
         s = round(dt / h_ref)
         step = h_ref
         if abs(dt / h_ref - s) > 1e-12 * s:  # not a whole number of oracle steps
@@ -334,12 +339,12 @@ class TestStreamedVerify:
         # at T = 3.0003 the grid's last row is past T, and the oracle's with it
         net, cfg = parse_netlist(text), RunConfig(T=T, transient_discard=0.0)
         dt, h_ref = cfg.resolve_dt(), cfg.h / 100.0
-        steps, stride = step_count(T, dt), round(dt / h_ref)
+        steps, stride = grid_steps(T, dt), round(dt / h_ref)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             compiled = compile_circuit(net, cfg)
             names, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0,
-                                                    h_ref, stride)
+                                                    dt, h_ref)
         law = difference_system(parse_crn(serialize_crn(compiled.crn)))
         artifact, y_artifact = linear_map(*law, dt)
         width = len(y_artifact)
@@ -410,9 +415,9 @@ class TestStreamedVerify:
         sys, inp = self.scalar(oracle_rate)
         F, g = np.array([[artifact_rate]]), np.zeros(1)
         artifact, y_artifact = linear_map(F, g, x0, dt)
-        _, oracle, y_oracle = reference_map(sys, inp, x0, h_ref, stride=5)
+        _, oracle, y_oracle = reference_map(sys, inp, x0, dt, h_ref)
         tables = []
-        for make in (lambda: reference_solve(sys, inp, x0, T, h_ref, step_count(T, dt)),
+        for make in (lambda: reference_solve(sys, inp, x0, T, h_ref, grid_steps(T, dt)),
                      lambda: stepped([artifact], y_artifact, grid_steps(T, dt), dt)
                      .collect(("x", "1"))):
             try:
@@ -420,7 +425,7 @@ class TestStreamedVerify:
             except NonFiniteState as exc:
                 tables.append(exc.time)
         joint = stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]),
-                        step_count(T, dt), dt)
+                        grid_steps(T, dt), dt)
         with pytest.raises(NonFiniteState) as got:
             for _ in joint.blocks:
                 pass
@@ -442,7 +447,7 @@ class TestStreamedVerify:
     def test_a_grid_over_the_row_cap_is_refused_before_stepping(self, rc_lowpass):
         net, _, _ = rc_lowpass
         cfg = RunConfig(T=1e12, transient_discard=0.0)
-        with pytest.raises(ValueError, match=r"^T=1e\+12 needs 2e\+15 grid rows at h=0.01, "
+        with pytest.raises(ValueError, match=r"^T=1e\+12 needs 1e\+15 grid rows at dt=0.001, "
                                              r"above the cap of 1e\+09$"):
             convergence_study(net, cfg, [0.02, 0.01])
 
@@ -465,7 +470,7 @@ def rk4_stepwise(field, x0, T, dt):
     x = np.array(x0, dtype=float)
     rows = [x]
     half, sixth = 0.5 * dt, dt / 6.0
-    for i in range(1, step_count(T, dt) + 1):
+    for i in range(1, grid_steps(T, dt) + 1):
         k1 = field(x)
         k2 = field(x + half * k1)
         k3 = field(x + half * k2)
@@ -702,13 +707,13 @@ class TestFrequencyResponse:
         want = self._one_at_a_time(net, omegas)
         n = len(compile_circuit(net, self.CFG).crn.species)
         dt = self.CFG.resolve_dt()
-        rows_50 = step_count(50.0, dt) + 1
+        rows_50 = grid_steps(50.0, dt) + 1
         start = round(self.CFG.transient_discard / dt)
         assert start * dt == self.CFG.transient_discard
         # a batch stores two differences per kept row, and the cap is omega =
         # 0.2's own window: two networks fit over T = 50, but neither with it
         T_02 = self.CFG.transient_discard + 2.2 * (2.0 * np.pi / 0.2)
-        cap = 2 * (step_count(T_02, dt) + 1 - start)
+        cap = 2 * (grid_steps(T_02, dt) + 1 - start)
         assert 2 * 2 * (rows_50 - start) <= cap < 3 * 2 * (rows_50 - start)
         monkeypatch.setattr(pipeline, "_SWEEP_ENTRIES", cap)
         sizes = []
@@ -787,11 +792,14 @@ class TestFrequencyResponse:
                                        f"h=0.01, above the cap of 4194304")
 
     @pytest.mark.parametrize("omegas, message", [
-        ([1e-300], "omega=1e-300 needs 2.76e+304 grid rows"),
+        ([1e-300], "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
+                   "above the cap of 1e+09"),
         # the period 2 pi / omega, and so T, is infinite
-        ([1e-320], "omega=9.99989e-321 needs inf grid rows"),
-        ([1.0, 1e-300], "omega=1e-300 needs 2.76e+304 grid rows"),
-        ([1e-12], "omega=1e-12 needs 2.76e+16 grid rows"),
+        ([1e-320], "omega=9.99989e-321: need 0 < dt <= T, both finite"),
+        ([1.0, 1e-300], "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
+                        "above the cap of 1e+09"),
+        ([1e-12], "omega=1e-12: T=1.3823e+13 needs 2.76e+16 grid rows at dt=0.0005, "
+                  "above the cap of 1e+09"),
     ], ids=["tiny", "infinite_horizon", "after_a_good_one", "petabytes"])
     def test_a_grid_over_the_row_cap_is_refused_before_any_compile(
             self, rl_sine, monkeypatch, omegas, message):
@@ -801,4 +809,4 @@ class TestFrequencyResponse:
         monkeypatch.setattr(pipeline, "compile_circuit", no_compile)
         with pytest.raises(ValueError) as exc_info:
             frequency_response(rl_sine[0], omegas, RunConfig())
-        assert str(exc_info.value) == f"{message} at h=0.01, above the cap of 1e+09"
+        assert str(exc_info.value) == message
