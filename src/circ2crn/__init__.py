@@ -13,9 +13,7 @@ from .dae import (
     DaeSystem,
     InputModel,
     Trajectory,
-    consistent_project,
     fourier_input,
-    reference_solve,
 )
 from .errors import (
     Circ2CrnError,
@@ -30,9 +28,7 @@ from .errors import (
     ValidationError,
     WindowTooShort,
 )
-from .numerics import invert
 from .pipeline import RunConfig, compile_circuit, convergence_study, frequency_response
 from .positivation import RailSystem, hungarize, positivate, rail_field, split_initial
-from .sim import FitResult, fit_sinusoid, integrate, recover_difference, sup_error
 
 __version__ = "0.1.0"

@@ -22,7 +22,6 @@ its refusal before anything is compiled, allocated or stepped.
 from __future__ import annotations
 
 import random
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple
@@ -38,6 +37,8 @@ PROBE_RANGE = (1e-4, 0.5)
 # the grid rows a stepped run takes at most (`grid_steps`): minutes of
 # stepping even on the smallest circuits
 MAX_GRID_ROWS = 10**9
+# the step of `consistent_project`
+_H_TINY = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ def grid_steps(T: float, dt: float) -> int:
         raise ValueError("need 0 < dt <= T, both finite")
     steps = np.ceil(T / dt - 1e-12)
     if steps > MAX_GRID_ROWS:  # an infinite quotient fails too
-        raise ValueError(f"T={T:g} needs {steps:.3g} grid rows at dt={dt:g}, "
+        raise ValueError(f"T={T:g} needs {steps:.10g} grid rows at dt={dt:g}, "
                          f"above the cap of {MAX_GRID_ROWS:.0e}")
     return int(steps)
 
@@ -280,26 +281,24 @@ def check_regularity(sys: DaeSystem, h_probe: list[float]) -> bool:
     return False
 
 
-def consistent_project(
-    sys: DaeSystem, b, x0, h_tiny: float = 1e-6
-) -> tuple[np.ndarray, bool]:
-    """One tiny implicit step, which lands on the consistent set.
+def consistent_project(sys: DaeSystem, b, x0) -> tuple[np.ndarray, bool]:
+    """One tiny implicit step x0 + h F_h(x0) with h = _H_TINY: it lands on
+    the consistent set, and it also advances the state by h in time, so it
+    is a step rather than a projection.
 
-    Returns the projected state and a flag that is set when the move was
-    large relative to h_tiny, i.e. when x0 was not consistent.  With E
+    Returns the stepped state and a flag that is set when the move was
+    large relative to h, i.e. when x0 was not consistent.  With E
     invertible there is no algebraic row, every state is consistent, and
     x0 is returned unchanged and unflagged.
     """
-    if not 0.0 < h_tiny <= 1e-4:
-        raise ValueError("h_tiny must lie in (0, 1e-4]")
     bv = as_vector(b, "b")
     x = as_vector(x0, "x0")
     if e_invertible(sys):
         return x, False
-    fh = invert(sys.E - h_tiny * sys.A) @ (sys.A @ x + bv)
-    projected = x + h_tiny * fh
+    fh = invert(sys.E - _H_TINY * sys.A) @ (sys.A @ x + bv)
+    projected = x + _H_TINY * fh
     moved = float(np.max(np.abs(projected - x))) if x.size else 0.0
-    flag = moved > 10.0 * h_tiny * (1.0 + float(np.max(np.abs(x), initial=0.0)))
+    flag = moved > 10.0 * _H_TINY * (1.0 + float(np.max(np.abs(x), initial=0.0)))
     return projected, flag
 
 
@@ -375,23 +374,22 @@ def fourier_input(*sources) -> InputModel:
 
 
 def stacked_pencil(sys: DaeSystem, inp: InputModel):
-    """Exact DAE over (x, u, z): the input rows are appended as plain ODEs."""
+    """The exact DAE as one autonomous pencil E dy/dt = A y on y = (x, u, z, 1):
+    the circuit rows with B in the u columns, the generator rows with D and
+    with d in the constant column, and a last row that keeps the constant at
+    1.  Returns the names of (x, u, z), E and A."""
     n, m, mk = sys.n, inp.m, inp.m + inp.k
     if sys.m != m:
         raise ValueError("DAE input count does not match the input model")
-    size = n + mk
-    E = np.zeros((size, size))
+    size = n + mk + 1
+    E = np.eye(size)
     A = np.zeros((size, size))
-    b = np.zeros(size)
     E[:n, :n] = sys.E
-    E[n:, n:] = np.eye(mk)
     A[:n, :n] = sys.A
     A[:n, n : n + m] = sys.B
-    A[n:, n:] = inp.D
-    b[n:] = inp.d
-    names = sys.state_names + inp.names
-    stacked = DaeSystem(E, A, np.zeros((size, 0)), names, sys.output_index)
-    return stacked, b
+    A[n:-1, n:-1] = inp.D
+    A[n:-1, -1] = inp.d
+    return sys.state_names + inp.names, E, A
 
 
 def reference_map(sys: DaeSystem, inp: InputModel, x0, dt: float,
@@ -401,11 +399,12 @@ def reference_map(sys: DaeSystem, inp: InputModel, x0, dt: float,
 
     The oracle steps s times per row: when dt is a whole number of steps h,
     s is that number; otherwise s = ceil(dt/h) and it steps by dt/s.  A step
-    of the stacked pencil, x[i+1] = x[i] + h F_h(x[i]), is the affine map
-    x -> S x + c, written as y -> P y on y = (x, 1) with P = [[S, c], [0, 1]].
-    Returns the stacked state names, P^s, which `stepped` steps, and
-    y0 = (x0 projected, 1).  The rows agree with the step-by-step recursion
-    to rounding, about 1e-12 relative to max|x|.
+    of the stacked pencil solves (E - hA) y[i+1] = E y[i], so it is
+    y -> P y with P = (E - hA)^-1 E.  Returns the names of (x, u, z), P^s,
+    which `stepped` steps, and y0 = (x0, u0, z0, 1).  x0 is taken as given:
+    an inconsistent x0 is not projected, and the first step lands on the
+    algebraic rows.  The rows agree with the step-by-step recursion to
+    rounding, about 1e-12 relative to max|x|.
     """
     if not (0.0 < dt < np.inf and 0.0 < h < np.inf):  # NaN fails too
         raise ValueError("dt and h must be positive and finite")
@@ -413,24 +412,12 @@ def reference_map(sys: DaeSystem, inp: InputModel, x0, dt: float,
     if abs(dt / h - stride) > 1e-12 * stride:  # not a whole number of steps
         stride = int(np.ceil(dt / h))
         h = dt / stride
-    stacked, b = stacked_pencil(sys, inp)
-    x_full = np.concatenate([as_vector(x0, "x0"), inp.init])
-    x_full, flagged = consistent_project(stacked, b, x_full, min(1e-6, h / 10))
-    if flagged:
-        warnings.warn(
-            "initial state was inconsistent and has been projected",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    size = x_full.shape[0]
-    inv = invert(stacked.E - h * stacked.A)
-    P = np.eye(size + 1)
-    P[:size, :size] = inv @ stacked.E
-    P[:size, size] = h * (inv @ b)
+    names, E, A = stacked_pencil(sys, inp)
+    P = invert(E - h * A) @ E
     # the stepped rows are checked block by block, so overflow needs no warning
     with np.errstate(over="ignore", invalid="ignore"):
         phi = np.linalg.matrix_power(P, stride)
-    return stacked.state_names, phi, np.append(x_full, 1.0)
+    return names, phi, np.concatenate([as_vector(x0, "x0"), inp.init, [1.0]])
 
 
 def stepped(phis, y0, steps: int, dt: float) -> Rows:
@@ -447,7 +434,9 @@ def reference_solve(
     h: float,
     max_points: int | None = None,
 ) -> Trajectory:
-    """Backward-Euler (equivalently BDF-1) trajectory of the exact DAE.
+    """Backward-Euler (equivalently BDF-1) trajectory of the exact DAE from
+    x0 as given: an inconsistent x0 is not projected, and the first step
+    lands on the algebraic rows.
 
     Collects the rows of `reference_map`, without the constant column,
     into one table on the grid of `grid_steps(T, h)`.  When max_points is

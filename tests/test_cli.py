@@ -339,8 +339,8 @@ class TestVerify:
                      "--study", "0.03,0.02"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "h,sup_error",
-            "0.029999999999999999,0.033364286841104374",
-            "0.02,0.022266560879070585",
+            "0.029999999999999999,0.0333636181085952",
+            "0.02,0.022265888171905918",
         ]
 
     @pytest.mark.parametrize("study", ["", ","])
@@ -406,12 +406,12 @@ class TestFreq:
         assert _error_lines(capsys) == ["error: omegas must be nonempty"]
 
     @pytest.mark.parametrize("omega, line", [
-        ("1e-300", "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
+        ("1e-300", "omega=1e-300: T=1.3823e+301 needs 2.764601535e+304 grid rows at dt=0.0005, "
                    "above the cap of 1e+09"),
         ("1e-320", "omega=9.99989e-321: need 0 < dt <= T, both finite"),
-        ("1,1e-300", "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
+        ("1,1e-300", "omega=1e-300: T=1.3823e+301 needs 2.764601535e+304 grid rows at dt=0.0005, "
                      "above the cap of 1e+09"),
-        ("1e-12", "omega=1e-12: T=1.3823e+13 needs 2.76e+16 grid rows at dt=0.0005, "
+        ("1e-12", "omega=1e-12: T=1.3823e+13 needs 2.764601535e+16 grid rows at dt=0.0005, "
                   "above the cap of 1e+09"),
     ], ids=["tiny", "infinite_horizon", "after_a_good_one", "petabytes"])
     def test_a_grid_over_the_row_cap_exits_1(self, tmp_path, capsys, omega, line):
@@ -489,7 +489,7 @@ class TestImpossibleHorizon:
         assert "Traceback" not in done.stderr
         [line] = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
         if args[0] == "freq":
-            assert line == ("error: omega=1e-12: T=1.3823e+13 needs 2.76e+16 grid rows at "
+            assert line == ("error: omega=1e-12: T=1.3823e+13 needs 2.764601535e+16 grid rows at "
                             "dt=0.0005, above the cap of 1e+09")
         else:
             assert line == ("error: T=1e+12 needs 2e+15 grid rows at dt=0.0005, "

@@ -60,13 +60,13 @@ class TestRegularity:
 class TestConsistentProject:
     def test_consistent_point_untouched(self):
         sys = hand_rl_pencil()
-        x0, flagged = consistent_project(sys, [0.0, -1.0], [0.0, 1.0], 1e-6)
+        x0, flagged = consistent_project(sys, [0.0, -1.0], [0.0, 1.0])
         assert not flagged
         assert np.max(np.abs(x0 - [0.0, 1.0])) < 1e-5
 
     def test_inconsistent_point_projected_onto_constraint(self):
         sys = hand_rl_pencil()
-        x0, flagged = consistent_project(sys, [0.0, -1.0], [0.0, 0.0], 1e-6)
+        x0, flagged = consistent_project(sys, [0.0, -1.0], [0.0, 0.0])
         assert flagged
         # projected point satisfies 0 = i + vout - vin exactly
         assert abs(x0[0] + x0[1] - 1.0) < 1e-12
@@ -78,20 +78,16 @@ class TestConsistentProject:
         sys = DaeSystem(e, a, np.zeros((2, 0)), ("a", "b"), 0)
         b = np.array([1.0, -1.0])
         for x in ([0.0, 0.0], [3.0, -4.0], [100.0, 2.0]):
-            x0, flagged = consistent_project(sys, b, x, 1e-5)
+            x0, flagged = consistent_project(sys, b, x)
             assert not flagged
             assert np.array_equal(x0, x)
 
     def test_fast_pure_ode_neither_moved_nor_flagged(self):
         # x' = 1000x moves 10 * h_tiny * (1 + |x|) in one tiny step
         sys = DaeSystem(np.eye(1), np.array([[1000.0]]), np.zeros((1, 0)), ("x",), 0)
-        x0, flagged = consistent_project(sys, [0.0], [1.0], 1e-6)
+        x0, flagged = consistent_project(sys, [0.0], [1.0])
         assert not flagged
         assert x0.tolist() == [1.0]
-
-    def test_h_tiny_validation(self):
-        with pytest.raises(ValueError):
-            consistent_project(hand_rl_pencil(), [0.0, 0.0], [0.0, 0.0], 1e-3)
 
 
 class TestBackwardEulerMap:
@@ -187,22 +183,21 @@ class TestFourierInput:
 
 def stepwise(sys, inp, x0, n_steps, h, stride=1):
     """Every stride-th iterate of the backward-Euler recursion, one step at a
-    time: the loop that reference_solve's blocked powers replace."""
-    stacked, b = stacked_pencil(sys, inp)
-    inv = np.linalg.inv(stacked.E - h * stacked.A)
-    step_m, step_c = inv @ stacked.E, h * (inv @ b)
-    x, out = x0, [x0]
+    time, without the constant: the loop that reference_solve's blocked
+    powers replace."""
+    _, E, A = stacked_pencil(sys, inp)
+    step = np.linalg.solve(E - h * A, E)
+    y = np.append(x0, 1.0)
+    out = [y]
     for i in range(1, n_steps + 1):
-        x = step_m @ x + step_c
+        y = step @ y
         if i % stride == 0:
-            out.append(x)
-    return np.array(out)
+            out.append(y)
+    return np.array(out)[:, :-1]
 
 
 def assert_matches_stepwise(sys, inp, T, h, max_points=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # projected x0
-        traj = reference_solve(sys, inp, np.zeros(sys.n), T, h, max_points)
+    traj = reference_solve(sys, inp, np.zeros(sys.n), T, h, max_points)
     n_stored = len(traj.times) - 1
     stride = int(round(traj.times[1] / h)) if n_stored else 1
     want = stepwise(sys, inp, traj.values[0], n_stored * stride, h, stride)
@@ -219,10 +214,9 @@ def table_block(sys, inp) -> int:
 
 class TestReferenceSolve:
     def test_rl_dc_matches_closed_form(self, rl_dc):
-        # i(t) = 1 - e^-t for the projected initial state
+        # i(t) = 1 - e^-t once the first step lands on the Kirchhoff row
         _, sys, inp = rl_dc
-        with pytest.warns(RuntimeWarning):
-            traj = reference_solve(sys, inp, np.zeros(2), 10.0, 1e-4)
+        traj = reference_solve(sys, inp, np.zeros(2), 10.0, 1e-4)
         assert traj.column("i_l1")[-1] == pytest.approx(1 - np.exp(-10), abs=1e-3)
         assert abs(traj.column("v2")[-1]) < 1e-3
 
@@ -249,8 +243,7 @@ class TestReferenceSolve:
     def test_rl_algebraic_row_consistency_preserved(self, rl_dc):
         # the Kirchhoff row 0 = i + vout - vin holds along the iterates
         _, sys, inp = rl_dc
-        with pytest.warns(RuntimeWarning):
-            traj = reference_solve(sys, inp, np.zeros(2), 10.0, 1e-3)
+        traj = reference_solve(sys, inp, np.zeros(2), 10.0, 1e-3)
         resid = traj.column("i_l1") + traj.column("v2") - traj.column("vin")
         assert np.max(np.abs(resid[1:])) <= 1e-8
 
@@ -456,8 +449,8 @@ class TestGridSteps:
 
     @pytest.mark.parametrize("T, dt, message", [
         (1e12, 5e-4, "T=1e+12 needs 2e+15 grid rows at dt=0.0005"),
-        (3e9, 2.0, "T=3e+09 needs 1.5e+09 grid rows at dt=2"),
-        (1e9 + 0.5, 1.0, "T=1e+09 needs 1e+09 grid rows at dt=1"),  # 10**9 + 1 rows
+        (3e9, 2.0, "T=3e+09 needs 1500000000 grid rows at dt=2"),
+        (1e9 + 0.5, 1.0, "T=1e+09 needs 1000000001 grid rows at dt=1"),
         (1e300, 1e-300, "T=1e+300 needs inf grid rows at dt=1e-300"),
     ], ids=["petabytes", "gigarows", "just_above", "infinite_quotient"])
     def test_a_grid_over_the_row_cap_gives_one_message(self, T, dt, message):

@@ -58,6 +58,10 @@ from conftest import (
     sine_input_2state,
 )
 
+# two sources, as in the CI example
+TWO_SOURCES = ("V vin 1 0 FOURIER 0 1 1 0\nI ib 0 2 DC 0.5\nR r1 1 2 1\nL l1 2 0 1\n"
+               "R r2 2 0 2\nOUT 2\n")
+
 
 class TestIntegrate:
     def test_zero_field_constant(self):
@@ -331,6 +335,22 @@ class TestStreamedVerify:
         assert [h for h, _ in got] == hs
         for (_, err), (_, ref) in zip(got, want):
             assert abs(err - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_SOURCES],
+                             ids=["rl_dc", "hp", "two_sources"])
+    def test_the_oracle_starts_from_the_artifacts_initial_state(self, text):
+        # the oracle's row 0 is the read-back network's d(0) bit for bit, so
+        # the gap at t = 0 is exactly zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            compiled = compile_circuit(parse_netlist(text), RunConfig())
+        names, _, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0,
+                                           5e-4, 1e-4)
+        emitted = parse_crn(serialize_crn(compiled.crn))
+        *_, d0 = difference_system(emitted)
+        outs = [out for out, _, _ in emitted.diffs]
+        assert y_oracle[-1] == 1.0
+        assert np.array_equal(y_oracle[:-1], d0[[outs.index(name) for name in names]])
 
     @pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, rl_ladder(20)],
                              ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass", "ladder_20"])
@@ -792,13 +812,13 @@ class TestFrequencyResponse:
                                        f"h=0.01, above the cap of 4194304")
 
     @pytest.mark.parametrize("omegas, message", [
-        ([1e-300], "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
+        ([1e-300], "omega=1e-300: T=1.3823e+301 needs 2.764601535e+304 grid rows at dt=0.0005, "
                    "above the cap of 1e+09"),
         # the period 2 pi / omega, and so T, is infinite
         ([1e-320], "omega=9.99989e-321: need 0 < dt <= T, both finite"),
-        ([1.0, 1e-300], "omega=1e-300: T=1.3823e+301 needs 2.76e+304 grid rows at dt=0.0005, "
-                        "above the cap of 1e+09"),
-        ([1e-12], "omega=1e-12: T=1.3823e+13 needs 2.76e+16 grid rows at dt=0.0005, "
+        ([1.0, 1e-300], "omega=1e-300: T=1.3823e+301 needs 2.764601535e+304 grid rows at "
+                        "dt=0.0005, above the cap of 1e+09"),
+        ([1e-12], "omega=1e-12: T=1.3823e+13 needs 2.764601535e+16 grid rows at dt=0.0005, "
                   "above the cap of 1e+09"),
     ], ids=["tiny", "infinite_horizon", "after_a_good_one", "petabytes"])
     def test_a_grid_over_the_row_cap_is_refused_before_any_compile(
