@@ -17,16 +17,10 @@ from .dae import (
 )
 from .errors import (
     Circ2CrnError,
-    DimensionMismatch,
-    InitConflict,
-    NegativeInit,
     NonFiniteState,
     ParseError,
     SingularMatrix,
-    UnknownColumn,
-    UnknownSpecies,
     ValidationError,
-    WindowTooShort,
 )
 from .pipeline import RunConfig, compile_circuit, convergence_study, frequency_response
 from .positivation import RailSystem, hungarize, positivate, rail_field, split_initial

@@ -55,12 +55,8 @@ class Netlist:
     source_waveforms: dict[str, Fourier] = field(default_factory=dict)
 
     def nodes(self) -> list[str]:
-        seen: list[str] = []
-        for c in self.components:
-            for nd in (c.n1, c.n2):
-                if nd not in seen:
-                    seen.append(nd)
-        return seen
+        """Every node once, in the order of its first appearance."""
+        return list(dict.fromkeys(nd for c in self.components for nd in (c.n1, c.n2)))
 
     def sources(self) -> list[Component]:
         return [c for c in self.components if c.kind in ("V", "I")]

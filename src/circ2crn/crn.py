@@ -40,14 +40,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InitConflict,
-    NegativeInit,
-    ParseError,
-    UnknownSpecies,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError
 from .numerics import as_vector
 from .positivation import RailSystem
 
@@ -235,7 +228,7 @@ def _side_names(off, idx, species) -> list[tuple[str, ...]]:
 
 
 def _table_of(reactions: tuple[Reaction, ...], index: dict[str, int]) -> ReactionTable:
-    """The table of Reaction objects; UnknownSpecies for an undeclared name."""
+    """The table of Reaction objects; ValidationError for an undeclared name."""
     ins = [rx.reactants for rx in reactions]
     outs = [rx.products for rx in reactions]
     try:
@@ -244,7 +237,7 @@ def _table_of(reactions: tuple[Reaction, ...], index: dict[str, int]) -> Reactio
     except KeyError:
         sp = next(sp for rx in reactions for sp in rx.reactants + rx.products
                   if sp not in index)
-        raise UnknownSpecies(f"reaction references unknown species {sp!r}") from None
+        raise ValidationError(f"reaction references unknown species {sp!r}") from None
     return ReactionTable.from_sides(
         list(map(len, ins)), in_idx, list(map(len, outs)), out_idx,
         [rx.rate for rx in reactions],
@@ -298,18 +291,18 @@ class Crn:
         if isinstance(self.table, ReactionTable):
             for idx in (self.table.in_idx, self.table.out_idx):
                 if idx.size and not 0 <= idx.min() <= idx.max() < len(index):
-                    raise UnknownSpecies("reaction table indexes beyond the species")
+                    raise ValidationError("reaction table indexes beyond the species")
         else:
             object.__setattr__(self, "table", _table_of(tuple(self.table), index))
         if self.marked > len(self.table):
             raise ValueError("reaction blocks cover more reactions than exist")
         for sp, val in self.init.items():
             if sp not in index:
-                raise UnknownSpecies(f"init references unknown species {sp!r}")
+                raise ValidationError(f"init references unknown species {sp!r}")
             if not math.isfinite(val):
                 raise ValueError(f"init[{sp!r}] = {val} is not finite")
             if val < 0.0:
-                raise NegativeInit(f"init[{sp!r}] = {val} is negative")
+                raise ValidationError(f"init[{sp!r}] = {val} is negative")
         outs: set[str] = set()
         for diff in self.diffs:
             problem = _diff_problem(diff, index, outs)
@@ -318,7 +311,7 @@ class Crn:
             outs.add(diff[0])
             for rail in diff[1:]:
                 if rail not in index:
-                    raise UnknownSpecies(f"diff references unknown species {rail!r}")
+                    raise ValidationError(f"diff references unknown species {rail!r}")
 
     @cached_property
     def reactions(self) -> tuple[Reaction, ...]:
@@ -339,15 +332,14 @@ def emit_crn(rs: RailSystem, init_plus, init_minus) -> Crn:
     Order is deterministic: catalytic reactions row-major over the state and
     input columns, then productions, then annihilations.  Initial
     concentrations cover the state rails only; exogenous input rails are
-    expected to get theirs from the network that owns them.
+    expected to get theirs from the network that owns them.  A negative
+    initial rail is refused by the checks of `Crn`.
     """
     plus = as_vector(init_plus, "init_plus")
     minus = as_vector(init_minus, "init_minus")
     n = rs.n
     if plus.shape != (n,) or minus.shape != (n,):
         raise ValueError("initial rails must match the state count")
-    if np.any(plus < 0.0) or np.any(minus < 0.0):
-        raise NegativeInit("initial rail concentrations must be nonnegative")
 
     # state or input j has the rails 2j (plus) and 2j + 1 (minus).  Entry
     # (i, j) emits, in this order, x_j+ -> x_j+ + x_i+ and x_j- -> x_j- + x_i-
@@ -453,7 +445,7 @@ def mass_action_field(*nets: Crn):
     def rhs(c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
         if c.shape != (size,):
-            raise DimensionMismatch(f"expected {size} concentrations")
+            raise ValidationError(f"expected {size} concentrations")
         ext[:size] = c
         return np.matmul(M, ext[ma] * ext[mb]).reshape(size)
 
@@ -530,7 +522,7 @@ def union(a: Crn, b: Crn) -> Crn:
     known = set(a.species)
     for sp in sorted(known.intersection(b.species)):
         if sp in a.init and sp in b.init and a.init[sp] != b.init[sp]:
-            raise InitConflict(
+            raise ValidationError(
                 f"species {sp!r} has init {a.init[sp]} in one network "
                 f"and {b.init[sp]} in the other"
             )

@@ -28,7 +28,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import NonFiniteState, UnknownColumn
+from .errors import NonFiniteState, ValidationError
 from .numerics import as_matrix, as_vector, failed_pivot, invert, propagate
 
 DEFAULT_SEED = 1729
@@ -37,6 +37,8 @@ PROBE_RANGE = (1e-4, 0.5)
 # the grid rows a stepped run takes at most (`grid_steps`): minutes of
 # stepping even on the smallest circuits
 MAX_GRID_ROWS = 10**9
+# the float64 values a collected table holds at most (`Rows.collect`): 1 GiB
+MAX_TABLE_VALUES = 2**27
 # the step of `consistent_project`
 _H_TINY = 1e-6
 
@@ -176,7 +178,7 @@ class Trajectory:
         try:
             j = self.names.index(name)
         except ValueError:
-            raise UnknownColumn(f"no column named {name!r}") from None
+            raise ValidationError(f"no column named {name!r}") from None
         return self.values[:, j]
 
     def csv_lines(self):
@@ -200,7 +202,8 @@ class Rows(NamedTuple):
 
     def collect(self, names, diffs=()) -> Trajectory:
         """The leading columns of the rows in one table under `names`,
-        allocated before the first block is read.
+        allocated before the first block is read: ValueError, before
+        anything is allocated, when it holds more than MAX_TABLE_VALUES.
 
         Each (out, plus, minus) of diffs, plus and minus among the names,
         appends a column out = plus - minus, filled block by block as
@@ -212,6 +215,10 @@ class Rows(NamedTuple):
         plus = [names.index(p) for _, p, _ in diffs]
         minus = [names.index(m) for _, _, m in diffs]
         names += tuple(out for out, _, _ in diffs)
+        size = (self.steps + 1) * len(names)
+        if size > MAX_TABLE_VALUES:
+            raise ValueError(f"a table of {self.steps + 1} rows and {len(names)} columns "
+                             f"holds {size:.4g} values, above the cap of {MAX_TABLE_VALUES}")
         times = np.arange(self.steps + 1) * self.dt
         values = np.empty((times.shape[0], len(names)))
         row = 0

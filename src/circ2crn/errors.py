@@ -1,4 +1,9 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, one per exit code of the CLI.
+
+`ParseError` and `ValidationError` exit 1, as do a `ValueError` (a refused
+run parameter or grid), an `OSError` and a `MemoryError`; `SingularMatrix`
+exits 2 and `NonFiniteState` exits 3.
+"""
 
 
 class Circ2CrnError(Exception):
@@ -18,36 +23,15 @@ class ParseError(Circ2CrnError):
 
 
 class ValidationError(Circ2CrnError):
-    """Structurally valid input that violates a semantic constraint."""
+    """Well-formed input that breaks a rule of its own: a netlist, a network
+    (an undeclared species, a negative initial value, conflicting initial
+    values of a union), a vector of the wrong length for a field, a missing
+    trajectory column, or a fit window that does not determine a fit."""
 
 
 class NonFiniteState(Circ2CrnError):
     """An integrator state left the finite range; carries the blow-up time."""
 
-    def __init__(self, time: float, message: str = ""):
-        super().__init__(message or f"state became non-finite at t={time:g}")
+    def __init__(self, time: float):
+        super().__init__(f"state became non-finite at t={time:g}")
         self.time = time
-
-
-class DimensionMismatch(Circ2CrnError):
-    """A vector fed to an evaluable field has the wrong length."""
-
-
-class UnknownSpecies(Circ2CrnError):
-    """A reaction references a species absent from the species list."""
-
-
-class UnknownColumn(Circ2CrnError):
-    """A trajectory column name is not present."""
-
-
-class InitConflict(Circ2CrnError):
-    """Two CRNs being unioned disagree on a shared species' initial value."""
-
-
-class NegativeInit(Circ2CrnError):
-    """An initial concentration is negative."""
-
-
-class WindowTooShort(Circ2CrnError):
-    """A sinusoid-fit window spans fewer than two full periods."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dae import AffineOde
-from .errors import DimensionMismatch
+from .errors import ValidationError
 from .numerics import as_matrix, as_vector
 
 
@@ -128,7 +128,7 @@ def rail_field(rs: RailSystem):
     def rhs(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (size,):
-            raise DimensionMismatch(f"expected rail vector of length {size}")
+            raise ValidationError(f"expected rail vector of length {size}")
         xp, xm = v[0::2], v[1::2]
         dp = ap @ xp + am @ xm + bp
         dm = ap @ xm + am @ xp + bm

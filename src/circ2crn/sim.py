@@ -35,7 +35,7 @@ from itertools import chain
 import numpy as np
 
 from .dae import Rows, Trajectory, grid_steps
-from .errors import WindowTooShort
+from .errors import ValidationError
 from .numerics import as_vector, checked_blocks, expm
 
 BLOWUP_LIMIT = 1e12
@@ -146,7 +146,7 @@ def fit_sinusoid(
     """Least-squares fit of a sin(wt) + b cos(wt) + c over the window.
 
     Amplitude is sqrt(a^2 + b^2) and phase atan2(b, a), so the fitted signal
-    reads amplitude * sin(wt + phase) + c.  WindowTooShort when the window
+    reads amplitude * sin(wt + phase) + c.  ValidationError when the window
     spans fewer than two periods, or when its samples do not determine the
     three coefficients (the least-squares system has rank below 3).
     """
@@ -156,7 +156,7 @@ def fit_sinusoid(
     if t0 < traj.times[0] - 1e-12 or t1 > traj.times[-1] + 1e-12:
         raise ValueError("window extends beyond the trajectory")
     if (t1 - t0) < 2.0 * (2.0 * np.pi / omega):
-        raise WindowTooShort(
+        raise ValidationError(
             f"window ({t0:g}, {t1:g}) spans fewer than two periods of omega={omega:g}"
         )
     mask = (traj.times >= t0) & (traj.times <= t1)
@@ -165,8 +165,8 @@ def fit_sinusoid(
     design = np.column_stack([np.sin(omega * t), np.cos(omega * t), np.ones_like(t)])
     coef, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
     if rank < 3:
-        raise WindowTooShort(f"window ({t0:g}, {t1:g}), sample count {t.size}, does not "
-                             f"determine a sinusoid of omega={omega:g}")
+        raise ValidationError(f"window ({t0:g}, {t1:g}), sample count {t.size}, does not "
+                              f"determine a sinusoid of omega={omega:g}")
     a, b, _ = coef
     resid = y - design @ coef
     return FitResult(

@@ -80,11 +80,12 @@ class TestParse:
         assert exc_info.value.line_no == 2
 
     def test_missing_out_is_validation_error(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^missing OUT directive$"):
             parse_netlist("R a 1 0 1\n")
 
     def test_missing_ground(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match='^no component is connected to ground node "0"$'):
             parse_netlist("R a 1 2 1\nOUT 1\n")
 
     def test_disconnected_node(self):
@@ -165,7 +166,8 @@ class TestBuildDae:
     def test_zero_row_rejected(self):
         # second grounded source on an already-pinned node leaves a row empty
         text = "V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 2 1\nR r2 2 0 1\nOUT 2\n"
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError,
+                           match=r"^stamping produced identically-zero pencil rows \[1\]$"):
             build_dae(parse_netlist(text))
 
     def test_two_node_out_unsupported(self):
@@ -176,7 +178,7 @@ class TestBuildDae:
 
     def test_name_collision_rejected(self):
         net = parse_netlist("V v2 1 0 DC 1\nR r1 1 2 1\nL l1 2 0 1\nOUT 2\n")
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^state/input name collision: v2$"):
             build_dae(net)
 
     def test_source_models_per_source(self):
@@ -307,3 +309,11 @@ class TestStackedInputModel:
         waveforms = dict(net.source_waveforms, b=Fourier(0.0, ((1.0, omega, 0.0),)))
         with pytest.raises(ValueError, match="omega must be positive and finite"):
             build_dae(Netlist(net.components, net.output_spec, waveforms))
+
+
+def test_nodes_keep_their_first_appearance_order():
+    # node 3 appears before node 1, and the states follow the nodes
+    net = parse_netlist("I s 0 3 DC 1\nR r1 3 1 2\nR r2 1 0 4\nC c1 3 0 1\nOUT 1\n")
+    assert net.nodes() == ["0", "3", "1"]
+    sys, _ = build_dae(net)
+    assert sys.state_names == ("v3", "v1")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import circ2crn
-from circ2crn import pipeline
+from circ2crn import cli, pipeline
 from circ2crn.cli import main
 from circ2crn.crn import Reaction, parse_crn, serialize_crn
 from circ2crn.pipeline import RunConfig, frequency_response, verify_circuit
@@ -472,8 +472,9 @@ class TestImpossibleHorizon:
     """A horizon whose grid no machine can hold (each request below is many
     PiB, beyond the 128 TiB user address space of x86-64) exits 1 with one
     `error:` line, the row cap's, before anything is compiled, allocated or
-    stepped.  A table under the cap that does not fit in memory exits 1
-    with numpy's MemoryError as its one `error:` line, without a traceback."""
+    stepped.  A table under the row cap that holds more than
+    `dae.MAX_TABLE_VALUES` values exits 1 with the table cap's one `error:`
+    line, before it is allocated; a MemoryError exits 1 the same way."""
 
     @pytest.mark.parametrize("args", [
         ["simulate", "{crn}", "-T", "1e12"],
@@ -496,15 +497,29 @@ class TestImpossibleHorizon:
                             "above the cap of 1e+09")
 
     def test_a_table_under_the_row_cap_that_cannot_be_allocated_exits_1(self, tmp_path):
-        # 8e8 rows, under the cap, but the table is far above 2 GiB
+        # 8e8 rows, under the row cap, but the table is far above the
+        # table cap (and above 2 GiB)
         cir = _write(tmp_path, "hp.cir", RL_SINE)
         crn = str(tmp_path / "hp.crn")
         assert main(["compile", cir, "-o", crn]) == 0
         done = _run_capped("simulate", crn, "-T", "4e5")
         assert done.returncode == 1
         assert "Traceback" not in done.stderr
-        [line] = [ln for ln in done.stderr.splitlines() if ln.startswith("error:")]
-        assert "allocate" in line
+        assert [ln for ln in done.stderr.splitlines() if ln.startswith("error:")] == [
+            "error: a table of 800000001 rows and 15 columns holds 1.2e+10 values, "
+            "above the cap of 134217728"]
+
+    def test_a_memory_error_exits_1_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError("Unable to allocate the network")
+
+        monkeypatch.setattr(cli, "compile_circuit", exhausted)
+        cir = _write(tmp_path, "hp.cir", RL_SINE)
+        assert main(["compile", cir]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            "error: Unable to allocate the network"]
 
 
 class TestStartup:

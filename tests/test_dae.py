@@ -21,7 +21,7 @@ from circ2crn.dae import (
     reference_solve,
     stacked_pencil,
 )
-from circ2crn.errors import NonFiniteState, SingularMatrix, UnknownColumn
+from circ2crn.errors import NonFiniteState, SingularMatrix, ValidationError
 from circ2crn.sim import integrate
 
 from conftest import hand_rl_pencil, rl_ladder, rlc_netlists
@@ -421,7 +421,7 @@ class TestTrajectory:
 
     def test_unknown_column(self):
         traj = Trajectory(np.array([0.0]), ("a",), np.array([[1.0]]))
-        with pytest.raises(UnknownColumn):
+        with pytest.raises(ValidationError, match="^no column named 'missing'$"):
             traj.column("missing")
 
     def test_monotone_times_enforced(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from circ2crn.dae import AffineOde, coupled_euler_map
-from circ2crn.errors import DimensionMismatch
+from circ2crn.errors import ValidationError
 from circ2crn.positivation import (
     RailSystem,
     hungarize,
@@ -179,5 +179,5 @@ class TestRailField:
 
     def test_dimension_mismatch(self):
         hs = hungarize(positivate(_ode([[0.0]], [0.0], ("x",))), 1.0)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValidationError, match="^expected rail vector of length 2$"):
             rail_field(hs)(np.zeros(3))
