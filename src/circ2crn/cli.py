@@ -5,8 +5,10 @@
     circ2crn verify   <netlist> [-h H] -T T --tol TOL [--study H1,H2,...]
     circ2crn freq     <netlist> --omega W1,W2,... [-h H] [-o out.csv]
 
-Exit codes: 0 success, 1 parse/validation error, 2 singular pencil,
-3 non-finite simulation state, 4 verify FAIL (error above --tol).
+Exit codes: 0 success, 1 refused input (a ParseError or ValidationError,
+a malformed command line among them, or an OSError or MemoryError),
+2 singular pencil, 3 non-finite simulation state, 4 verify FAIL (error
+above --tol).  Any other exception is a fault and shows its traceback.
 Note: -h is the Euler step size; use --help for usage.
 """
 
@@ -34,6 +36,25 @@ from .plot import render_svg
 from .sim import check_dt
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage error is a refusal: it prints the usage
+    and raises ValidationError instead of exiting 2, the singular-pencil code."""
+
+    def error(self, message):
+        self.print_usage(_sys.stderr)
+        raise ValidationError(message)
+
+
+def float_or_auto(text: str) -> float | str:
+    """'auto' as it is, else the number."""
+    return text if text == "auto" else float(text)
+
+
+def float_list(text: str) -> list[float]:
+    """The numbers of a comma list; empty items are skipped."""
+    return [float(tok) for tok in text.split(",") if tok]
+
+
 def _add_step_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("-h", "--step", dest="h", type=float, default=0.01,
                    metavar="H", help="backward-Euler step parameter (default 0.01)")
@@ -43,15 +64,15 @@ def _add_step_option(p: argparse.ArgumentParser) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parse_args leaves it
     unchanged."""
-    parser = argparse.ArgumentParser(prog="circ2crn", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="circ2crn", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", add_help=False,
                        help="translate a netlist into a .crn file")
     p.add_argument("netlist")
     _add_step_option(p)
-    p.add_argument("--gamma", default="auto",
+    p.add_argument("--gamma", type=float_or_auto, default="auto",
                    help="annihilation rate, or 'auto' for 1/h")
     p.add_argument("-o", "--output", default=None, metavar="OUT.CRN")
     p.add_argument("--help", action="help")
@@ -61,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("crn")
     p.add_argument("-T", dest="T", type=float, required=True,
                    help="time horizon")
-    p.add_argument("--dt", default="auto",
+    p.add_argument("--dt", type=float_or_auto, default="auto",
                    help="RK4 step, or 'auto' for h/20 from file metadata")
     p.add_argument("-o", "--output", default=None, metavar="OUT.CSV")
     p.add_argument("--plot", default=None, metavar="OUT.SVG")
@@ -73,14 +94,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_step_option(p)
     p.add_argument("-T", dest="T", type=float, required=True)
     p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--study", default=None, metavar="H1,H2,...",
+    p.add_argument("--study", type=float_list, default=None, metavar="H1,H2,...",
                    help="run a convergence study over these h values")
     p.add_argument("--help", action="help")
 
     p = sub.add_parser("freq", add_help=False,
                        help="measure gain and phase over drive frequencies")
     p.add_argument("netlist")
-    p.add_argument("--omega", required=True, metavar="W1,W2,...")
+    p.add_argument("--omega", type=float_list, required=True, metavar="W1,W2,...")
     _add_step_option(p)
     p.add_argument("-o", "--output", default=None, metavar="OUT.CSV")
     p.add_argument("--help", action="help")
@@ -99,9 +120,7 @@ def _write(chunks, path: str | None) -> None:
 def _cmd_compile(args) -> int:
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
-    gamma = args.gamma if args.gamma == "auto" else float(args.gamma)
-    cfg = RunConfig(h=args.h, gamma=gamma)
-    compiled = compile_circuit(net, cfg)
+    compiled = compile_circuit(net, RunConfig(h=args.h, gamma=args.gamma))
     _write([serialize_crn(compiled.crn)], args.output)
     return 0
 
@@ -109,8 +128,14 @@ def _cmd_compile(args) -> int:
 def _cmd_simulate(args) -> int:
     with open(args.crn) as fh:
         net = parse_crn(fh.read())
-    # RunConfig rejects a '# meta h' that is not positive and finite
-    cfg = RunConfig(h=float(net.meta["h"])) if "h" in net.meta else None
+    cfg = None
+    if "h" in net.meta:
+        try:
+            h = float(net.meta["h"])
+        except ValueError:
+            raise ValidationError(f"'# meta h {net.meta['h']}' is not a number") from None
+        # RunConfig rejects a '# meta h' that is not positive and finite
+        cfg = RunConfig(h=h)
     if args.dt == "auto":
         if cfg is None:
             raise ValidationError(
@@ -118,7 +143,7 @@ def _cmd_simulate(args) -> int:
             )
         dt = cfg.resolve_dt()
     else:
-        dt = float(args.dt)
+        dt = args.dt
         if cfg is not None:
             check_dt(dt, cfg.h)
     traj = simulate_crn(net, args.T, dt)
@@ -131,13 +156,12 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not 0.0 <= args.tol < float("inf"):  # NaN fails too
-        raise ValueError("--tol must be finite and nonnegative")
+        raise ValidationError("--tol must be finite and nonnegative")
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
     cfg = RunConfig(h=args.h, T=args.T)
     if args.study is not None:
-        hs = [float(tok) for tok in args.study.split(",") if tok]
-        _sys.stdout.write(study_to_csv(convergence_study(net, cfg, hs)))
+        _sys.stdout.write(study_to_csv(convergence_study(net, cfg, args.study)))
         return 0
     err = verify_circuit(net, cfg)
     passed = err <= args.tol
@@ -148,9 +172,7 @@ def _cmd_verify(args) -> int:
 def _cmd_freq(args) -> int:
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
-    omegas = [float(tok) for tok in args.omega.split(",") if tok]
-    cfg = RunConfig(h=args.h)
-    rows = frequency_response(net, omegas, cfg)
+    rows = frequency_response(net, args.omega, RunConfig(h=args.h))
     _write([freq_to_csv(rows)], args.output)
     return 0
 
@@ -165,8 +187,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     warnings.simplefilter("always", RuntimeWarning)
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except SingularMatrix as exc:
         print(f"error: singular pencil: {exc}", file=_sys.stderr)
@@ -174,7 +196,7 @@ def main(argv=None) -> int:
     except NonFiniteState as exc:
         print(f"error: state blew up at t={exc.time:g}", file=_sys.stderr)
         return 3
-    except (Circ2CrnError, ValueError, OSError, MemoryError) as exc:
+    except (Circ2CrnError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
 

@@ -141,7 +141,7 @@ class Reaction:
         if type(self.products) is not tuple:
             object.__setattr__(self, "products", tuple(self.products))
         if not 0.0 < self.rate < math.inf:
-            raise ValueError("reaction rate must be positive and finite")
+            raise ValidationError("reaction rate must be positive and finite")
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -181,7 +181,7 @@ class ReactionTable:
                 raise ValueError("reaction table offsets do not match their indices")
         finite = (self.rates > 0.0) & (self.rates < math.inf)
         if self.rates.ndim != 1 or not np.all(finite):
-            raise ValueError("reaction rate must be positive and finite")
+            raise ValidationError("reaction rate must be positive and finite")
 
     @classmethod
     def from_sides(cls, in_len, in_idx, out_len, out_idx, rates) -> ReactionTable:
@@ -277,17 +277,17 @@ class Crn:
         for key, value in self.meta.items():
             problem = _meta_problem(key, value)
             if problem is not None:
-                raise ValueError(problem)
+                raise ValidationError(problem)
         for label, count in self.blocks:
             if _block_label(label.split()) != label or count < 0:
-                raise ValueError(f"bad reaction block ({label!r}, {count})")
+                raise ValidationError(f"bad reaction block ({label!r}, {count})")
         for sp in self.species:
             problem = _species_name_problem(sp)
             if problem is not None:
-                raise ValueError(problem)
+                raise ValidationError(problem)
         index = {sp: i for i, sp in enumerate(self.species)}
         if len(index) != len(self.species):
-            raise ValueError("duplicate species names")
+            raise ValidationError("duplicate species names")
         if isinstance(self.table, ReactionTable):
             for idx in (self.table.in_idx, self.table.out_idx):
                 if idx.size and not 0 <= idx.min() <= idx.max() < len(index):
@@ -295,19 +295,19 @@ class Crn:
         else:
             object.__setattr__(self, "table", _table_of(tuple(self.table), index))
         if self.marked > len(self.table):
-            raise ValueError("reaction blocks cover more reactions than exist")
+            raise ValidationError("reaction blocks cover more reactions than exist")
         for sp, val in self.init.items():
             if sp not in index:
                 raise ValidationError(f"init references unknown species {sp!r}")
             if not math.isfinite(val):
-                raise ValueError(f"init[{sp!r}] = {val} is not finite")
+                raise ValidationError(f"init[{sp!r}] = {val} is not finite")
             if val < 0.0:
                 raise ValidationError(f"init[{sp!r}] = {val} is negative")
         outs: set[str] = set()
         for diff in self.diffs:
             problem = _diff_problem(diff, index, outs)
             if problem is not None:
-                raise ValueError(problem)
+                raise ValidationError(problem)
             outs.add(diff[0])
             for rail in diff[1:]:
                 if rail not in index:
@@ -400,7 +400,7 @@ def mass_action_field(*nets: Crn):
     n_sp, n_rx = len(first.species), len(table)
     n_in, n_out = np.diff(table.in_off), np.diff(table.out_off)
     if np.any(n_in > 2):
-        raise ValueError("mass action supported up to binary reactions")
+        raise ValidationError("mass action supported up to binary reactions")
     # a monomial is a sorted index pair in which the slot n_sp reads a
     # constant 1.0, so A + B and B + A share one; columns are numbered in
     # the order their monomials first appear.  A dict keeps that order

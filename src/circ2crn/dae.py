@@ -202,7 +202,7 @@ class Rows(NamedTuple):
 
     def collect(self, names, diffs=()) -> Trajectory:
         """The leading columns of the rows in one table under `names`,
-        allocated before the first block is read: ValueError, before
+        allocated before the first block is read: ValidationError, before
         anything is allocated, when it holds more than MAX_TABLE_VALUES.
 
         Each (out, plus, minus) of diffs, plus and minus among the names,
@@ -217,8 +217,8 @@ class Rows(NamedTuple):
         names += tuple(out for out, _, _ in diffs)
         size = (self.steps + 1) * len(names)
         if size > MAX_TABLE_VALUES:
-            raise ValueError(f"a table of {self.steps + 1} rows and {len(names)} columns "
-                             f"holds {size:.4g} values, above the cap of {MAX_TABLE_VALUES}")
+            raise ValidationError(f"a table of {self.steps + 1} rows and {len(names)} columns "
+                                  f"holds {size:.4g} values, above the cap of {MAX_TABLE_VALUES}")
         times = np.arange(self.steps + 1) * self.dt
         values = np.empty((times.shape[0], len(names)))
         row = 0
@@ -236,14 +236,14 @@ class Rows(NamedTuple):
 
 def grid_steps(T: float, dt: float) -> int:
     """Steps of a stepped run's grid, from 0 to the first multiple of dt at
-    or beyond T: ValueError unless 0 < dt <= T, both finite, and the steps
+    or beyond T: ValidationError unless 0 < dt <= T, both finite, and the steps
     are at most MAX_GRID_ROWS."""
     if not 0.0 < dt <= T < np.inf:  # NaN fails too
-        raise ValueError("need 0 < dt <= T, both finite")
+        raise ValidationError("need 0 < dt <= T, both finite")
     steps = np.ceil(T / dt - 1e-12)
     if steps > MAX_GRID_ROWS:  # an infinite quotient fails too
-        raise ValueError(f"T={T:g} needs {steps:.10g} grid rows at dt={dt:g}, "
-                         f"above the cap of {MAX_GRID_ROWS:.0e}")
+        raise ValidationError(f"T={T:g} needs {steps:.10g} grid rows at dt={dt:g}, "
+                              f"above the cap of {MAX_GRID_ROWS:.0e}")
     return int(steps)
 
 
@@ -279,10 +279,10 @@ def check_regularity(sys: DaeSystem, h_probe: list[float]) -> bool:
     identically zero, so failing at every probe flags a singular pencil.
     """
     if not h_probe:
-        raise ValueError("h_probe must be nonempty")
+        raise ValidationError("h_probe must be nonempty")
     for h in h_probe:
         if not 0.0 < h < 1.0:
-            raise ValueError(f"probe h={h} outside (0, 1)")
+            raise ValidationError(f"probe h={h} outside (0, 1)")
         if failed_pivot(sys.E - h * sys.A) is None:
             return True
     return False
@@ -321,7 +321,7 @@ def coupled_euler_map(sys: DaeSystem, h: float) -> tuple[np.ndarray, np.ndarray]
     rather than computed, so rounding leaves no residue there.
     """
     if h <= 0.0:
-        raise ValueError("h must be positive")
+        raise ValidationError("h must be positive")
     inv = invert(sys.E - h * sys.A)
     fa = inv @ sys.A
     alg = np.flatnonzero(~sys.E.any(axis=0))
@@ -356,7 +356,7 @@ def fourier_input(*sources) -> InputModel:
     for _, _, terms in sources:
         for _, omega, _ in terms:
             if not 0.0 < omega < np.inf:  # NaN fails too
-                raise ValueError("omega must be positive and finite")
+                raise ValidationError("omega must be positive and finite")
     m = len(sources)
     size = m + 2 * sum(len(terms) for _, _, terms in sources)
     D = np.zeros((size, size))
@@ -414,7 +414,7 @@ def reference_map(sys: DaeSystem, inp: InputModel, x0, dt: float,
     rounding, about 1e-12 relative to max|x|.
     """
     if not (0.0 < dt < np.inf and 0.0 < h < np.inf):  # NaN fails too
-        raise ValueError("dt and h must be positive and finite")
+        raise ValidationError("dt and h must be positive and finite")
     stride = round(dt / h)
     if abs(dt / h - stride) > 1e-12 * stride:  # not a whole number of steps
         stride = int(np.ceil(dt / h))

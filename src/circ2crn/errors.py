@@ -1,8 +1,10 @@
 """Exception types shared across the pipeline, one per exit code of the CLI.
 
-`ParseError` and `ValidationError` exit 1, as do a `ValueError` (a refused
-run parameter or grid), an `OSError` and a `MemoryError`; `SingularMatrix`
-exits 2 and `NonFiniteState` exits 3.
+A refused input is a `ParseError` or a `ValidationError` and exits 1, as do
+an `OSError` and a `MemoryError`; `SingularMatrix` exits 2 and
+`NonFiniteState` exits 3.  A bare `ValueError` is no refusal: it is left for
+a caller that hands the library a malformed object (a shape, an offset
+table, mismatched models), and the CLI lets it out with its traceback.
 """
 
 
@@ -22,11 +24,15 @@ class ParseError(Circ2CrnError):
         self.line_no = line_no
 
 
-class ValidationError(Circ2CrnError):
-    """Well-formed input that breaks a rule of its own: a netlist, a network
-    (an undeclared species, a negative initial value, conflicting initial
-    values of a union), a vector of the wrong length for a field, a missing
-    trajectory column, or a fit window that does not determine a fit."""
+class ValidationError(Circ2CrnError, ValueError):
+    """Input from outside the library that breaks a rule of its own: a
+    malformed command line, a refused run parameter or grid, a netlist, a
+    network (a species name, an annotation, a rate or initial value, an
+    undeclared species, conflicting initial values of a union), a
+    non-finite matrix or vector, a vector of the wrong length for a field,
+    a missing trajectory column, or a fit window that does not determine a
+    fit.  It is also a `ValueError`, so a caller that catches those still
+    catches it."""
 
 
 class NonFiniteState(Circ2CrnError):

@@ -23,7 +23,7 @@ from math import comb, perm
 
 import numpy as np
 
-from .errors import NonFiniteState, SingularMatrix
+from .errors import NonFiniteState, SingularMatrix, ValidationError
 
 REL_PIVOT_TOL = 1e-12
 # float64 entries in propagate's table of powers (512 KB), and the rows in
@@ -43,7 +43,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
@@ -53,7 +53,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValidationError(f"{name} contains non-finite entries")
     return v
 
 

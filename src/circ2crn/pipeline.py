@@ -76,13 +76,13 @@ class RunConfig:
     def __post_init__(self):
         # each test is written so that NaN fails it
         if not 0.0 < self.h < np.inf:
-            raise ValueError("h must be positive and finite")
+            raise ValidationError("h must be positive and finite")
         if not 0.0 < self.T < np.inf:
-            raise ValueError("T must be positive and finite")
+            raise ValidationError("T must be positive and finite")
         if not 0.0 <= self.transient_discard < np.inf:
-            raise ValueError("transient_discard must be finite and nonnegative")
+            raise ValidationError("transient_discard must be finite and nonnegative")
         if self.gamma != "auto" and not 0.0 <= float(self.gamma) < np.inf:
-            raise ValueError("gamma must be finite and nonnegative, or 'auto'")
+            raise ValidationError("gamma must be finite and nonnegative, or 'auto'")
 
     def resolve_gamma(self) -> float:
         return 1.0 / self.h if self.gamma == "auto" else float(self.gamma)
@@ -191,19 +191,20 @@ def convergence_study(
     one diagonal block of a map (`dae.stepped`), and compared block by block
     with the other, the oracle's map from one grid row to the next
     (`dae.reference_map` at step h_ref).  A blow-up of either raises
-    NonFiniteState at its earliest row.  ValueError, before anything is
-    compiled, when h_ref is not positive and finite or `dae.grid_steps`
-    refuses a grid; ValidationError when the difference law is not exact.
+    NonFiniteState at its earliest row.  ValidationError, before anything is
+    compiled, when hs is empty or not strictly decreasing, h_ref is not
+    positive and finite or `dae.grid_steps` refuses a grid, and later when
+    the difference law is not exact.
     """
     hs = list(hs)
     if not hs:
-        raise ValueError("hs must be nonempty")
+        raise ValidationError("hs must be nonempty")
     if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ValueError("hs must be strictly decreasing")
+        raise ValidationError("hs must be strictly decreasing")
     if h_ref is None:
         h_ref = min(hs) / 100.0
     if not 0.0 < h_ref < np.inf:  # NaN fails too
-        raise ValueError("h_ref must be positive and finite")
+        raise ValidationError("h_ref must be positive and finite")
     dts = [replace(cfg, h=h).resolve_dt() for h in hs]
     counts = [grid_steps(cfg.T, dt) for dt in dts]
     rows = []
@@ -254,22 +255,22 @@ def frequency_response(
     src = sources[0].name
     omegas = list(omegas)
     if not omegas:
-        raise ValueError("omegas must be nonempty")
+        raise ValidationError("omegas must be nonempty")
     dt = cfg.resolve_dt()
     windows = []
     for omega in omegas:
         if not 0.0 < omega < np.inf:  # NaN fails too
-            raise ValueError("omega must be positive and finite")
+            raise ValidationError("omega must be positive and finite")
         T = max(cfg.T, cfg.transient_discard + 2.2 * (2.0 * np.pi / omega))
         try:
             steps = grid_steps(T, dt)
-        except ValueError as exc:
-            raise ValueError(f"omega={omega:g}: {exc}") from None
+        except ValidationError as exc:
+            raise ValidationError(f"omega={omega:g}: {exc}") from None
         fit = _fit_rows(steps, dt, cfg.transient_discard)
         entries = 2 * len(fit)  # the output and source differences
         if entries > _SWEEP_ENTRIES:
-            raise ValueError(f"omega={omega:g} needs {entries} fit values at h={cfg.h:g}, "
-                             f"above the cap of {_SWEEP_ENTRIES}")
+            raise ValidationError(f"omega={omega:g} needs {entries} fit values at h={cfg.h:g}, "
+                                  f"above the cap of {_SWEEP_ENTRIES}")
         windows.append((T, fit, entries))
     rows: list[tuple[float, float, float]] = []
     batch: list[tuple[float, float, range, CompiledCircuit]] = []

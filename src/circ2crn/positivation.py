@@ -64,7 +64,7 @@ class RailSystem:
             if np.any(arr < 0.0):
                 raise ValueError(f"{nm} must be entrywise nonnegative")
         if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
+            raise ValidationError("gamma must be nonnegative")
 
     @property
     def n(self) -> int:

@@ -152,9 +152,9 @@ def fit_sinusoid(
     """
     t0, t1 = window
     if not 0.0 < omega < np.inf:  # NaN fails too
-        raise ValueError("omega must be positive and finite")
+        raise ValidationError("omega must be positive and finite")
     if t0 < traj.times[0] - 1e-12 or t1 > traj.times[-1] + 1e-12:
-        raise ValueError("window extends beyond the trajectory")
+        raise ValidationError("window extends beyond the trajectory")
     if (t1 - t0) < 2.0 * (2.0 * np.pi / omega):
         raise ValidationError(
             f"window ({t0:g}, {t1:g}) spans fewer than two periods of omega={omega:g}"

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circ2crn
 from circ2crn import cli, pipeline
@@ -169,6 +173,23 @@ class TestCompile:
         assert main(["compile", netlist, *flags]) == 1
         assert _error_lines(capsys) == [f"error: {message}"]
 
+    @pytest.mark.parametrize("text,flags,message", [
+        ("R r1 1 0 1e-320\nC c1 1 0 1\nOUT 1\n", [], "A contains non-finite entries"),
+        (RL_SINE, ["-h", "1e-310"], "Ahat contains non-finite entries"),
+        ("V v 1 0 DC 1\nR r1 1 2 1e308\nR r2 2 0 1e-308\nC c1 2 0 1e-308\nOUT 2\n", [],
+         "Ahat contains non-finite entries"),
+        # direct mode: gamma = 1/h overflows to inf
+        (RC_LOWPASS, ["-h", "1e-310"], "reaction rate must be positive and finite"),
+    ], ids=["tiny_resistor", "tiny_step", "huge_ratio", "direct_infinite_gamma"])
+    def test_an_overflow_exits_1_with_one_error_line(self, tmp_path, capsys, text, flags,
+                                                     message):
+        netlist = _write(tmp_path, "o.cir", text)
+        assert main(["compile", netlist, *flags]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+            f"error: {message}"]
+
     def test_gamma_flag(self, tmp_path):
         netlist = _write(tmp_path, "rl.cir", RL_DC)
         out = str(tmp_path / "g0.crn")
@@ -268,11 +289,24 @@ class TestSimulate:
         assert main(["simulate", crn, "-T", "1", "--dt", "0.5"]) == 1
         assert _error_lines(capsys) == ["error: h must be positive and finite"]
 
+    @pytest.mark.parametrize("dt", [[], ["--dt", "0.5"]], ids=["auto", "explicit"])
+    def test_a_non_numeric_meta_h_exits_1(self, tmp_path, capsys, dt):
+        text = open(self._compiled(tmp_path)).read()
+        crn = _write(tmp_path, "bad_h.crn", text.replace("# meta h 0.01", "# meta h abc"))
+        assert main(["simulate", crn, "-T", "1", *dt]) == 1
+        assert _error_lines(capsys) == ["error: '# meta h abc' is not a number"]
+
     @pytest.mark.parametrize("line", ["X ->{inf} 0", "X ->{nan} 0", "init X nan"])
     def test_non_finite_numbers_exit_1(self, tmp_path, capsys, line):
         crn = _write(tmp_path, "bad.crn", f"species X\n{line}\n")
         assert main(["simulate", crn, "-T", "1", "--dt", "0.01"]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_a_ternary_reaction_exits_1(self, tmp_path, capsys):
+        # the .crn format carries it; the mass-action field refuses it
+        crn = _write(tmp_path, "t.crn", "species X Y Z\nX + Y + Z ->{1} 0\n")
+        assert main(["simulate", crn, "-T", "1", "--dt", "0.01"]) == 1
+        assert _error_lines(capsys) == ["error: mass action supported up to binary reactions"]
 
     def test_plot_svg(self, tmp_path):
         crn = self._compiled(tmp_path)
@@ -520,6 +554,129 @@ class TestImpossibleHorizon:
         assert "Traceback" not in err
         assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
             "error: Unable to allocate the network"]
+
+    def test_an_internal_value_error_is_not_a_refusal(self, tmp_path, monkeypatch):
+        # only the package's errors, OSError and MemoryError are refusals (exit 1);
+        # any other exception is a fault and leaves main with its traceback
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "compile_circuit", broken)
+        cir = _write(tmp_path, "hp.cir", RL_SINE)
+        with pytest.raises(ValueError, match="^internal$") as info:
+            main(["compile", cir])
+        assert type(info.value) is ValueError
+
+
+# Values every numeric option is tried with besides a valid one; the two
+# that are no number come last, as hypothesis draws the first ones more often
+BAD_NUMBERS = ["nan", "inf", "-1", "0", "1e-310", "1e309", "abc", ""]
+# Each command's options and their valid values, coarse so that every run
+# ends well under a second.  A required option is absent only as one of its
+# bad values, and so is freq's -h: its default 0.01 steps a 10^5-row grid,
+# which takes seconds.
+COMMAND_OPTIONS = {
+    "compile": {"-h": ["0.5"], "--gamma": ["auto", "0.5"], "-o": []},
+    "simulate": {"-T": ["1"], "--dt": ["auto", "0.025"], "-o": []},
+    "verify": {"-h": ["0.5"], "-T": ["1"], "--tol": ["0.05"], "--study": ["0.5,0.05"]},
+    "freq": {"--omega": ["2", "1,2"], "-h": ["0.5"], "-o": []},
+}
+# the comma-list options, and their bad values besides BAD_NUMBERS
+LISTS = {"--study", "--omega"}
+BAD_LISTS = [",", "1,nan"]
+REQUIRED = {"-T", "--tol", "--omega"}
+INPUTS = {
+    "hp.cir": RL_SINE,
+    "sing.cir": SINGULAR_ONE_SOURCE,
+    "empty": "",
+    "bad.txt": "R broken 1 0\nOUT 1\n",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """The input files by name: a netlist, its .crn (compiled at h = 0.5), a
+    singular netlist, an empty and a malformed file; "missing" names no file,
+    and "nodir/out" an output path whose directory does not exist."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    paths = {name: _write(root, name, text) for name, text in INPUTS.items()}
+    paths["hp.crn"] = str(root / "hp.crn")
+    assert main(["compile", paths["hp.cir"], "-h", "0.5", "-o", paths["hp.crn"]]) == 0
+    paths["missing"] = str(root / "missing.cir")
+    paths["nodir/out"] = str(root / "nodir" / "out")
+    return paths
+
+
+@st.composite
+def command_lines(draw):
+    """A command (or an unknown one), an input file or none, each of the
+    command's options absent, valid or bad, and maybe an unknown flag.  Each
+    draw picks the command's own input, and a good option value, as often
+    as anything else, so that many lines get past the parser."""
+    command = draw(st.sampled_from([*COMMAND_OPTIONS] * 3 + ["nope"]))
+    argv = [command]
+    own = "hp.crn" if command == "simulate" else "hp.cir"
+    target = draw(st.one_of(st.just(own),
+                            st.sampled_from([*INPUTS, "hp.crn", "missing", None])))
+    if target is not None:
+        argv.append(target)
+    for flag, valid in COMMAND_OPTIONS.get(command, COMMAND_OPTIONS["compile"]).items():
+        if flag == "-o":
+            good, bad = [None], ["nodir/out"]
+        else:
+            bad = BAD_NUMBERS + (BAD_LISTS if flag in LISTS else [])
+            good = valid if (command, flag) == ("freq", "-h") else [None, *valid]
+            if flag in REQUIRED:
+                good, bad = valid, [None, *bad]
+        value = draw(st.one_of(st.sampled_from(good), st.sampled_from(bad)))
+        if value is not None:
+            argv += [flag, value]
+    if draw(st.sampled_from([False] * 7 + [True])):
+        argv.append("--bogus")
+    return argv
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("args,line", [
+        (["verify", "{cir}", "-T", "10", "--tol", "abc"],
+         "error: argument --tol: invalid float value: 'abc'"),
+        (["compile"], "error: the following arguments are required: netlist"),
+        (["freq", "{cir}", "--omega", "1,abc"],
+         "error: argument --omega: invalid float_list value: '1,abc'"),
+        (["simulate", "{cir}", "-T", "1", "--dt", "fast"],
+         "error: argument --dt: invalid float_or_auto value: 'fast'"),
+        (["compile", "{cir}", "--gamma", ""],
+         "error: argument --gamma: invalid float_or_auto value: ''"),
+        # argparse's list of the choices that follows is spelled differently
+        # across Python versions
+        (["nope", "{cir}"], "error: argument command: invalid choice: 'nope'"),
+        (["compile", "{cir}", "--bogus"], "error: unrecognized arguments: --bogus"),
+    ], ids=["tol", "no_netlist", "omega", "dt", "gamma", "unknown_command", "unknown_flag"])
+    def test_a_malformed_command_line_exits_1_with_its_usage(self, tmp_path, capsys, args,
+                                                             line):
+        cir = _write(tmp_path, "hp.cir", RL_SINE)
+        assert main([a.format(cir=cir) for a in args]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: circ2crn")
+        [error] = [ln for ln in err.splitlines() if ln.startswith("error:")]
+        assert error.startswith(line)
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=command_lines())
+    def test_every_command_line_exits_with_a_defined_code(self, cli_inputs, argv):
+        # main returns 0-4 and lets no exception out, so no traceback; a
+        # refusal, a singular pencil and a blow-up each print one error line,
+        # and exit 2 is the pencil's
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([cli_inputs.get(a, a) for a in argv])
+        assert code in (0, 1, 2, 3, 4)
+        errors = [ln for ln in err.getvalue().splitlines() if ln.startswith("error:")]
+        if code in (1, 2, 3):
+            assert len(errors) == 1, errors
+        if code == 2:
+            assert errors[0].startswith("error: singular pencil: ")
 
 
 class TestStartup:
