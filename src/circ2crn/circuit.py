@@ -253,6 +253,9 @@ def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
             # R: the out-current (v_a - v_b) / R moves negated to the A side;
             # C: the out-current C d(v_a - v_b)/dt stays on the E side
             M, coef = (A, -1.0 / c.value) if c.kind == "R" else (E, c.value)
+            if coef == -np.inf:
+                raise ValidationError(f"resistor {c.name} = {c.value!r} is too small: "
+                                      "its conductance 1/R overflows")
             for a, b in ((c.n1, c.n2), (c.n2, c.n1)):
                 if a in node_idx:
                     stamp(M, node_idx[a], a, coef)

@@ -95,7 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-T", dest="T", type=float, required=True)
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--study", type=float_list, default=None, metavar="H1,H2,...",
-                   help="run a convergence study over these h values")
+                   help="print verify's sup error at each of these h values, "
+                        "which replace -h")
     p.add_argument("--help", action="help")
 
     p = sub.add_parser("freq", add_help=False,

@@ -399,26 +399,21 @@ def stacked_pencil(sys: DaeSystem, inp: InputModel):
     return sys.state_names + inp.names, E, A
 
 
-def reference_map(sys: DaeSystem, inp: InputModel, x0, dt: float,
-                  h: float) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """Backward-Euler (equivalently BDF-1) steps of the exact DAE, as a map
-    from one row of a grid of step dt to the next.
+def reference_map(sys: DaeSystem, inp: InputModel, x0, h: float,
+                  stride: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Backward-Euler (equivalently BDF-1) steps of the exact DAE, stride
+    steps of h at a time: the map from one grid row to the next on a grid
+    of step stride*h.
 
-    The oracle steps s times per row: when dt is a whole number of steps h,
-    s is that number; otherwise s = ceil(dt/h) and it steps by dt/s.  A step
-    of the stacked pencil solves (E - hA) y[i+1] = E y[i], so it is
-    y -> P y with P = (E - hA)^-1 E.  Returns the names of (x, u, z), P^s,
-    which `stepped` steps, and y0 = (x0, u0, z0, 1).  x0 is taken as given:
-    an inconsistent x0 is not projected, and the first step lands on the
-    algebraic rows.  The rows agree with the step-by-step recursion to
-    rounding, about 1e-12 relative to max|x|.
+    A step of the stacked pencil solves (E - hA) y[i+1] = E y[i], so it is
+    y -> P y with P = (E - hA)^-1 E.  Returns the names of (x, u, z),
+    P^stride, which `stepped` steps, and y0 = (x0, u0, z0, 1).  x0 is taken
+    as given: an inconsistent x0 is not projected, and the first step lands
+    on the algebraic rows.  The rows agree with the step-by-step recursion
+    to rounding, about 1e-12 relative to max|x|.
     """
-    if not (0.0 < dt < np.inf and 0.0 < h < np.inf):  # NaN fails too
-        raise ValidationError("dt and h must be positive and finite")
-    stride = round(dt / h)
-    if abs(dt / h - stride) > 1e-12 * stride:  # not a whole number of steps
-        stride = int(np.ceil(dt / h))
-        h = dt / stride
+    if not 0.0 < h < np.inf:  # NaN fails too
+        raise ValidationError("h must be positive and finite")
     names, E, A = stacked_pencil(sys, inp)
     P = invert(E - h * A) @ E
     # the stepped rows are checked block by block, so overflow needs no warning
@@ -456,6 +451,6 @@ def reference_solve(
     stride = 1
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
-    names, phi, y0 = reference_map(sys, inp, x0, stride * h, h)
+    names, phi, y0 = reference_map(sys, inp, x0, h, stride)
     rows = stepped([phi], y0, n_steps // stride, stride * h)
     return rows.collect(names)

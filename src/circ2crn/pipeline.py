@@ -7,17 +7,17 @@ catalysts; it depends only on the circuit and h, never on the waveforms.
 Each input block holds the reactions of that source's own generator ODE.
 The blocks are recorded on the union, so `serialize_crn` marks them.
 
-`verify_circuit` and `convergence_study` certify exactly that union, read
-back from its `.crn` text: under mass action its rail differences obey an
-affine law exactly, which they propagate on the h/20 grid and compare with
-a backward-Euler run on the exact pencil that keeps one iterate per grid
-row.  The two are stepped as the diagonal blocks of one map, in blocks of
-one fixed length (`numerics.propagate`), and compared block by block, so
-memory does not grow with the horizon.
+`verify_circuit` certifies exactly that union, read back from its `.crn`
+text: under mass action its rail differences obey an affine law exactly,
+which it propagates on the h/20 grid and compares with a backward-Euler run
+of ORACLE_STEPS steps of h/100 per grid row on the exact pencil.  The two
+are stepped as the diagonal blocks of one map, in blocks of one fixed
+length (`numerics.propagate`), and compared block by block, so memory does
+not grow with the horizon.  `convergence_study` is `verify_circuit` at each
+of its h values, so each row is the number `verify` prints at that h.
 
-Every grid's step count, and its refusal, comes from `dae.grid_steps`, and
-the oracle's steps per grid row from `dae.reference_map`; the one grid
-arithmetic left here is `freq`'s fit window.
+Every grid's step count, and its refusal, comes from `dae.grid_steps`; the
+one grid arithmetic left here is `freq`'s fit window.
 
 `simulate_crn` collects RK4's rows (`sim.rk4_rows`) into one table, rail
 differences included.
@@ -61,6 +61,8 @@ from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_map, rk4_rows
 
 # float64 rail differences one batch of a frequency sweep may store (32 MB)
 _SWEEP_ENTRIES = 1 << 22
+# the oracle's backward-Euler steps per grid row of verify: steps of h/100
+ORACLE_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -109,16 +111,22 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     Raises SingularMatrix when E - hA fails the rank test at cfg.h, which
     a singular pencil does at every h (with E invertible the pencil is
     regular and E - hA is never formed), and ValidationError for structural
-    problems; emits RuntimeWarnings for projected initial conditions and
-    for the gamma = 0 diagnostic mode.
+    problems and for rates that overflow, naming h or the component values;
+    emits RuntimeWarnings for projected initial conditions and for the
+    gamma = 0 diagnostic mode.
     """
     sys, inp = build_dae(net)
     direct = e_invertible(sys)
-    if direct:
-        ax, bx = direct_map(sys)
-    else:
-        ax, bx = coupled_euler_map(sys, cfg.h)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        ax, bx = direct_map(sys) if direct else coupled_euler_map(sys, cfg.h)
+    if not (np.isfinite(ax).all() and np.isfinite(bx).all()):
+        if direct:
+            raise ValidationError("the circuit's rates overflow: its component values "
+                                  "are too far apart")
+        raise ValidationError(f"the circuit's rates overflow at h={cfg.h:g}")
     gamma = cfg.resolve_gamma()
+    if gamma == np.inf:  # an explicit gamma is finite
+        raise ValidationError(f"h={cfg.h:g} is too small: gamma = 1/h overflows")
     if gamma == 0.0:
         warnings.warn(
             "gamma = 0 disables annihilation: rails will grow without bound",
@@ -167,64 +175,53 @@ def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
     return rows.collect(net.species, net.diffs)
 
 
-def verify_circuit(net: Netlist, cfg: RunConfig, h_ref: float | None = None) -> float:
+def verify_circuit(net: Netlist, cfg: RunConfig) -> float:
     """Sup error on [0, cfg.T] of the compiled union CRN against the oracle.
 
-    This certifies the artifact that `compile` emits: the `.crn` text is
-    read back, its rail differences are propagated exactly on the grid
-    h/20, and the circuit variables among them are compared with the
-    backward-Euler rows of the exact stacked pencil.  The oracle step
-    defaults to h/100.  It is the one-row `convergence_study`.
-    """
-    return convergence_study(net, cfg, [cfg.h], h_ref)[0][1]
-
-
-def convergence_study(
-    net: Netlist, cfg: RunConfig, hs, h_ref: float | None = None
-) -> list[tuple[float, float]]:
-    """Sup error of the compiled union CRN at each h against the oracle.
-
-    h values must be strictly decreasing; the oracle step defaults to
-    min(hs)/100.  Each network is read back from its `.crn` text, and the
+    The network `compile` emits is read back from its `.crn` text, and the
     law of its rail differences (`crn.difference_system`) is propagated
-    exactly on its own grid of step dt = h/20 (`RunConfig.resolve_dt`) as
-    one diagonal block of a map (`dae.stepped`), and compared block by block
-    with the other, the oracle's map from one grid row to the next
-    (`dae.reference_map` at step h_ref).  A blow-up of either raises
-    NonFiniteState at its earliest row.  ValidationError, before anything is
-    compiled, when hs is empty or not strictly decreasing, h_ref is not
-    positive and finite or `dae.grid_steps` refuses a grid, and later when
-    the difference law is not exact.
+    exactly on the h/20 grid (`RunConfig.resolve_dt`).  It is stepped with
+    the oracle's map from one grid row to the next (`dae.reference_map`,
+    ORACLE_STEPS steps of h/100) as the two diagonal blocks of one map
+    (`dae.stepped`), and the two are compared block by block.  A blow-up of
+    either raises NonFiniteState at its earliest row.  ValidationError,
+    before anything is compiled, when `dae.grid_steps` refuses the grid, and
+    later when the difference law is not exact.
+    """
+    dt = cfg.resolve_dt()
+    steps = grid_steps(cfg.T, dt)
+    compiled = compile_circuit(net, cfg)
+    _, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0,
+                                        cfg.h / (DT_RULE_FACTOR * ORACLE_STEPS), ORACLE_STEPS)
+    emitted = parse_crn(serialize_crn(compiled.crn))
+    outs = [out for out, _, _ in emitted.diffs]
+    states = compiled.sys.state_names
+    artifact, y_artifact = linear_map(*difference_system(emitted), dt)
+    mine = [outs.index(name) for name in states]
+    theirs = slice(len(y_artifact), len(y_artifact) + len(states))
+    joint = stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]), steps, dt)
+    worst = 0.0
+    for block in joint.blocks:
+        gap = np.subtract(block[:, mine], block[:, theirs])
+        worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
+        del block, gap  # the next block is filled without this one held
+    return worst
+
+
+def convergence_study(net: Netlist, cfg: RunConfig, hs) -> list[tuple[float, float]]:
+    """`verify_circuit` at each h of hs, as (h, sup error) rows.
+
+    ValidationError, before anything is compiled, when hs is empty or not
+    strictly decreasing, or when an h or its grid is refused.
     """
     hs = list(hs)
     if not hs:
         raise ValidationError("hs must be nonempty")
     if any(b >= a for a, b in zip(hs, hs[1:])):
         raise ValidationError("hs must be strictly decreasing")
-    if h_ref is None:
-        h_ref = min(hs) / 100.0
-    if not 0.0 < h_ref < np.inf:  # NaN fails too
-        raise ValidationError("h_ref must be positive and finite")
-    dts = [replace(cfg, h=h).resolve_dt() for h in hs]
-    counts = [grid_steps(cfg.T, dt) for dt in dts]
-    rows = []
-    for h, dt, steps in zip(hs, dts, counts):
-        compiled = compile_circuit(net, replace(cfg, h=h))
-        _, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0, dt, h_ref)
-        emitted = parse_crn(serialize_crn(compiled.crn))
-        outs = [out for out, _, _ in emitted.diffs]
-        states = compiled.sys.state_names
-        artifact, y_artifact = linear_map(*difference_system(emitted), dt)
-        mine = [outs.index(name) for name in states]
-        theirs = slice(len(y_artifact), len(y_artifact) + len(states))
-        joint = stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]), steps, dt)
-        worst = 0.0
-        for block in joint.blocks:
-            gap = np.subtract(block[:, mine], block[:, theirs])
-            worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
-            del block, gap  # the next block is filled without this one held
-        rows.append((h, worst))
-    return rows
+    for h in hs:
+        grid_steps(cfg.T, replace(cfg, h=h).resolve_dt())
+    return [(h, verify_circuit(net, replace(cfg, h=h))) for h in hs]
 
 
 def study_to_csv(rows) -> str:

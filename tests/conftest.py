@@ -1,12 +1,18 @@
 """Shared fixtures: the reference circuits, their hand-derived forms and
 generated netlists."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from circ2crn.circuit import build_dae, parse_netlist
-from circ2crn.dae import AffineOde, DaeSystem, InputModel, coupled_euler_map, direct_map
+from circ2crn.crn import difference_system, parse_crn, serialize_crn
+from circ2crn.dae import (AffineOde, DaeSystem, InputModel, coupled_euler_map, direct_map,
+                          grid_steps, reference_solve, stepped)
+from circ2crn.pipeline import compile_circuit
+from circ2crn.sim import linear_map, sup_error
 
 # High-pass RL filter (R = L = 1), DC and unit-sine drive variants.
 RL_DC = "V vin 1 0 DC 1\nR r1 1 2 1\nL l1 2 0 1\nOUT 2\n"
@@ -86,6 +92,35 @@ def signed_ode(sys: DaeSystem, inp: InputModel, h: float | None = None) -> Affin
     a[n:, n:] = inp.D
     b = np.concatenate([np.zeros(n), inp.d])
     return AffineOde(a, b, sys.state_names + inp.names, sys.output_index)
+
+
+def materialised_study(net, cfg, hs, oracle_step=None):
+    """The rows of `convergence_study` from two stored tables at each h:
+    reference_solve at the oracle step (h/100 unless oracle_step is given,
+    a whole number of steps per grid row either way), keeping one row per
+    grid row, then the collected rows of the exact law's map stepped alone,
+    compared by sup_error."""
+    rows = []
+    for h in hs:
+        cfg_h = replace(cfg, h=h)
+        dt = cfg_h.resolve_dt()
+        compiled = compile_circuit(net, cfg_h)
+        grid = grid_steps(cfg.T, dt)
+        step = h / 100.0 if oracle_step is None else oracle_step
+        s = round(dt / step)
+        assert abs(dt / step - s) <= 1e-12 * s, "not a whole number of oracle steps"
+        # half a step short of grid * s steps, so reference_solve takes that
+        # many and keeps every s-th
+        ref = reference_solve(compiled.sys, compiled.inp, compiled.x0,
+                              (grid * s - 0.5) * step, step, max_points=grid)
+        assert len(ref.times) == grid + 1
+        assert ref.times[1] == pytest.approx(dt, rel=1e-12)
+        emitted = parse_crn(serialize_crn(compiled.crn))
+        outs = [out for out, _, _ in emitted.diffs]
+        phi, y0 = linear_map(*difference_system(emitted), dt)
+        traj = stepped([phi], y0, grid, dt).collect(outs)
+        rows.append((h, sup_error(traj, ref, compiled.sys.state_names)))
+    return rows
 
 
 def interleave(plus, minus) -> np.ndarray:

@@ -23,7 +23,6 @@ from circ2crn.errors import NonFiniteState
 from circ2crn.pipeline import (
     RunConfig,
     compile_circuit,
-    convergence_study,
     frequency_response,
     simulate_crn,
     verify_circuit,
@@ -38,6 +37,7 @@ from conftest import (
     RC_LOWPASS,
     block_reactions,
     circuit_block,
+    materialised_study,
     signed_ode,
 )
 
@@ -114,9 +114,9 @@ def test_c02_golden_crn():
 
 
 def test_c03_convergence_order():
-    """Compiled-CRN error vs the h_ref=1e-5 oracle decreases with ratio >= 1.5."""
+    """Compiled-CRN error vs an oracle at step 1e-5 decreases with ratio >= 1.5."""
     cfg = RunConfig(T=10.0, transient_discard=0.0)
-    rows = convergence_study(parse_netlist(RL_DC), cfg, [0.04, 0.02, 0.01], h_ref=1e-5)
+    rows = materialised_study(parse_netlist(RL_DC), cfg, [0.04, 0.02, 0.01], oracle_step=1e-5)
     errs = [err for _, err in rows]
     ratios = [errs[i] / errs[i + 1] for i in range(len(errs) - 1)]
     ok = (
@@ -219,7 +219,7 @@ def test_c08_two_capacitor_circuit():
     net = parse_netlist(TWO_CAP)
     compiled = compile_circuit(net, RunConfig())  # raises if pencil singular
     sys, inp = compiled.sys, compiled.inp
-    err = verify_circuit(net, RunConfig(T=10.0, transient_discard=0.0), h_ref=1e-4)
+    err = verify_circuit(net, RunConfig(T=10.0, transient_discard=0.0))
 
     ref = reference_solve(sys, inp, np.zeros(2), 10.0, 1e-4)
     h = ref.times[1] - ref.times[0]

@@ -174,19 +174,21 @@ class TestCompile:
         assert _error_lines(capsys) == [f"error: {message}"]
 
     @pytest.mark.parametrize("text,flags,message", [
-        ("R r1 1 0 1e-320\nC c1 1 0 1\nOUT 1\n", [], "A contains non-finite entries"),
-        (RL_SINE, ["-h", "1e-310"], "Ahat contains non-finite entries"),
+        ("R r1 1 0 1e-320\nC c1 1 0 1\nOUT 1\n", [],
+         "resistor r1 = 1e-320 is too small: its conductance 1/R overflows"),
+        (RL_SINE, ["-h", "1e-310"], "the circuit's rates overflow at h=1e-310"),
         ("V v 1 0 DC 1\nR r1 1 2 1e308\nR r2 2 0 1e-308\nC c1 2 0 1e-308\nOUT 2\n", [],
-         "Ahat contains non-finite entries"),
+         "the circuit's rates overflow: its component values are too far apart"),
         # direct mode: gamma = 1/h overflows to inf
-        (RC_LOWPASS, ["-h", "1e-310"], "reaction rate must be positive and finite"),
+        (RC_LOWPASS, ["-h", "1e-310"], "h=1e-310 is too small: gamma = 1/h overflows"),
     ], ids=["tiny_resistor", "tiny_step", "huge_ratio", "direct_infinite_gamma"])
     def test_an_overflow_exits_1_with_one_error_line(self, tmp_path, capsys, text, flags,
                                                      message):
+        # the message names the input at fault, and numpy warns of no overflow
         netlist = _write(tmp_path, "o.cir", text)
         assert main(["compile", netlist, *flags]) == 1
         err = capsys.readouterr().err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
         assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
             f"error: {message}"]
 
@@ -352,30 +354,38 @@ class TestVerify:
         assert errs[0] > errs[1]
 
     def test_study_rows_equal_verify_against_the_same_oracle(self, tmp_path, capsys):
-        # at h = 0.03 the grid step is 7.5 oracle steps: the oracle steps by dt/8
+        # each row is verify at its own h, whatever the other h values; at
+        # h = 0.03 the oracle step h/100 is not (h/20)/5 bit for bit
         netlist = _write(tmp_path, "rls.cir", RL_SINE)
         net = parse_netlist(RL_SINE)
-        for study in ("0.04,0.02", "0.03,0.02"):
+        rows = {}
+        for study in ("0.04,0.02", "0.03,0.02", "0.02"):
             assert main(["verify", netlist, "-T", "2", "--tol", "1",
                          "--study", study]) == 0
-            rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
-            assert len(rows) == 2
-            for h_tok, err_tok in rows:
-                h = float(h_tok)
-                cfg = RunConfig(h=h, T=2.0, transient_discard=0.0)
-                assert float(err_tok) == verify_circuit(net, cfg, h_ref=0.02 / 100.0)
+            for line in capsys.readouterr().out.splitlines()[1:]:
+                h_tok, err_tok = line.split(",")
+                rows.setdefault(h_tok, set()).add(err_tok)
+        assert sorted(rows) == ["0.02", "0.029999999999999999", "0.040000000000000001"]
+        for h_tok, errs in rows.items():
+            cfg = RunConfig(h=float(h_tok), T=2.0, transient_discard=0.0)
+            assert [float(err) for err in errs] == [verify_circuit(net, cfg)]
 
     def test_study_rows_of_a_non_whole_ratio_are_pinned(self, tmp_path, capsys):
-        # h_ref = 0.02/100; at h = 0.03 the grid step 1.5e-3 is 7.5 oracle
-        # steps, so the oracle steps by 1.5e-3/8 and keeps every 8th iterate
+        # at h = 0.03 the oracle steps by 0.03/100, five steps per grid row
         netlist = _write(tmp_path, "hp.cir", RL_SINE)
         assert main(["verify", netlist, "-T", "10", "--tol", "0.05",
                      "--study", "0.03,0.02"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "h,sup_error",
-            "0.029999999999999999,0.0333636181085952",
+            "0.029999999999999999,0.033287348981702491",
             "0.02,0.022265888171905918",
         ]
+
+    @pytest.mark.parametrize("study", ["nan", "0.02,nan"])
+    def test_a_non_finite_study_h_names_h(self, tmp_path, capsys, study):
+        netlist = _write(tmp_path, "hp.cir", RL_SINE)
+        assert main(["verify", netlist, "-T", "1", "--tol", "1", "--study", study]) == 1
+        assert capsys.readouterr() == ("", "error: h must be positive and finite\n")
 
     @pytest.mark.parametrize("study", ["", ","])
     def test_empty_study_list_exits_1(self, tmp_path, capsys, study):

@@ -29,6 +29,7 @@ from circ2crn.dae import (
 )
 from circ2crn.errors import NonFiniteState, ValidationError
 from circ2crn.pipeline import (
+    ORACLE_STEPS,
     RunConfig,
     compile_circuit,
     convergence_study,
@@ -53,6 +54,7 @@ from conftest import (
     RL_SINE,
     TWO_CAP,
     interleave,
+    materialised_study,
     rl_ladder,
     signed_ode,
     sine_input_2state,
@@ -293,35 +295,6 @@ class TestExactDifferences:
         assert "%.6g" % verify_circuit(net, cfg) == "2.48897e-05"
 
 
-def materialised_study(net, cfg, hs, h_ref):
-    """convergence_study from two stored tables: reference_solve at the
-    oracle step, keeping one row per grid row, then the collected rows of
-    the exact law's map stepped alone, compared by sup_error."""
-    rows = []
-    for h in hs:
-        cfg_h = replace(cfg, h=h)
-        dt = cfg_h.resolve_dt()
-        compiled = compile_circuit(net, cfg_h)
-        grid = grid_steps(cfg.T, dt)
-        s = round(dt / h_ref)
-        step = h_ref
-        if abs(dt / h_ref - s) > 1e-12 * s:  # not a whole number of oracle steps
-            s = int(np.ceil(dt / h_ref))
-            step = dt / s
-        # half a step short of grid * s steps, so reference_solve takes that
-        # many and keeps every s-th
-        ref = reference_solve(compiled.sys, compiled.inp, compiled.x0,
-                              (grid * s - 0.5) * step, step, max_points=grid)
-        assert len(ref.times) == grid + 1
-        assert ref.times[1] == pytest.approx(dt, rel=1e-12)
-        emitted = parse_crn(serialize_crn(compiled.crn))
-        outs = [out for out, _, _ in emitted.diffs]
-        phi, y0 = linear_map(*difference_system(emitted), dt)
-        traj = stepped([phi], y0, grid_steps(cfg.T, dt), dt).collect(outs)
-        rows.append((h, sup_error(traj, ref, compiled.sys.state_names)))
-    return rows
-
-
 class TestStreamedVerify:
     """verify steps the artifact's law and the oracle as the two diagonal
     blocks of one map and folds the sup error over that one stream, block
@@ -329,19 +302,18 @@ class TestStreamedVerify:
 
     @pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS],
                              ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass"])
-    @pytest.mark.parametrize("T, hs, h_ref", [
-        (10.0, [0.01], 1e-4),  # verify's default oracle: five steps per grid row
-        (10.0, [0.04, 0.02, 0.01], 1e-5),  # c03's study: 200, 100 and 50 steps
-        (2.0, [0.02, 0.01], 7e-5),  # not a whole number: 15 and 8 steps of dt/s
-        (3.0003, [0.01], 1e-4),  # T not a multiple of dt: the last row is past T
-    ], ids=["verify", "integral_study", "non_integral", "ragged_end"])
-    def test_fold_equals_sup_error_of_the_tables(self, text, T, hs, h_ref):
+    @pytest.mark.parametrize("T, hs", [
+        (10.0, [0.01]),  # verify: five oracle steps of h/100 per grid row
+        (10.0, [0.04, 0.02, 0.01]),  # a study: each row at its own h/100
+        (3.0003, [0.01]),  # T not a multiple of dt: the last row is past T
+    ], ids=["verify", "integral_study", "ragged_end"])
+    def test_fold_equals_sup_error_of_the_tables(self, text, T, hs):
         net = parse_netlist(text)
         cfg = RunConfig(T=T, transient_discard=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = convergence_study(net, cfg, hs, h_ref)
-            want = materialised_study(net, cfg, hs, h_ref)
+            got = convergence_study(net, cfg, hs)
+            want = materialised_study(net, cfg, hs)
         assert [h for h, _ in got] == hs
         for (_, err), (_, ref) in zip(got, want):
             assert abs(err - ref) <= 1e-12 * ref
@@ -355,7 +327,7 @@ class TestStreamedVerify:
             warnings.simplefilter("ignore", RuntimeWarning)
             compiled = compile_circuit(parse_netlist(text), RunConfig())
         names, _, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0,
-                                           5e-4, 1e-4)
+                                           1e-4, ORACLE_STEPS)
         emitted = parse_crn(serialize_crn(compiled.crn))
         *_, d0 = difference_system(emitted)
         outs = [out for out, _, _ in emitted.diffs]
@@ -369,12 +341,12 @@ class TestStreamedVerify:
         # at T = 3.0003 the grid's last row is past T, and the oracle's with it
         net, cfg = parse_netlist(text), RunConfig(T=T, transient_discard=0.0)
         dt, h_ref = cfg.resolve_dt(), cfg.h / 100.0
-        steps, stride = grid_steps(T, dt), round(dt / h_ref)
+        steps, stride = grid_steps(T, dt), ORACLE_STEPS
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             compiled = compile_circuit(net, cfg)
             names, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0,
-                                                    dt, h_ref)
+                                                    h_ref, stride)
         law = difference_system(parse_crn(serialize_crn(compiled.crn)))
         artifact, y_artifact = linear_map(*law, dt)
         width = len(y_artifact)
@@ -399,8 +371,8 @@ class TestStreamedVerify:
         assert np.array_equal(rows[:, width:-1], ref.values)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            [(_, got)] = convergence_study(net, cfg, [cfg.h], h_ref)
-            [(_, want)] = materialised_study(net, cfg, [cfg.h], h_ref)
+            got = verify_circuit(net, cfg)
+            [(_, want)] = materialised_study(net, cfg, [cfg.h])
         assert abs(got - want) <= 1e-12 * want
 
     @staticmethod
@@ -445,7 +417,7 @@ class TestStreamedVerify:
         sys, inp = self.scalar(oracle_rate)
         F, g = np.array([[artifact_rate]]), np.zeros(1)
         artifact, y_artifact = linear_map(F, g, x0, dt)
-        _, oracle, y_oracle = reference_map(sys, inp, x0, dt, h_ref)
+        _, oracle, y_oracle = reference_map(sys, inp, x0, h_ref, round(dt / h_ref))
         tables = []
         for make in (lambda: reference_solve(sys, inp, x0, T, h_ref, grid_steps(T, dt)),
                      lambda: stepped([artifact], y_artifact, grid_steps(T, dt), dt)
@@ -481,15 +453,15 @@ class TestStreamedVerify:
                                              r"above the cap of 1e\+09$"):
             convergence_study(net, cfg, [0.02, 0.01])
 
-    @pytest.mark.parametrize("h_ref", [0.0, -1e-4, float("nan"), float("inf")])
-    def test_a_bad_oracle_step_is_refused_before_compiling(self, h_ref):
+    @pytest.mark.parametrize("hs", [[0.0], [-1e-4], [float("nan")], [float("inf")],
+                                    [0.02, float("nan")]],
+                             ids=["0.0", "-0.0001", "nan", "inf", "0.02,nan"])
+    def test_a_bad_h_is_refused_before_compiling(self, hs):
         # a singular pencil would raise SingularMatrix if it were compiled first
         net = parse_netlist("V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n")
         cfg = RunConfig(T=1.0, transient_discard=0.0)
-        with pytest.raises(ValueError, match="^h_ref must be positive and finite$"):
-            convergence_study(net, cfg, [0.02, 0.01], h_ref)
-        with pytest.raises(ValueError, match="^h_ref must be positive and finite$"):
-            verify_circuit(net, cfg, h_ref)
+        with pytest.raises(ValueError, match="^h must be positive and finite$"):
+            convergence_study(net, cfg, hs)
 
 
 def rk4_stepwise(field, x0, T, dt):
@@ -653,7 +625,7 @@ class TestConvergenceStudy:
         # with a fine oracle the residual error stays below 1e-6
         net, _, _ = rc_lowpass
         cfg = RunConfig(T=10.0, transient_discard=0.0)
-        rows = convergence_study(net, cfg, [0.04, 0.01], h_ref=2e-6)
+        rows = materialised_study(net, cfg, [0.04, 0.01], oracle_step=2e-6)
         errs = [err for _, err in rows]
         assert all(err <= 1e-6 for err in errs), errs
 
