@@ -248,30 +248,42 @@ def build_dae(net: Netlist) -> tuple[DaeSystem, InputModel]:
             if node in node_idx:
                 M[node_idx[node], col] += sign
 
-    for c in net.components:
-        if c.kind in ("R", "C"):
-            # R: the out-current (v_a - v_b) / R moves negated to the A side;
-            # C: the out-current C d(v_a - v_b)/dt stays on the E side
-            M, coef = (A, -1.0 / c.value) if c.kind == "R" else (E, c.value)
-            if coef == -np.inf:
-                raise ValidationError(f"resistor {c.name} = {c.value!r} is too small: "
-                                      "its conductance 1/R overflows")
-            for a, b in ((c.n1, c.n2), (c.n2, c.n1)):
-                if a in node_idx:
-                    stamp(M, node_idx[a], a, coef)
-                    stamp(M, node_idx[a], b, -coef)
-        elif c.name in current_of:
-            # L: L di/dt = v(n1) - v(n2);  V: 0 = v(n+) - v(n-) - u
-            idx = current_of[c.name]
-            inject(A, idx, c)
-            stamp(A, idx, c.n1, +1.0)
-            stamp(A, idx, c.n2, -1.0)
-            if c.kind == "L":
-                E[idx, idx] = c.value
-            else:
-                B[idx, src_index[c.name]] -= 1.0
-        elif c.kind == "I":
-            inject(B, src_index[c.name], c)
+    # a node's stamps are summed, and finite values may overflow the sum:
+    # that is refused below, so numpy need not warn of it
+    with np.errstate(over="ignore"):
+        for c in net.components:
+            if c.kind in ("R", "C"):
+                # R: the out-current (v_a - v_b) / R moves negated to the A side;
+                # C: the out-current C d(v_a - v_b)/dt stays on the E side
+                M, coef = (A, -1.0 / c.value) if c.kind == "R" else (E, c.value)
+                if coef == -np.inf:
+                    raise ValidationError(f"resistor {c.name} = {c.value!r} is too small: "
+                                          "its conductance 1/R overflows")
+                for a, b in ((c.n1, c.n2), (c.n2, c.n1)):
+                    if a in node_idx:
+                        stamp(M, node_idx[a], a, coef)
+                        stamp(M, node_idx[a], b, -coef)
+            elif c.name in current_of:
+                # L: L di/dt = v(n1) - v(n2);  V: 0 = v(n+) - v(n-) - u
+                idx = current_of[c.name]
+                inject(A, idx, c)
+                stamp(A, idx, c.n1, +1.0)
+                stamp(A, idx, c.n2, -1.0)
+                if c.kind == "L":
+                    E[idx, idx] = c.value
+                else:
+                    B[idx, src_index[c.name]] -= 1.0
+            elif c.kind == "I":
+                inject(B, src_index[c.name], c)
+    # a node's diagonal entry sums the magnitudes of all values stamped on
+    # its row, in A and B, so it overflows whenever any sum of the row does
+    for M, kind, what in ((A, "R", "conductances"), (E, "C", "capacitances")):
+        finite = np.isfinite(M.diagonal())
+        if not finite.all():
+            nd = volt_nodes[np.argmin(finite)]
+            names = [c.name for c in net.components if c.kind == kind and nd in (c.n1, c.n2)]
+            raise ValidationError(f"the {what} at node {nd} ({', '.join(names)}) "
+                                  "overflow when summed")
 
     zero_rows = [
         i

@@ -20,7 +20,7 @@ import warnings
 from functools import cache
 
 from .circuit import parse_netlist
-from .crn import parse_crn, serialize_crn
+from .crn import crn_lines, parse_crn
 from .errors import Circ2CrnError, NonFiniteState, SingularMatrix, ValidationError
 from .pipeline import (
     RunConfig,
@@ -122,13 +122,13 @@ def _cmd_compile(args) -> int:
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
     compiled = compile_circuit(net, RunConfig(h=args.h, gamma=args.gamma))
-    _write([serialize_crn(compiled.crn)], args.output)
+    _write(crn_lines(compiled.crn), args.output)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     with open(args.crn) as fh:
-        net = parse_crn(fh.read())
+        net = parse_crn(fh)
     cfg = None
     if "h" in net.meta:
         try:

@@ -16,6 +16,17 @@ whenever one is made and keeps them read-only, so every network in hand is
 valid and its `.crn` text reads back as itself.  `union` composes
 unannotated networks only; meta, diffs and blocks go on the finished one.
 
+Nothing on the way from a table to a file and back holds the whole text.
+`crn_lines` yields the text of `serialize_crn`, which is their join, _CHUNK
+reaction lines at a time, each chunk formatted by whole-array string
+operations on the table.  `parse_crn` reads an open file _BLOCK characters
+at a time and runs its line loop over each block's `str.splitlines`, a
+line cut by a block's end being carried into the next, so lines are
+numbered and read as in the whole text.  `mass_action_field` adds the
+species occurrences into its matrix _CHUNK reactions at a time, in
+reaction order, so the matrix is the same bit for bit while its
+temporaries stay the size of a chunk.
+
 The `.crn` text format is line oriented with '#' comments:
 
     species <name> [<name> ...]
@@ -32,11 +43,12 @@ to any other reader.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from types import MappingProxyType
+from typing import TextIO
 
 import numpy as np
 
@@ -53,6 +65,10 @@ NAME_FORBIDDEN = ("+", ",", "->{")
 EMPTY_SIDE = "0"
 # The first column of a simulation CSV, ahead of the species and diff outputs.
 TIME_COLUMN = "t"
+# Reactions per piece of the .crn writer and per step of the field build.
+_CHUNK = 4096
+# Characters per read of the .crn reader.
+_BLOCK = 1 << 20
 
 
 def check_name(name: str, line_no: int, what: str) -> None:
@@ -406,34 +422,46 @@ def mass_action_field(*nets: Crn):
     # the order their monomials first appear.  A dict keeps that order
     # without a numpy sort, whose kernels, paged in on a process's first
     # sort, raised the peak memory of small workloads by about 1 MB
-    pair = np.full((2, n_rx), n_sp, dtype=np.intp)
-    for k in (0, 1):
-        on = n_in > k
-        pair[k, on] = table.in_idx[table.in_off[:-1][on] + k]
-    keys = (np.minimum(*pair) * (n_sp + 1) + np.maximum(*pair)).tolist()
-    cols = {key: col for col, key in enumerate(dict.fromkeys(keys))}
-    rx_col = np.fromiter(map(cols.__getitem__, keys), np.intp, n_rx)
+    cols: dict[int, int] = {}
+    rx_col = np.empty(n_rx, dtype=np.intp)  # the monomial of each reaction
+    for lo in range(0, n_rx, _CHUNK):
+        hi = min(lo + _CHUNK, n_rx)
+        pair = np.full((2, hi - lo), n_sp, dtype=np.intp)
+        for k in (0, 1):
+            on = n_in[lo:hi] > k
+            pair[k, on] = table.in_idx[table.in_off[lo:hi][on] + k]
+        keys = (np.minimum(*pair) * (n_sp + 1) + np.maximum(*pair)).tolist()
+        for key in dict.fromkeys(keys):
+            cols.setdefault(key, len(cols))
+        rx_col[lo:hi] = np.fromiter(map(cols.__getitem__, keys), np.intp, hi - lo)
     pairs = np.column_stack(divmod(np.fromiter(cols, np.intp, len(cols)), n_sp + 1))
-    # M sums rate * (products - reactants) reaction by reaction, reactants
-    # before products: one entry per species occurrence in that order, added
-    # by one unbuffered np.add.at, which keeps the order of the sums
-    n_occ = n_in + n_out
-    owner = np.repeat(np.arange(n_rx), n_occ)  # the reaction of each occurrence
-    # reaction r's occurrences start at start[r]: its reactants, then its
-    # products, each side in its table order
-    start = np.cumsum(n_occ) - n_occ
-    at_in = np.repeat(start - table.in_off[:-1], n_in) + np.arange(table.in_idx.size)
-    at_out = (np.repeat(start + n_in - table.out_off[:-1], n_out)
-              + np.arange(table.out_idx.size))
-    occ_sp = np.empty(owner.size, dtype=np.intp)
-    occ_sp[at_in], occ_sp[at_out] = table.in_idx, table.out_idx
-    sign = np.ones(owner.size)
-    sign[at_in] = -1.0
-    occ_col = rx_col[owner]
     n_net, n_mono, size = len(nets), len(cols), len(nets) * n_sp
     M = np.zeros((n_net, n_sp, n_mono))
-    for net, M_net in zip(nets, M):
-        np.add.at(M_net, (occ_sp, occ_col), sign * net.table.rates[owner])
+    # M sums rate * (products - reactants) reaction by reaction, reactants
+    # before products: one entry per species occurrence in that order, added
+    # by one unbuffered np.add.at per chunk of reactions, in chunk order,
+    # which keeps the order of the sums
+    for lo in range(0, n_rx, _CHUNK):
+        hi = min(lo + _CHUNK, n_rx)
+        in_off, out_off = table.in_off[lo : hi + 1], table.out_off[lo : hi + 1]
+        n_in_c, n_out_c = n_in[lo:hi], n_out[lo:hi]
+        n_occ = n_in_c + n_out_c
+        owner = np.repeat(np.arange(lo, hi), n_occ)  # the reaction of each occurrence
+        # reaction r's occurrences start at start[r - lo]: its reactants, then
+        # its products, each side in its table order
+        start = np.cumsum(n_occ) - n_occ
+        at_in = (np.repeat(start - (in_off[:-1] - in_off[0]), n_in_c)
+                 + np.arange(in_off[-1] - in_off[0]))
+        at_out = (np.repeat(start + n_in_c - (out_off[:-1] - out_off[0]), n_out_c)
+                  + np.arange(out_off[-1] - out_off[0]))
+        occ_sp = np.empty(owner.size, dtype=np.intp)
+        occ_sp[at_in] = table.in_idx[in_off[0] : in_off[-1]]
+        occ_sp[at_out] = table.out_idx[out_off[0] : out_off[-1]]
+        sign = np.ones(owner.size)
+        sign[at_in] = -1.0
+        occ_col = rx_col[owner]
+        for net, M_net in zip(nets, M):
+            np.add.at(M_net, (occ_sp, occ_col), sign * net.table.rates[owner])
     # the stacked concentrations fill ext[:size] and ext[size] holds the
     # constant 1.0; network b's monomials gather from its own slice, shaped
     # (network, monomial, 1) for the stacked product
@@ -562,39 +590,52 @@ def _side_texts(off, idx, names, before: str, after: str) -> np.ndarray:
     return texts
 
 
-def serialize_crn(net: Crn) -> str:
-    """Deterministic text form; parse_crn inverts it losslessly."""
-    lines = ["# crn"]
-    for key in sorted(net.meta):
-        lines.append(f"# meta {key} {net.meta[key]}")
-    if net.species:
-        lines.append("species " + " ".join(net.species))
-    for sp in net.species:
-        if sp in net.init:
-            lines.append(f"init {sp} {net.init[sp]:.17g}")
-    table = net.table
-    names = np.array(net.species, dtype=object)
+def _reaction_lines(table: ReactionTable, names, lo: int, hi: int) -> list[str]:
+    """The lines of reactions lo .. hi - 1, each ending in a newline."""
     # catalytic reactions come in pairs of one rate, so each run of equal
     # rates is formatted once
-    rates = table.rates
+    rates = table.rates[lo:hi]
     new_run = np.ones(rates.size, dtype=bool)
     new_run[1:] = rates[1:] != rates[:-1]
     runs = np.flatnonzero(new_run)
     texts = np.array(["%.17g" % rate for rate in rates[runs].tolist()], dtype=object)
-    reactions = (
-        _side_texts(table.in_off, table.in_idx, names, "", " ->{")
+    return (
+        _side_texts(table.in_off[lo : hi + 1], table.in_idx, names, "", " ->{")
         + np.repeat(texts, np.diff(runs, append=rates.size))
-        + _side_texts(table.out_off, table.out_idx, names, "} ", "")
+        + _side_texts(table.out_off[lo : hi + 1], table.out_idx, names, "} ", "\n")
     ).tolist()
-    start = len(reactions) - net.marked
-    lines.extend(reactions[:start])
+
+
+def crn_lines(net: Crn) -> Iterator[str]:
+    """The text of `serialize_crn` in pieces of whole lines: the header, the
+    reactions _CHUNK lines at a time with each block marker in its place,
+    and the diff lines."""
+    head = ["# crn"]
+    head += [f"# meta {key} {net.meta[key]}" for key in sorted(net.meta)]
+    if net.species:
+        head.append("species " + " ".join(net.species))
+    head += [f"init {sp} {net.init[sp]:.17g}" for sp in net.species if sp in net.init]
+    yield "".join(line + "\n" for line in head)
+    table, names = net.table, np.array(net.species, dtype=object)
+    # each block's marker line goes before its first reaction, and the
+    # chunks are cut without regard to blocks
+    markers, at = [], len(table) - net.marked
     for label, count in net.blocks:
-        lines.append(f"# {label}")
-        lines.extend(reactions[start : start + count])
-        start += count
-    for out, plus, minus in net.diffs:
-        lines.append(f"# diff {out} {plus} {minus}")
-    return "\n".join(lines) + "\n"
+        markers.append((at, f"# {label}\n"))
+        at += count
+    for lo in range(0, len(table), _CHUNK):
+        hi = min(lo + _CHUNK, len(table))
+        lines = _reaction_lines(table, names, lo, hi)
+        for pos, marker in reversed([m for m in markers if lo <= m[0] < hi]):
+            lines.insert(pos - lo, marker)
+        yield "".join(lines)
+    yield "".join(marker for pos, marker in markers if pos == len(table))
+    yield "".join(f"# diff {out} {plus} {minus}\n" for out, plus, minus in net.diffs)
+
+
+def serialize_crn(net: Crn) -> str:
+    """Deterministic text form; parse_crn inverts it losslessly."""
+    return "".join(crn_lines(net))
 
 
 def _parse_side(text: str, line_no: int) -> list[str]:
@@ -619,7 +660,34 @@ def _reaction_indices(left: str, right: str, index: dict[str, int], line_no: int
         raise ParseError(line_no, f"undeclared species {exc.args[0]!r}") from None
 
 
-def parse_crn(text: str) -> Crn:
+# `str.splitlines` ends a line at each of these, and at "\r\n" as one break
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
+    """The lines of a text or an open text file as `str.splitlines` splits
+    the whole text, in lists of about _BLOCK characters."""
+    if isinstance(source, str):
+        blocks = (source[at : at + _BLOCK] for at in range(0, len(source), _BLOCK))
+    else:
+        blocks = iter(partial(source.read, _BLOCK), "")
+    carry = ""  # the block's last line, while the next block may continue it
+    for block in blocks:
+        text = carry + block
+        lines = text.splitlines()
+        carry = ""
+        if text[-1] not in _LINE_BREAKS:
+            carry = lines.pop()
+        elif text[-1] == "\r":  # a "\n" opening the next block ends the same line
+            carry = lines.pop() + "\r"
+        yield lines
+    yield carry.splitlines()
+
+
+def parse_crn(source: str | TextIO) -> Crn:
+    """The network of a `.crn` text, or of an open text file, which is read
+    _BLOCK characters at a time.  Lines are numbered as `str.splitlines`
+    splits the whole text; ParseError names the first bad line."""
     species: list[str] = []
     index: dict[str, int] = {}
     init: dict[str, float] = {}
@@ -641,86 +709,89 @@ def parse_crn(text: str) -> Crn:
     # rate text -> its value; catalytic reactions come in pairs of one rate
     checked_rates: dict[str, float] = {}
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line[0] == "#":
-            toks = line[1:].split()
-            if toks[:1] == ["meta"] and len(toks) >= 3:
-                meta[toks[1]] = " ".join(toks[2:])
-            elif toks[:1] == ["diff"] and len(toks) == 4:
-                problem = _diff_problem(toks[1:], index, outs)
-                if problem is not None:
-                    raise ParseError(line_no, problem)
-                for rail in toks[2:]:
-                    if rail not in index:
-                        raise ParseError(line_no, f"diff of undeclared species {rail!r}")
-                diffs.append((toks[1], toks[2], toks[3]))
-                outs.add(toks[1])
-            elif (label := _block_label(toks)) is not None:
-                starts.append((label, len(rates)))
-            continue
-        left, arrow, rest = line.partition("->{")
-        if arrow:
-            rate_str, brace, right = rest.partition("}")
-            if not brace:
-                raise ParseError(line_no, "missing closing brace on rate")
-            rate = checked_rates.get(rate_str)
-            if rate is None:
+    first_no = 1  # the number of the block's first line
+    for lines in _line_blocks(source):
+        for line_no, raw in enumerate(lines, first_no):
+            line = raw.strip()
+            if not line:
+                continue
+            if line[0] == "#":
+                toks = line[1:].split()
+                if toks[:1] == ["meta"] and len(toks) >= 3:
+                    meta[toks[1]] = " ".join(toks[2:])
+                elif toks[:1] == ["diff"] and len(toks) == 4:
+                    problem = _diff_problem(toks[1:], index, outs)
+                    if problem is not None:
+                        raise ParseError(line_no, problem)
+                    for rail in toks[2:]:
+                        if rail not in index:
+                            raise ParseError(line_no, f"diff of undeclared species {rail!r}")
+                    diffs.append((toks[1], toks[2], toks[3]))
+                    outs.add(toks[1])
+                elif (label := _block_label(toks)) is not None:
+                    starts.append((label, len(rates)))
+                continue
+            left, arrow, rest = line.partition("->{")
+            if arrow:
+                rate_str, brace, right = rest.partition("}")
+                if not brace:
+                    raise ParseError(line_no, "missing closing brace on rate")
+                rate = checked_rates.get(rate_str)
+                if rate is None:
+                    try:
+                        rate = float(rate_str)
+                    except ValueError:
+                        raise ParseError(line_no, f"bad rate {rate_str!r}") from None
+                    if not 0.0 < rate < math.inf:
+                        if not math.isfinite(rate):
+                            raise ParseError(line_no, f"non-finite rate {rate_str!r}")
+                        raise ParseError(line_no, "rate must be positive")
+                    checked_rates[rate_str] = rate
+                reactants = sides.get(left)
+                tokens = right.split("+")
+                products = list(map(product_tokens.get, tokens))
+                if reactants is None or None in products:
+                    reactants, products = _reaction_indices(left, right, index, line_no)
+                    sides[left] = reactants
+                    product_tokens.update(zip(tokens, products))
+                in_len.append(len(reactants))
+                in_idx += reactants
+                out_len.append(len(products))
+                out_idx += products
+                rates.append(rate)
+                continue
+            toks = line.split()
+            if toks[0] == "species":
+                for nm in toks[1:]:
+                    problem = _species_name_problem(nm)
+                    if problem is not None:
+                        raise ParseError(line_no, problem)
+                    if nm in index:
+                        raise ParseError(line_no, f"duplicate species {nm!r}")
+                    if nm in outs:
+                        raise ParseError(line_no, f"species {nm!r} repeats a diff output")
+                    index[nm] = len(species)
+                    species.append(nm)
+                continue
+            if toks[0] == "init":
+                if len(toks) != 3:
+                    raise ParseError(line_no, "init takes: name value")
+                if toks[1] not in index:
+                    raise ParseError(line_no, f"init of undeclared species {toks[1]!r}")
+                if toks[1] in init:
+                    raise ParseError(line_no, f"duplicate init for {toks[1]!r}")
                 try:
-                    rate = float(rate_str)
+                    val = float(toks[2])
                 except ValueError:
-                    raise ParseError(line_no, f"bad rate {rate_str!r}") from None
-                if not 0.0 < rate < math.inf:
-                    if not math.isfinite(rate):
-                        raise ParseError(line_no, f"non-finite rate {rate_str!r}")
-                    raise ParseError(line_no, "rate must be positive")
-                checked_rates[rate_str] = rate
-            reactants = sides.get(left)
-            tokens = right.split("+")
-            products = list(map(product_tokens.get, tokens))
-            if reactants is None or None in products:
-                reactants, products = _reaction_indices(left, right, index, line_no)
-                sides[left] = reactants
-                product_tokens.update(zip(tokens, products))
-            in_len.append(len(reactants))
-            in_idx += reactants
-            out_len.append(len(products))
-            out_idx += products
-            rates.append(rate)
-            continue
-        toks = line.split()
-        if toks[0] == "species":
-            for nm in toks[1:]:
-                problem = _species_name_problem(nm)
-                if problem is not None:
-                    raise ParseError(line_no, problem)
-                if nm in index:
-                    raise ParseError(line_no, f"duplicate species {nm!r}")
-                if nm in outs:
-                    raise ParseError(line_no, f"species {nm!r} repeats a diff output")
-                index[nm] = len(species)
-                species.append(nm)
-            continue
-        if toks[0] == "init":
-            if len(toks) != 3:
-                raise ParseError(line_no, "init takes: name value")
-            if toks[1] not in index:
-                raise ParseError(line_no, f"init of undeclared species {toks[1]!r}")
-            if toks[1] in init:
-                raise ParseError(line_no, f"duplicate init for {toks[1]!r}")
-            try:
-                val = float(toks[2])
-            except ValueError:
-                raise ParseError(line_no, f"bad init value {toks[2]!r}") from None
-            if not math.isfinite(val):
-                raise ParseError(line_no, f"non-finite init value {toks[2]!r}")
-            if val < 0.0:
-                raise ParseError(line_no, f"negative init for {toks[1]!r}")
-            init[toks[1]] = val
-            continue
-        raise ParseError(line_no, f"unrecognized line {line!r}")
+                    raise ParseError(line_no, f"bad init value {toks[2]!r}") from None
+                if not math.isfinite(val):
+                    raise ParseError(line_no, f"non-finite init value {toks[2]!r}")
+                if val < 0.0:
+                    raise ParseError(line_no, f"negative init for {toks[1]!r}")
+                init[toks[1]] = val
+                continue
+            raise ParseError(line_no, f"unrecognized line {line!r}")
+        first_no += len(lines)
 
     ends = [first for _, first in starts[1:]] + [len(rates)]
     blocks = tuple((label, end - first) for (label, first), end in zip(starts, ends))

@@ -123,6 +123,39 @@ def materialised_study(net, cfg, hs, oracle_step=None):
     return rows
 
 
+def field_all_at_once(net):
+    """The mass-action field with M filled by one np.add.at over every
+    species occurrence of every reaction, reactants before products,
+    reaction by reaction: the order of the sums `mass_action_field` keeps."""
+    table, n_sp = net.table, len(net.species)
+    n_in, n_out = np.diff(table.in_off), np.diff(table.out_off)
+    pair = np.full((len(table), 2), n_sp, dtype=np.intp)
+    for k in (0, 1):
+        on = n_in > k
+        pair[on, k] = table.in_idx[table.in_off[:-1][on] + k]
+    pair.sort(axis=1)
+    cols = {}
+    rx_col = np.array([cols.setdefault(tuple(p), len(cols)) for p in pair.tolist()],
+                      dtype=np.intp)
+    occ_sp, occ_col, occ_val = [], [], []
+    for r in range(len(table)):
+        for side, sign in ((table.in_idx[table.in_off[r] : table.in_off[r + 1]], -1.0),
+                           (table.out_idx[table.out_off[r] : table.out_off[r + 1]], 1.0)):
+            occ_sp += side.tolist()
+            occ_col += [rx_col[r]] * side.size
+            occ_val += [sign * table.rates[r]] * side.size
+    M = np.zeros((1, n_sp, len(cols)))
+    np.add.at(M[0], (np.array(occ_sp, dtype=np.intp), np.array(occ_col, dtype=np.intp)),
+              np.array(occ_val))
+    pairs = np.array(list(cols), dtype=np.intp).reshape(1, -1, 2)
+
+    def rhs(c):
+        ext = np.append(c, 1.0)  # slot n_sp reads the constant 1.0
+        return np.matmul(M, ext[pairs[:, :, :1]] * ext[pairs[:, :, 1:]]).reshape(n_sp)
+
+    return rhs
+
+
 def interleave(plus, minus) -> np.ndarray:
     """Pack (plus, minus) vectors into the rail layout [p1, m1, p2, m2, ...]."""
     return np.column_stack([plus, minus]).ravel()

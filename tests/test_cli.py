@@ -1,8 +1,10 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -21,6 +23,9 @@ from circ2crn.circuit import parse_netlist
 
 from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block, rl_ladder
 
+# the worked example of the README, as written there
+README_HP = ("V vin 1 0 FOURIER 0 1 1 0    # vin(t) = sin(t)\n"
+             "R r1  1 2 1\nL l1  2 0 1\nOUT 2\n")
 SINGULAR = "V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n"
 # one source, so `freq` compiles it: nodes 2 and 3 reach ground only through
 # the current source, which makes the pencil singular
@@ -181,7 +186,13 @@ class TestCompile:
          "the circuit's rates overflow: its component values are too far apart"),
         # direct mode: gamma = 1/h overflows to inf
         (RC_LOWPASS, ["-h", "1e-310"], "h=1e-310 is too small: gamma = 1/h overflows"),
-    ], ids=["tiny_resistor", "tiny_step", "huge_ratio", "direct_infinite_gamma"])
+        # each conductance or capacitance is finite, and their sum at a node is not
+        ("R r1 1 0 1e-308\nR r2 1 0 1e-308\nC c1 1 0 1\nOUT 1\n", [],
+         "the conductances at node 1 (r1, r2) overflow when summed"),
+        ("V v 1 0 DC 1\nR r1 1 2 1\nC c1 2 0 1e308\nC c2 2 0 1e308\nOUT 2\n", [],
+         "the capacitances at node 2 (c1, c2) overflow when summed"),
+    ], ids=["tiny_resistor", "tiny_step", "huge_ratio", "direct_infinite_gamma",
+            "summed_conductances", "summed_capacitances"])
     def test_an_overflow_exits_1_with_one_error_line(self, tmp_path, capsys, text, flags,
                                                      message):
         # the message names the input at fault, and numpy warns of no overflow
@@ -199,6 +210,52 @@ class TestCompile:
         text = open(out).read()
         assert "->{" in text
         assert " 0\n" not in circuit_block(text)  # no annihilations emitted
+
+
+class TestPinnedBytes:
+    """SHA-256 digests of command outputs, pinned, so a change to how the
+    .crn is written or read cannot move a byte of them."""
+
+    @pytest.mark.parametrize("text,digest", [
+        (README_HP, "0c11cfffdeb3de4583dae592d0f90e6b13929850564e1c6d443dffe1cf7be3b2"),
+        (rl_ladder(60), "7911668d3a1e6244bfa0ef7d207e28992466d4f952d74914ff9b4d80b2318e92"),
+    ], ids=["readme_hp", "rl_ladder_60"])
+    def test_compile_writes_the_pinned_file(self, tmp_path, text, digest):
+        out = tmp_path / "out.crn"
+        assert main(["compile", _write(tmp_path, "in.cir", text), "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_simulate_writes_the_pinned_csv(self, tmp_path):
+        crn, csv_path = tmp_path / "l.crn", tmp_path / "l.csv"
+        assert main(["compile", _write(tmp_path, "l.cir", rl_ladder(20)), "-o", str(crn)]) == 0
+        assert main(["simulate", str(crn), "-T", "0.05", "-o", str(csv_path)]) == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "b1a823c3744feefb900fd04368d639032906f202508908647cba37974e5f0461")
+
+
+def _traced_peak(argv) -> int:
+    """The peak bytes tracemalloc traces while the CLI runs argv."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_compile_and_simulate_peak_below_five_times_the_file(self, tmp_path):
+        # compile writes and simulate reads the .crn a piece at a time, so
+        # neither holds its whole text, nor a line list or an object array
+        # the size of the file (the 2.9 MB file of a k = 120 ladder)
+        crn_path = tmp_path / "l.crn"
+        compile_peak = _traced_peak(["compile", _write(tmp_path, "l.cir", rl_ladder(120)),
+                                     "-o", str(crn_path)])
+        simulate_peak = _traced_peak(["simulate", str(crn_path), "-T", "0.0005",
+                                      "-o", str(tmp_path / "l.csv")])
+        size = crn_path.stat().st_size
+        assert compile_peak <= 5 * size, compile_peak / size
+        assert simulate_peak <= 5 * size, simulate_peak / size
 
 
 class TestSimulate:

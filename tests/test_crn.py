@@ -10,11 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from circ2crn.circuit import Fourier, build_dae, parse_netlist, source_models
+from circ2crn import crn
 from circ2crn.crn import (
     CIRCUIT_BLOCK,
     Crn,
     Reaction,
     ReactionTable,
+    crn_lines,
     difference_system,
     emit_crn,
     mass_action_field,
@@ -27,7 +29,8 @@ from circ2crn.errors import ParseError, ValidationError
 from circ2crn.pipeline import RunConfig, compile_circuit
 from circ2crn.positivation import RailSystem, hungarize, positivate, rail_field, split_initial
 
-from conftest import RC_LOWPASS, RL_DC, RL_SINE, TWO_CAP, rl_ladder, rlc_netlists, signed_ode
+from conftest import (RC_LOWPASS, RL_DC, RL_SINE, TWO_CAP, field_all_at_once, rl_ladder,
+                      rlc_netlists, signed_ode)
 
 DATA = Path(__file__).parent / "data"
 
@@ -888,3 +891,120 @@ def test_field_build_memory_is_bounded_on_a_large_ladder():
         tracemalloc.stop()
     assert peak < 16e6
     assert field(net.initial_state()).shape == (346,)
+
+
+def compiled_ladder(k: int, omega: float = 1.0) -> Crn:
+    drive = Fourier(0.0, ((1.0, omega, 0.0),))
+    net = replace(parse_netlist(rl_ladder(k)), source_waveforms={"vin": drive})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return compile_circuit(net, RunConfig()).crn
+
+
+@pytest.fixture(scope="module")
+def ladder_120_text():
+    text = serialize_crn(compiled_ladder(120))
+    assert len(text) > 2 * crn._BLOCK
+    return text
+
+
+def parse_both_ways(tmp_path, text: str, newline=None):
+    """parse_crn of the text, and of a file holding it opened in text mode,
+    each as the network or the ParseError's message."""
+    path = tmp_path / "net.crn"
+    path.write_bytes(text.encode())
+    results = []
+    with open(path, newline=newline) as fh:
+        for source in (text, fh):
+            try:
+                results.append(parse_crn(source))
+            except ParseError as exc:
+                results.append(str(exc))
+    return results
+
+
+class TestChunkedWriter:
+    def test_pieces_are_whole_lines_with_reactions_in_chunks(self):
+        net = compiled_ladder(40)
+        assert len(net.table) > crn._CHUNK
+        pieces = list(crn_lines(net))
+        assert "".join(pieces) == serialize_crn(net)
+        assert all(piece.endswith("\n") for piece in pieces if piece)
+        assert max(piece.count("->{") for piece in pieces) == crn._CHUNK
+
+
+class TestBlockReader:
+    def test_a_file_of_several_blocks_reads_as_its_text(self, tmp_path, ladder_120_text):
+        from_text, from_file = parse_both_ways(tmp_path, ladder_120_text)
+        assert from_file == from_text
+        assert serialize_crn(from_file) == ladder_120_text
+
+    def test_a_bad_line_across_the_first_block_boundary(self, tmp_path):
+        head = "species a b\n"
+        line = "a ->{1} b\n"
+        bad = "a ->{1} b + c"
+        fill = (crn._BLOCK - len(head)) // len(line)
+        text = head + line * fill + bad + "\n" + line * 3
+        start = len(head) + fill * len(line)
+        assert text[start:].startswith(bad) and start < crn._BLOCK < start + len(bad)
+        from_text, from_file = parse_both_ways(tmp_path, text)
+        assert from_text == from_file == f"line {fill + 2}: undeclared species 'c'"
+
+    @pytest.mark.parametrize("newline", [None, ""], ids=["universal", "untranslated"])
+    def test_a_crlf_split_by_the_block_boundary_is_one_break(self, tmp_path, newline):
+        # the first block ends in "\r" and the second opens with its "\n"
+        head = "species a b\r\n"
+        line = "a ->{1} b\r\n"
+        fill = (crn._BLOCK - len(head)) // len(line)
+        pad = crn._BLOCK - len(head) - fill * len(line) - 1
+        text = head + line * fill + "#" + "x" * (pad - 1) + "\r\nbogus\r\n"
+        assert text[crn._BLOCK - 1 : crn._BLOCK + 1] == "\r\n"
+        from_text, from_file = parse_both_ways(tmp_path, text, newline)
+        assert from_text == from_file == f"line {fill + 3}: unrecognized line 'bogus'"
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("\n", "\r\n"),
+        lambda t: t.replace("\n# circuit reactions", "\f# circuit reactions", 1),
+        lambda t: t[:-1],
+    ], ids=["crlf", "form_feed", "no_final_newline"])
+    def test_line_endings_read_alike_both_ways(self, tmp_path, edit):
+        text = serialize_crn(compiled_ladder(3))
+        edited = edit(text)
+        assert edited != text
+        from_text, from_file = parse_both_ways(tmp_path, edited)
+        assert from_text == from_file == parse_crn(text)
+
+    @pytest.mark.parametrize("text,message", [
+        ("species a\r\nbogus\r\n", "line 2: unrecognized line 'bogus'"),
+        ("species a\fbogus\n", "line 2: unrecognized line 'bogus'"),
+        ("species a\n\nbogus", "line 3: unrecognized line 'bogus'"),
+    ], ids=["crlf", "form_feed", "no_final_newline"])
+    def test_line_numbers_read_alike_both_ways(self, tmp_path, text, message):
+        assert parse_both_ways(tmp_path, text) == [message, message]
+
+
+class TestChunkedField:
+    def test_a_compiled_ladder_field_equals_the_all_at_once_build_bitwise(self):
+        net = compiled_ladder(40)
+        assert len(net.table) > crn._CHUNK
+        field, want = mass_action_field(net), field_all_at_once(net)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            c = rng.uniform(0.0, 2.0, len(net.species))
+            assert np.array_equal(field(c), want(c))
+
+    def test_sums_across_the_chunk_boundary_keep_their_order(self):
+        # every reaction adds its rate to one entry of M, so any other order
+        # of the sums would round differently
+        n = 2 * crn._CHUNK + 7
+        rates = 10.0 ** np.random.default_rng(4).uniform(-3.0, 3.0, n)
+        table = ReactionTable.from_sides(np.ones(n), np.zeros(n), np.full(n, 2),
+                                         np.tile([0, 1], n), rates)
+        net = Crn(("a", "b"), table)
+        c = np.array([0.7, 0.3])
+        assert np.array_equal(mass_action_field(net)(c), field_all_at_once(net)(c))
+
+    def test_stacked_networks_across_the_chunk_boundary_equal_their_own_fields(self):
+        nets = [compiled_ladder(40, omega) for omega in (0.7, 2.9)]
+        assert len(nets[0].table) > crn._CHUNK
+        assert_stacked_equals_own_fields(nets, np.random.default_rng(8))
