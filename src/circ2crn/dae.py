@@ -11,10 +11,10 @@ comparison; `reference_map` is its map, and `reference_solve` collects
 its rows into a `Trajectory`.
 
 `Rows` is the one contract of every stepped trajectory: RK4's rows
-(`sim.rk4_rows`) and those of affine maps stepped together (`stepped`) are
-handed out as a `Rows` stream, row 0 and then the checked blocks of
-`numerics.checked_blocks`, and `Rows.collect` is the one loop that copies a
-stream into a table.
+(`sim.rk4_rows`) and those of one affine map (`stepped`) are handed out as
+a `Rows` stream, row 0 and then the checked blocks of
+`numerics.checked_blocks`, one array each, and `Rows.collect` is the one
+loop that copies a stream into a table.
 `grid_steps` is the one rule of a stepped run's grid: its step count, and
 its refusal before anything is compiled, allocated or stepped.
 """
@@ -422,10 +422,11 @@ def reference_map(sys: DaeSystem, inp: InputModel, x0, h: float,
     return names, phi, np.concatenate([as_vector(x0, "x0"), inp.init, [1.0]])
 
 
-def stepped(phis, y0, steps: int, dt: float) -> Rows:
-    """Row 0 = y0 and the blocks of `numerics.propagate`, row k at time
-    k*dt, each column block stepped by its map in phis."""
-    return Rows(dt, steps, chain([y0[None]], propagate(phis, y0, steps, dt)))
+def stepped(phi, y0, steps: int, dt: float) -> Rows:
+    """Row 0 = y0 and then the rows of `numerics.propagate` of the one map
+    phi, one array per block, row k at time k*dt."""
+    blocks = (block for [block] in propagate([phi], y0, steps, dt))
+    return Rows(dt, steps, chain([y0[None]], blocks))
 
 
 def reference_solve(
@@ -452,5 +453,5 @@ def reference_solve(
     if max_points is not None and n_steps > max_points:
         stride = int(np.ceil(n_steps / max_points))
     names, phi, y0 = reference_map(sys, inp, x0, h, stride)
-    rows = stepped([phi], y0, n_steps // stride, stride * h)
+    rows = stepped(phi, y0, n_steps // stride, stride * h)
     return rows.collect(names)

@@ -14,7 +14,8 @@ pencil from round-off.  The factorization, the inverse and the solve inside
 y' = M y exactly on a grid: y(k dt) = Phi^k y(0) with Phi = expm(M dt).
 `checked_blocks` is the one block loop of every stepped stream, RK4's
 (`sim.rk4_rows`) and `propagate`'s: it hands out rows in checked blocks of
-one fixed length.
+one fixed length, each block one array per part of the state (per diagonal
+block of `propagate`'s map).
 """
 
 from __future__ import annotations
@@ -116,43 +117,58 @@ def expm(m) -> np.ndarray:
     return r
 
 
-def checked_blocks(fill, y0: np.ndarray, steps: int, dt: float, limit: float):
-    """The rows 1 .. steps after y0, as blocks of _BLOCK_ROWS rows and then
-    one of the rest, a schedule that depends on steps alone.
+def checked_blocks(fill, y0s, steps: int, dt: float, limit: float):
+    """The rows 1 .. steps after the states y0s, as blocks of _BLOCK_ROWS
+    rows and then one of the rest, a schedule that depends on steps alone.
 
-    fill(block, y) writes the rows of each fresh block, y being the row
-    before it, under one errstate that silences overflow.  Each block is
-    checked whole, and a row passes when every |entry| <= limit, so NaN and
-    +-inf fail whatever the limit.  At the first row that fails, the rows
-    before it are yielded and NonFiniteState is raised with that row's time.
-    The yielded arrays are the caller's to keep.
+    Each block is a list of parts, one C-contiguous array per state of y0s
+    and as wide as it, all of them laid end to end in one fresh buffer.
+    fill(parts, ys) writes them, ys being the rows before them, under one
+    errstate that silences overflow.  The buffer is checked whole, and a
+    row passes when every |entry| <= limit, so NaN and +-inf fail whatever
+    the limit.  At the first row that fails in any part, the rows of every
+    part before it are yielded and NonFiniteState is raised with that row's
+    time.  The yielded arrays are the caller's to keep.
     """
-    y = y0
+    ends = np.cumsum([0] + [y.shape[0] for y in y0s]).tolist()
+    ys = y0s
     for start in range(1, steps + 1, _BLOCK_ROWS):
-        block = np.empty((min(_BLOCK_ROWS, steps + 1 - start), y0.shape[0]))
+        rows = min(_BLOCK_ROWS, steps + 1 - start)
+        block = np.empty(rows * ends[-1])
+        parts = [block[rows * a : rows * b].reshape(rows, b - a)
+                 for a, b in zip(ends, ends[1:])]
         with np.errstate(over="ignore", invalid="ignore"):
-            fill(block, y)
-        # |row| <= limit by two reductions, with no copy; NaN fails them too
+            fill(parts, ys)
+        # |entry| <= limit by two reductions, with no copy; NaN fails them too
         if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
-            bad = int(np.argmin((np.abs(block) <= limit).all(axis=1)))
+            bad = min(_passing_rows(part, limit) for part in parts)
             if bad:
-                yield block[:bad]
+                yield [part[:bad] for part in parts]
             raise NonFiniteState((start + bad) * dt)
-        yield block
-        y = block[-1]
+        yield parts
+        ys = [part[-1] for part in parts]
+
+
+def _passing_rows(rows: np.ndarray, limit: float) -> int:
+    """The number of leading rows in which every |entry| <= limit."""
+    passing = (np.abs(rows) <= limit).all(axis=1)
+    return len(rows) if passing.all() else int(np.argmin(passing))
 
 
 def propagate(phis, y0: np.ndarray, steps: int, dt: float):
-    """The rows Phi^1 y0 .. Phi^steps y0 of Phi = diag(phis), as the blocks
-    of `checked_blocks`, which fail at the first row that is not finite.
+    """The rows Phi_i^1 y_i .. Phi_i^steps y_i of each diagonal block Phi_i
+    of one map, y0 stacking the states y_i, as the blocks of
+    `checked_blocks`: each block holds one C-contiguous array per diagonal
+    block, and the stream fails at the first row that is not finite in any.
 
-    phis are the square diagonal blocks of Phi, and y0 stacks their states.
-    Each diagonal block fills its own columns from its own table of powers
+    Each diagonal block fills its own array from its own table of powers
     (b of them, bounded by _TABLE_ENTRIES and _BLOCK_ROWS), b rows at a
-    time, each b rows one matrix product with the row before them, so its
-    columns equal its own propagation bit for bit.
+    time from the block's first row, each b rows one matrix product with the
+    row before them, written in place.  So each array equals its own
+    propagation alone bit for bit.
     """
-    if any(np.ndim(phi) != 2 or phi.shape[0] != phi.shape[1] for phi in phis):
+    if len(phis) == 0 or any(np.ndim(phi) != 2 or phi.shape[0] != phi.shape[1]
+                             for phi in phis):
         raise ValueError("phis must be the square diagonal blocks of one map")
     tables = []
     for phi in phis:
@@ -174,14 +190,14 @@ def propagate(phis, y0: np.ndarray, steps: int, dt: float):
         if not finite.all():
             table = max(1, int(np.argmin(finite)))
         tables.append(powers[:table].reshape(table * size, size))
-    ends = np.cumsum([0] + [phi.shape[0] for phi in phis]).tolist()
+    y0s = np.split(y0, np.cumsum([len(phi) for phi in phis])[:-1])
 
-    def fill(ys, y):
-        for a, b, stacked in zip(ends, ends[1:], tables):
-            x, table = y[a:b], len(stacked) // (b - a)
-            for lo in range(0, len(ys), table):
-                rows = ys[lo : lo + table, a:b]
-                rows[:] = (stacked[: len(rows) * (b - a)] @ x).reshape(rows.shape)
+    def fill(parts, ys):
+        for part, x, stacked in zip(parts, ys, tables):
+            table = len(stacked) // len(x)
+            for lo in range(0, len(part), table):
+                rows = part[lo : lo + table]
+                np.matmul(stacked[: rows.size], x, out=rows.reshape(-1))
                 x = rows[-1]
 
-    yield from checked_blocks(fill, y0, steps, dt, np.finfo(float).max)
+    yield from checked_blocks(fill, y0s, steps, dt, np.finfo(float).max)

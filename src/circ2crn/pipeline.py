@@ -12,9 +12,12 @@ text: under mass action its rail differences obey an affine law exactly,
 which it propagates on the h/20 grid and compares with a backward-Euler run
 of ORACLE_STEPS steps of h/100 per grid row on the exact pencil.  The two
 are stepped as the diagonal blocks of one map, in blocks of one fixed
-length (`numerics.propagate`), and compared block by block, so memory does
-not grow with the horizon.  `convergence_study` is `verify_circuit` at each
-of its h values, so each row is the number `verify` prints at that h.
+length (`numerics.propagate`), each block holding one array per side, and
+compared block by block, so memory does not grow with the horizon.  The
+circuit states lead both sides, the network's differences and the
+oracle's columns, in the same order, so the comparison reads both in
+place.  `convergence_study` is `verify_circuit` at each of its h values,
+so each row is the number `verify` prints at that h.
 
 Every grid's step count, and its refusal, comes from `dae.grid_steps`; the
 one grid arithmetic left here is `freq`'s fit window.
@@ -35,6 +38,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -53,9 +57,9 @@ from .dae import (
     e_invertible,
     grid_steps,
     reference_map,
-    stepped,
 )
 from .errors import ValidationError
+from .numerics import propagate
 from .positivation import hungarize, positivate, rails, split_initial
 from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_map, rk4_rows
 
@@ -183,8 +187,9 @@ def verify_circuit(net: Netlist, cfg: RunConfig) -> float:
     exactly on the h/20 grid (`RunConfig.resolve_dt`).  It is stepped with
     the oracle's map from one grid row to the next (`dae.reference_map`,
     ORACLE_STEPS steps of h/100) as the two diagonal blocks of one map
-    (`dae.stepped`), and the two are compared block by block.  A blow-up of
-    either raises NonFiniteState at its earliest row.  ValidationError,
+    (`numerics.propagate`), and the leading columns of the two, the circuit
+    states, are compared block by block.  A blow-up of either raises
+    NonFiniteState at its earliest row.  ValidationError,
     before anything is compiled, when `dae.grid_steps` refuses the grid, and
     later when the difference law is not exact.
     """
@@ -194,17 +199,18 @@ def verify_circuit(net: Netlist, cfg: RunConfig) -> float:
     _, oracle, y_oracle = reference_map(compiled.sys, compiled.inp, compiled.x0,
                                         cfg.h / (DT_RULE_FACTOR * ORACLE_STEPS), ORACLE_STEPS)
     emitted = parse_crn(serialize_crn(compiled.crn))
-    outs = [out for out, _, _ in emitted.diffs]
     states = compiled.sys.state_names
+    k = len(states)
+    if tuple(out for out, _, _ in emitted.diffs[:k]) != states:
+        raise AssertionError("the emitted differences do not lead with the circuit states")
     artifact, y_artifact = linear_map(*difference_system(emitted), dt)
-    mine = [outs.index(name) for name in states]
-    theirs = slice(len(y_artifact), len(y_artifact) + len(states))
-    joint = stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]), steps, dt)
+    joint = propagate([artifact, oracle], np.concatenate([y_artifact, y_oracle]), steps, dt)
     worst = 0.0
-    for block in joint.blocks:
-        gap = np.subtract(block[:, mine], block[:, theirs])
-        worst = max(worst, float(np.max(np.abs(gap, out=gap), initial=0.0)))
-        del block, gap  # the next block is filled without this one held
+    for mine, theirs in chain([(y_artifact[None], y_oracle[None])], joint):
+        # in F order each inner loop runs down a column, not along k entries of a row
+        gap = np.subtract(mine[:, :k], theirs[:, :k], order="F")
+        worst = max(worst, float(np.abs(gap, out=gap).max(initial=0.0)))
+        del mine, theirs, gap  # the next block is filled without this one held
     return worst
 
 

@@ -18,12 +18,12 @@ of E^-1 A, which do not depend on h: a circuit time constant well below h
 makes RK4 at h/20 blow up.
 
 `linear_map` is the matrix exponential of one grid step of a linear
-system x' = F x + g, which `dae.stepped` steps exactly.  `verify`
+system x' = F x + g, which `numerics.propagate` steps exactly.  `verify`
 certifies with it, on the rail differences of an emitted network
 (`crn.difference_system`): that map and the oracle's are stepped as the
-two diagonal blocks of one map, and the sup error is folded over the
-blocks of that one stream, so nothing of the length of the horizon is
-stored.
+two diagonal blocks of one map, each into its own array of each block,
+and the sup error is folded over the blocks of that one stream, so
+nothing of the length of the horizon is stored.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ def rk4_rows(field, x0, steps: int, dt: float) -> Rows:
     half = 0.5 * dt
     sixth = dt / 6.0
 
-    def fill(block, x):
+    def fill(parts, xs):
+        [block], [x] = parts, xs
         for row in block:
             k1 = field(x)
             k2 = field(x + half * k1)
@@ -84,7 +85,8 @@ def rk4_rows(field, x0, steps: int, dt: float) -> Rows:
             x = row
 
     x = as_vector(x0, "x0")
-    return Rows(dt, steps, chain([x[None]], checked_blocks(fill, x, steps, dt, BLOWUP_LIMIT)))
+    blocks = (block for [block] in checked_blocks(fill, [x], steps, dt, BLOWUP_LIMIT))
+    return Rows(dt, steps, chain([x[None]], blocks))
 
 
 def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
@@ -101,7 +103,7 @@ def integrate(field, x0, T: float, dt: float, names=None) -> Trajectory:
 
 
 def linear_map(F, g, x0, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One grid step of the exact solution of x' = F x + g, for `dae.stepped`.
+    """One grid step of the exact solution of x' = F x + g, for `numerics.propagate`.
 
     Returns expm([[F, g], [0, 0]] dt), which steps y = (x, 1) from k*dt to
     (k + 1)*dt, and y0 = (x0, 1): each stepped row holds x and then the

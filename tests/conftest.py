@@ -118,7 +118,7 @@ def materialised_study(net, cfg, hs, oracle_step=None):
         emitted = parse_crn(serialize_crn(compiled.crn))
         outs = [out for out, _, _ in emitted.diffs]
         phi, y0 = linear_map(*difference_system(emitted), dt)
-        traj = stepped([phi], y0, grid, dt).collect(outs)
+        traj = stepped(phi, y0, grid, dt).collect(outs)
         rows.append((h, sup_error(traj, ref, compiled.sys.state_names)))
     return rows
 

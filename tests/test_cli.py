@@ -438,6 +438,19 @@ class TestVerify:
             "0.02,0.022265888171905918",
         ]
 
+    @pytest.mark.parametrize("text, args, rows", [
+        # direct mode (E invertible), whose tables hold 512 powers
+        (RC_LOWPASS, ["-T", "10", "--study", "0.02,0.01"],
+         ["0.02,3.6784878780116159e-05", "0.01,1.8393205713840288e-05"]),
+        # a k = 8 RL ladder, whose tables of 20 x 20 maps hold 163 powers
+        (rl_ladder(8), ["-T", "2", "--study", "0.02"], ["0.02,0.017033758932168901"]),
+    ], ids=["direct_rc", "ladder_8"])
+    def test_study_rows_of_direct_mode_and_of_short_tables_are_pinned(self, tmp_path, capsys,
+                                                                      text, args, rows):
+        netlist = _write(tmp_path, "net.cir", text)
+        assert main(["verify", netlist, "--tol", "1"] + args) == 0
+        assert capsys.readouterr().out.splitlines() == ["h,sup_error"] + rows
+
     @pytest.mark.parametrize("study", ["nan", "0.02,nan"])
     def test_a_non_finite_study_h_names_h(self, tmp_path, capsys, study):
         netlist = _write(tmp_path, "hp.cir", RL_SINE)

@@ -626,6 +626,19 @@ def test_compiled_network_round_trips_byte_for_byte(text):
     assert again == compiled.crn
 
 
+@settings(max_examples=100, deadline=None)
+@given(rlc_netlists())
+def test_the_leading_differences_are_the_circuit_states_in_order(text):
+    """verify compares the leading differences of the read-back network
+    with the oracle's leading columns, the circuit states, in place."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        compiled = compile_circuit(parse_netlist(text), RunConfig())
+    states = compiled.sys.state_names
+    for net in (compiled.crn, parse_crn(serialize_crn(compiled.crn))):
+        assert tuple(out for out, _, _ in net.diffs[: len(states)]) == states
+
+
 @settings(max_examples=60, deadline=None)
 @given(rlc_netlists(), st.integers(0, 2**32 - 1))
 def test_compiled_field_equals_rail_field(text, seed):

@@ -287,7 +287,7 @@ class TestPropagate:
         rng = np.random.default_rng(11)
         m = rng.normal(size=(40, 40)) - 6.0 * np.eye(40)
         phi, y0 = expm(0.01 * m), rng.normal(size=40)
-        blocks = list(propagate([phi], y0, 100, 0.01))
+        blocks = [block for [block] in propagate([phi], y0, 100, 0.01)]
         assert [len(b) for b in blocks] == [100]
         rows = np.concatenate(blocks)
         for k in (1, 2, 39, 40, 41, 80, 81, 99, 100):
@@ -306,7 +306,7 @@ class TestPropagate:
         for k in (1, rows_per_block - 1, rows_per_block, longest):
             assert _rel_err(want[k - 1], np.linalg.matrix_power(phi, k) @ y0) <= 1e-13
         for steps in (0, 1, rows_per_block - 1, rows_per_block, rows_per_block + 1, longest):
-            blocks = list(propagate([phi], y0, steps, 0.1))
+            blocks = [block for [block] in propagate([phi], y0, steps, 0.1)]
             full, rest = divmod(steps, rows_per_block)
             assert [len(b) for b in blocks] == [rows_per_block] * full + [rest] * (rest > 0)
             for got, row in zip(chain.from_iterable(blocks), want):
@@ -318,7 +318,7 @@ class TestPropagate:
     def test_first_non_finite_row_raises_with_its_time(self):
         rows = []
         with pytest.raises(NonFiniteState) as exc_info:
-            for block in propagate([np.array([[1e200]])], np.array([1.0]), 5, 0.5):
+            for [block] in propagate([np.array([[1e200]])], np.array([1.0]), 5, 0.5):
                 rows.extend(block.tolist())
         assert exc_info.value.time == 1.0
         assert rows == [[1e200]]
@@ -328,7 +328,7 @@ class TestPropagate:
         # lies inside a block after the first
         rows = []
         with pytest.raises(NonFiniteState) as exc_info:
-            for block in propagate([np.array([[2.0]])], np.array([2.0**-1074]), 3000, 0.5):
+            for [block] in propagate([np.array([[2.0]])], np.array([2.0**-1074]), 3000, 0.5):
                 rows.extend(block[:, 0].tolist())
         assert exc_info.value.time == 2098 * 0.5
         assert rows == [2.0 ** (k - 1074) for k in range(1, 2098)]
@@ -337,7 +337,8 @@ class TestPropagate:
         [np.ones((2, 3))],  # a block that is not square
         [np.eye(2), np.ones(3)],  # a vector among the blocks
         np.eye(2),  # one matrix where its list is due: its rows are not blocks
-    ], ids=["not_square", "vector", "bare_matrix"])
+        [],  # no block: nothing would fill the rows
+    ], ids=["not_square", "vector", "bare_matrix", "no_block"])
     def test_blocks_that_are_not_square_matrices_are_refused(self, phis):
         with pytest.raises(ValueError, match="square diagonal blocks"):
             list(propagate(phis, np.ones(2), 3, 0.1))
@@ -356,13 +357,15 @@ class TestPropagate:
         y0 = np.concatenate([[2.0**-1074], x0, [2.0**-1074]])
         got = []
         with pytest.raises(NonFiniteState) as exc_info:
-            for block in propagate(phis, y0, 3000, 0.5):
-                got.append(block)
+            for parts in propagate(phis, y0, 3000, 0.5):
+                got.append(parts)
         assert exc_info.value.time == bad * 0.5
-        rows = np.concatenate(got)
-        assert len(rows) == bad - 1 and np.isfinite(rows).all()
-        alone = np.concatenate(list(propagate([finite], x0, bad - 1, 0.5)))
-        assert np.array_equal(rows[:, 1:8], alone)
+        # the rows before it, in every diagonal block's own array
+        first, middle, last = (np.concatenate(rows) for rows in zip(*got))
+        for rows in (first, middle, last):
+            assert len(rows) == bad - 1 and np.isfinite(rows).all()
+        alone = np.concatenate([block for [block] in propagate([finite], x0, bad - 1, 0.5)])
+        assert np.array_equal(middle, alone)
 
 
 @st.composite
@@ -384,11 +387,16 @@ def test_each_block_of_a_joint_stream_is_its_own_propagation(blocks, steps):
     phis, y0 = blocks
     joint = list(propagate(phis, y0, steps, 0.1))
     full, rest = divmod(steps, numerics._BLOCK_ROWS)
-    assert [len(b) for b in joint] == [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
-    rows = np.concatenate([np.empty((0, len(y0)))] + joint)
+    lengths = [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
+    # one C-contiguous array per diagonal block, as wide as that block
+    assert [[part.shape for part in parts] for parts in joint] == [
+        [(n, len(phi)) for phi in phis] for n in lengths]
+    assert all(part.flags.c_contiguous for parts in joint for part in parts)
     lo = 0
-    for phi in phis:
+    for i, phi in enumerate(phis):
         hi = lo + len(phi)
-        alone = [np.empty((0, len(phi)))] + list(propagate([phi], y0[lo:hi], steps, 0.1))
-        assert np.array_equal(rows[:, lo:hi], np.concatenate(alone))
+        empty = [np.empty((0, len(phi)))]
+        alone = empty + [block for [block] in propagate([phi], y0[lo:hi], steps, 0.1)]
+        own = empty + [parts[i] for parts in joint]
+        assert np.array_equal(np.concatenate(own), np.concatenate(alone))
         lo = hi

@@ -263,7 +263,7 @@ class TestExactDifferences:
     def exact(net, T, dt):
         phi, y0 = linear_map(*difference_system(parse_crn(serialize_crn(net))), dt)
         # each row holds the differences in the order of net.diffs, then the constant 1
-        rows = stepped([phi], y0, grid_steps(T, dt), dt)
+        rows = stepped(phi, y0, grid_steps(T, dt), dt)
         return rows.collect(out for out, _, _ in net.diffs)
 
     @pytest.mark.parametrize("source, mode", [(RL_DC, "euler"), (TWO_CAP, "direct")],
@@ -350,25 +350,27 @@ class TestStreamedVerify:
         law = difference_system(parse_crn(serialize_crn(compiled.crn)))
         artifact, y_artifact = linear_map(*law, dt)
         width = len(y_artifact)
-        joint = list(stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]),
-                             steps, dt).blocks)
-        # row 0, then blocks of _BLOCK_ROWS rows and one of the rest, for the
-        # exact maps and for RK4 alike
+        joint = list(numerics.propagate([artifact, oracle],
+                                        np.concatenate([y_artifact, y_oracle]), steps, dt))
+        # blocks of _BLOCK_ROWS rows and one of the rest, for the exact maps
+        # and for RK4 (after its row 0) alike
         full, rest = divmod(steps, numerics._BLOCK_ROWS)
-        want = [1] + [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
-        assert [len(block) for block in joint] == want
+        want = [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
+        assert [[len(part) for part in parts] for parts in joint] == [[n, n] for n in want]
         rk4 = sim.rk4_rows(lambda x: -x, y_artifact, steps, dt)
-        assert [len(block) for block in rk4.blocks] == want
-        # each side's columns are its own rows, and its own collected table
-        rows = np.concatenate(joint)
-        alone = stepped([artifact], y_artifact, steps, dt)
-        assert np.array_equal(rows[:, :width], np.concatenate(list(alone.blocks)))
+        assert [len(block) for block in rk4.blocks] == [1] + want
+        # each side's array is its own rows, and its own collected table
+        mine, theirs = (np.concatenate(rows) for rows in zip(*joint))
+        assert mine.shape[1] == width
+        alone = stepped(artifact, y_artifact, steps, dt)
+        assert np.array_equal(np.concatenate([y_artifact[None], mine]),
+                              np.concatenate(list(alone.blocks)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             ref = reference_solve(compiled.sys, compiled.inp, compiled.x0,
                                   (steps * stride - 0.5) * h_ref, h_ref, max_points=steps)
         assert ref.names == names
-        assert np.array_equal(rows[:, width:-1], ref.values)
+        assert np.array_equal(np.concatenate([y_oracle[None], theirs])[:, :-1], ref.values)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             got = verify_circuit(net, cfg)
@@ -420,19 +422,31 @@ class TestStreamedVerify:
         _, oracle, y_oracle = reference_map(sys, inp, x0, h_ref, round(dt / h_ref))
         tables = []
         for make in (lambda: reference_solve(sys, inp, x0, T, h_ref, grid_steps(T, dt)),
-                     lambda: stepped([artifact], y_artifact, grid_steps(T, dt), dt)
+                     lambda: stepped(artifact, y_artifact, grid_steps(T, dt), dt)
                      .collect(("x", "1"))):
             try:
                 make()
             except NonFiniteState as exc:
                 tables.append(exc.time)
-        joint = stepped([artifact, oracle], np.concatenate([y_artifact, y_oracle]),
-                        grid_steps(T, dt), dt)
+        joint = numerics.propagate([artifact, oracle], np.concatenate([y_artifact, y_oracle]),
+                                   grid_steps(T, dt), dt)
         with pytest.raises(NonFiniteState) as got:
-            for _ in joint.blocks:
+            for _ in joint:
                 pass
         assert got.value.time == min(tables)
         assert "%g" % got.value.time == "%g" % time
+
+    def test_differences_out_of_state_order_are_a_fault(self, monkeypatch):
+        # the fold reads the circuit states as the leading differences
+        compile_circuit = pipeline.compile_circuit
+
+        def reversed_diffs(net, cfg):
+            compiled = compile_circuit(net, cfg)
+            return replace(compiled, crn=replace(compiled.crn, diffs=compiled.crn.diffs[::-1]))
+
+        monkeypatch.setattr(pipeline, "compile_circuit", reversed_diffs)
+        with pytest.raises(AssertionError, match="do not lead with the circuit states"):
+            verify_circuit(parse_netlist(RL_SINE), RunConfig(T=1.0))
 
     def test_memory_does_not_grow_with_the_horizon(self):
         net = parse_netlist(rl_ladder(3))
