@@ -189,9 +189,9 @@ def verify_circuit(net: Netlist, cfg: RunConfig) -> float:
     ORACLE_STEPS steps of h/100) as the two diagonal blocks of one map
     (`numerics.propagate`), and the leading columns of the two, the circuit
     states, are compared block by block.  A blow-up of either raises
-    NonFiniteState at its earliest row.  ValidationError,
-    before anything is compiled, when `dae.grid_steps` refuses the grid, and
-    later when the difference law is not exact.
+    NonFiniteState at its earliest row.  ValidationError, before anything
+    is compiled, when `dae.grid_steps` refuses the grid, and later when the
+    difference law is not exact.
     """
     dt = cfg.resolve_dt()
     steps = grid_steps(cfg.T, dt)
