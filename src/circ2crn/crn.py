@@ -22,7 +22,7 @@ reaction lines at a time, each chunk formatted by whole-array string
 operations on the table.  `parse_crn` reads an open file _BLOCK characters
 at a time and runs its line loop over each block's `str.splitlines`, a
 line cut by a block's end being carried into the next, so lines are
-numbered and read as in the whole text.  `mass_action_field` adds the
+numbered and read as in the whole text.  `polynomial_form` adds the
 species occurrences into its matrix _CHUNK reactions at a time, in
 reaction order, so the matrix is the same bit for bit while its
 temporaries stay the size of a chunk.
@@ -387,10 +387,10 @@ def emit_crn(rs: RailSystem, init_plus, init_minus) -> Crn:
     return Crn(species, table, init)
 
 
-def mass_action_field(*nets: Crn):
-    """Evaluable concentration derivative under the law of mass action.
+def polynomial_form(*nets: Crn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The networks' mass-action law in polynomial form dc/dt = M m(c), as
+    (M, ma, mb).
 
-    The networks are compiled once into their polynomial form dc/dt = M m(c):
     m(c) holds one monomial per distinct reactant multiset (1, c_a or
     c_a c_b), and column k of M sums rate * (products - reactants) over the
     reactions on monomial k.  M therefore has at most one column per
@@ -398,16 +398,16 @@ def mass_action_field(*nets: Crn):
     the few monomials of their rails.
 
     Several networks of one structure (the same species and the same
-    reactions in the same order; rates may differ) give one field over
-    their stacked states: with B networks of n species it takes and returns
-    B*n values, network b's in [b*n, (b+1)*n).  They share the monomials
-    and keep one M each, evaluated as one stacked product, so each
-    network's slice equals its own field bit for bit.  One network is the
-    case B = 1.  ValueError when the structures differ.  The field gathers
-    through one buffer it reuses, so it must not run in two threads at once.
+    reactions in the same order; rates may differ) share the monomials and
+    keep one M each: with B networks of n species, m monomials and the
+    stacked concentrations c of B*n values, network b's in [b*n, (b+1)*n),
+    M is (B, n, m), and with ext = (c, 1.0) the monomials are
+    ext[ma] * ext[mb], both gathers shaped (B, m, 1) for the stacked
+    product M @ m(c) of shape (B, n, 1).  One network is the case B = 1.
+    ValueError when the structures differ.
     """
     if not nets:
-        raise ValueError("mass_action_field needs at least one network")
+        raise ValueError("polynomial_form needs at least one network")
     first = nets[0]
     table = first.table
     if any(other.species != first.species or not other.table.same_sides(table)
@@ -465,10 +465,25 @@ def mass_action_field(*nets: Crn):
     # the stacked concentrations fill ext[:size] and ext[size] holds the
     # constant 1.0; network b's monomials gather from its own slice, shaped
     # (network, monomial, 1) for the stacked product
-    ext = np.ones(size + 1)
     gather = n_sp * np.arange(n_net, dtype=np.intp)[:, None, None] + pairs
     gather[:, pairs == n_sp] = size
-    ma, mb = gather[:, :, :1].copy(), gather[:, :, 1:].copy()
+    return M, gather[:, :, :1].copy(), gather[:, :, 1:].copy()
+
+
+def mass_action_field(*nets: Crn):
+    """Evaluable concentration derivative under the law of mass action.
+
+    The field evaluates the networks' `polynomial_form` M m(c).  Several
+    networks of one structure give one field over their stacked states:
+    with B networks of n species it takes and returns B*n values, network
+    b's in [b*n, (b+1)*n), and since the B products are one stacked
+    product, each network's slice equals its own field bit for bit.
+    ValueError when the structures differ.  The field gathers through one
+    buffer it reuses, so it must not run in two threads at once.
+    """
+    M, ma, mb = polynomial_form(*nets)
+    size = M.shape[0] * M.shape[1]
+    ext = np.ones(size + 1)
 
     def rhs(c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)

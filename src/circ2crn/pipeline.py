@@ -22,12 +22,12 @@ so each row is the number `verify` prints at that h.
 Every grid's step count, and its refusal, comes from `dae.grid_steps`; the
 one grid arithmetic left here is `freq`'s fit window.
 
-`simulate_crn` collects RK4's rows (`sim.rk4_rows`) into one table, rail
-differences included.
+`simulate_crn` collects the rows of the mass-action RK4 kernel
+(`sim.mass_action_rows`) into one table, rail differences included.
 
 `frequency_response` validates every drive frequency and its grid before
 it compiles any, then simulates the unions of all frequencies together as
-one stacked state by RK4, in batches.  It reads RK4's rows block by block and keeps
+one stacked state by that kernel, in batches.  It reads RK4's rows block by block and keeps
 of each network only the output and source rail differences inside its fit
 window; _SWEEP_ENTRIES bounds what a batch keeps.  A batch that blows up
 raises NonFiniteState at the earliest blow-up time among its frequencies.
@@ -43,8 +43,8 @@ from itertools import chain
 import numpy as np
 
 from .circuit import Fourier, Netlist, build_dae, source_models
-from .crn import (CIRCUIT_BLOCK, INPUT_BLOCK, Crn, difference_system, emit_crn,
-                  mass_action_field, parse_crn, serialize_crn, union)
+from .crn import (CIRCUIT_BLOCK, INPUT_BLOCK, Crn, difference_system, emit_crn, parse_crn,
+                  serialize_crn, union)
 from .dae import (
     AffineOde,
     DaeSystem,
@@ -61,7 +61,7 @@ from .dae import (
 from .errors import ValidationError
 from .numerics import propagate
 from .positivation import hungarize, positivate, rails, split_initial
-from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_map, rk4_rows
+from .sim import DT_RULE_FACTOR, fit_sinusoid, linear_map, mass_action_rows
 
 # float64 rail differences one batch of a frequency sweep may store (32 MB)
 _SWEEP_ENTRIES = 1 << 22
@@ -175,7 +175,7 @@ def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:
     species trajectory with any annotated rail differences appended as extra
     columns, in one table.
     """
-    rows = rk4_rows(mass_action_field(net), net.initial_state(), grid_steps(T, dt), dt)
+    rows = mass_action_rows([net], net.initial_state(), grid_steps(T, dt), dt)
     return rows.collect(net.species, net.diffs)
 
 
@@ -304,7 +304,7 @@ def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, fl
     """Rows of `frequency_response` for one batch of (omega, T, fit rows,
     compiled).
 
-    The stacked networks are stepped by `rk4_rows`; of network b, only
+    The stacked networks are stepped by `mass_action_rows`; of network b, only
     the output and source differences on its fit rows are stored, each
     computed as `recover_difference` computes it.
     """
@@ -322,7 +322,7 @@ def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, fl
     x0 = np.concatenate([crn.initial_state() for crn in nets])
     steps = max(fit.stop for fit, _ in kept) - 1
     row = 0  # the grid row of the block's first row
-    for block in rk4_rows(mass_action_field(*nets), x0, steps, dt).blocks:
+    for block in mass_action_rows(nets, x0, steps, dt).blocks:
         for b, (fit, diff) in enumerate(kept):
             lo, hi = max(fit.start, row), min(fit.stop, row + len(block))
             if lo < hi:

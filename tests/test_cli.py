@@ -232,6 +232,24 @@ class TestPinnedBytes:
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
             "b1a823c3744feefb900fd04368d639032906f202508908647cba37974e5f0461")
 
+    @pytest.mark.parametrize("text,digest", [
+        ("species A B C\ninit A 1\ninit B 0.5\nA + B ->{3} C\n",
+         "698197a40f4b95391d621882c238d42cd454ee5e9d31ee33b5ef255761ae9fc1"),
+        ("species A\ninit A 2\nA + A ->{3} A\n",
+         "d73160badbc63d29d3f97aa1ec73a986d61feca361a652ffcd3b669d4f84713f"),
+        ("species A B\ninit A 1\ninit B 0.25\n",
+         "540af4395edeed84e9235a50e82760da0ef1f7ea12e1b190f8789dc8638453dd"),
+        ("# crn\n", "ca5891f8f01605036e38c2041e8c85fe2a4238b13a57c3cbd68b540cb5aebab9"),
+    ], ids=["bimolecular", "dimer", "no_reactions", "no_species"])
+    def test_simulate_of_hand_written_networks_writes_the_pinned_csv(self, tmp_path, text,
+                                                                     digest):
+        # shapes compile never emits: a product of two species, a square,
+        # no reactions and no species, over 2001 rows (four checked blocks)
+        csv_path = tmp_path / "h.csv"
+        assert main(["simulate", _write(tmp_path, "h.crn", text), "-T", "2", "--dt", "0.001",
+                     "-o", str(csv_path)]) == 0
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
 
 def _traced_peak(argv) -> int:
     """The peak bytes tracemalloc traces while the CLI runs argv."""

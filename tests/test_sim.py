@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from circ2crn import numerics, pipeline, sim
 from circ2crn.circuit import Fourier, build_dae, parse_netlist
@@ -56,6 +57,7 @@ from conftest import (
     interleave,
     materialised_study,
     rl_ladder,
+    rlc_netlists,
     signed_ode,
     sine_input_2state,
 )
@@ -239,6 +241,99 @@ class TestSimulateCrn:
         partial = exc_info.value.partial
         assert partial.names == ("x_p", "x_m", "x")
         assert np.array_equal(partial.column("x"), partial.column("x_p") - partial.column("x_m"))
+
+
+def drained(rows):
+    """The rows of a stream in one array, and the time of the NonFiniteState
+    that ends it, None without one."""
+    blocks = []
+    try:
+        for block in rows.blocks:
+            blocks.append(block)
+    except NonFiniteState as exc:
+        return np.concatenate(blocks), exc.time
+    return np.concatenate(blocks), None
+
+
+def sine_driven(omegas):
+    """The compiled RL high-pass driven by a unit sine of each omega: one
+    structure, with the rates of the source block differing."""
+    net = parse_netlist(RL_SINE)
+    return [compile_circuit(replace(net, source_waveforms={"vin": Fourier(
+        0.0, ((1.0, omega, 0.0),))}), RunConfig()).crn for omega in omegas]
+
+
+class TestMassActionRows:
+    """`mass_action_rows` gives the rows of `rk4_rows` on the mass-action
+    field bit for bit, blow-ups included."""
+
+    @staticmethod
+    def assert_equals_generic(nets, steps, dt):
+        x0 = np.concatenate([net.initial_state() for net in nets])
+        want = drained(sim.rk4_rows(mass_action_field(*nets), x0, steps, dt))
+        got = drained(sim.mass_action_rows(nets, x0, steps, dt))
+        assert got[1] == want[1]
+        assert np.array_equal(got[0], want[0])
+        return got
+
+    @pytest.mark.filterwarnings("ignore:default initial state")
+    @pytest.mark.parametrize("source", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, rl_ladder(20)],
+                             ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass", "rl_ladder_20"])
+    def test_compiled_networks(self, source):
+        net = compile_circuit(parse_netlist(source), RunConfig()).crn
+        steps = 2 * numerics._BLOCK_ROWS + 7
+        rows, time = self.assert_equals_generic([net], steps, RunConfig().resolve_dt())
+        assert time is None and len(rows) == steps + 1
+
+    def test_readme_network_read_back_from_its_file(self):
+        # README's hp.cir is RL_SINE; simulate reads its network from hp.crn
+        net = parse_crn(serialize_crn(compile_circuit(parse_netlist(RL_SINE), RunConfig()).crn))
+        self.assert_equals_generic([net], 2000, RunConfig().resolve_dt())
+
+    @pytest.mark.parametrize("omegas", [[0.5], [0.5, 2.0], [0.5, 2.0, 3.0]],
+                             ids=["B1", "B2", "B3"])
+    def test_stacked_networks(self, omegas):
+        nets = sine_driven(omegas)
+        dt = RunConfig().resolve_dt()
+        rows, _ = self.assert_equals_generic(nets, 700, dt)
+        # each network's slice is its own run, bit for bit
+        n = len(nets[0].species)
+        for b, net in enumerate(nets):
+            own, _ = drained(sim.mass_action_rows([net], net.initial_state(), 700, dt))
+            assert np.array_equal(rows[:, b * n : (b + 1) * n], own)
+
+    @pytest.mark.parametrize("text", [
+        "species A B C\ninit A 1\ninit B 0.5\nA + B ->{3} C\n",
+        "species A\ninit A 2\nA + A ->{3} A\n",
+        "species A B\ninit A 1\ninit B 0.25\n",
+        "# crn\n",
+    ], ids=["bimolecular", "dimer", "no_reactions", "no_species"])
+    def test_hand_written_networks(self, text):
+        net = parse_crn(text)
+        steps = 2 * numerics._BLOCK_ROWS + 7
+        rows, _ = self.assert_equals_generic([net], steps, 1e-3)
+        assert rows.shape == (steps + 1, len(net.species))
+
+    def test_blowup_time_and_partial_rows(self):
+        # a direct-mode RC with a time constant of 1e-4, five times below
+        # dt = h/20: RK4 blows up within a few steps
+        net = compile_circuit(parse_netlist("V vin 1 0 DC 1\nR r1 1 2 1\nC c1 2 0 1e-4\n"
+                                            "OUT 2\n"), RunConfig()).crn
+        rows, time = self.assert_equals_generic([net], 2000, RunConfig().resolve_dt())
+        assert time == pytest.approx(0.002)
+        assert len(rows) == 4
+
+    @pytest.mark.filterwarnings("ignore:default initial state")
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(rlc_netlists())
+    def test_generated_netlists(self, text):
+        net = compile_circuit(parse_netlist(text), RunConfig()).crn
+        self.assert_equals_generic([net], 60, RunConfig().resolve_dt())
+
+    def test_refuses_a_state_of_the_wrong_size(self):
+        net = parse_crn("species A B\ninit A 1\n")
+        with pytest.raises(ValidationError, match="^expected 4 concentrations$"):
+            sim.mass_action_rows([net, net], np.zeros(3), 5, 0.1)
 
 
 class TestEulerStiffnessBound:
@@ -735,11 +830,11 @@ class TestFrequencyResponse:
         monkeypatch.setattr(pipeline, "_SWEEP_ENTRIES", cap)
         sizes = []
 
-        def counted(field, x0, steps, dt):
+        def counted(nets, x0, steps, dt):
             sizes.append(len(x0))
-            return sim.rk4_rows(field, x0, steps, dt)
+            return sim.mass_action_rows(nets, x0, steps, dt)
 
-        monkeypatch.setattr(pipeline, "rk4_rows", counted)
+        monkeypatch.setattr(pipeline, "mass_action_rows", counted)
         got = freq_to_csv(frequency_response(net, omegas, self.CFG))
         assert sizes == [n, n, 2 * n]
         assert got == want
