@@ -27,10 +27,11 @@ one grid arithmetic left here is `freq`'s fit window.
 
 `frequency_response` validates every drive frequency and its grid before
 it compiles any, then simulates the unions of all frequencies together as
-one stacked state by that kernel, in batches.  It reads RK4's rows block by block and keeps
-of each network only the output and source rail differences inside its fit
-window; _SWEEP_ENTRIES bounds what a batch keeps.  A batch that blows up
-raises NonFiniteState at the earliest blow-up time among its frequencies.
+one stacked state by that kernel, in batches.  It reads the kernel's rows
+block by block and keeps of each network only the output and source rail
+differences inside its fit window; _SWEEP_ENTRIES bounds what a batch
+keeps.  A batch that blows up raises NonFiniteState at the earliest
+blow-up time among its frequencies.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def _sweep_batch(batch, src: str, cfg: RunConfig) -> list[tuple[float, float, fl
     """Rows of `frequency_response` for one batch of (omega, T, fit rows,
     compiled).
 
-    The stacked networks are stepped by `mass_action_rows`; of network b, only
-    the output and source differences on its fit rows are stored, each
+    The stacked networks are stepped by `mass_action_rows`; of network b,
+    only the output and source differences on its fit rows are stored, each
     computed as `recover_difference` computes it.
     """
     nets = [compiled.crn for *_, compiled in batch]
