@@ -255,14 +255,6 @@ def drained(rows):
     return np.concatenate(blocks), None
 
 
-def sine_driven(omegas):
-    """The compiled RL high-pass driven by a unit sine of each omega: one
-    structure, with the rates of the source block differing."""
-    net = parse_netlist(RL_SINE)
-    return [compile_circuit(replace(net, source_waveforms={"vin": Fourier(
-        0.0, ((1.0, omega, 0.0),))}), RunConfig()).crn for omega in omegas]
-
-
 class TestMassActionRows:
     """`mass_action_rows` gives the rows of `rk4_rows` on the mass-action
     field bit for bit, blow-ups included."""
@@ -293,7 +285,10 @@ class TestMassActionRows:
     @pytest.mark.parametrize("omegas", [[0.5], [0.5, 2.0], [0.5, 2.0, 3.0]],
                              ids=["B1", "B2", "B3"])
     def test_stacked_networks(self, omegas):
-        nets = sine_driven(omegas)
+        # one structure; the rates of the source block differ with omega
+        net = parse_netlist(RL_SINE)
+        nets = [compile_circuit(replace(net, source_waveforms={"vin": Fourier(
+            0.0, ((1.0, omega, 0.0),))}), RunConfig()).crn for omega in omegas]
         dt = RunConfig().resolve_dt()
         rows, _ = self.assert_equals_generic(nets, 700, dt)
         # each network's slice is its own run, bit for bit
