@@ -1,9 +1,12 @@
 import contextlib
+import errno
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -232,6 +235,14 @@ class TestPinnedBytes:
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
             "b1a823c3744feefb900fd04368d639032906f202508908647cba37974e5f0461")
 
+    def test_simulate_of_a_table_the_helper_splits_writes_the_pinned_csv(self, ladder_20):
+        # 2 001 rows of 129 values, formatted half here and half by the
+        # forked helper on a host with two CPUs, serially on one
+        crn, csv_path = ladder_20
+        assert main(["simulate", crn, "-T", "1", "-o", csv_path]) == 0
+        assert hashlib.sha256(Path(csv_path).read_bytes()).hexdigest() == (
+            "2c184d69a86c2d51dd8a98b3226fe22f5d7ac65949f341eb9a12e16f98c12f37")
+
     @pytest.mark.parametrize("text,digest", [
         ("species A B C\ninit A 1\ninit B 0.5\nA + B ->{3} C\n",
          "698197a40f4b95391d621882c238d42cd454ee5e9d31ee33b5ef255761ae9fc1"),
@@ -249,6 +260,142 @@ class TestPinnedBytes:
         assert main(["simulate", _write(tmp_path, "h.crn", text), "-T", "2", "--dt", "0.001",
                      "-o", str(csv_path)]) == 0
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.fixture(scope="module")
+def ladder_20(tmp_path_factory):
+    """(.crn, .csv) paths: the compiled k = 20 RL ladder and where its CSV goes."""
+    tmp = tmp_path_factory.mktemp("ladder_20")
+    crn = str(tmp / "l.crn")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["compile", _write(tmp, "l.cir", rl_ladder(20)), "-o", crn]) == 0
+    return crn, str(tmp / "l.csv")
+
+
+def _serial_csv(crn: str, T: float, dt: float) -> str:
+    with open(crn) as fh:
+        return pipeline.simulate_crn(parse_crn(fh), T, dt).to_csv()
+
+
+def _fork_counter(monkeypatch) -> list:
+    """The list that each os.fork call appends to."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _refuse(*args, **kwargs):
+    raise OSError(errno.EAGAIN, "refused by the test")
+
+
+class TestSplitCsv:
+    """simulate writes the bytes of Trajectory.to_csv whether or not a forked
+    helper formats the later half of the rows."""
+
+    DT = 0.01 / 20  # --dt auto at the compiled ladder's h
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def test_stdout_gets_the_serial_bytes(self, ladder_20, monkeypatch, capsys):
+        calls = _fork_counter(monkeypatch)
+        assert main(["simulate", ladder_20[0], "-T", "1"]) == 0
+        assert capsys.readouterr().out == _serial_csv(ladder_20[0], 1.0, self.DT)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("steps,forks", [(65534, []), (65535, [1])],
+                             ids=["below_2_16_values", "at_2_16_values"])
+    def test_the_helper_starts_at_2_16_values(self, tmp_path, monkeypatch, steps, forks):
+        # one column, so the table holds one value per row; dt = 2^-10 keeps
+        # T/dt exact
+        crn = _write(tmp_path, "d.crn", "species A\ninit A 2\nA + A ->{3} A\n")
+        dt, T = 2.0 ** -10, steps * 2.0 ** -10
+        csv_path = tmp_path / "d.csv"
+        calls = _fork_counter(monkeypatch)
+        assert main(["simulate", crn, "-T", repr(T), "--dt", repr(dt),
+                     "-o", str(csv_path)]) == 0
+        text = csv_path.read_text()
+        assert text.count("\n") == steps + 2
+        assert text == _serial_csv(crn, T, dt)
+        assert calls == forks
+
+    @pytest.mark.parametrize("forced", ["one_cpu", "fork_fails", "spill_fails"])
+    def test_every_serial_fallback_writes_the_same_bytes(self, ladder_20, monkeypatch, forced):
+        # a helper that fails is TestNoHelperOutlivesTheCommand's case
+        calls = _fork_counter(monkeypatch)
+        if forced == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif forced == "fork_fails":
+            monkeypatch.setattr(os, "fork", _refuse)
+        elif forced == "spill_fails":
+            monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
+        crn, csv_path = ladder_20
+        assert main(["simulate", crn, "-T", "1", "-o", csv_path]) == 0
+        assert Path(csv_path).read_text() == _serial_csv(crn, 1.0, self.DT)
+        assert calls == []
+
+
+# Runs simulate in a fresh interpreter, which has no children of its own:
+# argv is the .crn, the output path, the expected CSV and whether the forked
+# helper fails; prints [exit code, stderr, output equal, forks, no child left].
+_NO_CHILD_LEFT = """
+import contextlib, io, json, os, sys
+from circ2crn.cli import main
+
+crn, out, want, fail = sys.argv[1:]
+os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+
+def counted():
+    forks.append(1)
+    pid = fork()
+    if pid == 0 and fail == "1":
+        os._exit(1)
+    return pid
+
+os.fork = counted
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["simulate", crn, "-T", "1", "-o", out])
+same = out != "/dev/full" and open(out).read() == open(want).read()
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(json.dumps([code, err.getvalue(), same, len(forks), reaped]))
+"""
+
+
+class TestNoHelperOutlivesTheCommand:
+    @pytest.mark.parametrize("out,fail", [("out.csv", "0"), ("/dev/full", "0"),
+                                          ("out.csv", "1")],
+                             ids=["helper", "write_fails", "helper_fails"])
+    def test_the_helper_is_reaped(self, ladder_20, tmp_path, out, fail):
+        if out == "/dev/full" and not os.path.exists(out):
+            pytest.skip("no /dev/full")
+        want = tmp_path / "want.csv"
+        want.write_text(_serial_csv(ladder_20[0], 1.0, TestSplitCsv.DT))
+        out = out if out.startswith("/") else str(tmp_path / out)
+        env = dict(os.environ, PYTHONPATH=str(Path(circ2crn.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", _NO_CHILD_LEFT, ladder_20[0], out,
+                               str(want), fail], env=env, capture_output=True, text=True,
+                              check=True)
+        code, err, same, forks, reaped = json.loads(done.stdout)
+        assert reaped and forks == 1 and done.stderr == ""
+        if out == "/dev/full":
+            assert code == 1 and "Traceback" not in err
+            assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+                err.rstrip("\n")]
+        else:
+            assert code == 0 and same and err == ""
 
 
 def _traced_peak(argv) -> int:
@@ -779,8 +926,10 @@ class TestCommandLine:
 
 class TestStartup:
     def test_import_leaves_out_the_network_and_xml_stacks(self):
+        # nor multiprocessing: simulate's helper is a bare os.fork
         code = ("import sys, circ2crn.cli; "
-                "print(sorted({'urllib.request', 'xml.sax'} & set(sys.modules)))")
+                "print(sorted({'urllib.request', 'xml.sax', 'multiprocessing', "
+                "'concurrent.futures'} & set(sys.modules)))")
         env = dict(os.environ, PYTHONPATH=str(Path(circ2crn.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
@@ -802,3 +951,10 @@ class TestStartup:
         assert main(["verify", netlist, "-T", "1", "--tol", "0.05"]) == 0
         assert main(["compile", netlist]) == 0
         assert _build_parser() is parser
+
+    @pytest.mark.parametrize("exit_code", [0, 1])
+    def test_main_leaves_the_warning_filters_of_its_caller(self, tmp_path, capsys, exit_code):
+        netlist = _write(tmp_path, "rl.cir", RL_DC if exit_code == 0 else "R r1 1\n")
+        before = list(warnings.filters)
+        assert main(["compile", netlist]) == exit_code
+        assert warnings.filters == before
