@@ -193,10 +193,10 @@ class ReactionTable:
         n = self.rates.size
         for off, idx in ((self.in_off, self.in_idx), (self.out_off, self.out_idx)):
             if (off.shape != (n + 1,) or idx.ndim != 1 or off[0] != 0
-                    or off[-1] != idx.size or np.any(off[1:] < off[:-1])):
+                    or off[-1] != idx.size or (off[1:] < off[:-1]).any()):
                 raise ValueError("reaction table offsets do not match their indices")
         finite = (self.rates > 0.0) & (self.rates < math.inf)
-        if self.rates.ndim != 1 or not np.all(finite):
+        if self.rates.ndim != 1 or not finite.all():
             raise ValidationError("reaction rate must be positive and finite")
 
     @classmethod
@@ -415,7 +415,7 @@ def polynomial_form(*nets: Crn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("stacked networks must share species and reactions")
     n_sp, n_rx = len(first.species), len(table)
     n_in, n_out = np.diff(table.in_off), np.diff(table.out_off)
-    if np.any(n_in > 2):
+    if (n_in > 2).any():
         raise ValidationError("mass action supported up to binary reactions")
     # a monomial is a sorted index pair in which the slot n_sp reads a
     # constant 1.0, so A + B and B + A share one; columns are numbered in

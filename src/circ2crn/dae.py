@@ -13,8 +13,9 @@ its rows into a `Trajectory`.
 `Rows` is the one contract of every stepped trajectory: RK4's rows
 (`sim.rk4_rows`) and those of one affine map (`stepped`) are handed out as
 a `Rows` stream, row 0 and then the checked blocks of
-`numerics.checked_blocks`, one array each, and `Rows.collect` is the one
-loop that copies a stream into a table.
+`numerics.checked_blocks`, one array each and each valid until the next is
+requested, and `Rows.collect` is the one loop that copies a stream into a
+table.
 `grid_steps` is the one rule of a stepped run's grid: its step count, and
 its refusal before anything is compiled, allocated or stepped.
 """
@@ -29,7 +30,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import NonFiniteState, ValidationError
-from .numerics import as_matrix, as_vector, failed_pivot, invert, propagate
+from .numerics import _BLOCK_ROWS, as_matrix, as_vector, failed_pivot, invert, propagate
 
 DEFAULT_SEED = 1729
 PROBE_COUNT = 8
@@ -171,7 +172,7 @@ class Trajectory:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.shape != (self.times.shape[0], len(self.names)):
             raise ValueError("values must be times x names")
-        if self.times.shape[0] > 1 and not np.all(np.diff(self.times) > 0):
+        if self.times.shape[0] > 1 and not (np.diff(self.times) > 0).all():
             raise ValueError("times must be strictly increasing")
 
     def column(self, name: str) -> np.ndarray:
@@ -193,8 +194,9 @@ class Trajectory:
 class Rows(NamedTuple):
     """A trajectory as a stream: the rows at the times k*dt for k = 0..steps,
     handed out in order as consecutive blocks, row 0 first.  The blocks are
-    computed as they are read, so a consumer that folds them holds one block
-    at a time."""
+    computed as they are read, into one buffer that each block overwrites,
+    so a block is valid until the next one is requested: a consumer folds
+    or copies it before reading on, and holds one block at a time."""
 
     dt: float
     steps: int
@@ -226,7 +228,10 @@ class Rows(NamedTuple):
             for block in self.blocks:
                 rows = values[row : row + len(block)]
                 rows[:, :width] = block[:, :width]
-                rows[:, width:] = block[:, plus] - block[:, minus]
+                # one anchor period at a time, so no temporary grows with the block
+                for lo in range(0, len(block), _BLOCK_ROWS):
+                    period = block[lo : lo + _BLOCK_ROWS]
+                    rows[lo : lo + len(period), width:] = period[:, plus] - period[:, minus]
                 row += len(block)
         except NonFiniteState as exc:
             exc.partial = Trajectory(times[:row], names, values[:row])
@@ -424,7 +429,8 @@ def reference_map(sys: DaeSystem, inp: InputModel, x0, h: float,
 
 def stepped(phi, y0, steps: int, dt: float) -> Rows:
     """Row 0 = y0 and then the rows of `numerics.propagate` of the one map
-    phi, one array per block, row k at time k*dt."""
+    phi, one array per block, row k at time k*dt; a block is valid until
+    the next one is requested."""
     blocks = (block for [block] in propagate([phi], y0, steps, dt))
     return Rows(dt, steps, chain([y0[None]], blocks))
 

@@ -13,9 +13,13 @@ pencil from round-off.  The factorization, the inverse and the solve inside
 `expm` all come from LAPACK through numpy.  `expm` and `propagate` step
 y' = M y exactly on a grid: y(k dt) = Phi^k y(0) with Phi = expm(M dt).
 `checked_blocks` is the one block loop of every stepped stream, RK4's
-(`sim.rk4_rows`) and `propagate`'s: it hands out rows in checked blocks of
-one fixed length, each block one array per part of the state (per diagonal
-block of `propagate`'s map).
+(`sim.rk4_rows`) and `propagate`'s: it hands out rows in checked blocks,
+each block one array per part of the state (per diagonal block of
+`propagate`'s map), refilled in one buffer, so a block is valid until the
+next one is requested.  A block holds a whole number of anchor periods of
+_BLOCK_ROWS rows, as many as _BLOCK_ENTRIES values allow and at least one.
+`propagate` restarts its table products at every anchor, so its rows do not
+depend on the block length.
 """
 
 from __future__ import annotations
@@ -27,10 +31,15 @@ import numpy as np
 from .errors import NonFiniteState, SingularMatrix, ValidationError
 
 REL_PIVOT_TOL = 1e-12
-# float64 entries in propagate's table of powers (512 KB), and the rows in
-# one block of checked_blocks, whatever the width of the stream
+# float64 entries in propagate's table of powers (512 KB)
 _TABLE_ENTRIES = 1 << 16
+# the anchor period: propagate's table products restart every _BLOCK_ROWS
+# rows from row 1, which fixes every bit of its rows.  A block of
+# checked_blocks is a whole number of periods, as many as fit in
+# _BLOCK_ENTRIES float64 values (512 KB) and at least one; the block length
+# moves no bit, only the per-block overhead
 _BLOCK_ROWS = 512
+_BLOCK_ENTRIES = 1 << 16
 # the Pade [13/13] coefficients b_0 .. b_13, scaled to b_0 = 1 so that a zero
 # row keeps its diagonal at exactly 1, and the largest 1-norm at which that
 # approximant meets double precision (Higham 2005)
@@ -43,7 +52,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.array(a, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -53,7 +62,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
     v = np.array(a, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return v
 
@@ -118,23 +127,29 @@ def expm(m) -> np.ndarray:
 
 
 def checked_blocks(fill, y0s, steps: int, dt: float, limit: float):
-    """The rows 1 .. steps after the states y0s, as blocks of _BLOCK_ROWS
-    rows and then one of the rest, a schedule that depends on steps alone.
+    """The rows 1 .. steps after the states y0s, as blocks of equal length
+    and then one of the rest: _BLOCK_ROWS times the most anchor periods
+    whose rows of the stream's full width fit in _BLOCK_ENTRIES, and at
+    least one period.
 
     Each block is a list of parts, one C-contiguous array per state of y0s
-    and as wide as it, all of them laid end to end in one fresh buffer.
-    fill(parts, ys) writes them, ys being the rows before them, under one
-    errstate that silences overflow.  The buffer is checked whole, and a
-    row passes when every |entry| <= limit, so NaN and +-inf fail whatever
-    the limit.  At the first row that fails in any part, the rows of every
-    part before it are yielded and NonFiniteState is raised with that row's
-    time.  The yielded arrays are the caller's to keep.
+    and as wide as it, all of them laid end to end in one buffer that the
+    stream allocates once and refills, so a block is valid until the next
+    one is requested.  fill(parts, ys) writes them, ys being copies of the
+    rows before them, under one errstate that silences overflow.  The
+    block is checked whole, and a row passes when every |entry| <= limit,
+    so NaN and +-inf fail whatever the limit.  At the first row that fails
+    in any part, the rows of every part before it are yielded and
+    NonFiniteState is raised with that row's time.
     """
     ends = np.cumsum([0] + [y.shape[0] for y in y0s]).tolist()
+    width = ends[-1]
+    per = max(1, _BLOCK_ENTRIES // max(width, 1) // _BLOCK_ROWS) * _BLOCK_ROWS
+    buffer = np.empty(min(per, steps) * width)
     ys = y0s
-    for start in range(1, steps + 1, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, steps + 1 - start)
-        block = np.empty(rows * ends[-1])
+    for start in range(1, steps + 1, per):
+        rows = min(per, steps + 1 - start)
+        block = buffer[: rows * width]
         parts = [block[rows * a : rows * b].reshape(rows, b - a)
                  for a, b in zip(ends, ends[1:])]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -146,7 +161,8 @@ def checked_blocks(fill, y0s, steps: int, dt: float, limit: float):
                 yield [part[:bad] for part in parts]
             raise NonFiniteState((start + bad) * dt)
         yield parts
-        ys = [part[-1] for part in parts]
+        # the next fill writes over the buffer these rows lie in
+        ys = [part[-1].copy() for part in parts]
 
 
 def _passing_rows(rows: np.ndarray, limit: float) -> int:
@@ -159,13 +175,16 @@ def propagate(phis, y0: np.ndarray, steps: int, dt: float):
     """The rows Phi_i^1 y_i .. Phi_i^steps y_i of each diagonal block Phi_i
     of one map, y0 stacking the states y_i, as the blocks of
     `checked_blocks`: each block holds one C-contiguous array per diagonal
-    block, and the stream fails at the first row that is not finite in any.
+    block and is valid until the next one is requested, and the stream
+    fails at the first row that is not finite in any.
 
     Each diagonal block fills its own array from its own table of powers
     (b of them, bounded by _TABLE_ENTRIES and _BLOCK_ROWS), b rows at a
-    time from the block's first row, each b rows one matrix product with the
-    row before them, written in place.  So each array equals its own
-    propagation alone bit for bit.
+    time from each anchor, the rows 1, 1 + _BLOCK_ROWS, 1 + 2 _BLOCK_ROWS,
+    ..., each b rows (fewer before the next anchor) one matrix product with
+    the row before them, written in place.  The anchors depend on the row
+    numbers alone, not on the length of the blocks or the width of the
+    map, so each array equals its own propagation alone bit for bit.
     """
     if len(phis) == 0 or any(np.ndim(phi) != 2 or phi.shape[0] != phi.shape[1]
                              for phi in phis):
@@ -195,9 +214,11 @@ def propagate(phis, y0: np.ndarray, steps: int, dt: float):
     def fill(parts, ys):
         for part, x, stacked in zip(parts, ys, tables):
             table = len(stacked) // len(x)
-            for lo in range(0, len(part), table):
-                rows = part[lo : lo + table]
-                np.matmul(stacked[: rows.size], x, out=rows.reshape(-1))
-                x = rows[-1]
+            for anchor in range(0, len(part), _BLOCK_ROWS):
+                period = part[anchor : anchor + _BLOCK_ROWS]
+                for lo in range(0, len(period), table):
+                    rows = period[lo : lo + table]
+                    np.matmul(stacked[: rows.size], x, out=rows.reshape(-1))
+                    x = rows[-1]
 
     yield from checked_blocks(fill, y0s, steps, dt, np.finfo(float).max)

@@ -11,9 +11,10 @@ The blocks are recorded on the union, so `serialize_crn` marks them.
 text: under mass action its rail differences obey an affine law exactly,
 which it propagates on the h/20 grid and compares with a backward-Euler run
 of ORACLE_STEPS steps of h/100 per grid row on the exact pencil.  The two
-are stepped as the diagonal blocks of one map, in blocks of one fixed
-length (`numerics.propagate`), each block holding one array per side, and
-compared block by block, so memory does not grow with the horizon.  The
+are stepped as the diagonal blocks of one map (`numerics.propagate`), in
+blocks of as many 512-row anchor periods as fit in its buffer, each block
+holding one array per side, and compared block by block, each before the
+next is requested, so memory does not grow with the horizon.  The
 circuit states lead both sides, the network's differences and the
 oracle's columns, in the same order, so the comparison reads both in
 place.  `convergence_study` is `verify_circuit` at each of its h values,

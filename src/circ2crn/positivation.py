@@ -61,7 +61,7 @@ class RailSystem:
             raise ValueError("bplus/bminus must match the state count")
         for arr, nm in ((self.aplus, "aplus"), (self.aminus, "aminus"),
                         (self.bplus, "bplus"), (self.bminus, "bminus")):
-            if np.any(arr < 0.0):
+            if (arr < 0.0).any():
                 raise ValueError(f"{nm} must be entrywise nonnegative")
         if self.gamma < 0.0:
             raise ValidationError("gamma must be nonnegative")

@@ -4,8 +4,10 @@ Every stepped trajectory is a `dae.Rows` stream of the rows at the times
 k*dt, row 0 first, and `Rows.collect` copies a stream into one table.
 
 `rk4_rows` is classical RK4 with step dt on any field, stepped and checked
-block by block by `numerics.checked_blocks`, so a caller stores only what
-it reads; `integrate` collects every row into one table.
+block by block by `numerics.checked_blocks` in one buffer that each block
+overwrites, so a block is valid until the next one is requested and a
+caller stores only what it copies; `integrate` collects every row into one
+table.
 `mass_action_rows` is the same RK4 on the mass-action networks of a CRN,
 stepped on their polynomial form (`crn.polynomial_form`) rather than
 through the field closure, with the same rows bit for bit: `simulate`
@@ -26,8 +28,9 @@ system x' = F x + g, which `numerics.propagate` steps exactly.  `verify`
 certifies with it, on the rail differences of an emitted network
 (`crn.difference_system`): that map and the oracle's are stepped as the
 two diagonal blocks of one map, each into its own array of each block,
-and the sup error is folded over the blocks of that one stream, so
-nothing of the length of the horizon is stored.
+and the sup error is folded over the blocks of that one stream, each
+before the next is requested, so nothing of the length of the horizon is
+stored.
 """
 
 from __future__ import annotations
@@ -70,8 +73,9 @@ def rk4_rows(field, x0, steps: int, dt: float) -> Rows:
 
     Takes `steps` steps of dt from the float64 vector x0, which is row 0.
     The rows after it are the blocks of `numerics.checked_blocks`, computed
-    as they are read, and fail at the first row in which any state
-    magnitude exceeds BLOWUP_LIMIT or turns non-finite.  On the stacked
+    as they are read and each valid until the next one is requested, and
+    fail at the first row in which any state magnitude exceeds
+    BLOWUP_LIMIT or turns non-finite.  On the stacked
     state of several networks (see crn.mass_action_field) that row is the
     earliest blow-up of any of them.  The field's arrays are only read,
     never written.
@@ -102,7 +106,8 @@ def mass_action_rows(nets, x0, steps: int, dt: float) -> Rows:
     stage writes its argument into the buffer the monomials gather from,
     and each field value is the same stacked product M @ m(c), so the
     stages, their sums and the checks are those of `rk4_rows` with that
-    field.  The buffers are the call's own.
+    field, and so are its blocks, each valid until the next one is
+    requested.  The buffers are the call's own.
     """
     M, ma, mb = polynomial_form(*nets)
     B, n, _ = M.shape

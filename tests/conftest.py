@@ -156,6 +156,44 @@ def field_all_at_once(net):
     return rhs
 
 
+def tableau_response(net, omega: float) -> np.ndarray:
+    """H(j omega), the OUT node's voltage per unit of each source in source
+    order, from the sparse tableau of Hachtel, Brayton and Gustavson (IEEE
+    Trans. Circuit Theory 18, 1971) over the netlist's components alone,
+    sharing no code with build_dae.
+
+    The unknowns are the node voltages e, the branch currents i and the
+    branch voltages v, a branch current flowing from n1 to n2 through its
+    component.  The equations are KCL (the currents leaving each node sum to
+    zero), KVL (v = e(n1) - e(n2)) and one per branch: v = R i, v = sL i,
+    i = sC v, v = u for a V source and i = u for an I source.
+    """
+    nodes = [nd for nd in net.nodes() if nd != "0"]
+    comps, sources = net.components, net.sources()
+    n, b = len(nodes), len(comps)
+    incidence = np.zeros((n, b))
+    for k, c in enumerate(comps):
+        for node, sign in ((c.n1, 1.0), (c.n2, -1.0)):
+            if node != "0":
+                incidence[nodes.index(node), k] += sign
+    s = 1j * omega
+    tableau = np.zeros((n + 2 * b, n + 2 * b), complex)
+    rhs = np.zeros((n + 2 * b, len(sources)), complex)
+    tableau[:n, n : n + b] = incidence  # KCL on i
+    tableau[n : n + b, :n] = -incidence.T  # KVL: v - A^T e = 0
+    tableau[n : n + b, n + b :] = np.eye(b)
+    for k, c in enumerate(comps):
+        row, i, v = n + b + k, n + k, n + b + k
+        if c.kind in "RL":
+            tableau[row, [v, i]] = 1.0, -(c.value if c.kind == "R" else s * c.value)
+        elif c.kind == "C":
+            tableau[row, [i, v]] = 1.0, -s * c.value
+        else:
+            tableau[row, v if c.kind == "V" else i] = 1.0
+            rhs[row, sources.index(c)] = 1.0
+    return np.linalg.solve(tableau, rhs)[nodes.index(net.output_spec)]
+
+
 def interleave(plus, minus) -> np.ndarray:
     """Pack (plus, minus) vectors into the rail layout [p1, m1, p2, m2, ...]."""
     return np.column_stack([plus, minus]).ravel()

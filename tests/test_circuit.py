@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from circ2crn.circuit import Fourier, Netlist, build_dae, parse_netlist, source_models
 from circ2crn.dae import reference_solve
 from circ2crn.errors import ParseError, ValidationError
 
-from conftest import RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, hand_rl_pencil
+from conftest import (RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, hand_rl_pencil, rlc_netlists,
+                      tableau_response)
 
 
 class TestParse:
@@ -254,6 +256,21 @@ def test_output_node_outside_the_circuit_is_rejected():
     net = parse_netlist("V s 1 0 DC 1\nR r1 1 2 1\nR r2 2 0 1\nOUT 2\n")
     with pytest.raises(ValidationError, match="'9' is not a circuit state"):
         build_dae(Netlist(net.components, "9", net.source_waveforms))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rlc_netlists())
+def test_transfer_function_equals_the_sparse_tableau(text):
+    # c (jwE - A)^-1 B of the stamped pencil against a tableau built from
+    # the components alone: the stamp's pinned nodes, I-source signs and
+    # V-source currents are checked by an oracle that does not share them
+    net = parse_netlist(text)
+    sys, _ = build_dae(net)
+    for omega in (0.3, 1.0, 4.0):
+        got = np.linalg.solve(1j * omega * sys.E - sys.A, sys.B)[sys.output_index]
+        want = tableau_response(net, omega)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= max(1e-12 * scale, 1e-15), (omega, got, want)
 
 
 class TestStackedInputModel:

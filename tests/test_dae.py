@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from circ2crn import numerics
 from circ2crn.circuit import build_dae, parse_netlist
@@ -19,7 +19,6 @@ from circ2crn.dae import (
     grid_steps,
     reference_map,
     reference_solve,
-    stacked_pencil,
 )
 from circ2crn.errors import NonFiniteState, SingularMatrix, ValidationError
 from circ2crn.sim import integrate
@@ -184,9 +183,9 @@ class TestFourierInput:
 def stepwise(sys, inp, x0, n_steps, h, stride=1):
     """Every stride-th iterate of the backward-Euler recursion, one step at a
     time, without the constant: the loop that reference_solve's blocked
-    powers replace."""
-    _, E, A = stacked_pencil(sys, inp)
-    step = np.linalg.solve(E - h * A, E)
+    powers replace.  It steps reference_map's own one-step map, so the two
+    differ only in how its powers are taken, not in how it is formed."""
+    _, step, _ = reference_map(sys, inp, np.zeros(sys.n), h, 1)
     y = np.append(x0, 1.0)
     out = [y]
     for i in range(1, n_steps + 1):
@@ -400,8 +399,13 @@ class TestReferenceSolve:
             assert_matches_stepwise(sys, inp, steps * 1e-3, 1e-3)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(rlc_netlists())
+# a pencil of condition 9.5e3, where a map formed by np.linalg.solve rather
+# than reference_map's invert(E - hA) @ E drifted 1.04e-10 of max|x| from it
+# over 1 000 steps
+@example("R G1 1 0 2.0\nR G2 2 0 2.0\nC C2 1 2 2.0\nR G3 3 0 2.0\nC C3 1 3 1.0\n"
+         "I init 1 0 DC 1.0\nOUT 1\n")
 def test_reference_solve_matches_stepwise_on_random_netlists(text):
     sys, inp = build_dae(parse_netlist(text))
     assert_matches_stepwise(sys, inp, 1.0, 1e-3)

@@ -296,21 +296,42 @@ class TestPropagate:
 
     @pytest.mark.parametrize("width", [1, 5, 40, 125])
     def test_blocks_of_fixed_length_hold_the_powers(self, width):
-        # tables of min(_BLOCK_ROWS, 65536 // width^2) powers; the blocks are alike
-        rows_per_block = numerics._BLOCK_ROWS
+        # blocks of 512 rows times the most periods within 2^16 values, at
+        # least one, then the rest; the tables hold min(512, 65536 // width^2)
+        # powers, restarted every 512 rows whatever the block length
+        period = numerics._BLOCK_ROWS
+        per = {1: 65536, 5: 12800, 40: 1536, 125: 512}[width]
         rng = np.random.default_rng(width)
         m = rng.normal(size=(width, width)) / np.sqrt(width) - np.eye(width)
         phi, y0 = expm(0.1 * m), rng.normal(size=width)
-        longest = 2 * rows_per_block + 1
+        longest = 2 * period + 1
         want = _binary_powers(phi, y0, longest)
-        for k in (1, rows_per_block - 1, rows_per_block, longest):
+        for k in (1, period - 1, period, longest):
             assert _rel_err(want[k - 1], np.linalg.matrix_power(phi, k) @ y0) <= 1e-13
-        for steps in (0, 1, rows_per_block - 1, rows_per_block, rows_per_block + 1, longest):
-            blocks = [block for [block] in propagate([phi], y0, steps, 0.1)]
-            full, rest = divmod(steps, rows_per_block)
-            assert [len(b) for b in blocks] == [rows_per_block] * full + [rest] * (rest > 0)
+        for steps in (0, 1, period - 1, period, period + 1, longest,
+                      per - 1, per, per + 1, 2 * per + 1):
+            blocks = [block.copy() for [block] in propagate([phi], y0, steps, 0.1)]
+            full, rest = divmod(steps, per)
+            assert [len(b) for b in blocks] == [per] * full + [rest] * (rest > 0)
+            # the first 2 * 512 + 1 rows, across the anchors at rows 513 and 1025
             for got, row in zip(chain.from_iterable(blocks), want):
                 assert _rel_err(got, row) <= 1e-13
+
+    def test_block_length_moves_no_bit(self, monkeypatch):
+        # a 12 x 12 table holds 455 powers, which do not divide the 512 rows
+        # between anchors; 3 blocks of 5 120 rows and a ragged end, against
+        # 30 blocks of 512 and the same end
+        rng = np.random.default_rng(12)
+        m = rng.normal(size=(12, 12)) / np.sqrt(12) - np.eye(12)
+        phi, y0 = expm(0.1 * m), rng.normal(size=12)
+        steps = 3 * 5120 + 77
+        rows = []
+        for entries in (numerics._BLOCK_ENTRIES, 0):
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+            blocks = [block.copy() for [block] in propagate([phi], y0, steps, 0.1)]
+            rows.append(np.concatenate(blocks))
+            assert len(blocks) == (4 if entries else 31)
+        assert np.array_equal(*rows)
 
     def test_no_steps_no_rows(self):
         assert list(propagate([np.eye(2)], np.ones(2), 0, 0.1)) == []
@@ -358,13 +379,13 @@ class TestPropagate:
         got = []
         with pytest.raises(NonFiniteState) as exc_info:
             for parts in propagate(phis, y0, 3000, 0.5):
-                got.append(parts)
+                got.append([part.copy() for part in parts])
         assert exc_info.value.time == bad * 0.5
         # the rows before it, in every diagonal block's own array
         first, middle, last = (np.concatenate(rows) for rows in zip(*got))
         for rows in (first, middle, last):
             assert len(rows) == bad - 1 and np.isfinite(rows).all()
-        alone = np.concatenate([block for [block] in propagate([finite], x0, bad - 1, 0.5)])
+        alone = np.concatenate([block.copy() for [block] in propagate([finite], x0, bad - 1, 0.5)])
         assert np.array_equal(middle, alone)
 
 
@@ -385,9 +406,12 @@ def diagonal_blocks(draw):
 @given(diagonal_blocks(), st.integers(0, 2000))
 def test_each_block_of_a_joint_stream_is_its_own_propagation(blocks, steps):
     phis, y0 = blocks
-    joint = list(propagate(phis, y0, steps, 0.1))
-    full, rest = divmod(steps, numerics._BLOCK_ROWS)
-    lengths = [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
+    # a block is valid until the next one is requested: keep copies
+    joint = [[part.copy() for part in parts] for parts in propagate(phis, y0, steps, 0.1)]
+    period = numerics._BLOCK_ROWS
+    per = max(1, numerics._BLOCK_ENTRIES // len(y0) // period) * period
+    full, rest = divmod(steps, per)
+    lengths = [per] * full + [rest] * (rest > 0)
     # one C-contiguous array per diagonal block, as wide as that block
     assert [[part.shape for part in parts] for parts in joint] == [
         [(n, len(phi)) for phi in phis] for n in lengths]
@@ -396,7 +420,7 @@ def test_each_block_of_a_joint_stream_is_its_own_propagation(blocks, steps):
     for i, phi in enumerate(phis):
         hi = lo + len(phi)
         empty = [np.empty((0, len(phi)))]
-        alone = empty + [block for [block] in propagate([phi], y0[lo:hi], steps, 0.1)]
+        alone = empty + [block.copy() for [block] in propagate([phi], y0[lo:hi], steps, 0.1)]
         own = empty + [parts[i] for parts in joint]
         assert np.array_equal(np.concatenate(own), np.concatenate(alone))
         lo = hi

@@ -249,7 +249,7 @@ def drained(rows):
     blocks = []
     try:
         for block in rows.blocks:
-            blocks.append(block)
+            blocks.append(block.copy())  # valid until the next one is requested
     except NonFiniteState as exc:
         return np.concatenate(blocks), exc.time
     return np.concatenate(blocks), None
@@ -308,6 +308,23 @@ class TestMassActionRows:
         steps = 2 * numerics._BLOCK_ROWS + 7
         rows, _ = self.assert_equals_generic([net], steps, 1e-3)
         assert rows.shape == (steps + 1, len(net.species))
+
+    def test_block_length_moves_no_bit(self, monkeypatch):
+        # two stacked networks, 20 columns: 2 blocks of 3 072 rows and a
+        # ragged end, against 12 blocks of 512 and the same end
+        net = parse_netlist(RL_SINE)
+        nets = [compile_circuit(replace(net, source_waveforms={"vin": Fourier(
+            0.0, ((1.0, omega, 0.0),))}), RunConfig()).crn for omega in (0.5, 2.0)]
+        x0 = np.concatenate([net.initial_state() for net in nets])
+        steps = 2 * 3072 + 100
+        rows = []
+        for entries in (numerics._BLOCK_ENTRIES, 0):
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+            stream = sim.mass_action_rows(nets, x0, steps, RunConfig().resolve_dt())
+            blocks = [block.copy() for block in stream.blocks]
+            assert len(blocks) == (1 + 3 if entries else 1 + 13)
+            rows.append(np.concatenate(blocks))
+        assert np.array_equal(*rows)
 
     def test_blowup_time_and_partial_rows(self):
         # a direct-mode RC with a time constant of 1e-4, five times below
@@ -424,6 +441,11 @@ class TestStreamedVerify:
         assert y_oracle[-1] == 1.0
         assert np.array_equal(y_oracle[:-1], d0[[outs.index(name) for name in names]])
 
+    # the rows of a block of verify's joint stream, 88 columns wide on the
+    # ladder and 6 to 12 on the small circuits
+    BLOCK_ROWS = {RL_DC: 8192, RL_SINE: 5120, TWO_CAP: 8192, RC_LOWPASS: 10752,
+                  rl_ladder(20): 512}
+
     @pytest.mark.parametrize("text", [RL_DC, RL_SINE, TWO_CAP, RC_LOWPASS, rl_ladder(20)],
                              ids=["rl_dc", "rl_sine", "two_cap", "rc_lowpass", "ladder_20"])
     @pytest.mark.parametrize("T", [10.0, 3.0003], ids=["whole", "ragged_end"])
@@ -440,21 +462,23 @@ class TestStreamedVerify:
         law = difference_system(parse_crn(serialize_crn(compiled.crn)))
         artifact, y_artifact = linear_map(*law, dt)
         width = len(y_artifact)
-        joint = list(numerics.propagate([artifact, oracle],
-                                        np.concatenate([y_artifact, y_oracle]), steps, dt))
-        # blocks of _BLOCK_ROWS rows and one of the rest, for the exact maps
-        # and for RK4 (after its row 0) alike
-        full, rest = divmod(steps, numerics._BLOCK_ROWS)
-        want = [numerics._BLOCK_ROWS] * full + [rest] * (rest > 0)
+        y0 = np.concatenate([y_artifact, y_oracle])
+        # a block is valid until the next one is requested: keep copies
+        joint = [[part.copy() for part in parts]
+                 for parts in numerics.propagate([artifact, oracle], y0, steps, dt)]
+        # blocks of the joint width's rows and one of the rest, for both maps
+        # alike; RK4 on the same joint state (after its row 0) shares them
+        full, rest = divmod(steps, self.BLOCK_ROWS[text])
+        want = [self.BLOCK_ROWS[text]] * full + [rest] * (rest > 0)
         assert [[len(part) for part in parts] for parts in joint] == [[n, n] for n in want]
-        rk4 = sim.rk4_rows(lambda x: -x, y_artifact, steps, dt)
+        rk4 = sim.rk4_rows(lambda x: -x, y0, steps, dt)
         assert [len(block) for block in rk4.blocks] == [1] + want
         # each side's array is its own rows, and its own collected table
         mine, theirs = (np.concatenate(rows) for rows in zip(*joint))
         assert mine.shape[1] == width
         alone = stepped(artifact, y_artifact, steps, dt)
         assert np.array_equal(np.concatenate([y_artifact[None], mine]),
-                              np.concatenate(list(alone.blocks)))
+                              np.concatenate([block.copy() for block in alone.blocks]))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             ref = reference_solve(compiled.sys, compiled.inp, compiled.x0,
@@ -525,6 +549,19 @@ class TestStreamedVerify:
                 pass
         assert got.value.time == min(tables)
         assert "%g" % got.value.time == "%g" % time
+
+    @pytest.mark.parametrize("text", [RL_SINE, RC_LOWPASS], ids=["rl_sine", "rc_lowpass"])
+    def test_block_length_moves_no_bit(self, monkeypatch, text):
+        # at h = 0.01, verify's joint stream in 4 and 2 blocks (5 120 and
+        # 10 752 rows) against 40 blocks of 512
+        net, cfg = parse_netlist(text), RunConfig(T=10.0)
+        got = []
+        for entries in (numerics._BLOCK_ENTRIES, 0):
+            monkeypatch.setattr(numerics, "_BLOCK_ENTRIES", entries)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got.append(convergence_study(net, cfg, [0.02, 0.01]))
+        assert got[0] == got[1]
 
     def test_differences_out_of_state_order_are_a_fault(self, monkeypatch):
         # the fold reads the circuit states as the leading differences
