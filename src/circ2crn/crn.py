@@ -52,6 +52,7 @@ from typing import TextIO
 
 import numpy as np
 
+from .dae import TIME_COLUMN
 from .errors import ParseError, ValidationError
 from .numerics import as_vector
 from .positivation import RailSystem
@@ -63,19 +64,23 @@ INPUT_BLOCK = "input reactions"
 NAME_FORBIDDEN = ("+", ",", "->{")
 # The spelling of a reaction side with no species, so no species may take it.
 EMPTY_SIDE = "0"
-# The first column of a simulation CSV, ahead of the species and diff outputs.
-TIME_COLUMN = "t"
 # Reactions per piece of the .crn writer and per step of the field build.
 _CHUNK = 4096
 # Characters per read of the .crn reader.
 _BLOCK = 1 << 20
 
 
+def _forbidden_problem(label: str, name: str) -> str | None:
+    """'<label> <name> contains <bad>' for the first of NAME_FORBIDDEN that
+    the name holds, or None."""
+    bad = next((bad for bad in NAME_FORBIDDEN if bad in name), None)
+    return None if bad is None else f"{label} {name!r} contains {bad!r}"
+
+
 def check_name(name: str, line_no: int, what: str) -> None:
     """ParseError unless the .crn and CSV formats can carry the name."""
-    for bad in NAME_FORBIDDEN:
-        if bad in name:
-            raise ParseError(line_no, f"{what} name {name!r} contains {bad!r}")
+    if (problem := _forbidden_problem(f"{what} name", name)) is not None:
+        raise ParseError(line_no, problem)
 
 
 def _is_word(name) -> bool:
@@ -90,9 +95,8 @@ def _species_name_problem(name: str) -> str | None:
     `#` as syntax and `0` as the empty side; `,` would split a CSV cell,
     and `t` heads the CSV's time column.
     """
-    for bad in NAME_FORBIDDEN:
-        if bad in name:
-            return f"species name {name!r} contains {bad!r}"
+    if (problem := _forbidden_problem("species name", name)) is not None:
+        return problem
     if name == EMPTY_SIDE:
         return f"species name {EMPTY_SIDE!r} reads as the empty side"
     if name == TIME_COLUMN:
@@ -128,9 +132,8 @@ def _diff_problem(diff, index, outs) -> str | None:
     if len(diff) != 3 or not all(map(_is_word, diff)):
         return f"diff {diff!r} needs three names without whitespace"
     out = diff[0]
-    for bad in NAME_FORBIDDEN:
-        if bad in out:
-            return f"diff output {out!r} contains {bad!r}"
+    if (problem := _forbidden_problem("diff output", out)) is not None:
+        return problem
     if out == TIME_COLUMN or out in index or out in outs:
         return f"diff output {out!r} repeats a CSV column"
     return None
@@ -145,7 +148,7 @@ def _block_label(toks: list[str]) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reaction:
     reactants: tuple[str, ...]
     products: tuple[str, ...]

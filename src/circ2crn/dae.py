@@ -42,6 +42,8 @@ MAX_GRID_ROWS = 10**9
 MAX_TABLE_VALUES = 2**27
 # the step of `consistent_project`
 _H_TINY = 1e-6
+# the first column of a table's CSV, ahead of its named columns
+TIME_COLUMN = "t"
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +146,6 @@ class AffineOde:
         if len(self.state_names) != n:
             raise ValueError("state_names length must match Ahat")
 
-    @property
-    def n(self) -> int:
-        return self.Ahat.shape[0]
-
-    def field(self):
-        """Evaluable right-hand side, suitable for sim.integrate."""
-        a, b = self.Ahat, self.bhat
-
-        def rhs(x: np.ndarray) -> np.ndarray:
-            return a @ x + b
-
-        return rhs
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -185,7 +174,7 @@ class Trajectory:
     def csv_lines(self):
         """The lines of `to_csv`, one at a time."""
         rows = ((t, *row.tolist()) for t, row in zip(self.times.tolist(), self.values))
-        return csv_lines(("t",) + self.names, rows)
+        return csv_lines((TIME_COLUMN,) + self.names, rows)
 
     def to_csv(self) -> str:
         return "".join(self.csv_lines())
@@ -325,8 +314,8 @@ def coupled_euler_map(sys: DaeSystem, h: float) -> tuple[np.ndarray, np.ndarray]
     algebraic state (a zero column of E) is exactly -e_j / h; it is set
     rather than computed, so rounding leaves no residue there.
     """
-    if h <= 0.0:
-        raise ValidationError("h must be positive")
+    if not 0.0 < h < np.inf:  # NaN fails too
+        raise ValidationError("h must be positive and finite")
     inv = invert(sys.E - h * sys.A)
     fa = inv @ sys.A
     alg = np.flatnonzero(~sys.E.any(axis=0))

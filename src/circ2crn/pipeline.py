@@ -102,12 +102,12 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class CompiledCircuit:
+    """The circuit's pencil, input model and initial state, and its union
+    CRN; the h, gamma and mode it was compiled at are in `crn.meta`."""
+
     sys: DaeSystem
     inp: InputModel
     x0: np.ndarray
-    direct: bool
-    h: float
-    gamma: float
     crn: Crn  # the union, with meta, diff and block annotations
 
 
@@ -168,7 +168,7 @@ def compile_circuit(net: Netlist, cfg: RunConfig) -> CompiledCircuit:
     diffs = tuple(zip(names, pairs[0::2], pairs[1::2]))
     blocks = tuple((label, len(block.table)) for label, block in parts)
     crn = replace(merged, meta=meta, diffs=diffs, blocks=blocks)
-    return CompiledCircuit(sys, inp, x0, direct, cfg.h, gamma, crn)
+    return CompiledCircuit(sys, inp, x0, crn)
 
 
 def simulate_crn(net: Crn, T: float, dt: float) -> Trajectory:

@@ -24,9 +24,9 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     return list(np.linspace(lo, hi, count))
 
 
-def render_svg(traj: Trajectory, columns=None, title: str = "") -> str:
-    """Render selected trajectory columns as an SVG time-series plot."""
-    names = list(columns) if columns is not None else list(traj.names)
+def render_svg(traj: Trajectory, columns, title: str = "") -> str:
+    """Render the named trajectory columns as an SVG time-series plot."""
+    names = list(columns)
     width, height = 900, 420
     ml, mr, mt, mb = 60, 160, 30, 45
     pw, ph = width - ml - mr, height - mt - mb

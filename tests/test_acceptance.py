@@ -131,11 +131,14 @@ def test_c04_positivation_exactness():
     """Rail differences of the compiled CRN reproduce its signed ODE within 1e-9 on [0, 10]."""
     worst = {}
     for name, text in ALL_FIXTURES.items():
-        compiled = compile_circuit(parse_netlist(text), RunConfig(h=0.01))
-        ode = signed_ode(compiled.sys, compiled.inp, None if compiled.direct else compiled.h)
+        cfg = RunConfig(h=0.01)
+        compiled = compile_circuit(parse_netlist(text), cfg)
+        shift = None if compiled.crn.meta["mode"] == "direct" else cfg.h
+        ode = signed_ode(compiled.sys, compiled.inp, shift)
         full0 = np.concatenate([compiled.x0, compiled.inp.init])
-        dt = compiled.h / 20
-        direct = integrate(ode.field(), full0, 10.0, dt, names=ode.state_names)
+        dt = cfg.resolve_dt()
+        direct = integrate(lambda x: ode.Ahat @ x + ode.bhat, full0, 10.0, dt,
+                           names=ode.state_names)
         rails = simulate_crn(compiled.crn, 10.0, dt)
         worst[name] = sup_error(rails, direct, ode.state_names)
     ok = all(err <= 1e-9 for err in worst.values())
@@ -145,8 +148,9 @@ def test_c04_positivation_exactness():
 def test_c05_boundedness_and_divergence():
     """gamma = 1/h keeps rails <= 10 on [0,100]; gamma = 0 escapes 1e3 by t=20."""
     net = parse_netlist(RL_DC)
-    compiled = compile_circuit(net, RunConfig())
-    traj = simulate_crn(compiled.crn, 100.0, compiled.h / 20)
+    cfg = RunConfig()
+    compiled = compile_circuit(net, cfg)
+    traj = simulate_crn(compiled.crn, 100.0, cfg.resolve_dt())
     rails = [nm for nm in traj.names if nm.endswith(("_p", "_m"))]
     peak = max(float(np.max(traj.column(nm))) for nm in rails)
     floor = min(float(np.min(traj.column(nm))) for nm in rails)
@@ -155,7 +159,7 @@ def test_c05_boundedness_and_divergence():
     compiled0 = compile_circuit(net, RunConfig(gamma=0.0))
     crossing = None
     try:
-        traj0 = simulate_crn(compiled0.crn, 20.0, compiled0.h / 20)
+        traj0 = simulate_crn(compiled0.crn, 20.0, cfg.resolve_dt())
         partial = traj0
     except NonFiniteState as exc:
         partial = exc.partial
@@ -182,9 +186,10 @@ def test_c06_mass_action_field_identity():
     hs = hungarize(positivate(input_ode), 100.0)
     cases["sine-input"] = (emit_crn(hs, np.zeros(hs.n), np.zeros(hs.n)), hs)
     # the compiled union network against the signed ODE it implements
-    compiled = compile_circuit(parse_netlist(RL_SINE), RunConfig(h=0.01))
-    ode = signed_ode(compiled.sys, compiled.inp, compiled.h)
-    cases["compiled"] = (compiled.crn, hungarize(positivate(ode), compiled.gamma))
+    cfg = RunConfig(h=0.01)
+    compiled = compile_circuit(parse_netlist(RL_SINE), cfg)
+    ode = signed_ode(compiled.sys, compiled.inp, cfg.h)
+    cases["compiled"] = (compiled.crn, hungarize(positivate(ode), cfg.resolve_gamma()))
 
     worst = {}
     for name, (net, hs) in cases.items():
@@ -236,11 +241,12 @@ def test_c08_two_capacitor_circuit():
 def test_c09_perfect_adaptation():
     """Square-wave drive: transients >= 50% of the step, return to baseline."""
     net = parse_netlist(RL_SQUARE)
-    compiled = compile_circuit(net, RunConfig())
+    cfg = RunConfig()
+    compiled = compile_circuit(net, cfg)
     period = 2 * np.pi / SQUARE_W0
     half = period / 2
     T = 3 * period
-    traj = simulate_crn(compiled.crn, T, compiled.h / 20)
+    traj = simulate_crn(compiled.crn, T, cfg.resolve_dt())
     t, vout = traj.times, traj.column("v2")
     step = 2.0  # input swings -1 -> +1
     peaks, returns = [], []
@@ -258,9 +264,11 @@ def test_c09_perfect_adaptation():
 def test_c10_rc_low_pass():
     """Direct single-ODE path: DC gain 1 +- 0.01 and gain <= 0.15 at 10/RC."""
     net = parse_netlist(RC_LOWPASS)
-    compiled = compile_circuit(net, RunConfig())
-    assert compiled.direct, "RC low-pass should take the direct (E invertible) path"
-    traj = simulate_crn(compiled.crn, 12.0, compiled.h / 20)
+    cfg = RunConfig()
+    compiled = compile_circuit(net, cfg)
+    assert compiled.crn.meta["mode"] == "direct", (
+        "RC low-pass should take the direct (E invertible) path")
+    traj = simulate_crn(compiled.crn, 12.0, cfg.resolve_dt())
     dc_gain = float(traj.column("v2")[-1]) / 1.0
 
     sine = parse_netlist(RC_LOWPASS.replace("DC 1", "FOURIER 0 1 10 0"))

@@ -61,6 +61,19 @@ class TestParse:
             parse_netlist(text)
         assert exc_info.value.line_no >= 0
 
+    @pytest.mark.parametrize("text,error,message", [
+        ("V s 1 0\nR r 1 0 1\nOUT 1\n", ParseError,
+         "line 1: V line needs: name n+ n- DC|FOURIER ..."),
+        ("V s 1 0 SIN 1\nR r 1 0 1\nOUT 1\n", ParseError, "line 1: unknown source mode 'SIN'"),
+        ("V s 1 0 DC 1\nR r 1 0 1\nOUT 9\n", ValidationError,
+         "OUT references unknown node '9'"),
+        ("V s 1 0 DC 1\nR r 1 0 1\nOUT 0\n", ValidationError, "output node must not be ground"),
+    ], ids=["source_without_mode", "unknown_source_mode", "out_unknown_node", "out_ground"])
+    def test_refusal_names_its_fault(self, text, error, message):
+        with pytest.raises(error) as exc_info:
+            build_dae(parse_netlist(text))
+        assert str(exc_info.value) == message
+
     def test_non_finite_value_names_its_line(self):
         with pytest.raises(ParseError) as exc_info:
             parse_netlist("V s 1 0 DC 1\nR r1 1 2 inf\nR r2 2 0 1\nOUT 2\n")

@@ -29,6 +29,9 @@ from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block, rl_ladder
 # the worked example of the README, as written there
 README_HP = ("V vin 1 0 FOURIER 0 1 1 0    # vin(t) = sin(t)\n"
              "R r1  1 2 1\nL l1  2 0 1\nOUT 2\n")
+# the two-source netlist of the CI example, as written there
+TWO_CIR = ("V vin 1 0 FOURIER 0 1 1 0\nI ib  0 2 DC 0.5\nR r1  1 2 1\nL l1  2 0 1\n"
+           "R r2  2 0 2\nOUT 2\n")
 SINGULAR = "V a 1 0 DC 1\nV b 1 0 DC 2\nR r 1 0 1\nOUT 1\n"
 # one source, so `freq` compiles it: nodes 2 and 3 reach ground only through
 # the current source, which makes the pencil singular
@@ -222,7 +225,9 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("text,digest", [
         (README_HP, "0c11cfffdeb3de4583dae592d0f90e6b13929850564e1c6d443dffe1cf7be3b2"),
         (rl_ladder(60), "7911668d3a1e6244bfa0ef7d207e28992466d4f952d74914ff9b4d80b2318e92"),
-    ], ids=["readme_hp", "rl_ladder_60"])
+        # two sources: the union of a circuit block and two input blocks
+        (TWO_CIR, "596e556008a4ae82d36acb7881e557fe9a9aef755936d661ed78e59a27a99932"),
+    ], ids=["readme_hp", "rl_ladder_60", "two_sources"])
     def test_compile_writes_the_pinned_file(self, tmp_path, text, digest):
         out = tmp_path / "out.crn"
         assert main(["compile", _write(tmp_path, "in.cir", text), "-o", str(out)]) == 0

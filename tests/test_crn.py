@@ -207,7 +207,7 @@ def test_compiled_ladder_blocks_equal_reaction_loop():
         warnings.simplefilter("ignore", RuntimeWarning)
         compiled = compile_circuit(net, cfg)
     sys, inp = compiled.sys, compiled.inp
-    assert not compiled.direct
+    assert compiled.crn.meta["mode"] == "euler"
     ax, bx = coupled_euler_map(sys, cfg.h)
     ode = AffineOde(ax, np.zeros(sys.n), sys.state_names, sys.output_index)
     parts = [(positivate(ode, coupling=(bx, inp.input_names)), compiled.x0)]
@@ -216,7 +216,7 @@ def test_compiled_ladder_blocks_equal_reaction_loop():
     reactions, start = compiled.crn.reactions, 0
     assert len(compiled.crn.blocks) == len(parts) == 2
     for (_, count), (rs, x0) in zip(compiled.crn.blocks, parts):
-        rs = hungarize(rs, compiled.gamma)
+        rs = hungarize(rs, cfg.resolve_gamma())
         want, _ = reaction_loop_emit(rs, *split_initial(x0))
         assert emit_crn(rs, *split_initial(x0)).reactions == want
         assert reactions[start : start + count] == want
@@ -553,6 +553,9 @@ class TestSerialization:
             ("species X\nY ->{1} X\n", "undeclared"),
             ("species X\nnonsense here\n", "unrecognized"),
             ("species X\ninit X -1\n", "negative"),
+            ("species X\nX ->{abc} 0\n", "bad rate 'abc'"),
+            ("species X\nspecies X\n", "duplicate species 'X'"),
+            ("species X\ninit X abc\n", "bad init value 'abc'"),
             *[(f"species X\nX ->{{{v}}} 0\n", "non-finite") for v in NON_FINITE],
             *[(f"species X\ninit X {v}\n", "non-finite") for v in NON_FINITE],
             ("species X\nspecies a+b\n", "species name 'a+b' contains '+'"),
@@ -603,6 +606,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="species name"):
             Crn((name, "x"), (Reaction((name,), ("x",), 1.0),))
 
+    @pytest.mark.parametrize("species,init,message", [
+        (("A", "A"), {}, "duplicate species names"),
+        (("A",), {"B": 1.0}, "init references unknown species 'B'"),
+    ], ids=["duplicate_species", "init_undeclared"])
+    def test_construction_refusal_names_its_fault(self, species, init, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Crn(species, (), init)
+
     def test_rates_are_python_floats(self):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -643,11 +654,13 @@ def test_the_leading_differences_are_the_circuit_states_in_order(text):
 @given(rlc_netlists(), st.integers(0, 2**32 - 1))
 def test_compiled_field_equals_rail_field(text, seed):
     """The emitted union's mass-action field is the rail field of its signed ODE."""
+    cfg = RunConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        compiled = compile_circuit(parse_netlist(text), RunConfig())
-    ode = signed_ode(compiled.sys, compiled.inp, None if compiled.direct else compiled.h)
-    rs = hungarize(positivate(ode), compiled.gamma)
+        compiled = compile_circuit(parse_netlist(text), cfg)
+    ode = signed_ode(compiled.sys, compiled.inp,
+                     None if compiled.crn.meta["mode"] == "direct" else cfg.h)
+    rs = hungarize(positivate(ode), cfg.resolve_gamma())
     net = compiled.crn
     assert sorted(rs.rail_names) == sorted(net.species)
     order = [net.species.index(sp) for sp in rs.rail_names]
@@ -680,12 +693,14 @@ def test_shifted_map_equals_inverse_times_a(text):
 @given(rlc_netlists())
 def test_difference_system_is_the_signed_ode(text):
     """The read-back law of the rail differences is compile's signed ODE."""
+    cfg = RunConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        compiled = compile_circuit(parse_netlist(text), RunConfig())
+        compiled = compile_circuit(parse_netlist(text), cfg)
     net = compiled.crn
     F, g, d0 = difference_system(parse_crn(serialize_crn(net)))
-    ode = signed_ode(compiled.sys, compiled.inp, None if compiled.direct else compiled.h)
+    ode = signed_ode(compiled.sys, compiled.inp,
+                     None if compiled.crn.meta["mode"] == "direct" else cfg.h)
     scale = np.max(np.abs(ode.Ahat))
     assert np.max(np.abs(F - ode.Ahat)) <= 1e-13 * scale
     assert np.max(np.abs(g - ode.bhat)) <= 1e-13 * scale

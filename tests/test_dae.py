@@ -117,6 +117,11 @@ class TestBackwardEulerMap:
             ax, bx = coupled_euler_map(sys, h)
             assert np.all(ax == 0.0) and bx.shape == (2, 0)
 
+    @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
+    def test_a_step_that_is_not_positive_and_finite_is_refused(self, h):
+        with pytest.raises(ValidationError, match="^h must be positive and finite$"):
+            coupled_euler_map(hand_rl_pencil(), h)
+
     def test_singular_shift_raises(self):
         sys = DaeSystem(
             np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 0)), ("a", "b"), 0
@@ -132,7 +137,7 @@ class TestFourierInput:
         assert inp.u0[0] == 0.0
         assert np.array_equal(inp.z0, [0.0, 1.0])
         traj = integrate(
-            AffineOde(inp.D, inp.d, inp.names, 0).field(), inp.init, 10.0, 1e-3,
+            lambda x: inp.D @ x + inp.d, inp.init, 10.0, 1e-3,
             names=inp.names,
         )
         assert np.max(np.abs(traj.column("u") - np.sin(traj.times))) < 1e-6
@@ -154,7 +159,7 @@ class TestFourierInput:
         terms = [(4.0 / (j * np.pi), j * w0, 0.0) for j in (1, 3, 5, 7)]
         inp = fourier_input(("u", 0.0, terms))
         traj = integrate(
-            AffineOde(inp.D, inp.d, inp.names, 0).field(), inp.init, 20.0, 1e-3,
+            lambda x: inp.D @ x + inp.d, inp.init, 20.0, 1e-3,
             names=inp.names,
         )
         t = traj.times
@@ -255,7 +260,8 @@ class TestReferenceSolve:
         for h in (0.04, 0.02, 0.01):
             ax, bx = coupled_euler_map(sys, h)
             ode = AffineOde(ax, bx @ inp.u0, sys.state_names, sys.output_index)
-            traj = integrate(ode.field(), x0, 10.0, h / 20, names=sys.state_names)
+            traj = integrate(lambda x: ode.Ahat @ x + ode.bhat, x0, 10.0, h / 20,
+                             names=sys.state_names)
             errs.append(
                 max(
                     float(np.max(np.abs(
