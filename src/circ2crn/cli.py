@@ -11,25 +11,36 @@ a malformed command line among them, or an OSError or MemoryError),
 above --tol).  Any other exception is a fault and shows its traceback.
 Note: -h is the Euler step size; use --help for usage.
 
-simulate may fork one helper process that formats the later half of a
-large CSV; the bytes are those of Trajectory.to_csv either way, and the
-helper is reaped before the command returns.
+On two CPUs or more, a command may fork one helper process at a time
+(_helper), which writes its share to an unlinked temporary file and leaves
+by os._exit: compile hands it the later half of the reaction lines of a
+network of at least _SPLIT_REACTIONS reactions, and simulate the later
+part of a .crn file of at least _SPLIT_BYTES bytes (_read_crn) and the
+later half of the rows of a CSV of at least _SPLIT_VALUES values.  When
+the helper cannot be started or fails, or its part of the network cannot
+be joined, the command does that share itself, so every output byte,
+network and ParseError is the serial one.  The helper is reaped before the
+command goes on, and killed first when the command fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import os
+import pickle
 import signal
+import stat
 import sys as _sys
 import tempfile
 import warnings
-from contextlib import closing
+from contextlib import closing, contextmanager
 from functools import cache, partial
 from itertools import islice
 
 from .circuit import parse_netlist
-from .crn import crn_lines, parse_crn
+from .crn import Crn, crn_lines, join_parts, parse_crn, species_lines
 from .dae import Trajectory
 from .errors import Circ2CrnError, NonFiniteState, SingularMatrix, ValidationError
 from .pipeline import (
@@ -132,84 +143,212 @@ def _write(chunks, path: str | None) -> None:
 # its formatting (about 13 ms at 0.4 us a value) is several times the cost
 # of a fork and reap (about 3 ms on a 2-core x86 host)
 _SPLIT_VALUES = 1 << 16
+# a network of at least this many reactions is written by two processes: the
+# k = 120 ladder's 58 569 are (36 -> 26 ms), while the k = 60 ladder's
+# 14 700 gained nothing
+_SPLIT_REACTIONS = 1 << 15
+# a .crn file of at least this many bytes is read by two processes: the
+# k = 60 ladder's 711 KB is (25 -> 21 ms), the k = 20 ladder's 82 KB is not
+_SPLIT_BYTES = 1 << 18
 
 
-def _fork_formatter(later: Trajectory):
-    """(pid, spill) of a forked helper that writes the rows of later, header
-    skipped, to the unlinked file spill; None when either cannot be made."""
+def _two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+@contextmanager
+def _helper(work, mode: str):
+    """One forked helper process that runs work(spill) on an unlinked spill
+    file opened in mode, then leaves by os._exit: 0 once work returned and
+    the file is flushed, 1 on any exception, with no flush of inherited
+    stdio buffers and no atexit hooks.
+
+    The body gets a function that waits for the helper and returns the
+    spill file, rewound, when the helper exited 0, else None; or it gets
+    None when the spill file or the fork cannot be made.  On leaving, a
+    helper still running is killed, the helper is reaped and the spill file
+    is closed.
+    """
     try:
-        spill = tempfile.TemporaryFile("w+")
+        spill = tempfile.TemporaryFile(mode)
     except OSError:
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns of fork in a process with threads (BLAS
-            # pools); the helper calls no BLAS and leaves by os._exit
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        spill.close()
-        return None
-    if pid == 0:
-        # os._exit: no flush of inherited stdio buffers, no atexit hooks
-        code = 1
+        yield None
+        return
+    with spill:
         try:
-            spill.writelines(islice(later.csv_lines(), 1, None))
-            spill.flush()
-            code = 0
+            with warnings.catch_warnings():
+                # Python 3.12 warns of fork in a process with threads (BLAS
+                # pools); the helper calls no BLAS and leaves by os._exit
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            yield None
+            return
+        if pid == 0:
+            code = 1
+            try:
+                work(spill)
+                spill.flush()
+                code = 0
+            finally:
+                os._exit(code)
+        reaped = False
+
+        def wait():
+            nonlocal reaped
+            _, status = os.waitpid(pid, 0)
+            reaped = True
+            if status != 0:
+                return None
+            spill.seek(0)
+            return spill
+
+        try:
+            yield wait
         finally:
-            os._exit(code)
-    return pid, spill
+            if not reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _split_text(first, later):
+    """The texts of the iterable first, then those of the iterable later.
+
+    One forked helper (see _helper) writes later's texts to a spill file
+    while first's are handed out, and the spill file's text follows them;
+    when the helper cannot be started or fails, later's texts are made here
+    instead.  Neither iterable may have been started.
+    """
+    with _helper(lambda spill: spill.writelines(later), "w+") as wait:
+        yield from first
+        spill = None if wait is None else wait()
+        yield from later if spill is None else iter(partial(spill.read, 1 << 20), "")
 
 
 def _csv_chunks(traj: Trajectory):
-    """The text of traj.to_csv() in pieces.
-
-    When the table holds at least _SPLIT_VALUES values and this process may
-    run on two CPUs or more, one forked helper formats the later half of the
-    rows into a spill file while the pieces of the first half are handed
-    out; the spill file's text follows them.  When the helper cannot be
-    started or exits nonzero, those rows are formatted here instead.  The
-    helper is reaped, and killed first if still running, when the pieces
-    end or the generator is closed.
-    """
-    lines = traj.csv_lines()
+    """The text of traj.to_csv() in pieces; the later half of the rows of a
+    table of at least _SPLIT_VALUES values goes to a helper (_split_text)
+    when this process may run on two CPUs."""
+    if traj.values.size < _SPLIT_VALUES or not _two_cpus():
+        return traj.csv_lines()
     mid = len(traj.times) // 2
-    helper = None
-    if (traj.values.size >= _SPLIT_VALUES and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2):
-        helper = _fork_formatter(Trajectory(traj.times[mid:], traj.names, traj.values[mid:]))
-    if helper is None:
-        yield from lines
-        return
-    pid, spill = helper
-    try:
-        yield from islice(lines, mid + 1)
-        _, status = os.waitpid(pid, 0)
-        pid = None
-        if status == 0:
-            spill.seek(0)
-            yield from iter(partial(spill.read, 1 << 20), "")
-        else:  # the helper failed: its rows are formatted here
-            yield from lines
-    finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        spill.close()
+    later = Trajectory(traj.times[mid:], traj.names, traj.values[mid:])
+    return _split_text(islice(traj.csv_lines(), mid + 1), islice(later.csv_lines(), 1, None))
+
+
+def _crn_chunks(net: Crn):
+    """The text of serialize_crn(net) in pieces; the later half of the
+    reactions of a network of at least _SPLIT_REACTIONS reactions goes to a
+    helper (_split_text) when this process may run on two CPUs."""
+    if len(net.table) < _SPLIT_REACTIONS or not _two_cpus():
+        return crn_lines(net)
+    mid = len(net.table) // 2
+    return _split_text(crn_lines(net, None, mid), crn_lines(net, mid))
+
+
+class _Span(io.RawIOBase):
+    """Bytes lo .. hi - 1 of an open file, read by os.pread, which leaves
+    the file's offset, shared with a forked process, where it is."""
+
+    def __init__(self, fd: int, lo: int, hi: int):
+        super().__init__()
+        self._fd, self._at, self._hi = fd, lo, hi
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        data = os.pread(self._fd, min(len(buf), self._hi - self._at), self._at)
+        buf[: len(data)] = data
+        self._at += len(data)
+        return len(data)
+
+
+def _text(fh, lo: int, hi: int):
+    """Bytes lo .. hi - 1 of the open text file fh as a text file, decoded
+    as fh decodes them."""
+    return io.TextIOWrapper(io.BufferedReader(_Span(fh.fileno(), lo, hi)),
+                            encoding=fh.encoding, errors=fh.errors)
+
+
+class _After:
+    """A text file read after a text: its first read gives the text."""
+
+    def __init__(self, text: str, fh):
+        self._text, self._fh = text, fh
+
+    def read(self, size: int) -> str:
+        text, self._text = self._text, ""
+        return text or self._fh.read(size)
+
+
+def _cut(fh) -> int | None:
+    """The offset just past the first newline at or after the middle of the
+    open text file fh, when fh is a regular UTF-8 file of at least
+    _SPLIT_BYTES bytes that holds one there; else None."""
+    st = os.fstat(fh.fileno())
+    if (not stat.S_ISREG(st.st_mode) or st.st_size < _SPLIT_BYTES
+            or codecs.lookup(fh.encoding).name != "utf-8"):
+        return None
+    at = st.st_size // 2
+    while piece := os.pread(fh.fileno(), 1 << 12, at):
+        if (nl := piece.find(b"\n")) >= 0:
+            return at + nl + 1
+        at += len(piece)
+    return None
+
+
+def _read_later(fh, cut: int, spill) -> None:
+    """Pickle to spill, in the order of Crn's fields, the parts of the
+    network that the species lines of fh's bytes before cut, followed by
+    its bytes from cut on, read as."""
+    net = parse_crn(_After(species_lines(_text(fh, 0, cut)),
+                           _text(fh, cut, os.fstat(fh.fileno()).st_size)))
+    pickle.dump((net.species, net.table, dict(net.init), dict(net.meta), net.diffs,
+                 net.blocks), spill, pickle.HIGHEST_PROTOCOL)
+
+
+def _read_crn(path: str) -> Crn:
+    """The network that parse_crn reads from the .crn file at path.
+
+    When the file is cut (_cut) and this process may run on two CPUs, one
+    forked helper (see _helper) reads the species lines of the earlier
+    part followed by the later part, while the earlier part is read here
+    in _BLOCK pieces, and the two are joined (crn.join_parts).  A
+    ParseError of the earlier part is the serial reader's, which reads the
+    same lines first.  Whenever the helper cannot be started or fails, as
+    on a bad line of the later part, or the join is refused, the whole file
+    is read serially, so the network and every ParseError are the serial
+    reader's.
+    """
+    with open(path) as fh:
+        cut = _cut(fh) if _two_cpus() else None
+        if cut is None:
+            return parse_crn(fh)
+        with _helper(partial(_read_later, fh, cut), "w+b") as wait:
+            if wait is None:
+                return parse_crn(fh)
+            earlier = parse_crn(_text(fh, 0, cut))
+            spill = wait()
+            if spill is not None:
+                net = join_parts(earlier, Crn(*pickle.load(spill)))
+                if net is not None:
+                    return net
+        return parse_crn(fh)
 
 
 def _cmd_compile(args) -> int:
     with open(args.netlist) as fh:
         net = parse_netlist(fh.read())
     compiled = compile_circuit(net, RunConfig(h=args.h, gamma=args.gamma))
-    _write(crn_lines(compiled.crn), args.output)
+    with closing(_crn_chunks(compiled.crn)) as chunks:
+        _write(chunks, args.output)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    with open(args.crn) as fh:
-        net = parse_crn(fh)
+    net = _read_crn(args.crn)
     cfg = None
     if "h" in net.meta:
         try:

@@ -19,12 +19,19 @@ unannotated networks only; meta, diffs and blocks go on the finished one.
 Nothing on the way from a table to a file and back holds the whole text.
 `crn_lines` yields the text of `serialize_crn`, which is their join, _CHUNK
 reaction lines at a time, each chunk formatted by whole-array string
-operations on the table.  `parse_crn` reads an open file _BLOCK characters
-at a time and runs its line loop over each block's `str.splitlines`, a
-line cut by a block's end being carried into the next, so lines are
-numbered and read as in the whole text.  `polynomial_form` adds the
-species occurrences into its matrix _CHUNK reactions at a time, in
-reaction order, so the matrix is the same bit for bit while its
+operations on the table; it can also yield the lines of a range of
+reactions alone, so two processes can each write a part (`cli`'s compile
+does above its _SPLIT_REACTIONS threshold).  `parse_crn` reads an open
+file _BLOCK characters at a time and runs its line loop over each block's
+`str.splitlines`, a line cut by a block's end being carried into the next,
+so lines are numbered and read as in the whole text.  A later part of a
+text read after the earlier part's `species_lines` reads against the same
+species, and `join_parts` joins the two parts' networks, or refuses where
+the parts could read otherwise than the whole (`cli`'s simulate reads a
+file above its _SPLIT_BYTES threshold in two processes this way, and
+reads it serially when the join is refused).  `polynomial_form`
+adds the species occurrences into its matrix _CHUNK reactions at a time,
+in reaction order, so the matrix is the same bit for bit while its
 temporaries stay the size of a chunk.
 
 The `.crn` text format is line oriented with '#' comments:
@@ -216,6 +223,18 @@ class ReactionTable:
         return self.same_sides(other) and np.array_equal(self.rates, other.rates)
 
     __hash__ = None
+
+    def __add__(self, other: ReactionTable) -> ReactionTable:
+        """The reactions of self, then those of other, over the same species."""
+        if not isinstance(other, ReactionTable):
+            return NotImplemented
+        return ReactionTable(
+            np.concatenate([self.in_off, other.in_off[1:] + self.in_off[-1]]),
+            np.concatenate([self.in_idx, other.in_idx]),
+            np.concatenate([self.out_off, other.out_off[1:] + self.out_off[-1]]),
+            np.concatenate([self.out_idx, other.out_idx]),
+            np.concatenate([self.rates, other.rates]),
+        )
 
     def same_sides(self, other: ReactionTable) -> bool:
         """Whether both tables hold the same reactions in the same order,
@@ -547,9 +566,13 @@ def difference_system(net: Crn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                       (unary & (pair[reactant] < 0), "reads a species off the rails"),
                       (unary & unequal, "reads a rail whose partner is not its negation")):
         if bad.any():
-            rx = net.reactions[r[bad][0]]
-            sides = [" + ".join(side) or EMPTY_SIDE for side in (rx.reactants, rx.products)]
-            raise ValidationError(f"reaction {r[bad][0] + 1} ({' -> '.join(sides)}) {rule}")
+            # the sides of the named reaction alone, read from the table:
+            # `net.reactions` would build every reaction
+            at, sides = r[bad][0], []
+            for off, side in ((table.in_off, table.in_idx), (table.out_off, table.out_idx)):
+                names = [net.species[k] for k in side[off[at] : off[at + 1]].tolist()]
+                sides.append(" + ".join(names) or EMPTY_SIDE)
+            raise ValidationError(f"reaction {at + 1} ({' -> '.join(sides)}) {rule}")
     c0 = net.initial_state()
     return G[:, plus], G[:, n_sp], c0[plus] - c0[minus]
 
@@ -575,14 +598,9 @@ def union(a: Crn, b: Crn) -> Crn:
     species = a.species + tuple(sp for sp in b.species if sp not in known)
     index = {sp: i for i, sp in enumerate(species)}
     remap = np.array([index[sp] for sp in b.species], dtype=np.intp)
-    ta, tb = a.table, b.table
-    table = ReactionTable.from_sides(
-        np.concatenate([np.diff(ta.in_off), np.diff(tb.in_off)]),
-        np.concatenate([ta.in_idx, remap[tb.in_idx]]),
-        np.concatenate([np.diff(ta.out_off), np.diff(tb.out_off)]),
-        np.concatenate([ta.out_idx, remap[tb.out_idx]]),
-        np.concatenate([ta.rates, tb.rates]),
-    )
+    tb = b.table
+    table = a.table + ReactionTable(tb.in_off, remap[tb.in_idx], tb.out_off,
+                                    remap[tb.out_idx], tb.rates)
     init = dict(a.init)
     for sp, val in b.init.items():
         init.setdefault(sp, val)
@@ -624,31 +642,41 @@ def _reaction_lines(table: ReactionTable, names, lo: int, hi: int) -> list[str]:
     ).tolist()
 
 
-def crn_lines(net: Crn) -> Iterator[str]:
+def crn_lines(net: Crn, lo: int | None = None, hi: int | None = None) -> Iterator[str]:
     """The text of `serialize_crn` in pieces of whole lines: the header, the
     reactions _CHUNK lines at a time with each block marker in its place,
-    and the diff lines."""
-    head = ["# crn"]
-    head += [f"# meta {key} {net.meta[key]}" for key in sorted(net.meta)]
-    if net.species:
-        head.append("species " + " ".join(net.species))
-    head += [f"init {sp} {net.init[sp]:.17g}" for sp in net.species if sp in net.init]
-    yield "".join(line + "\n" for line in head)
+    and the diff lines.
+
+    With lo, the pieces start at the line of reaction lo, its marker first,
+    instead of the header; with hi, they stop before that of reaction hi
+    instead of after the diff lines.  So `crn_lines(net, None, m)` followed
+    by `crn_lines(net, m)` is the whole text for every m from 0 to the
+    reaction count.
+    """
     table, names = net.table, np.array(net.species, dtype=object)
+    if lo is None:
+        head = ["# crn"]
+        head += [f"# meta {key} {net.meta[key]}" for key in sorted(net.meta)]
+        if net.species:
+            head.append("species " + " ".join(net.species))
+        head += [f"init {sp} {net.init[sp]:.17g}" for sp in net.species if sp in net.init]
+        yield "".join(line + "\n" for line in head)
     # each block's marker line goes before its first reaction, and the
     # chunks are cut without regard to blocks
     markers, at = [], len(table) - net.marked
     for label, count in net.blocks:
         markers.append((at, f"# {label}\n"))
         at += count
-    for lo in range(0, len(table), _CHUNK):
-        hi = min(lo + _CHUNK, len(table))
-        lines = _reaction_lines(table, names, lo, hi)
-        for pos, marker in reversed([m for m in markers if lo <= m[0] < hi]):
-            lines.insert(pos - lo, marker)
+    end = len(table) if hi is None else hi
+    for start in range(lo or 0, end, _CHUNK):
+        stop = min(start + _CHUNK, end)
+        lines = _reaction_lines(table, names, start, stop)
+        for pos, marker in reversed([m for m in markers if start <= m[0] < stop]):
+            lines.insert(pos - start, marker)
         yield "".join(lines)
-    yield "".join(marker for pos, marker in markers if pos == len(table))
-    yield "".join(f"# diff {out} {plus} {minus}\n" for out, plus, minus in net.diffs)
+    if hi is None:
+        yield "".join(marker for pos, marker in markers if pos == len(table))
+        yield "".join(f"# diff {out} {plus} {minus}\n" for out, plus, minus in net.diffs)
 
 
 def serialize_crn(net: Crn) -> str:
@@ -700,6 +728,47 @@ def _line_blocks(source: str | TextIO) -> Iterator[list[str]]:
             carry = lines.pop() + "\r"
         yield lines
     yield carry.splitlines()
+
+
+def species_lines(source: str | TextIO) -> str:
+    """The lines of a `.crn` text, or of an open text file, that `parse_crn`
+    reads as species lines, in order, each stripped and ending in a newline.
+
+    Read before the text that follows the source, they declare the species
+    that the source declares, in its order.
+    """
+    found = []
+    for lines in _line_blocks(source):
+        for line in [ln for ln in lines if "species" in ln]:
+            line = line.strip()
+            if line[0] != "#" and "->{" not in line and line.split(None, 1)[0] == "species":
+                found.append(line + "\n")
+    return "".join(found)
+
+
+def join_parts(earlier: Crn, later: Crn) -> Crn | None:
+    """The network `parse_crn` reads from a text whose earlier part it reads
+    as earlier and whose later part, read after the earlier part's
+    `species_lines`, it reads as later; or None when the two cannot tell.
+
+    The later part's lines read as they do in the whole text unless they
+    declare a species or set an init, which are checked against the
+    earlier part's lines, or a diff repeats an earlier output, which the
+    diffs checked again as a whole refuse.  Meta and diffs join in line
+    order, and the later part's reactions before its first marker join the
+    earlier part's last block.
+    """
+    if later.species != earlier.species or later.init:
+        return None
+    blocks = later.blocks
+    if earlier.blocks:
+        (label, count), unmarked = earlier.blocks[-1], len(later.table) - later.marked
+        blocks = earlier.blocks[:-1] + ((label, count + unmarked),) + blocks
+    try:
+        return Crn(earlier.species, earlier.table + later.table, earlier.init,
+                   {**earlier.meta, **later.meta}, earlier.diffs + later.diffs, blocks)
+    except ValidationError:
+        return None
 
 
 def parse_crn(source: str | TextIO) -> Crn:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .dae import Trajectory
@@ -13,9 +15,16 @@ PALETTE = [
 MAX_POINTS = 1500
 
 
+# the characters XML 1.0 allows in no document: C0 controls other than tab,
+# newline and carriage return, the surrogates, U+FFFE and U+FFFF
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def escape(text: str) -> str:
-    """Text as SVG character data: &, < and > as entities, & first."""
-    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    """Text as SVG character data: &, < and > as entities, & first, and
+    each character that XML forbids as U+FFFD."""
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return _NOT_XML.sub("\ufffd", text)
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:

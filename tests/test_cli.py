@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
@@ -21,10 +22,11 @@ import circ2crn
 from circ2crn import cli, pipeline
 from circ2crn.cli import main
 from circ2crn.crn import Reaction, parse_crn, serialize_crn
+from circ2crn.errors import ParseError
 from circ2crn.pipeline import RunConfig, frequency_response, verify_circuit
 from circ2crn.circuit import parse_netlist
 
-from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block, rl_ladder
+from conftest import RC_LOWPASS, RL_DC, RL_SINE, circuit_block, rl_ladder, rlc_netlists
 
 # the worked example of the README, as written there
 README_HP = ("V vin 1 0 FOURIER 0 1 1 0    # vin(t) = sin(t)\n"
@@ -267,6 +269,23 @@ class TestPinnedBytes:
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == digest
 
 
+def _split_at_any_size(monkeypatch) -> None:
+    """Two CPUs, and every helper's threshold at its least, so compile,
+    simulate's reader and its CSV all run their helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for name in ("_SPLIT_VALUES", "_SPLIT_REACTIONS", "_SPLIT_BYTES"):
+        monkeypatch.setattr(cli, name, 1)
+
+
+class TestPinnedBytesSplit(TestPinnedBytes):
+    """The same digests when every output is written, and every .crn read,
+    by two processes."""
+
+    @pytest.fixture(autouse=True)
+    def _split(self, monkeypatch):
+        _split_at_any_size(monkeypatch)
+
+
 @pytest.fixture(scope="module")
 def ladder_20(tmp_path_factory):
     """(.crn, .csv) paths: the compiled k = 20 RL ladder and where its CSV goes."""
@@ -347,29 +366,32 @@ class TestSplitCsv:
         assert calls == []
 
 
-# Runs simulate in a fresh interpreter, which has no children of its own:
-# argv is the .crn, the output path, the expected CSV and whether the forked
-# helper fails; prints [exit code, stderr, output equal, forks, no child left].
+# Runs a command in a fresh interpreter, which has no children of its own,
+# on two CPUs: argv[1] is the JSON of [command line, output path, expected
+# output, whether the forked helper fails, cli thresholds to set]; prints
+# [exit code, stderr, output equal, forks, no child left].
 _NO_CHILD_LEFT = """
 import contextlib, io, json, os, sys
-from circ2crn.cli import main
+from circ2crn import cli
 
-crn, out, want, fail = sys.argv[1:]
+argv, out, want, fail, low = json.loads(sys.argv[1])
 os.sched_getaffinity = lambda pid: {0, 1}
+for name, value in low.items():
+    setattr(cli, name, value)
 forks, fork = [], os.fork
 
 def counted():
     forks.append(1)
     pid = fork()
-    if pid == 0 and fail == "1":
+    if pid == 0 and fail:
         os._exit(1)
     return pid
 
 os.fork = counted
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
-    code = main(["simulate", crn, "-T", "1", "-o", out])
-same = out != "/dev/full" and open(out).read() == open(want).read()
+    code = cli.main(argv)
+same = os.path.isfile(out) and open(out).read() == open(want).read()
 try:
     os.waitpid(-1, os.WNOHANG)
     reaped = False
@@ -377,6 +399,24 @@ except ChildProcessError:
     reaped = True
 print(json.dumps([code, err.getvalue(), same, len(forks), reaped]))
 """
+
+
+def _without_children(argv, out, want, fail, low=None):
+    """_NO_CHILD_LEFT's result for the command line argv."""
+    env = dict(os.environ, PYTHONPATH=str(Path(circ2crn.__file__).parents[1]))
+    spec = json.dumps([argv, out, str(want), fail, low or {}])
+    done = subprocess.run([sys.executable, "-c", _NO_CHILD_LEFT, spec], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stderr == ""
+    return json.loads(done.stdout)
+
+
+def _one_error_line(err: str) -> str:
+    """The one line of err, an `error:` line; there is no traceback."""
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    return line
 
 
 class TestNoHelperOutlivesTheCommand:
@@ -389,18 +429,276 @@ class TestNoHelperOutlivesTheCommand:
         want = tmp_path / "want.csv"
         want.write_text(_serial_csv(ladder_20[0], 1.0, TestSplitCsv.DT))
         out = out if out.startswith("/") else str(tmp_path / out)
-        env = dict(os.environ, PYTHONPATH=str(Path(circ2crn.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-c", _NO_CHILD_LEFT, ladder_20[0], out,
-                               str(want), fail], env=env, capture_output=True, text=True,
-                              check=True)
-        code, err, same, forks, reaped = json.loads(done.stdout)
-        assert reaped and forks == 1 and done.stderr == ""
+        code, err, same, forks, reaped = _without_children(
+            ["simulate", ladder_20[0], "-T", "1", "-o", out], out, want, fail == "1")
+        assert reaped and forks == 1
         if out == "/dev/full":
-            assert code == 1 and "Traceback" not in err
-            assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
-                err.rstrip("\n")]
+            assert code == 1
+            _one_error_line(err)
         else:
             assert code == 0 and same and err == ""
+
+    @pytest.mark.parametrize("out,fail", [("out", False), ("/dev/full", False), ("out", True)],
+                             ids=["helper", "write_fails", "helper_fails"])
+    def test_the_compile_helper_is_reaped(self, tmp_path, out, fail):
+        if out == "/dev/full" and not os.path.exists(out):
+            pytest.skip("no /dev/full")
+        netlist = _write(tmp_path, "l.cir", rl_ladder(20))
+        want = tmp_path / "want.crn"
+        assert main(["compile", netlist, "-o", str(want)]) == 0  # below the threshold
+        out = out if out.startswith("/") else str(tmp_path / "out.crn")
+        code, err, same, forks, reaped = _without_children(
+            ["compile", netlist, "-o", out], out, want, fail, {"_SPLIT_REACTIONS": 2})
+        assert reaped and forks == 1
+        if out == "/dev/full":
+            assert code == 1
+            _one_error_line(err)
+        else:
+            assert code == 0 and same and err == ""
+
+    @pytest.mark.parametrize("case", ["helper", "bad_line", "helper_fails"])
+    def test_the_read_helper_is_reaped(self, ladder_20, tmp_path, case):
+        # a 0.001 horizon keeps the CSV below its own helper's threshold; the
+        # bad line is the fourth, so the helper still runs when it is refused
+        crn = ladder_20[0]
+        if case == "bad_line":
+            lines = Path(crn).read_text().splitlines(keepends=True)
+            crn = _write(tmp_path, "bad.crn", "".join(lines[:3] + ["bogus\n"] + lines[3:]))
+        want = tmp_path / "want.csv"
+        want.write_text(_serial_csv(ladder_20[0], 0.001, TestSplitCsv.DT))
+        out = str(tmp_path / "out.csv")
+        code, err, same, forks, reaped = _without_children(
+            ["simulate", crn, "-T", "0.001", "-o", out], out, want, case == "helper_fails",
+            {"_SPLIT_BYTES": 1024})
+        assert reaped and forks == 1
+        if case == "bad_line":
+            assert code == 1 and _one_error_line(err) == "error: line 4: unrecognized line 'bogus'"
+        else:
+            assert code == 0 and same and err == ""
+
+
+def _read_serially(path):
+    with open(path) as fh:
+        return parse_crn(fh)
+
+
+def _network_or_error(read, path):
+    """read(path) as a tuple of the network's parts, or its ParseError's text."""
+    try:
+        net = read(path)
+    except ParseError as exc:
+        return str(exc)
+    return net.species, net.table, dict(net.init), dict(net.meta), net.diffs, net.blocks
+
+
+def _compiled_text(netlist: str) -> str:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return serialize_crn(pipeline.compile_circuit(parse_netlist(netlist), RunConfig()).crn)
+
+
+@st.composite
+def edited_crn_texts(draw) -> str:
+    """A compiled network's .crn text with lines put in at random places:
+    lines whose reading depends on what comes before them (species, init,
+    diff), annotations, and lines that fail."""
+    lines = _compiled_text(draw(rlc_netlists())).splitlines(keepends=True)
+    species = lines[1 + sum(ln.startswith("# meta") for ln in lines)].split()[1:]
+    name = st.sampled_from(species) | st.sampled_from(["zz", "t", "v1_p"])
+    outs = [ln.split()[2] for ln in lines if ln.startswith("# diff")]
+    extra = st.one_of(
+        st.builds("species {}\n".format, name),
+        st.builds("init {} {}\n".format, name, st.sampled_from(["0", "1.5", "-1", "x"])),
+        st.builds("# meta {} {}\n".format, st.sampled_from(["h", "k"]),
+                  st.sampled_from(["0.02", "a b"])),
+        st.builds("# diff {} {} {}\n".format, name, name, name),
+        st.builds("# diff {} {} {}\n".format, st.sampled_from(outs + ["dd"]), name, name),
+        st.sampled_from(["# circuit reactions\n", "# input reactions s\n", "\n", "# note\n",
+                         "bogus\n", "a + ->{1} b\n"]),
+        st.builds("{0} ->{{2.5}} {0} + {1}\n".format, name, name),
+        st.builds("{0} ->{{{1}}} {0}\n".format, name, st.sampled_from(["-1", "inf", "1"])),
+    )
+    for line in draw(st.lists(extra, max_size=4)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return "".join(lines)
+
+
+class TestSplitRead:
+    """simulate's reader returns parse_crn's network, or raises its
+    ParseError, whether or not a forked helper reads the later part."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(cli, "_SPLIT_BYTES", 1024)
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list:
+        """The list that each call of parse_crn in this process appends to."""
+        calls, parse = [], cli.parse_crn
+
+        def counted(source):
+            calls.append(1)
+            return parse(source)
+
+        monkeypatch.setattr(cli, "parse_crn", counted)
+        return calls
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(text=edited_crn_texts())
+    def test_every_edit_reads_as_the_serial_reader_reads_it(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "edited.crn"
+        path.write_text(text)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_SPLIT_BYTES", 1)
+            calls = _fork_counter(patch)
+            got = _network_or_error(cli._read_crn, path)
+        assert got == _network_or_error(_read_serially, path)
+        assert calls == [1]
+
+    def test_a_compiled_network_is_joined_without_the_serial_reader(self, ladder_20, parses,
+                                                                     monkeypatch):
+        calls = _fork_counter(monkeypatch)
+        assert _network_or_error(cli._read_crn, ladder_20[0]) == _network_or_error(
+            _read_serially, ladder_20[0])
+        assert calls == [1] and parses == [1]
+
+    def test_annotations_of_the_earlier_part_are_joined(self, ladder_20, tmp_path, parses):
+        # a diff and a meta key that the later part sets again, before the
+        # first reaction, so the earlier part holds them
+        lines = Path(ladder_20[0]).read_text().splitlines(keepends=True)
+        species = next(ln for ln in lines if ln.startswith("species ")).split()[1:]
+        at = lines.index(next(ln for ln in lines if "->{" in ln))
+        lines[at:at] = [f"# diff dd {species[0]} {species[1]}\n", "# meta h 0.5\n"]
+        path = _write(tmp_path, "early.crn", "".join(lines) + "# meta h 0.25\n")
+        got = _network_or_error(cli._read_crn, path)
+        assert got == _network_or_error(_read_serially, path)
+        assert got[4][0][0] == "dd" and got[3]["h"] == "0.25" and parses == [1]
+
+    @pytest.mark.parametrize("size,forks", [(0, [1]), (1, [])], ids=["at", "below"])
+    def test_the_helper_starts_at_the_threshold(self, ladder_20, monkeypatch, size, forks):
+        monkeypatch.setattr(cli, "_SPLIT_BYTES", os.path.getsize(ladder_20[0]) + size)
+        calls = _fork_counter(monkeypatch)
+        assert cli._read_crn(ladder_20[0]) == _read_serially(ladder_20[0])
+        assert calls == forks
+
+    @pytest.mark.parametrize("where", ["earlier", "later"])
+    def test_a_bad_line_is_the_serial_readers_error(self, ladder_20, tmp_path, where):
+        lines = Path(ladder_20[0]).read_text().splitlines(keepends=True)
+        at = 5 if where == "earlier" else len(lines) - 5
+        path = _write(tmp_path, "bad.crn", "".join(lines[:at] + ["x ->{1} x\n"] + lines[at:]))
+        with pytest.raises(ParseError) as exc:
+            cli._read_crn(path)
+        assert str(exc.value) == f"line {at + 1}: undeclared species 'x'"
+
+    @pytest.mark.parametrize("line", ["init {0} 1\n", "species zz\n", ""],
+                             ids=["init", "species", "repeated_diff_output"])
+    def test_a_later_line_read_against_earlier_ones_takes_the_serial_reader(
+            self, ladder_20, tmp_path, parses, line):
+        # the later part sets an init or declares a species, or its first
+        # diff repeats the output of a diff in the earlier part: the serial
+        # reader reads them against the earlier lines, and refuses the last
+        lines = Path(ladder_20[0]).read_text().splitlines(keepends=True)
+        species = next(ln for ln in lines if ln.startswith("species ")).split()[1:]
+        first_diff = next(ln for ln in lines if ln.startswith("# diff "))
+        if line:
+            lines.insert(lines.index(first_diff), line.format(species[0]))
+        else:
+            at = lines.index(next(ln for ln in lines if "->{" in ln))
+            out = first_diff.split()[2]
+            lines.insert(at, f"# diff {out} {species[0]} {species[1]}\n")
+        path = _write(tmp_path, "late.crn", "".join(lines))
+        got = _network_or_error(cli._read_crn, path)
+        assert got == _network_or_error(_read_serially, path)
+        assert isinstance(got, str) == (not line)
+        assert parses == [1, 1]
+
+    @pytest.mark.parametrize("forced", ["one_cpu", "fork_fails", "spill_fails", "helper_fails",
+                                        "fifo"])
+    def test_every_serial_fallback_reads_the_same_network(self, ladder_20, tmp_path, parses,
+                                                          monkeypatch, forced):
+        path = ladder_20[0]
+        calls = _fork_counter(monkeypatch)
+        if forced == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif forced == "fork_fails":
+            monkeypatch.setattr(os, "fork", _refuse)
+        elif forced == "spill_fails":
+            monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
+        elif forced == "helper_fails":
+            fork = os.fork
+
+            def failing():
+                pid = fork()
+                if pid == 0:
+                    os._exit(1)
+                return pid
+
+            monkeypatch.setattr(os, "fork", failing)
+        elif forced == "fifo":
+            path = str(tmp_path / "fifo.crn")
+            os.mkfifo(path)
+            writer = threading.Thread(target=Path(path).write_text,
+                                      args=(Path(ladder_20[0]).read_text(),))
+            writer.start()
+        got = _network_or_error(cli._read_crn, path)
+        if forced == "fifo":
+            writer.join()
+        assert got == _network_or_error(_read_serially, ladder_20[0])
+        # the earlier part is read here before a failed helper is seen
+        failed = forced == "helper_fails"
+        assert parses == ([1, 1] if failed else [1])
+        assert calls == ([1] if failed else [])
+
+
+class TestSplitCrn:
+    """compile writes the bytes of serialize_crn whether or not a forked
+    helper writes the later half of the reactions."""
+
+    @pytest.fixture(autouse=True)
+    def _two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    @pytest.fixture(scope="class")
+    def ladder(self, tmp_path_factory):
+        """(netlist path, its serial .crn text) of the k = 20 RL ladder."""
+        tmp = tmp_path_factory.mktemp("split_crn")
+        netlist = rl_ladder(20)
+        return _write(tmp, "l.cir", netlist), _compiled_text(netlist)
+
+    @pytest.mark.parametrize("more,forks", [(0, [1]), (1, [])], ids=["at", "below"])
+    def test_the_helper_starts_at_the_threshold(self, ladder, tmp_path, monkeypatch, more,
+                                                forks):
+        monkeypatch.setattr(cli, "_SPLIT_REACTIONS", len(parse_crn(ladder[1]).table) + more)
+        calls = _fork_counter(monkeypatch)
+        out = tmp_path / "l.crn"
+        assert main(["compile", ladder[0], "-o", str(out)]) == 0
+        assert out.read_text() == ladder[1]
+        assert calls == forks
+
+    def test_stdout_gets_the_serial_bytes(self, ladder, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_SPLIT_REACTIONS", 2)
+        calls = _fork_counter(monkeypatch)
+        assert main(["compile", ladder[0]]) == 0
+        assert capsys.readouterr().out == ladder[1]
+        assert calls == [1]
+
+    @pytest.mark.parametrize("forced", ["one_cpu", "fork_fails", "spill_fails"])
+    def test_every_serial_fallback_writes_the_same_bytes(self, ladder, tmp_path, monkeypatch,
+                                                         forced):
+        # a helper that fails is TestNoHelperOutlivesTheCommand's case
+        monkeypatch.setattr(cli, "_SPLIT_REACTIONS", 2)
+        calls = _fork_counter(monkeypatch)
+        if forced == "one_cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif forced == "fork_fails":
+            monkeypatch.setattr(os, "fork", _refuse)
+        elif forced == "spill_fails":
+            monkeypatch.setattr(tempfile, "TemporaryFile", _refuse)
+        out = tmp_path / "l.crn"
+        assert main(["compile", ladder[0], "-o", str(out)]) == 0
+        assert out.read_text() == ladder[1]
+        assert calls == []
 
 
 def _traced_peak(argv) -> int:
@@ -556,6 +854,18 @@ class TestSimulate:
                  if el.tag.endswith("text")]
         assert crn in texts
         assert "x&y<2>" in texts
+
+    def test_plot_svg_replaces_the_characters_xml_forbids(self, tmp_path):
+        # a species name and a path may hold a control character, which no
+        # XML document may; it is drawn as U+FFFD
+        crn = _write(tmp_path, "a\x01b.crn", "# meta h 0.01\nspecies x\x01y\ninit x\x01y 1\n")
+        svg_path = str(tmp_path / "p.svg")
+        assert main(["simulate", crn, "-T", "0.01", "-o", str(tmp_path / "p.csv"),
+                     "--plot", svg_path]) == 0
+        texts = [el.text for el in ET.parse(svg_path).getroot()
+                 if el.tag.endswith("text")]
+        assert crn.replace("\x01", "\ufffd") in texts
+        assert "x\ufffdy" in texts
 
 
 class TestVerify:

@@ -22,6 +22,7 @@ from circ2crn.crn import (
     mass_action_field,
     parse_crn,
     serialize_crn,
+    species_lines,
     union,
 )
 from circ2crn.dae import AffineOde, coupled_euler_map
@@ -762,6 +763,16 @@ def test_difference_system_names_the_reaction_that_breaks_a_rule(name, reaction)
         difference_system(net)
 
 
+@pytest.mark.parametrize("name", ["bimolecular_moves_a_difference.crn",
+                                  "unequal_rail_columns.crn", "unpaired_feeder.crn"])
+def test_a_refusal_of_difference_system_builds_no_reaction_objects(name):
+    # the message reads the named reaction's sides from the table alone
+    net = parse_crn((DATA / name).read_text())
+    with pytest.raises(ValidationError, match=r"^reaction \d+ \("):
+        difference_system(net)
+    assert "reactions" not in vars(net)
+
+
 def test_difference_system_rejects_a_rail_shared_by_two_differences():
     net = Crn(("x_p", "x_m"), (), diffs=(("a", "x_p", "x_m"), ("b", "x_m", "x_p")))
     with pytest.raises(ValidationError, match="rail of two differences"):
@@ -959,6 +970,38 @@ class TestChunkedWriter:
         assert "".join(pieces) == serialize_crn(net)
         assert all(piece.endswith("\n") for piece in pieces if piece)
         assert max(piece.count("->{") for piece in pieces) == crn._CHUNK
+
+
+    @pytest.mark.parametrize("chunk", [1, 2, 4096])
+    def test_any_two_parts_join_to_the_text(self, monkeypatch, chunk):
+        # markers inside, at the cut and after the last reaction, then diffs
+        text = ("# crn\n# meta h 0.01\nspecies a b c\ninit a 1\na ->{1} a + b\n"
+                "# circuit reactions\nb ->{2} c\na + b ->{3} 0\n"
+                "# input reactions s\n0 ->{1} a\n# input reactions t\n# diff d a b\n")
+        net = parse_crn(text)
+        assert serialize_crn(net) == text
+        monkeypatch.setattr(crn, "_CHUNK", chunk)
+        for m in range(len(net.table) + 1):
+            assert "".join(crn_lines(net, None, m)) + "".join(crn_lines(net, m)) == text
+
+
+class TestSpeciesLines:
+    def test_the_lines_parse_crn_reads_as_species_lines(self, tmp_path):
+        # a comment, a reaction that names a species `species` and a name
+        # that starts with it are no species lines
+        text = ("# species x\n  species a b \r\nspeciesA ->{1} a\nspecies c\n"
+                "a ->{1} speciesA\n\fspecies  d\n")
+        text = text.replace("speciesA ->{1} a", "species ->{1} a")
+        want = "species a b\nspecies c\nspecies  d\n"
+        path = tmp_path / "s.crn"
+        path.write_bytes(text.encode())
+        with open(path) as fh:
+            assert species_lines(text) == species_lines(fh) == want
+
+    def test_the_lines_across_a_block_boundary(self):
+        head = "species a\n" + "# pad\n" * (crn._BLOCK // 6) + "spec"
+        assert len(head) > crn._BLOCK
+        assert species_lines(head + "ies b\n") == "species a\nspecies b\n"
 
 
 class TestBlockReader:
